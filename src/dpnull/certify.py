@@ -8,8 +8,9 @@ The certifiers tie the polynomial side to the cover side:
 * over F_3 the same works for arbitrary covers with the signed polynomial
   prod (x_i + B*x_j - beta_ij), B = -1 on good-diff edges and +1 on
   bad-sum edges;
-* sweeping every sign pattern over F_3 certifies chi_DP(G) <= 3 outright,
-  optionally with spanning-tree edges pinned to -1;
+* sweeping every sign pattern over F_3 certifies chi_DP(G) <= 3 outright;
+  only the patterns with a spanning forest pinned to -1 are expanded, and
+  vertex switching gives every other pattern's certificate;
 * a unique proper list coloring, or the structure of cones over certain
   bipartite / uniquely 3-colorable graphs, certifies whole families of
   good prime covers at once.
@@ -24,6 +25,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .errors import MethodDisagreement, PreconditionError
@@ -187,20 +189,26 @@ def certify_order3_cover(cover: Cover, budget: Budget | None = None) -> Certific
 # ---------------------------------------------------------------------------
 # sign-pattern sweep: chi_DP <= 3
 
-def _sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budget=None):
+def _sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budget):
     """Depth-first sweep over sign assignments for var_edges (prefix fixed),
     sharing the expansion of common factor prefixes.
 
-    Returns (passes, failures, patterns) where passes are
-    (pattern, monomial, coefficient) triples in pattern-lex order
-    (-1 before +1) and failures are bare patterns.
+    Returns (passes, failures) where passes are (pattern, monomial,
+    coefficient) triples in pattern-lex order (-1 before +1) and failures
+    are bare patterns.  Each node of the sign tree charges the budget the
+    size of its map; a prefix node is charged by the block whose remaining
+    prefix signs are all -1, which is the first block below it, so the
+    blocks of one sweep together charge what the sweep without a prefix
+    charges.
     """
     fld = make_field(3)
     caps = (2,) * n
     cur = {0: 1}
     for e in fixed_edges:
         cur = apply_factor_packed(cur, Factor(e[0], e[1], -1, 0), caps, fld)
-    for e, s in zip(var_edges, prefix):
+    for d, (e, s) in enumerate(zip(var_edges, prefix)):
+        if 1 not in prefix[d:]:
+            budget.tick(max(len(cur), 1))
         cur = apply_factor_packed(cur, Factor(e[0], e[1], s, 0), caps, fld)
     passes = []
     failures = []
@@ -210,8 +218,7 @@ def _sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budget=N
     rest = var_edges[len(prefix):]
 
     def rec(cur, idx):
-        if budget is not None:
-            budget.tick(max(len(cur), 1))
+        budget.tick(max(len(cur), 1))
         if idx == len(rest):
             pattern = tuple(signs[e] for e in all_edges)
             if cur:
@@ -234,8 +241,55 @@ def _sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budget=N
 
 
 def _sweep_worker(args):
-    n, all_edges, fixed_edges, var_edges, prefix, collect = args
-    return _sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect)
+    """One prefix block on its own budget of `limit` steps; returns the
+    block's passes, failures and the steps it charged (on exhaustion, the
+    steps charged so far, which reach the limit)."""
+    n, all_edges, fixed_edges, var_edges, prefix, collect, limit = args
+    budget = Budget(limit)
+    try:
+        passes, failures = _sweep_signs(
+            n, all_edges, fixed_edges, var_edges, prefix, collect, budget
+        )
+    except BudgetExceeded as exc:
+        return [], [], exc.spent
+    return passes, failures, budget.spent
+
+
+def _switchings(g: Graph):
+    """The vertex switchings that fix each component's lowest vertex.
+
+    One entry per vertex set S avoiding those vertices: (cut, flips,
+    parity, mask) with cut the edges having exactly one end in S as a
+    bitmask (edge 0 the most significant bit), flips the same edges as a
+    -1 per edge and +1 elsewhere, parity the parity of the number of edges
+    whose lower end lies in S, and mask the set S (vertex v at bit v - 1).
+    """
+    m = len(g.edges)
+    star = [0] * (g.n + 1)
+    lower = [0] * (g.n + 1)
+    for k, (i, j) in enumerate(g.edges):
+        bit = 1 << (m - 1 - k)
+        star[i] |= bit
+        star[j] |= bit
+        lower[i] ^= 1
+    roots = {comp[0] for comp in g.components()}
+    sets = [(0, 0, 0)]
+    for v in range(1, g.n + 1):
+        if v not in roots:
+            sets += [(cut ^ star[v], par ^ lower[v], mask | 1 << (v - 1))
+                     for cut, par, mask in sets]
+    return [
+        (cut, tuple(-1 if cut >> (m - 1 - k) & 1 else 1 for k in range(m)), par, mask)
+        for cut, par, mask in sets
+    ]
+
+
+def _pattern_index(pattern) -> int:
+    """Position of a sign pattern in pattern-lex order (-1 before +1)."""
+    index = 0
+    for s in pattern:
+        index = index << 1 | (s > 0)
+    return index
 
 
 def certify_dp3(
@@ -248,28 +302,45 @@ def certify_dp3(
     """Sweep sign patterns over F_3; if every pattern's polynomial has a
     monomial with exponents <= 2 and nonzero coefficient, chi_DP(G) <= 3.
 
-    With use_spanning_tree (connected graphs containing a cycle only),
-    spanning-tree edges are pinned to -1 and only the 2^(|E|-|V|+1) co-tree
-    patterns are swept; the verdict is the same.
+    Only the patterns with the spanning forest (`spanning_tree(g)`) pinned
+    to -1 are expanded: one per sign choice on the 2^(|E|-|V|+c) co-forest
+    edges, c the number of components.  Every other pattern follows by
+    vertex switching (Zaslavsky, "Signed graph coloring", 1982).  For
+    sigma in {+1, -1}^V, substituting x_v -> sigma_v x_v in
+    prod_{(i,j) in E, i<j} (x_i + s_ij x_j) gives
+    (prod_E sigma_i) * prod (x_i + s_ij sigma_i sigma_j x_j), so the
+    pattern s' = s sigma_i sigma_j has the coefficients
 
-    The budget is enforced on the sequential path; with jobs > 1 the sweep
-    is split into sign-prefix blocks over a process pool and merged in
-    prefix order, so results are identical to the sequential run.
+        c_s'(a) = (prod_{(i,j) in E} sigma_i) (prod_v sigma_v^{a_v}) c_s(a),
+
+    read in F_3 (-c = 3 - c).  Its support, hence its verdict and its
+    lex-greatest monomial, is that of s.  Taking sigma = +1 at each
+    component's lowest vertex, the forest edges fix sigma along each tree,
+    so every pattern is the switching of exactly one forest-pinned pattern
+    by exactly one such sigma: the 2^(|V|-c) switchings of the
+    2^(|E|-|V|+c) representatives are the 2^|E| patterns.  With edge 0 as
+    the most significant bit, s' has the lex index of s XOR the mask of
+    the edges with exactly one end where sigma = -1.
+
+    With use_spanning_tree (connected graphs containing a cycle only),
+    the result lists the representatives alone; the verdict is the same.
+
+    With jobs > 1 the representatives are swept in sign-prefix blocks over
+    a process pool and merged in prefix order, so results are identical to
+    the sequential run.  Each block runs on the budget left at the start
+    and the blocks' steps are charged in prefix order, including the
+    shared prefix nodes, so a budget is exhausted exactly when it is on
+    the sequential path.
     """
     if not g.edges:
         raise PreconditionError("the sweep needs a graph with at least one edge")
-    if use_spanning_tree:
-        if not g.is_connected() or not g.contains_cycle():
-            raise PreconditionError(
-                "spanning-tree mode needs a connected graph containing a cycle"
-            )
-        fixed = spanning_tree(g)
-        var_edges = tuple(e for e in g.edges if e not in set(fixed))
-        mode = "spanning-tree"
-    else:
-        fixed = ()
-        var_edges = g.edges
-        mode = "all-edges"
+    if use_spanning_tree and (not g.is_connected() or not g.contains_cycle()):
+        raise PreconditionError(
+            "spanning-tree mode needs a connected graph containing a cycle"
+        )
+    fixed = spanning_tree(g)
+    forest = set(fixed)
+    var_edges = tuple(e for e in g.edges if e not in forest)
     budget = ensure_budget(budget, 2_000_000_000, "sweeping sign patterns")
 
     if jobs <= 1 or len(var_edges) < 4:
@@ -279,18 +350,31 @@ def certify_dp3(
     else:
         depth = max(2, math.ceil(math.log2(4 * jobs)))
         depth = min(depth, len(var_edges) - 1)
-        prefixes = list(product((-1, 1), repeat=depth))
+        limit = budget.limit - budget.spent
         tasks = [
-            (g.n, g.edges, fixed, var_edges, p, collect_certificates) for p in prefixes
+            (g.n, g.edges, fixed, var_edges, p, collect_certificates, limit)
+            for p in product((-1, 1), repeat=depth)
         ]
         passes = []
         failures = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for ps, fs in pool.map(_sweep_worker, tasks):
-                passes.extend(ps)
-                failures.extend(fs)
+            try:
+                for ps, fs, steps in pool.map(_sweep_worker, tasks):
+                    budget.tick(steps)
+                    passes.extend(ps)
+                    failures.extend(fs)
+            except BudgetExceeded:
+                pool.shutdown(cancel_futures=True)
+                raise
 
-    patterns_tested = 1 << len(var_edges)
+    if use_spanning_tree:
+        mode = "spanning-tree"
+        patterns_tested = 1 << len(var_edges)
+    else:
+        mode = "all-edges"
+        patterns_tested = 1 << len(g.edges)
+        passes, failures = _switch_all(g, passes, failures, collect_certificates, budget)
+
     certs = ()
     if collect_certificates:
         certs = tuple(
@@ -308,6 +392,31 @@ def certify_dp3(
     if failures:
         failure = FailureReport(mode, tuple(sorted(failures)), patterns_tested)
     return Dp3Result(mode, patterns_tested, certs, failure)
+
+
+def _switch_all(g: Graph, passes, failures, collect: bool, budget: Budget):
+    """Every pattern's (pattern, monomial, coefficient) pass, in
+    pattern-lex order, and failing pattern, from those of the
+    forest-pinned representatives (see certify_dp3).  Without collect the
+    passes are not needed: none are returned and only the failures are
+    switched."""
+    switchings = _switchings(g)
+    switched_passes = []
+    if collect:
+        slots = [None] * (1 << len(g.edges))
+        for pattern, mono, coeff in passes:
+            budget.tick(len(switchings))
+            base = _pattern_index(pattern)
+            odd = sum(1 << v for v, a in enumerate(mono) if a & 1)
+            for cut, flips, parity, mask in switchings:
+                c = 3 - coeff if (parity + (odd & mask).bit_count()) & 1 else coeff
+                slots[base ^ cut] = (tuple(map(mul, pattern, flips)), mono, c)
+        switched_passes = [s for s in slots if s is not None]
+    switched_failures = []
+    for pattern in failures:
+        budget.tick(len(switchings))
+        switched_failures += [tuple(map(mul, pattern, flips)) for _, flips, _, _ in switchings]
+    return switched_passes, switched_failures
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,10 @@ def parse_pattern_spec(spec: str, edges) -> tuple[dict, dict]:
         if not sep or not val:
             raise FormatError(f"bad pattern token {tok!r}, expected 'i-j:<sign><beta?>'")
         sign = _parse_sign(val[0])
-        beta = int(val[1:]) if len(val) > 1 else 0
+        try:
+            beta = int(val[1:]) if len(val) > 1 else 0
+        except ValueError:
+            raise FormatError(f"bad offset in pattern token {tok!r}") from None
         if key == "default":
             default = (sign, beta)
             continue

@@ -186,6 +186,11 @@ def expand_packed(
 ) -> dict[int, int]:
     if len(caps) != poly.n:
         raise PreconditionError(f"caps must have length {poly.n}")
+    if max(caps, default=0) > PACK_MASK:
+        # a larger exponent would carry into the next variable's packed slot
+        raise PreconditionError(
+            f"cap {max(caps)} exceeds the packed exponent range 0..{PACK_MASK}"
+        )
     budget = ensure_budget(budget, 500_000_000, "expanding an edge-product polynomial")
     cur = {0: 1}
     for f in poly.factors:
@@ -316,8 +321,9 @@ def coefficient_at(
 ) -> int:
     """Coefficient of prod x_i^{target_i} by 'expand', 'grid', or 'both'.
 
-    The grid route requires sum(target) == deg(poly) and target_i + 1 <= t;
-    'both' cross-checks the two routes and raises on disagreement.
+    The expand route requires target_i <= PACK_MASK, the grid route
+    sum(target) == deg(poly) and target_i + 1 <= t; 'both' cross-checks
+    the two routes and raises on disagreement.
     """
     target = tuple(target)
     if len(target) != poly.n:

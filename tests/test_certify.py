@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from dpnull.budget import Budget
+from dpnull.budget import Budget, BudgetExceeded
 from dpnull.errors import PreconditionError
 from dpnull.ff import make_field
 from dpnull import certify as X
@@ -215,12 +215,78 @@ def test_dp3_preconditions():
                       use_spanning_tree=True)  # disconnected
 
 
+def _random_sweep_graphs():
+    """Seeded graphs with at most 10 edges: random ones (many disconnected,
+    some forests, some with isolated vertices) plus fixed cases of each."""
+    rng = random.Random(2003)
+    graphs = [
+        G.from_edges(5, [(1, 2), (2, 3), (1, 3)]),  # triangle plus two isolated
+        G.from_edges(7, [(1, 2), (1, 3), (4, 5), (4, 6), (6, 7)]),  # forest
+        G.from_edges(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7), (4, 6)]),
+        G.path(2),
+    ]
+    while len(graphs) < 36:
+        n = rng.randint(3, 8)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        m = rng.randint(2, min(10, len(pairs)))
+        graphs.append(G.from_edges(n, rng.sample(pairs, m)))
+    return graphs
+
+
+def test_dp3_all_edges_matches_per_pattern_expansion():
+    """Switched certificates against an independent expansion of every
+    pattern's polynomial."""
+    fld = make_field(3)
+    graphs = _random_sweep_graphs()
+    assert any(not g.is_connected() for g in graphs)
+    assert any(not g.contains_cycle() for g in graphs)
+    assert any(g.degree(v) == 0 for g in graphs for v in range(1, g.n + 1))
+    for g in graphs:
+        passes = []
+        failing = []
+        for pattern in product((-1, 1), repeat=len(g.edges)):
+            poly = P.from_graph(g, fld, signs=dict(zip(g.edges, pattern)))
+            found = P.find_qualifying_monomial(poly, (2,) * g.n)
+            if found is None:
+                failing.append(pattern)
+            else:
+                passes.append((pattern, *found))
+        res = X.certify_dp3(g)
+        assert res.patterns_tested == 2 ** len(g.edges)
+        assert [(c.pattern, c.monomial, c.coefficient) for c in res.certificates] == passes
+        assert (res.failure.failing_patterns if res.failure else ()) == tuple(failing)
+        bare = X.certify_dp3(g, collect_certificates=False)
+        assert bare.certificates == ()
+        assert bare.failure == res.failure
+
+
 def test_dp3_parallel_equals_sequential():
     g = G.cycle_power(6, 2)
     seq = X.certify_dp3(g, jobs=1)
     par = X.certify_dp3(g, jobs=3)
     assert seq.certificates == par.certificates
     assert seq.failure == par.failure
+
+
+def test_dp3_parallel_equals_sequential_on_disconnected_graph():
+    # K_4, C_5 and an isolated vertex: 3 + 1 co-forest edges, so jobs=2
+    # splits the representatives into prefix blocks
+    g = G.from_edges(10, list(G.complete(4).edges)
+                     + [(i + 4, j + 4) for i, j in G.cycle(5).edges])
+    for collect in (True, False):
+        seq = X.certify_dp3(g, jobs=1, collect_certificates=collect)
+        par = X.certify_dp3(g, jobs=2, collect_certificates=collect)
+        assert seq == par
+
+
+def test_dp3_budget_exhaustion_does_not_depend_on_jobs():
+    g = G.cycle_power(6, 2)
+    used = Budget(10**9)
+    full = X.certify_dp3(g, budget=used)
+    for jobs in (1, 2):
+        with pytest.raises(BudgetExceeded):
+            X.certify_dp3(g, jobs=jobs, budget=Budget(used.spent))
+        assert X.certify_dp3(g, jobs=jobs, budget=Budget(used.spent + 1)) == full
 
 
 def test_k35_external_ground_truth_recorded():

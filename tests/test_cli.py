@@ -176,6 +176,21 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_budget_exit_code_does_not_depend_on_jobs(jobs, capsys):
+    code, out, err = run_cli(
+        ["certify-dp3", "k4,4", "--budget", "1000", "--jobs", jobs], capsys
+    )
+    assert code == 3
+    assert "budget" in err and out == ""
+
+
+def test_make_cover_bad_offset_is_input_error(capsys):
+    code, _, err = run_cli(["make-cover", "c4", "--pattern", "1-2:+x"], capsys)
+    assert code == 2
+    assert "offset" in err
+
+
 def test_reproduce_single_scenario(capsys):
     code, out, _ = run_cli(["reproduce", "c6sq-coeffs"], capsys)
     assert code == 0

@@ -134,6 +134,20 @@ def test_expansion_caps_are_sound():
     assert capped == {k: v for k, v in full.items() if all(e <= 2 for e in k)}
 
 
+def test_caps_above_the_packed_range_are_rejected():
+    # a cap of 16 or more would let x_1's packed exponent carry into x_2's slot
+    poly = P.from_graph(G.complete_bipartite(1, 17), F3)
+    with pytest.raises(PreconditionError, match="packed"):
+        P.expand_coefficients(poly, (17,) + (1,) * 17)
+    with pytest.raises(PreconditionError, match="packed"):
+        P.coefficient_at(poly, (17,) + (0,) * 17, method="expand")
+    # the largest packed cap still expands exactly
+    poly = P.from_graph(G.complete_bipartite(1, 15), F3)
+    coeffs = P.expand_coefficients(poly, (15,) + (1,) * 15)
+    assert len(coeffs) == 1 << 15
+    assert coeffs[(15,) + (0,) * 15] == 1
+
+
 def test_expansion_limit_error_names_size():
     poly = P.from_graph(G.complete(5), F3)
     with pytest.raises(P.ExpansionLimitError, match="terms"):
