@@ -22,7 +22,6 @@ replay the claim.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from operator import mul
@@ -348,6 +347,9 @@ def certify_dp3(
             g.n, g.edges, fixed, var_edges, (), collect_certificates, budget
         )
     else:
+        # imported here so that sequential runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         depth = max(2, math.ceil(math.log2(4 * jobs)))
         depth = min(depth, len(var_edges) - 1)
         limit = budget.limit - budget.spent

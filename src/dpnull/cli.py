@@ -2,7 +2,8 @@
 
 Subcommands: coeff, certify-cover, certify-dp3, chi-dp, make-cover,
 check-cover, reproduce.  Exit codes: 0 certified/pass, 1 not certified or
-scenario failure (a sound negative), 2 input error, 3 budget exhausted.
+scenario failure (a sound negative), 2 input error, 3 budget or expansion
+size limit exhausted, 141 (128 + SIGPIPE) stdout closed by the reader.
 
 `reproduce` replays the toolkit's reference computations as named
 scenarios and prints one deterministic table row per scenario; the output
@@ -11,6 +12,7 @@ bytes do not depend on --jobs.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -665,11 +667,19 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): send what is still buffered
+        # to os.devnull, so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (FormatError, PreconditionError, FieldError, gr.GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, pl.ExpansionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MethodDisagreement as exc:

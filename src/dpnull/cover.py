@@ -15,8 +15,11 @@ scale.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from functools import reduce
+from itertools import permutations, product, takewhile
+from operator import or_
 
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .errors import FormatError, PreconditionError
@@ -142,24 +145,26 @@ def h_coloring_search(cover: Cover, budget: Budget | None = None) -> tuple[int, 
         if sigma:
             constraints[j].append((i, sigma))
     chosen = [0] * (n + 1)
-
-    def backtrack(v: int) -> bool:
-        if v > n:
-            return True
-        for a in cover.labels_of(v):
+    # nxt[v]: index in L(v) of the next label to try at vertex v
+    nxt = [0] * (n + 2)
+    v = 1
+    while 1 <= v <= n:
+        labels = cover.labels_of(v)
+        k = nxt[v]
+        while k < len(labels):
+            a = labels[k]
+            k += 1
             budget.tick()
-            ok = True
-            for u, sigma in constraints[v]:
-                if sigma.get(chosen[u]) == a:
-                    ok = False
-                    break
-            if ok:
-                chosen[v] = a
-                if backtrack(v + 1):
-                    return True
-        return False
-
-    if backtrack(1):
+            if all(sigma.get(chosen[u]) != a for u, sigma in constraints[v]):
+                break
+        else:
+            nxt[v] = 0
+            v -= 1
+            continue
+        chosen[v] = a
+        nxt[v] = k
+        v += 1
+    if v > n:
         return tuple(chosen[1:])
     return None
 
@@ -457,6 +462,96 @@ def _bfs_order(g: Graph, root: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # exhaustive cover-space searches
+#
+# Both searches walk a tree of covers depth first, fixing one edge's matching
+# per level, and carry the set of transversals that are still valid as one
+# Python int: bit p stands for the p-th label tuple of a list of vertices in
+# `product` order (the first vertex most significant).  Each (edge, matching)
+# candidate has a precomputed survivor mask, so one step of the walk is a
+# single `&`.
+
+class _Grid:
+    """Label grid of some vertices.  digit[v][a] masks the points whose
+    coordinate at v is label a; labels of a vertex with d labels are 0..d-1."""
+
+    def __init__(self, sizes: dict[int, int]):
+        points = math.prod(sizes.values())
+        self.full = (1 << points) - 1
+        self.digit: dict[int, list[int]] = {}
+        stride = points
+        for v, d in sizes.items():
+            stride //= d
+            period = d * stride
+            # one bit every `period` bits, over the whole grid
+            repeat = self.full // ((1 << period) - 1)
+            block = (1 << stride) - 1
+            self.digit[v] = [(block << (a * stride)) * repeat for a in range(d)]
+
+    def survivor(self, i: int, j: int, pairs) -> int:
+        """Points avoiding every matched pair (a, b) of the edge (i, j)."""
+        di, dj = self.digit[i], self.digit[j]
+        hit = 0
+        for a, b in pairs:
+            hit |= di[a] & dj[b]
+        return self.full & ~hit
+
+
+def _walk(start: int, levels: list[list[int]], budget: Budget) -> tuple[int, list[int] | None, bool]:
+    """Depth-first walk choosing one survivor mask per level, in order.
+
+    Returns (leaves, dead, finished).  `leaves` counts the nodes below the
+    last level whose set is nonempty.  `dead` is the choice index per level
+    of the first node whose set is empty, padded with zeros below it, or
+    None when there is no such node.  `finished` is False when the budget
+    ran out; `leaves` then holds the count so far.
+
+    One budget step per node, root included.  The leaves below one node are
+    counted in one pass with one batched tick, which stops exactly where a
+    node-by-node walk would have stopped: at the first empty leaf, or at the
+    leaf whose step exhausts the budget.
+    """
+    # the root is the one choice of a level above the first
+    levels = [[start], *levels]
+    top = len(levels) - 1
+    last = levels[top]
+    sizes = [len(choices) for choices in levels]
+    path = [0] * (top + 1)
+    valid = [-1] * (top + 1)  # valid[d]: the set before level d's choice
+    tick = budget.tick
+    leaves = 0
+    try:
+        d = 0
+        while d >= 0:
+            if d == top:
+                cur = valid[top]
+                alive = len(list(takewhile(bool, map(cur.__and__, last))))
+                steps = alive + (alive < sizes[top])
+                spare = budget.limit - budget.spent
+                if steps >= spare:  # the node-by-node walk stops at child `spare`
+                    leaves += spare - 1
+                    tick(spare)
+                leaves += alive
+                tick(steps)
+                if alive < sizes[top]:
+                    path[top] = alive
+                    return leaves, path[1:], True
+            elif path[d] < sizes[d]:
+                tick()
+                sub = valid[d] & levels[d][path[d]]
+                if not sub:
+                    return leaves, path[1:], True
+                d += 1
+                valid[d] = sub
+                continue
+            # every child of this node is done: back up to the next sibling
+            path[d] = 0
+            d -= 1
+            if d >= 0:
+                path[d] += 1
+    except BudgetExceeded:
+        return leaves, None, False
+    return leaves, None, True
+
 
 @dataclass(frozen=True)
 class DpExactResult:
@@ -482,6 +577,24 @@ def exact_dp_chromatic(g: Graph, mmax: int, budget: Budget | None = None) -> DpE
     pinned to the identity are enumerated; both reductions lose no
     generality (smaller matchings only add transversals, and renaming makes
     tree matchings the identity while preserving colorability).
+
+    For each m the walk fixes only the cotree edges' permutations, in
+    `product` order, over the grid of S, the endpoints of the cotree edges:
+    m^|S| points with |S| <= min(n, 2c) for c cotree edges, one point for a
+    tree.  The start mask is the projection onto S of the transversals of
+    the tree-pinned cover, computed by folding label masks from the leaves
+    of the tree to its root.  The projection is exact: a cotree matching
+    constrains only vertices of S, so a full labelling is a transversal
+    exactly when its restriction to S survives every cotree edge and extends
+    to the tree, and the tree constraints decide that extension on their own.
+    covers_tested counts the colorable covers before the first uncolorable
+    one, plus that one; only the uncolorable cover is built as a Cover, and
+    it is re-checked by h_coloring_search.
+
+    A budget step is one walk node.  Building a grid of P points is charged
+    ceil(P / 64) steps per mask it needs, m per vertex and one per (cotree
+    edge, permutation), so a grid too large to hold exhausts the budget
+    instead of memory.
     """
     budget = ensure_budget(budget, 10_000_000, "enumerating covers for exact chi_DP")
     comps = g.components()
@@ -506,6 +619,27 @@ def exact_dp_chromatic(g: Graph, mmax: int, budget: Budget | None = None) -> DpE
     return DpExactResult("exact", overall, total_tested, m_reached, witness)
 
 
+def _tree_projection(g: Graph, tree: tuple[Edge, ...], m: int, grid: _Grid) -> int:
+    """Mask of the grid points that extend to a labelling of every vertex
+    with one of m labels, the two ends of each tree edge labelled apart.
+    Leaves first, each vertex's per-label masks (points whose labelling of
+    its subtree can give it that label) are folded into its parent's."""
+    order = _bfs_order(from_edges(g.n, tree), 1)
+    pos = {v: k for k, v in enumerate(order)}
+    parent = {max(e, key=pos.get): min(e, key=pos.get) for e in tree}
+    folded: dict[int, list[int]] = {}
+    for v in reversed(order):
+        own = grid.digit.get(v) or [grid.full] * m
+        if v in folded:
+            own = [x & y for x, y in zip(own, folded.pop(v))]
+        if v == 1:
+            return reduce(or_, own)
+        up = [reduce(or_, own[:a] + own[a + 1:], 0) for a in range(m)]
+        p = parent[v]
+        folded[p] = [x & y for x, y in zip(folded[p], up)] if p in folded else up
+    raise AssertionError("unreachable: the root ends the fold")
+
+
 def _exact_dp_component(g: Graph, mmax: int, budget: Budget) -> DpExactResult:
     if not g.edges:
         return DpExactResult("exact", 1, 0, 1)
@@ -514,30 +648,32 @@ def _exact_dp_component(g: Graph, mmax: int, budget: Budget) -> DpExactResult:
         return DpExactResult("greater", None, 0, mmax)
     tree = spanning_tree(g)
     cotree = [e for e in g.edges if e not in set(tree)]
+    s_vertices = sorted({v for e in cotree for v in e})
     tested = 0
     last_bad = None
     for m in range(start, mmax + 1):
-        t = smallest_prime_power(m)
-        labels = tuple(tuple(range(m)) for _ in range(g.n))
-        base = {e: {a: a for a in range(m)} for e in tree}
         perms = list(permutations(range(m)))
-        found_bad = None
         try:
-            for assignment in product(perms, repeat=len(cotree)):
-                budget.tick()
-                matchings = dict(base)
-                for e, perm in zip(cotree, assignment):
-                    matchings[e] = {a: perm[a] for a in range(m)}
-                cov = Cover(g, t, labels, matchings)
-                tested += 1
-                if h_coloring_search(cov, budget) is None:
-                    found_bad = cov
-                    break
+            words = -(-(m ** len(s_vertices)) // 64)
+            budget.tick(words * (m * g.n + len(perms) * len(cotree)))
+            grid = _Grid({v: m for v in s_vertices})
+            levels = [[grid.survivor(i, j, enumerate(p)) for p in perms] for i, j in cotree]
+            leaves, dead, finished = _walk(_tree_projection(g, tree, m, grid), levels, budget)
+            if not finished:
+                return DpExactResult("unknown", None, tested + leaves, m, last_bad)
+            if dead is None:
+                return DpExactResult("exact", m, tested + leaves, m, last_bad)
+            tested += leaves + 1
+            matchings = {e: {a: a for a in range(m)} for e in tree}
+            for e, k in zip(cotree, dead):
+                matchings[e] = dict(enumerate(perms[k]))
+            bad = Cover(g, smallest_prime_power(m), tuple(tuple(range(m)) for _ in range(g.n)),
+                        matchings)
+            if h_coloring_search(bad, budget) is not None:
+                raise AssertionError("counterexample failed oracle re-check")
         except BudgetExceeded:
             return DpExactResult("unknown", None, tested, m, last_bad)
-        if found_bad is None:
-            return DpExactResult("exact", m, tested, m, last_bad)
-        last_bad = found_bad
+        last_bad = bad
     return DpExactResult("greater", None, tested, mmax, last_bad)
 
 
@@ -569,9 +705,12 @@ def f_dp_exhaustive(g: Graph, f: dict[int, int], budget: Budget | None = None) -
     transversals) and relabelings of the lowest-index matched vertex are
     quotiented out when its first matching saturates its label set.
 
-    Walks the edges depth-first carrying the set of still-valid transversals;
-    an empty set proves every completion uncolorable, and the first such
-    completion is returned after an oracle re-check.
+    Walks the edges depth-first carrying the set of still-valid transversals
+    as a mask over the grid of all vertices (prod f(v) points), so applying
+    an edge's matching is one `&` with its survivor mask.  An empty set
+    proves every completion uncolorable, and the first such completion is
+    returned after an oracle re-check.  A budget step is one walk node;
+    covers_tested counts the colorable leaves.
     """
     budget = ensure_budget(budget, 50_000_000, "exhausting f-covers")
     for v in range(1, g.n + 1):
@@ -583,62 +722,27 @@ def f_dp_exhaustive(g: Graph, f: dict[int, int], budget: Budget | None = None) -
     if not edges:
         return FDpResult("all_colorable", 1)
 
+    grid = _Grid({v: f[v] for v in range(1, g.n + 1)})
     candidates = []
     for idx, (i, j) in enumerate(edges):
-        cands = [
-            (frozenset(sig.items()), sig)
-            for sig in _maximal_matchings(labels[i - 1], labels[j - 1])
-        ]
+        cands = list(_maximal_matchings(labels[i - 1], labels[j - 1]))
         if idx == 0 and f[i] <= f[j]:
             # quotient by relabelings of L(v_i): keep image-sorted representatives
-            cands = [
-                (fs, sig)
-                for fs, sig in cands
-                if list(sig.values()) == sorted(sig.values())
-            ]
+            cands = [sig for sig in cands if list(sig.values()) == sorted(sig.values())]
         candidates.append(cands)
-
-    start = [tuple(choice) for choice in product(*labels)]
-    tested = 0
-    chosen: list[dict[int, int]] = []
-
-    def assemble(depth: int) -> Cover:
-        matchings = {}
-        for d, e in enumerate(edges):
-            if d < depth:
-                matchings[e] = chosen[d]
-            else:
-                matchings[e] = candidates[d][0][1]
-        return Cover(g, t, labels, matchings)
-
-    def rec(depth: int, valid) -> Cover | None:
-        nonlocal tested
-        budget.tick()
-        if not valid:
-            return assemble(depth)
-        if depth == len(edges):
-            tested += 1
-            return None
-        i, j = edges[depth]
-        ii, jj = i - 1, j - 1
-        for fs, sig in candidates[depth]:
-            chosen.append(sig)
-            sub = [x for x in valid if (x[ii], x[jj]) not in fs]
-            bad = rec(depth + 1, sub)
-            chosen.pop()
-            if bad is not None:
-                return bad
-        return None
-
-    try:
-        bad = rec(0, start)
-    except BudgetExceeded:
+    levels = [
+        [grid.survivor(i, j, sig.items()) for sig in cands]
+        for (i, j), cands in zip(edges, candidates)
+    ]
+    tested, dead, finished = _walk(grid.full, levels, budget)
+    if not finished:
         return FDpResult("unknown", tested)
-    if bad is not None:
-        if h_coloring_search(bad, budget) is not None:
-            raise AssertionError("counterexample failed oracle re-check")
-        return FDpResult("counterexample", tested, bad)
-    return FDpResult("all_colorable", tested)
+    if dead is None:
+        return FDpResult("all_colorable", tested)
+    bad = Cover(g, t, labels, {e: cands[k] for e, cands, k in zip(edges, candidates, dead)})
+    if h_coloring_search(bad, budget) is not None:
+        raise AssertionError("counterexample failed oracle re-check")
+    return FDpResult("counterexample", tested, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Front-end behavior: exit codes, file round trips, and determinism."""
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from dpnull import cli
 from dpnull import cover as C
 from dpnull import graphs as G
+from dpnull import poly as pl
 
 
 def run_cli(argv, capsys):
@@ -189,6 +193,50 @@ def test_make_cover_bad_offset_is_input_error(capsys):
     code, _, err = run_cli(["make-cover", "c4", "--pattern", "1-2:+x"], capsys)
     assert code == 2
     assert "offset" in err
+
+
+def test_check_cover_on_a_long_path(tmp_path, capsys):
+    graph_path = tmp_path / "p1500.graph"
+    graph_path.write_text(G.write_graph(G.path(1500)))
+    cov_path = tmp_path / "p1500.cover"
+    code, _, _ = run_cli(
+        ["make-cover", str(graph_path), "--pattern", "default:-0", "--out", str(cov_path)],
+        capsys,
+    )
+    assert code == 0
+    code, out, err = run_cli(["check-cover", str(cov_path)], capsys)
+    assert code == 0 and err == ""
+    assert out.strip() == "coloring: " + ",".join(["0,1"] * 750)
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dpnull.cli", "certify-dp3", "k4,4", "--emit-all"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert first == b"kind: dp3-sweep\n"
+    assert err == b""
+
+
+def test_expansion_limit_is_exit_3(monkeypatch, capsys):
+    real = pl.apply_factor_packed
+    monkeypatch.setattr(
+        pl, "apply_factor_packed",
+        lambda cur, factor, caps, fld, max_terms: real(cur, factor, caps, fld, 5),
+    )
+    code, out, err = run_cli(
+        ["coeff", "k5", "--target", "2,2,2,2,2", "--field", "3", "--method", "expand"], capsys
+    )
+    assert code == 3
+    assert out == "" and err.startswith("error: expansion map reached")
 
 
 def test_reproduce_single_scenario(capsys):

@@ -1,12 +1,14 @@
 """Covers: validation, classification, the transversal oracle, renaming,
 explicit constructions, and the exhaustive cover-space searches."""
+import math
 import random
-from itertools import product
+import time
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpnull.budget import Budget
+from dpnull.budget import Budget, BudgetExceeded
 from dpnull.errors import FormatError, PreconditionError
 from dpnull.ff import make_field
 from dpnull import cover as C
@@ -386,6 +388,263 @@ def test_f_dp_uniform_agrees_with_exact_search(g, m):
     exact = C.exact_dp_chromatic(g, 4).value
     want = "all_colorable" if exact <= m else "counterexample"
     assert verdict.status == want
+
+
+# ---------------------------------------------------------------------------
+# the searches against the algorithms the bitmask walk replaced
+
+def ref_h_coloring_search(cover, budget):
+    """The recursive oracle: same label order, one tick per label tried."""
+    n = cover.graph.n
+    constraints = [[] for _ in range(n + 1)]
+    for (i, j), sigma in cover.matchings.items():
+        if sigma:
+            constraints[j].append((i, sigma))
+    chosen = [0] * (n + 1)
+
+    def backtrack(v):
+        if v > n:
+            return True
+        for a in cover.labels_of(v):
+            budget.tick()
+            if all(sigma.get(chosen[u]) != a for u, sigma in constraints[v]):
+                chosen[v] = a
+                if backtrack(v + 1):
+                    return True
+        return False
+
+    return tuple(chosen[1:]) if backtrack(1) else None
+
+
+def ref_exact_component(g, mmax, budget):
+    """One Cover and one oracle call per assignment of cotree permutations,
+    in product order."""
+    if not g.edges:
+        return C.DpExactResult("exact", 1, 0, 1)
+    start = G.chromatic_number(g, mmax, budget)
+    if start is None:
+        return C.DpExactResult("greater", None, 0, mmax)
+    tree = G.spanning_tree(g)
+    cotree = [e for e in g.edges if e not in set(tree)]
+    tested = 0
+    last_bad = None
+    for m in range(start, mmax + 1):
+        labels = tuple(tuple(range(m)) for _ in range(g.n))
+        base = {e: {a: a for a in range(m)} for e in tree}
+        perms = list(permutations(range(m)))
+        found_bad = None
+        for assignment in product(perms, repeat=len(cotree)):
+            matchings = dict(base)
+            for e, perm in zip(cotree, assignment):
+                matchings[e] = {a: perm[a] for a in range(m)}
+            cov = C.Cover(g, C.smallest_prime_power(m), labels, matchings)
+            tested += 1
+            if ref_h_coloring_search(cov, budget) is None:
+                found_bad = cov
+                break
+        if found_bad is None:
+            return C.DpExactResult("exact", m, tested, m, last_bad)
+        last_bad = found_bad
+    return C.DpExactResult("greater", None, tested, mmax, last_bad)
+
+
+def ref_exact_dp_chromatic(g, mmax):
+    budget = Budget(10**12)
+    total = overall = m_reached = 0
+    witness = None
+    for comp in g.components():
+        res = ref_exact_component(g.subgraph(comp), mmax, budget)
+        total += res.covers_tested
+        m_reached = max(m_reached, res.m_reached)
+        if res.status != "exact":
+            return C.DpExactResult(res.status, None, total, res.m_reached, res.counterexample)
+        if res.value > overall:
+            overall, witness = res.value, res.counterexample
+    return C.DpExactResult("exact", overall, total, m_reached, witness)
+
+
+def ref_f_dp_exhaustive(g, f, budget):
+    """The list-of-tuples walk: one tick per node, a list comprehension
+    filtering the valid transversals at each edge."""
+    labels = tuple(tuple(range(f[v])) for v in range(1, g.n + 1))
+    edges = list(g.edges)
+    candidates = []
+    for idx, (i, j) in enumerate(edges):
+        cands = [(frozenset(sig.items()), sig)
+                 for sig in C._maximal_matchings(labels[i - 1], labels[j - 1])]
+        if idx == 0 and f[i] <= f[j]:
+            cands = [(fs, sig) for fs, sig in cands
+                     if list(sig.values()) == sorted(sig.values())]
+        candidates.append(cands)
+    tested = 0
+    chosen = []
+
+    def rec(depth, valid):
+        nonlocal tested
+        budget.tick()
+        if not valid:
+            return {e: chosen[d] if d < depth else candidates[d][0][1]
+                    for d, e in enumerate(edges)}
+        if depth == len(edges):
+            tested += 1
+            return None
+        ii, jj = edges[depth][0] - 1, edges[depth][1] - 1
+        for fs, sig in candidates[depth]:
+            chosen.append(sig)
+            bad = rec(depth + 1, [x for x in valid if (x[ii], x[jj]) not in fs])
+            chosen.pop()
+            if bad is not None:
+                return bad
+        return None
+
+    try:
+        bad = rec(0, list(product(*labels)))
+    except BudgetExceeded:
+        return "unknown", tested, None
+    return ("counterexample" if bad else "all_colorable"), tested, bad
+
+
+def random_graph(rng, n, p):
+    return G.from_edges(n, [e for e in G.complete(n).edges if rng.random() < p])
+
+
+def assert_exact_matches_reference(g, mmax):
+    got = C.exact_dp_chromatic(g, mmax, Budget(10**12))
+    want = ref_exact_dp_chromatic(g, mmax)
+    assert (got.status, got.value, got.covers_tested, got.m_reached) == (
+        want.status, want.value, want.covers_tested, want.m_reached)
+    if want.counterexample is None:
+        assert got.counterexample is None
+    else:
+        assert got.counterexample.matchings == want.counterexample.matchings
+        assert got.counterexample.labels == want.counterexample.labels
+        assert got.counterexample.t == want.counterexample.t
+
+
+NAMED_EXACT = (
+    ("K4", G.complete(4), 4),
+    ("K23", G.complete_bipartite(2, 3), 4),
+    ("K33", G.complete_bipartite(3, 3), 3),
+    ("C5", G.cycle(5), 4),
+    ("C6sq", G.cycle_power(6, 2), 3),
+    ("cone-C4", G.cone(G.cycle(4)), 3),
+    ("P5", G.path(5), 4),
+    ("two-triangles", G.from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]), 4),
+)
+
+
+@pytest.mark.parametrize("name,g,mmax", NAMED_EXACT, ids=[x[0] for x in NAMED_EXACT])
+def test_exact_dp_chromatic_matches_per_cover_enumeration(name, g, mmax):
+    assert_exact_matches_reference(g, mmax)
+
+
+def test_exact_dp_chromatic_matches_per_cover_enumeration_on_random_graphs():
+    rng = random.Random(2024)
+    checked = with_counterexample = 0
+    while checked < 60:
+        n = rng.randint(2, 6)
+        p = rng.choice((0.4, 0.6, 0.8))
+        if checked % 2:
+            g = random_graph(rng, n, p)
+        else:
+            # bipartite graphs with a cycle have chi < chi_DP, so the search
+            # finds uncolorable covers below the exact value
+            n = max(n, 4)
+            k = rng.randint(2, n - 2)
+            g = G.from_edges(n, [(i, j) for i in range(1, k + 1) for j in range(k + 1, n + 1)
+                                 if rng.random() < 0.8])
+        mmax = rng.randint(2, 4)
+        c = len(g.edges) - n + len(g.components())
+        # keep the reference's enumeration small
+        if sum(math.factorial(m) ** c for m in range(2, mmax + 1)) > 3000:
+            continue
+        assert_exact_matches_reference(g, mmax)
+        with_counterexample += C.exact_dp_chromatic(g, mmax).counterexample is not None
+        checked += 1
+    assert with_counterexample >= 10
+
+
+def test_f_dp_exhaustive_matches_list_filter_walk():
+    rng = random.Random(77)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        g = random_graph(rng, n, 0.6)
+        if not g.edges:
+            continue
+        f = {v: rng.randint(1, 3) for v in range(1, n + 1)}
+        got_budget, want_budget = Budget(10**9), Budget(10**9)
+        got = C.f_dp_exhaustive(g, f, got_budget)
+        status, tested, bad = ref_f_dp_exhaustive(g, f, want_budget)
+        assert (got.status, got.covers_tested) == (status, tested)
+        # the oracle re-check of a counterexample spends on the same budget
+        recheck = Budget(10**9)
+        if bad is not None:
+            assert got.counterexample.matchings == bad
+            ref_h_coloring_search(got.counterexample, recheck)
+        assert got_budget.spent == want_budget.spent + recheck.spent
+
+
+def test_f_dp_exhaustive_stops_where_the_list_filter_walk_runs_out():
+    rng = random.Random(5)
+    g = G.cycle(4)
+    f = {1: 2, 2: 3, 3: 2, 4: 3}
+    full = Budget(10**9)
+    C.f_dp_exhaustive(g, f, full)
+    for limit in sorted({rng.randint(1, full.spent) for _ in range(40)} | {1, 2, full.spent}):
+        got_budget, want_budget = Budget(limit), Budget(limit)
+        got = C.f_dp_exhaustive(g, f, got_budget)
+        status, tested, _ = ref_f_dp_exhaustive(g, f, want_budget)
+        assert (got.status, got.covers_tested, got_budget.spent) == (
+            status, tested, want_budget.spent)
+
+
+def test_h_coloring_search_matches_recursive_search_and_ticks():
+    rng = random.Random(31)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        g = random_graph(rng, n, 0.5)
+        t = rng.choice((2, 3, 4))
+        labels = tuple(tuple(sorted(rng.sample(range(t), rng.randint(1, t))))
+                       for _ in range(n))
+        matchings = {}
+        for i, j in g.edges:
+            img = rng.sample(labels[j - 1], min(len(labels[i - 1]), len(labels[j - 1])))
+            matchings[(i, j)] = dict(zip(labels[i - 1], img))
+        cov = C.Cover(g, t, labels, matchings)
+        got_budget, want_budget = Budget(10**9), Budget(10**9)
+        assert C.h_coloring_search(cov, got_budget) == ref_h_coloring_search(cov, want_budget)
+        assert got_budget.spent == want_budget.spent
+
+
+def test_h_coloring_search_handles_long_paths():
+    cov = identity_cover(G.path(5000), 2)
+    assert C.h_coloring_search(cov) == (0, 1) * 2500
+
+
+def random_tree(rng, n):
+    return G.from_edges(n, [(rng.randint(1, v - 1), v) for v in range(2, n + 1)])
+
+
+@pytest.mark.parametrize("name,g,want", [
+    ("P300", G.path(300), ("exact", 2, 1, 2)),
+    ("C301", G.cycle(301), ("exact", 3, 6, 3)),
+    ("tree200", random_tree(random.Random(9), 200), ("exact", 2, 1, 2)),
+])
+def test_exact_dp_chromatic_scales_with_the_cotree(name, g, want):
+    """The grid covers only the cotree endpoints, so a long path or cycle
+    is one or two points wide."""
+    begin = time.perf_counter()
+    res = C.exact_dp_chromatic(g, 3)
+    elapsed = time.perf_counter() - begin
+    assert (res.status, res.value, res.covers_tested, res.m_reached) == want
+    assert elapsed < 1.0
+
+
+def test_exact_dp_chromatic_charges_an_oversized_grid_to_the_budget():
+    # 20 cotree endpoints at m = 4 would need masks of 4^20 bits each
+    g = G.cycle_power(20, 2)
+    res = C.exact_dp_chromatic(g, 4)
+    assert res.status == "unknown"
 
 
 # ---------------------------------------------------------------------------
