@@ -40,13 +40,12 @@ from .graphs import (
     unique_k_analysis,
 )
 from .poly import (
-    Factor,
+    DEFAULT_MAX_TERMS,
+    ExpansionLimitError,
     Grid,
-    apply_factor_packed,
     coefficient_at,
     find_qualifying_monomial,
     from_graph,
-    unpack_exponents,
 )
 from .cover import (
     BAD,
@@ -188,6 +187,51 @@ def certify_order3_cover(cover: Cover, budget: Budget | None = None) -> Certific
 # ---------------------------------------------------------------------------
 # sign-pattern sweep: chi_DP <= 3
 
+def _shifted(ones, twos, v, n):
+    """(ones, twos) times x_v, dropping the keys whose x_v exponent would
+    reach 3."""
+    shift = 2 * (n - v)
+    two = 2 << shift  # digits are 0, 1 or 2, so this bit marks a 2
+    inc = 1 << shift
+    return (
+        {k + inc for k in ones if not k & two},
+        {k + inc for k in twos if not k & two},
+    )
+
+
+def _times_factor(ones, twos, i, j, n):
+    """The (-1 child, +1 child) pair: (ones, twos) times x_i - x_j and
+    times x_i + x_j, from one shift by x_i and one by x_j."""
+    p1, p2 = _shifted(ones, twos, i, n)
+    q1, q2 = _shifted(ones, twos, j, n)
+    # keys in both shifts: their coefficients add, the rest keep theirs
+    i11 = p1 & q1
+    i12 = p1 & q2
+    i21 = p2 & q1
+    i22 = p2 & q2
+    both = i11 | i12 | i21 | i22
+    children = []
+    for b1, b2, r1, r2 in (
+        (q2, q1, i21, i12),  # P - Q, -Q = (q2, q1): 2 - 1 = 1, 1 - 2 = 2
+        (q1, q2, i22, i11),  # P + Q: 2 + 2 = 1, 1 + 1 = 2
+    ):
+        c1 = p1 | b1
+        c1 -= both
+        c1 |= r1
+        c2 = p2 | b2
+        c2 -= both
+        c2 |= r2
+        children.append((c1, c2))
+    return children
+
+
+def _check_size(ones, twos) -> int:
+    size = len(ones) + len(twos)
+    if size > DEFAULT_MAX_TERMS:
+        raise ExpansionLimitError(size, DEFAULT_MAX_TERMS)
+    return size
+
+
 def _sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budget):
     """Depth-first sweep over sign assignments for var_edges (prefix fixed),
     sharing the expansion of common factor prefixes.
@@ -198,44 +242,85 @@ def _sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budget):
     size of its map; a prefix node is charged by the block whose remaining
     prefix signs are all -1, which is the first block below it, so the
     blocks of one sweep together charge what the sweep without a prefix
-    charges.
+    charges.  A node with an empty map charges 1, like each node below
+    it; those nodes are charged in one tick, which exhausts the budget at
+    the same step as a node-by-node walk.  A map of more than
+    DEFAULT_MAX_TERMS terms raises ExpansionLimitError before its node is
+    charged.
+
+    The sweep only ever expands prod (x_i + s x_j) over F_3 with every
+    exponent capped at 2, so a map is held as two disjoint sets of packed
+    exponent keys: `ones` holds the keys with coefficient 1 and `twos`
+    those with coefficient 2.  An exponent is at most 2, so it takes a
+    2-bit digit, and variable 1 takes the most significant one (variable
+    v is shifted by 2(n - v)).  Numeric order on keys is then
+    lexicographic order on exponent vectors, so a leaf's lex-greatest
+    monomial is the largest key of either set, and its coefficient is 1
+    or 2 by membership.  Multiplying by x_v adds 1 << 2(n - v) to every
+    key whose x_v digit is below 2, negating swaps the two sets, and with
+    A = A1 | A2 and B = B1 | B2 the F_3 sum of (A1, A2) and (B1, B2) is
+
+        R1 = (A1 - B) | (B1 - A) | (A2 & B2)
+        R2 = (A2 - B) | (B2 - A) | (A1 & B1)
+
+    since 1 + 1 = 2, 2 + 2 = 1 and 1 + 2 = 0; _times_factor computes
+    (A1 - B) | (B1 - A) as (A1 | B1) - (A & B).  An internal node shifts
+    its map by x_i and by x_j once and builds its -1 child as P + (-Q) and
+    its +1 child as P + Q from those two shifts.  The sign tree is walked
+    with an explicit stack, so its depth, |var_edges|, is not bounded by
+    the recursion limit.
     """
-    fld = make_field(3)
-    caps = (2,) * n
-    cur = {0: 1}
-    for e in fixed_edges:
-        cur = apply_factor_packed(cur, Factor(e[0], e[1], -1, 0), caps, fld)
-    for d, (e, s) in enumerate(zip(var_edges, prefix)):
+    ones, twos = {0}, set()
+    # the forest and prefix levels build a child they drop; they are a
+    # small share of a sweep
+    for i, j in fixed_edges:
+        ones, twos = _times_factor(ones, twos, i, j, n)[0]
+        _check_size(ones, twos)
+    for d, ((i, j), s) in enumerate(zip(var_edges, prefix)):
         if 1 not in prefix[d:]:
-            budget.tick(max(len(cur), 1))
-        cur = apply_factor_packed(cur, Factor(e[0], e[1], s, 0), caps, fld)
+            budget.tick(max(len(ones) + len(twos), 1))
+        ones, twos = _times_factor(ones, twos, i, j, n)[s > 0]
+        _check_size(ones, twos)
     passes = []
     failures = []
-    signs = dict.fromkeys(all_edges, -1)
+    slot = {e: k for k, e in enumerate(all_edges)}
+    pattern = [-1] * len(all_edges)
     for e, s in zip(var_edges, prefix):
-        signs[e] = s
+        pattern[slot[e]] = s
     rest = var_edges[len(prefix):]
-
-    def rec(cur, idx):
-        budget.tick(max(len(cur), 1))
-        if idx == len(rest):
-            pattern = tuple(signs[e] for e in all_edges)
-            if cur:
-                if collect:
-                    best_key = max(cur, key=lambda k: unpack_exponents(k, n))
-                    passes.append((pattern, unpack_exponents(best_key, n), cur[best_key]))
-                else:
-                    passes.append((pattern, None, None))
+    rest_slots = [slot[e] for e in rest]
+    shifts = range(2 * (n - 1), -1, -2)
+    # (depth, sign of the edge above, ones, twos); the -1 child is on top
+    stack = [(0, -1, ones, twos)]
+    while stack:
+        d, s, ones, twos = stack.pop()
+        size = _check_size(ones, twos)
+        if d:
+            pattern[rest_slots[d - 1]] = s
+        if not size:
+            # every leaf below an empty map fails: one tick charges the
+            # subtree's nodes and stops where a node-by-node walk would
+            nodes = (2 << (len(rest) - d)) - 1
+            budget.tick(min(nodes, budget.limit - budget.spent))
+            below = rest_slots[d:]
+            for signs in product((-1, 1), repeat=len(below)):
+                for k, sign in zip(below, signs):
+                    pattern[k] = sign
+                failures.append(tuple(pattern))
+            continue
+        budget.tick(size)
+        if d == len(rest):
+            if collect:
+                top = max(max(ones, default=-1), max(twos, default=-1))
+                monomial = tuple(top >> shift & 3 for shift in shifts)
+                passes.append((tuple(pattern), monomial, 1 if top in ones else 2))
             else:
-                failures.append(pattern)
-            return
-        e = rest[idx]
-        for s in (-1, 1):
-            signs[e] = s
-            rec(apply_factor_packed(cur, Factor(e[0], e[1], s, 0), caps, fld), idx + 1)
-        signs[e] = -1
-
-    rec(cur, 0)
+                passes.append((tuple(pattern), None, None))
+            continue
+        i, j = rest[d]
+        minus, plus = _times_factor(ones, twos, i, j, n)
+        stack.append((d + 1, 1, *plus))
+        stack.append((d + 1, -1, *minus))
     return passes, failures
 
 

@@ -24,7 +24,7 @@ from operator import or_
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .errors import FormatError, PreconditionError
 from .ff import FieldSpec, make_field
-from .graphs import Edge, Graph, chromatic_number, cycle_power, from_edges, spanning_tree
+from .graphs import Edge, Graph, bfs, chromatic_number, cycle_power, from_edges, spanning_tree
 
 GOOD_DIFF = "good-diff"
 BAD_SUM = "bad-sum"
@@ -324,21 +324,15 @@ def tree_normalize(cover: Cover) -> tuple[Cover, dict[int, dict[int, int]]]:
         adj[j].append(i)
     maps: dict[int, dict[int, int]] = {}
     for comp in g.components():
-        root = comp[0]
-        maps[root] = {a: a for a in cover.labels_of(root)}
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in sorted(adj[u]):
-                if w in maps:
-                    continue
-                if u < w:
-                    sigma = cover.matching(u, w)  # L(u) -> L(w)
-                    maps[w] = {b: maps[u][a] for a, b in sigma.items()}
-                else:
-                    sigma = cover.matching(w, u)  # L(w) -> L(u)
-                    maps[w] = {a: maps[u][b] for a, b in sigma.items()}
-                queue.append(w)
+        for w, u in bfs(adj, comp[0]).items():
+            if not u:
+                maps[w] = {a: a for a in cover.labels_of(w)}
+            elif u < w:
+                sigma = cover.matching(u, w)  # L(u) -> L(w)
+                maps[w] = {b: maps[u][a] for a, b in sigma.items()}
+            else:
+                sigma = cover.matching(w, u)  # L(w) -> L(u)
+                maps[w] = {a: maps[u][b] for a, b in sigma.items()}
     renamed = _relabel_cover(cover, maps)
     for e in sorted(forest):
         sat = classify_saturation(renamed, e)
@@ -364,7 +358,7 @@ def is_good_cover(cover: Cover, budget: Budget | None = None) -> dict[int, dict[
     g = cover.graph
     t = cover.t
     fld = cover.field
-    order = [v for comp in g.components() for v in _bfs_order(g, comp[0])]
+    order = [v for comp in g.components() for v in bfs(g.adjacency, comp[0])]
     pos = {v: k for k, v in enumerate(order)}
 
     def renamed_good(i, j, sigma, rho_i, rho_j) -> bool:
@@ -444,20 +438,6 @@ def is_good_cover(cover: Cover, budget: Budget | None = None) -> dict[int, dict[
         assert all(classify_saturation(renamed, e).is_good for e in cover.graph.edges)
         return witness
     return None
-
-
-def _bfs_order(g: Graph, root: int) -> list[int]:
-    seen = {root}
-    queue = [root]
-    out = []
-    while queue:
-        v = queue.pop(0)
-        out.append(v)
-        for w in sorted(g.adjacency[v]):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +604,8 @@ def _tree_projection(g: Graph, tree: tuple[Edge, ...], m: int, grid: _Grid) -> i
     with one of m labels, the two ends of each tree edge labelled apart.
     Leaves first, each vertex's per-label masks (points whose labelling of
     its subtree can give it that label) are folded into its parent's."""
-    order = _bfs_order(from_edges(g.n, tree), 1)
-    pos = {v: k for k, v in enumerate(order)}
-    parent = {max(e, key=pos.get): min(e, key=pos.get) for e in tree}
+    parent = bfs(from_edges(g.n, tree).adjacency, 1)
+    order = list(parent)
     folded: dict[int, list[int]] = {}
     for v in reversed(order):
         own = grid.digit.get(v) or [grid.full] * m

@@ -71,19 +71,10 @@ class Graph:
         seen = set()
         comps = []
         for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            queue = [start]
-            seen.add(start)
-            comp = []
-            while queue:
-                v = queue.pop(0)
-                comp.append(v)
-                for w in sorted(self.adjacency[v]):
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            comps.append(tuple(sorted(comp)))
+            if start not in seen:
+                visit = bfs(self.adjacency, start)
+                seen.update(visit)
+                comps.append(tuple(sorted(visit)))
         return comps
 
     def is_connected(self) -> bool:
@@ -106,17 +97,10 @@ class Graph:
         """(X, Y) with X holding the lowest vertex of each component, or None."""
         side = {}
         for comp in self.components():
-            root = comp[0]
-            side[root] = 0
-            queue = [root]
-            while queue:
-                v = queue.pop(0)
-                for w in sorted(self.adjacency[v]):
-                    if w not in side:
-                        side[w] = 1 - side[v]
-                        queue.append(w)
-                    elif side[w] == side[v]:
-                        return None
+            for v, parent in bfs(self.adjacency, comp[0]).items():
+                side[v] = 1 - side[parent] if parent else 0
+        if any(side[i] == side[j] for i, j in self.edges):
+            return None
         xs = tuple(v for v in range(1, self.n + 1) if side[v] == 0)
         ys = tuple(v for v in range(1, self.n + 1) if side[v] == 1)
         return xs, ys
@@ -346,21 +330,28 @@ class Orientation:
 # ---------------------------------------------------------------------------
 # spanning structure and coloring oracles
 
+def bfs(adj, root: int) -> dict[int, int]:
+    """Breadth-first visit from root: vertex -> parent in visit order, the
+    root's parent 0.  adj maps a vertex to its neighbours, visited in
+    sorted order."""
+    parent = {root: 0}
+    queue = [root]
+    for v in queue:  # the queue grows while it is walked
+        for w in sorted(adj[v]):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return parent
+
+
 def spanning_tree(g: Graph) -> tuple[Edge, ...]:
     """Deterministic spanning forest: BFS from the lowest vertex per component."""
-    tree = []
-    for comp in g.components():
-        root = comp[0]
-        seen = {root}
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in sorted(g.adjacency[v]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-                    tree.append((v, w) if v < w else (w, v))
-    return tuple(sorted(tree))
+    return tuple(sorted(
+        (parent, v) if parent < v else (v, parent)
+        for comp in g.components()
+        for v, parent in bfs(g.adjacency, comp[0]).items()
+        if parent
+    ))
 
 
 def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int | None:
@@ -375,10 +366,15 @@ def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int |
     adj = g.adjacency
 
     def colorable(k: int) -> bool:
+        """Depth-first search with an explicit stack of frames
+        [vertex, colors used above it, next color to try, the neighbours
+        its current color was added to]; one tick per search node."""
         colors = {}
         neighbor_colors = {v: set() for v in range(1, g.n + 1)}
-
-        def backtrack(used: int) -> bool:
+        stack = []
+        used = 0
+        while True:
+            # a new search node: every vertex colored, or pick the next one
             budget.tick()
             if len(colors) == g.n:
                 return True
@@ -386,21 +382,29 @@ def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int |
                 (u for u in range(1, g.n + 1) if u not in colors),
                 key=lambda u: (len(neighbor_colors[u]), len(adj[u]), -u),
             )
-            for c in range(min(used + 1, k)):
-                if c in neighbor_colors[v]:
-                    continue
-                colors[v] = c
-                touched = [w for w in adj[v] if w not in colors and c not in neighbor_colors[w]]
-                for w in touched:
-                    neighbor_colors[w].add(c)
-                if backtrack(max(used, c + 1)):
-                    return True
-                for w in touched:
-                    neighbor_colors[w].discard(c)
-                del colors[v]
-            return False
-
-        return backtrack(0)
+            stack.append([v, used, 0, None])
+            while stack:
+                frame = stack[-1]
+                v, used, c, touched = frame
+                if touched is not None:  # back from the child: undo the color
+                    for w in touched:
+                        neighbor_colors[w].discard(c - 1)
+                    del colors[v]
+                top = used + 1 if used < k else k
+                while c < top and c in neighbor_colors[v]:
+                    c += 1
+                if c < top:
+                    break
+                stack.pop()
+            else:
+                return False
+            colors[v] = c
+            touched = [w for w in adj[v] if w not in colors and c not in neighbor_colors[w]]
+            for w in touched:
+                neighbor_colors[w].add(c)
+            frame[2] = c + 1
+            frame[3] = touched
+            used = max(used, c + 1)
 
     for k in range(1, kmax + 1):
         if colorable(k):

@@ -289,6 +289,167 @@ def test_dp3_budget_exhaustion_does_not_depend_on_jobs():
         assert X.certify_dp3(g, jobs=jobs, budget=Budget(used.spent + 1)) == full
 
 
+def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budget,
+                    max_terms=P.DEFAULT_MAX_TERMS):
+    """The dict-map sweep the set-sliced kernel replaced: one
+    apply_factor_packed call per child, recursive, unpacking every key of
+    a leaf to find its lex-greatest monomial."""
+    fld = make_field(3)
+    caps = (2,) * n
+    cur = {0: 1}
+    for e in fixed_edges:
+        cur = P.apply_factor_packed(cur, P.Factor(e[0], e[1], -1, 0), caps, fld, max_terms)
+    for d, (e, s) in enumerate(zip(var_edges, prefix)):
+        if 1 not in prefix[d:]:
+            budget.tick(max(len(cur), 1))
+        cur = P.apply_factor_packed(cur, P.Factor(e[0], e[1], s, 0), caps, fld, max_terms)
+    passes = []
+    failures = []
+    signs = dict.fromkeys(all_edges, -1)
+    for e, s in zip(var_edges, prefix):
+        signs[e] = s
+    rest = var_edges[len(prefix):]
+
+    def rec(cur, idx):
+        budget.tick(max(len(cur), 1))
+        if idx == len(rest):
+            pattern = tuple(signs[e] for e in all_edges)
+            if not cur:
+                failures.append(pattern)
+            elif collect:
+                best = max(cur, key=lambda k: P.unpack_exponents(k, n))
+                passes.append((pattern, P.unpack_exponents(best, n), cur[best]))
+            else:
+                passes.append((pattern, None, None))
+            return
+        e = rest[idx]
+        for s in (-1, 1):
+            signs[e] = s
+            rec(P.apply_factor_packed(cur, P.Factor(e[0], e[1], s, 0), caps, fld, max_terms),
+                idx + 1)
+        signs[e] = -1
+
+    rec(cur, 0)
+    return passes, failures
+
+
+def _sweep_args(g, prefix=()):
+    fixed = G.spanning_tree(g)
+    var = tuple(e for e in g.edges if e not in set(fixed))
+    return g.n, g.edges, fixed, var, prefix
+
+
+def _kernel_graphs():
+    """Seeded graphs with n <= 8 and at most 12 edges (many disconnected,
+    some forests, some with isolated vertices) plus fixed cases of each."""
+    rng = random.Random(4004)
+    graphs = [
+        G.from_edges(6, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4)]),  # K_4, 2 isolated
+        G.from_edges(8, [(1, 2), (1, 3), (4, 5), (4, 6), (6, 7)]),  # forest
+        G.from_edges(8, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7), (5, 7), (7, 8)]),
+        G.complete_bipartite(3, 3),
+        G.cycle_power(7, 2),
+    ]
+    while len(graphs) < 40:
+        n = rng.randint(3, 8)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        graphs.append(G.from_edges(n, rng.sample(pairs, rng.randint(2, min(12, len(pairs))))))
+    return graphs
+
+
+def test_sweep_kernel_matches_per_pattern_expansion():
+    """Each forest-pinned pattern's monomial, coefficient and verdict from
+    the set-sliced sweep, in both modes, against find_qualifying_monomial
+    on that pattern's polynomial, and the budget it charges against the
+    dict-map sweep."""
+    fld = make_field(3)
+    graphs = _kernel_graphs()
+    assert any(not g.is_connected() for g in graphs)
+    assert any(not g.contains_cycle() for g in graphs)
+    assert any(g.degree(v) == 0 for g in graphs for v in range(1, g.n + 1))
+    tree_mode = 0
+    for g in graphs:
+        n, edges, fixed, var, _ = _sweep_args(g)
+        passes = []
+        failing = []
+        for signs in product((-1, 1), repeat=len(var)):
+            pattern = dict.fromkeys(edges, -1)
+            pattern.update(zip(var, signs))
+            found = P.find_qualifying_monomial(P.from_graph(g, fld, signs=pattern), (2,) * n)
+            key = tuple(pattern[e] for e in edges)
+            if found is None:
+                failing.append(key)
+            else:
+                passes.append((key, *found))
+        for collect in (True, False):
+            budget = Budget(10**9)
+            got = X._sweep_signs(n, edges, fixed, var, (), collect, budget)
+            want = passes if collect else [(p, None, None) for p, _, _ in passes]
+            assert got == (want, failing)
+            ref = Budget(10**9)
+            assert ref_sweep_signs(n, edges, fixed, var, (), collect, ref) == got
+            assert budget.spent == ref.spent
+            if g.is_connected() and g.contains_cycle():
+                tree_mode += 1
+                res = X.certify_dp3(g, use_spanning_tree=True, collect_certificates=collect)
+                certs = [(c.pattern, c.monomial, c.coefficient) for c in res.certificates]
+                assert certs == (passes if collect else [])
+                assert (res.failure.failing_patterns if res.failure else ()) == tuple(failing)
+            full = X.certify_dp3(g, collect_certificates=collect)
+            assert full.passed == (not failing)
+    assert tree_mode >= 40  # (graph, collect) pairs in spanning-tree mode
+
+
+def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion():
+    """Prefix blocks charge what the dict-map sweep charges, and a budget
+    runs out at the same step, also inside subtrees whose map is empty."""
+    graphs = [G.complete(5), G.cycle_power(7, 2), G.complete_bipartite(3, 4),
+              G.from_edges(7, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4),
+                               (4, 5), (5, 6), (6, 7), (5, 7)])]
+    rng = random.Random(77)
+    for g in graphs:
+        n, edges, fixed, var, _ = _sweep_args(g)
+        for depth in (1, 2):
+            for prefix in product((-1, 1), repeat=depth):
+                new, old = Budget(10**9), Budget(10**9)
+                got = X._sweep_signs(n, edges, fixed, var, prefix, True, new)
+                assert got == ref_sweep_signs(n, edges, fixed, var, prefix, True, old)
+                assert new.spent == old.spent
+        total = Budget(10**9)
+        X._sweep_signs(n, edges, fixed, var, (), False, total)
+        limits = sorted({1, 2, total.spent, total.spent + 1,
+                         *rng.sample(range(1, total.spent), 40)})
+        for limit in limits:
+            outcomes = []
+            for sweep in (X._sweep_signs, ref_sweep_signs):
+                try:
+                    outcomes.append(sweep(n, edges, fixed, var, (), False, Budget(limit)))
+                except BudgetExceeded as exc:
+                    outcomes.append(("exhausted", exc.spent))
+            assert outcomes[0] == outcomes[1], (g, limit)
+
+
+def test_sweep_kernel_raises_the_expansion_limit_where_the_dict_sweep_does(monkeypatch):
+    g = G.cycle_power(7, 2)
+    n, edges, fixed, var, _ = _sweep_args(g)
+    raised = 0
+    for limit in (1, 4, 16, 40, 60, 100, 400):
+        monkeypatch.setattr(X, "DEFAULT_MAX_TERMS", limit)
+        outcomes = []
+        for sweep in (X._sweep_signs, lambda *a: ref_sweep_signs(*a, max_terms=limit)):
+            budget = Budget(10**9)
+            try:
+                outcomes.append(sweep(n, edges, fixed, var, (), True, budget))
+            except P.ExpansionLimitError as exc:
+                outcomes.append(("limit", exc.size, exc.limit, budget.spent))
+        assert outcomes[0] == outcomes[1], limit
+        raised += outcomes[0][0] == "limit"
+    assert 0 < raised < 7
+    monkeypatch.setattr(X, "DEFAULT_MAX_TERMS", 4)
+    with pytest.raises(P.ExpansionLimitError):
+        X.certify_dp3(g)
+
+
 def test_k35_external_ground_truth_recorded():
     # chi_DP(K_{3,5}) = 3 is known externally; the sweep still fails, which
     # is exactly the expected converse failure

@@ -1,4 +1,5 @@
 """Front-end behavior: exit codes, file round trips, and determinism."""
+import hashlib
 import io
 import os
 import subprocess
@@ -207,6 +208,38 @@ def test_check_cover_on_a_long_path(tmp_path, capsys):
     code, out, err = run_cli(["check-cover", str(cov_path)], capsys)
     assert code == 0 and err == ""
     assert out.strip() == "coloring: " + ",".join(["0,1"] * 750)
+
+
+def test_sweep_deeper_than_the_recursion_limit_exhausts_the_budget(capsys):
+    # K_4 inside K_50 empties the map, and below it the sign tree of the
+    # 1,176 co-forest edges is walked until the budget runs out
+    code, out, err = run_cli(["certify-dp3", "k50", "--budget", "20000000"], capsys)
+    assert code == 3
+    assert out == "" and err.startswith("error: budget exceeded while sweeping sign patterns")
+
+
+def test_chi_dp_on_a_long_path(capsys):
+    code, out, err = run_cli(["chi-dp", "p1500"], capsys)
+    assert code == 0 and err == ""
+    assert "exact: 2" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["certify-dp3", "k4,4", "--emit-all"],
+         "835644b57e065eb38f63f59c54e199259750f70137ee5d8b5f5736d15d7f9628"),
+        (["certify-dp3", "c7sq", "--spanning-tree", "--emit-all"],
+         "6dffc1731dab1536a1e7289818731d4c6d281c15df890005a1d334ab05f8a0ce"),
+    ],
+    ids=("k44-all-edges", "c7sq-spanning-tree"),
+)
+def test_emit_all_output_is_pinned(argv, digest, capsys):
+    # every certificate's pattern, monomial and coefficient, and every
+    # failing pattern, as printed by the dict-map sweep; both graphs fail
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_closed_stdout_pipe_exits_quietly():

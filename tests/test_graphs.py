@@ -1,8 +1,10 @@
 """Graph constructions, oracles, text format, and the tree catalog."""
+import random
 from itertools import product
 
 import pytest
 
+from dpnull.budget import Budget, BudgetExceeded
 from dpnull.errors import FormatError, NotUniquelyColorable
 from dpnull import graphs as G
 
@@ -138,6 +140,144 @@ def test_chromatic_number_budget_is_explicit():
 )
 def test_chromatic_number_against_product_oracle(g):
     assert G.chromatic_number(g, g.n) == exhaustive_chromatic(g, g.n)
+
+
+def ref_chromatic_number(g, kmax, budget):
+    """The recursive search that chromatic_number replaced."""
+    if g.n == 0:
+        return 0
+    adj = g.adjacency
+
+    def colorable(k):
+        colors = {}
+        neighbor_colors = {v: set() for v in range(1, g.n + 1)}
+
+        def backtrack(used):
+            budget.tick()
+            if len(colors) == g.n:
+                return True
+            v = max(
+                (u for u in range(1, g.n + 1) if u not in colors),
+                key=lambda u: (len(neighbor_colors[u]), len(adj[u]), -u),
+            )
+            for c in range(min(used + 1, k)):
+                if c in neighbor_colors[v]:
+                    continue
+                colors[v] = c
+                touched = [w for w in adj[v] if w not in colors and c not in neighbor_colors[w]]
+                for w in touched:
+                    neighbor_colors[w].add(c)
+                if backtrack(max(used, c + 1)):
+                    return True
+                for w in touched:
+                    neighbor_colors[w].discard(c)
+                del colors[v]
+            return False
+
+        return backtrack(0)
+
+    for k in range(1, kmax + 1):
+        if colorable(k):
+            return k
+    return None
+
+
+def _random_graphs(seed, count, nmax):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, nmax)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        out.append(G.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs)))))
+    return out
+
+
+def mycielskian(g):
+    """Mycielski's construction: chromatic number one more than g's, no new
+    triangles; saturation-degree search has to backtrack on these."""
+    n = g.n
+    edges = list(g.edges) + [(i, n + j) for i, j in g.edges] + [(j, n + i) for i, j in g.edges]
+    edges += [(n + v, 2 * n + 1) for v in range(1, n + 1)]
+    return G.from_edges(2 * n + 1, edges)
+
+
+def test_chromatic_number_matches_recursive_search_and_ticks():
+    exhausted = 0
+    hard = [mycielskian(G.cycle(5)), mycielskian(G.cycle(7)), G.cycle_power(11, 3),
+            G.cycle_power(13, 4)]
+    for g in _random_graphs(31, 80, 9) + hard + [G.cycle_power(7, 2), G.complete(6), G.path(12)]:
+        for kmax in (2, 3, g.n):
+            new, old = Budget(10**9), Budget(10**9)
+            assert G.chromatic_number(g, kmax, new) == ref_chromatic_number(g, kmax, old)
+            assert new.spent == old.spent
+            limit = max(1, old.spent // 2)
+            outcomes = []
+            for search in (G.chromatic_number, ref_chromatic_number):
+                try:
+                    outcomes.append(search(g, kmax, Budget(limit)))
+                except BudgetExceeded as exc:
+                    outcomes.append(("exhausted", exc.spent))
+            assert outcomes[0] == outcomes[1]
+            exhausted += outcomes[0] == ("exhausted", limit)
+    assert exhausted > 50
+
+
+def test_chromatic_number_handles_long_paths():
+    assert G.chromatic_number(G.path(1500), 3) == 2
+
+
+def ref_bfs(adj, root, seen):
+    """Queue walk with pop(0), as each BFS caller once ran its own:
+    (vertex, parent) pairs in visit order."""
+    seen.add(root)
+    queue = [root]
+    out = []
+    parent = {root: 0}
+    while queue:
+        v = queue.pop(0)
+        out.append((v, parent[v]))
+        for w in sorted(adj[v]):
+            if w not in seen:
+                seen.add(w)
+                parent[w] = v
+                queue.append(w)
+    return out
+
+
+def ref_bipartition(g):
+    side = {}
+    for comp in g.components():
+        side[comp[0]] = 0
+        queue = [comp[0]]
+        while queue:
+            v = queue.pop(0)
+            for w in sorted(g.adjacency[v]):
+                if w not in side:
+                    side[w] = 1 - side[v]
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    return None
+    return (tuple(v for v in range(1, g.n + 1) if side[v] == 0),
+            tuple(v for v in range(1, g.n + 1) if side[v] == 1))
+
+
+def test_bfs_callers_match_queue_walks():
+    graphs = _random_graphs(5, 120, 10)
+    graphs += [G.complete_bipartite(3, 4), G.cycle(8), G.cycle(7), G.empty_graph(4)]
+    assert any(g.bipartition() is not None and g.edges for g in graphs)
+    for g in graphs:
+        seen = set()
+        comps, tree = [], []
+        for start in range(1, g.n + 1):
+            if start in seen:
+                continue
+            visit = ref_bfs(g.adjacency, start, seen)
+            assert list(G.bfs(g.adjacency, start).items()) == visit
+            comps.append(tuple(sorted(v for v, _ in visit)))
+            tree += [tuple(sorted((v, p))) for v, p in visit if p]
+        assert g.components() == comps
+        assert G.spanning_tree(g) == tuple(sorted(tree))
+        assert g.bipartition() == ref_bipartition(g)
 
 
 def count_colorings_oracle(g, lists):
