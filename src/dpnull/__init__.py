@@ -19,13 +19,11 @@ from .graphs import (
     complete_bipartite,
     complete_bipartite_minus_matching,
     cone,
-    count_colorings,
     cycle,
     cycle_power,
     empty_graph,
     from_edges,
     join,
-    make_family,
     parse_graph_name,
     path,
     read_graph,
@@ -58,6 +56,7 @@ from .cover import (
     is_good_cover,
     level_vertices,
     read_cover,
+    transversals,
     tree_normalize,
     uncolorable_cover_c3k_square,
     validate,

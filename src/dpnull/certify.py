@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from operator import mul
 
 from .budget import Budget, BudgetExceeded, ensure_budget
@@ -34,7 +34,6 @@ from .graphs import (
     chromatic_number,
     cone,
     cycle_power,
-    proper_list_colorings,
     relabel,
     spanning_tree,
     unique_k_analysis,
@@ -52,8 +51,10 @@ from .cover import (
     GOOD_DIFF,
     Cover,
     classify_saturation,
+    cover_from_lists,
     h_coloring_search,
     is_valid_transversal,
+    transversals,
     uncolorable_cover_c3k_square,
     exact_dp_chromatic,
     validate,
@@ -528,7 +529,8 @@ def certify_unique_list(g: Graph, lists: dict[int, tuple[int, ...]], t: int) -> 
         raise PreconditionError(
             f"list sizes sum to {total}, need |V| + |E| = {g.n + len(g.edges)}"
         )
-    colorings = proper_list_colorings(g, sets, limit=2)
+    cov = cover_from_lists(g, sets, t)
+    colorings = list(islice(transversals(cov), 2))
     if len(colorings) != 1:
         raise PreconditionError(
             f"need exactly one proper list coloring, found "
@@ -554,15 +556,9 @@ def certify_unique_list(g: Graph, lists: dict[int, tuple[int, ...]], t: int) -> 
         monomial=monomial,
         coefficient=coeff,
         witness=point,
-        verified=is_valid_transversal_for_lists(g, sets, point),
+        verified=is_valid_transversal(cov, point),
         work={"grid_points": math.prod(len(sets[v]) for v in sets)},
     )
-
-
-def is_valid_transversal_for_lists(g: Graph, sets, point) -> bool:
-    if any(point[v - 1] not in sets[v] for v in range(1, g.n + 1)):
-        return False
-    return all(point[i - 1] != point[j - 1] for i, j in g.edges)
 
 
 def certify_cone_bipartite(g: Graph) -> Certificate:
@@ -671,6 +667,11 @@ def certify_cone_unique3(g: Graph, class_order: tuple[int, int, int] | None = No
 # ---------------------------------------------------------------------------
 # bounds report
 
+# dp_chromatic_bounds runs the exact search on a component when it would
+# walk at most this many covers (sum of m!^cotree over the open range of m)
+EXACT_SEARCH_COVERS = 20_000
+
+
 @dataclass(frozen=True)
 class DpBounds:
     lower: int
@@ -679,12 +680,7 @@ class DpBounds:
     notes: tuple[str, ...]
 
 
-def dp_chromatic_bounds(
-    g: Graph,
-    budget: Budget | None = None,
-    try_exact: bool = True,
-    exact_cap: int = 20_000,
-) -> DpBounds:
+def dp_chromatic_bounds(g: Graph, budget: Budget | None = None) -> DpBounds:
     """Lower/upper bounds on chi_DP with an exact value when they meet or an
     affordable exhaustive search resolves the gap.
 
@@ -731,10 +727,10 @@ def dp_chromatic_bounds(
             up = min(sub.max_degree(), sub.coloring_number())
             notes.append(f"{tag}: upper bound min(max degree, coloring number) = {up}")
         part_exact = lo if lo == up else None
-        if part_exact is None and try_exact and sub.edges:
+        if part_exact is None and sub.edges:
             cotree = len(sub.edges) - sub.n + 1
             estimate = sum(math.factorial(m) ** cotree for m in range(lo, up))
-            if estimate <= exact_cap:
+            if estimate <= EXACT_SEARCH_COVERS:
                 res = exact_dp_chromatic(sub, up, budget)
                 if res.status == "exact":
                     part_exact = res.value

@@ -49,10 +49,20 @@ def _parse_sign(tok: str) -> int:
     raise FormatError(f"sign must be '+' or '-', got {tok!r}")
 
 
-def parse_sign_spec(spec: str, edges) -> dict:
-    """Comma-separated `i-j:+` / `i-j:-` tokens with an optional
-    `default:+|-` token; unmentioned edges take the default (-1)."""
-    default = -1
+def _parse_sign_offset(val: str) -> tuple[int, int]:
+    sign = _parse_sign(val[:1])
+    try:
+        beta = int(val[1:]) if len(val) > 1 else 0
+    except ValueError:
+        raise FormatError(f"bad offset {val[1:]!r}") from None
+    return sign, beta
+
+
+def _parse_edge_spec(spec: str, edges, default, parse_value) -> dict:
+    """The token loop shared by the sign and pattern specs: comma-separated
+    `i-j:<value>` tokens and an optional `default:<value>` token; every
+    edge the spec does not name takes the default."""
+    edge_set = set(edges)
     overrides = {}
     for raw in spec.split(","):
         tok = raw.strip()
@@ -60,60 +70,34 @@ def parse_sign_spec(spec: str, edges) -> dict:
             continue
         key, sep, val = tok.partition(":")
         if not sep:
-            raise FormatError(f"bad sign token {tok!r}, expected 'i-j:+' or 'default:-'")
+            raise FormatError(f"bad token {tok!r}, expected 'i-j:<value>' or 'default:<value>'")
+        value = parse_value(val)
         if key == "default":
-            default = _parse_sign(val)
+            default = value
             continue
         try:
             i_s, j_s = key.split("-", 1)
             i, j = int(i_s), int(j_s)
         except ValueError:
-            raise FormatError(f"bad edge in sign token {tok!r}") from None
+            raise FormatError(f"bad edge in token {tok!r}") from None
         e = (i, j) if i < j else (j, i)
-        if e not in set(edges):
-            raise FormatError(f"sign token names non-edge {key}")
-        overrides[e] = _parse_sign(val)
-    signs = {e: default for e in edges}
-    signs.update(overrides)
-    return signs
+        if e not in edge_set:
+            raise FormatError(f"token names non-edge {key}")
+        overrides[e] = value
+    return {e: overrides.get(e, default) for e in edges}
+
+
+def parse_sign_spec(spec: str, edges) -> dict:
+    """Comma-separated `i-j:+` / `i-j:-` tokens with an optional
+    `default:+|-` token; unmentioned edges take the default (-1)."""
+    return _parse_edge_spec(spec, edges, -1, _parse_sign)
 
 
 def parse_pattern_spec(spec: str, edges) -> tuple[dict, dict]:
     """Like parse_sign_spec but each value is a sign optionally followed by
     an offset digit string, e.g. `1-2:+2` or `default:-0`."""
-    default = (-1, 0)
-    overrides = {}
-    for raw in spec.split(","):
-        tok = raw.strip()
-        if not tok:
-            continue
-        key, sep, val = tok.partition(":")
-        if not sep or not val:
-            raise FormatError(f"bad pattern token {tok!r}, expected 'i-j:<sign><beta?>'")
-        sign = _parse_sign(val[0])
-        try:
-            beta = int(val[1:]) if len(val) > 1 else 0
-        except ValueError:
-            raise FormatError(f"bad offset in pattern token {tok!r}") from None
-        if key == "default":
-            default = (sign, beta)
-            continue
-        try:
-            i_s, j_s = key.split("-", 1)
-            i, j = int(i_s), int(j_s)
-        except ValueError:
-            raise FormatError(f"bad edge in pattern token {tok!r}") from None
-        e = (i, j) if i < j else (j, i)
-        if e not in set(edges):
-            raise FormatError(f"pattern token names non-edge {key}")
-        overrides[e] = (sign, beta)
-    signs = {}
-    offsets = {}
-    for e in edges:
-        s, b = overrides.get(e, default)
-        signs[e] = s
-        offsets[e] = b
-    return signs, offsets
+    values = _parse_edge_spec(spec, edges, (-1, 0), _parse_sign_offset)
+    return {e: s for e, (s, _) in values.items()}, {e: b for e, (_, b) in values.items()}
 
 
 def format_pattern(edges, pattern) -> str:
@@ -154,7 +138,10 @@ def _cmd_coeff(args) -> int:
     fld = make_field(args.field)
     signs = parse_sign_spec(args.signs, g.edges) if args.signs else None
     poly = pl.from_graph(g, fld, signs=signs)
-    target = tuple(int(x) for x in args.target.split(","))
+    try:
+        target = tuple(int(x) for x in args.target.split(","))
+    except ValueError:
+        raise FormatError(f"--target must be comma-separated integers: {args.target!r}") from None
     value = pl.coefficient_at(poly, target, method=args.method)
     print(f"kind: coefficient")
     print(f"field: {args.field}")

@@ -7,7 +7,7 @@ matching edge between (v_i, a) and (v_j, sigma(a)) in the cover graph H.
 An H-coloring is a transversal choosing one label per vertex that avoids
 every matched pair.
 
-This module owns the ground-truth oracle (transversal backtracking), the
+This module owns the ground-truth oracle (one transversal search), the
 saturation-function classification and renaming machinery, the explicit
 uncolorable covers for squares of cycles of length 3k, and the exhaustive
 cover-space searches used to pin down exact DP-chromatic numbers at desk
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import permutations, product, takewhile
+from itertools import permutations, takewhile
 from operator import or_
 
 from .budget import Budget, BudgetExceeded, ensure_budget
@@ -132,11 +132,13 @@ def classify_saturation(cover: Cover, edge: Edge) -> Saturation:
     return Saturation(BAD, None)
 
 
-def h_coloring_search(cover: Cover, budget: Budget | None = None) -> tuple[int, ...] | None:
-    """Lexicographically least H-coloring as a label-per-vertex tuple, or
-    None when the cover admits no transversal.  This backtracking search is
-    the ground-truth oracle behind every certifier."""
-    budget = ensure_budget(budget, 100_000_000, "searching for an H-coloring")
+def transversals(cover: Cover, budget: Budget | None = None):
+    """Every H-coloring of the cover as a label-per-vertex tuple, in
+    lexicographic order.  This iterative backtracking search is the
+    ground-truth oracle behind every certifier and every count; it charges
+    one budget step per label tried."""
+    if budget is None:
+        budget = Budget(100_000_000, what="enumerating H-colorings")
     g = cover.graph
     n = g.n
     # per vertex: list of (earlier vertex index, forbidden-label map)
@@ -148,7 +150,11 @@ def h_coloring_search(cover: Cover, budget: Budget | None = None) -> tuple[int, 
     # nxt[v]: index in L(v) of the next label to try at vertex v
     nxt = [0] * (n + 2)
     v = 1
-    while 1 <= v <= n:
+    while v >= 1:
+        if v > n:
+            yield tuple(chosen[1:])
+            v -= 1
+            continue
         labels = cover.labels_of(v)
         k = nxt[v]
         while k < len(labels):
@@ -164,9 +170,13 @@ def h_coloring_search(cover: Cover, budget: Budget | None = None) -> tuple[int, 
         chosen[v] = a
         nxt[v] = k
         v += 1
-    if v > n:
-        return tuple(chosen[1:])
-    return None
+
+
+def h_coloring_search(cover: Cover, budget: Budget | None = None) -> tuple[int, ...] | None:
+    """Lexicographically least H-coloring as a label-per-vertex tuple, or
+    None when the cover admits no transversal."""
+    budget = ensure_budget(budget, 100_000_000, "searching for an H-coloring")
+    return next(transversals(cover, budget), None)
 
 
 def is_valid_transversal(cover: Cover, choice) -> bool:
@@ -185,13 +195,8 @@ def is_valid_transversal(cover: Cover, choice) -> bool:
 
 
 def count_transversals(cover: Cover) -> int:
-    """Exhaustive transversal count (used by renaming-invariance checks)."""
-    g = cover.graph
-    count = 0
-    for choice in product(*(cover.labels_of(v) for v in range(1, g.n + 1))):
-        if is_valid_transversal(cover, choice):
-            count += 1
-    return count
+    """Number of H-colorings, under the default search budget."""
+    return sum(1 for _ in transversals(cover))
 
 
 # ---------------------------------------------------------------------------

@@ -129,15 +129,6 @@ class FieldSpec:
             out = self.mul_table[out * self.order + a]
         return out
 
-    def element_digits(self, a: int) -> tuple[int, ...]:
-        """Base-p coefficient vector of the polynomial representative."""
-        return _digits(self.check(a), self.char, self.degree)
-
-    def element_from_digits(self, coeffs) -> int:
-        if len(coeffs) != self.degree or any(c < 0 or c >= self.char for c in coeffs):
-            raise FieldError(f"bad coefficient vector {coeffs!r} for F_{self.order}")
-        return _pack(coeffs, self.char)
-
 
 def _build_tables(t: int, p: int, k: int, reduction: tuple[int, ...] | None):
     def add(a, b):

@@ -218,26 +218,6 @@ def relabel(g: Graph, order: tuple[int, ...]) -> Graph:
     return g.subgraph(order)
 
 
-_FAMILIES = {
-    "path": path,
-    "cycle": cycle,
-    "cycle_power": cycle_power,
-    "complete": complete,
-    "complete_bipartite": complete_bipartite,
-    "complete_bipartite_minus_matching": complete_bipartite_minus_matching,
-    "empty": empty_graph,
-}
-
-
-def make_family(tag: str, *params: int) -> Graph:
-    """Dispatch to a named construction; see also parse_graph_name for CLI text."""
-    try:
-        ctor = _FAMILIES[tag]
-    except KeyError:
-        raise GraphError(f"unknown family {tag!r}; known: {sorted(_FAMILIES)}") from None
-    return ctor(*params)
-
-
 def _split_top_level(text: str) -> list[str]:
     parts, depth, cur = [], 0, []
     for ch in text:
@@ -315,12 +295,6 @@ class Orientation:
         d = [0] * self.graph.n
         for (i, j), b in zip(self.graph.edges, self.bits):
             d[(i if b else j) - 1] += 1
-        return tuple(d)
-
-    def indegrees(self) -> tuple[int, ...]:
-        d = [0] * self.graph.n
-        for (i, j), b in zip(self.graph.edges, self.bits):
-            d[(j if b else i) - 1] += 1
         return tuple(d)
 
     def arcs(self) -> tuple[Edge, ...]:
@@ -412,42 +386,6 @@ def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int |
     return None
 
 
-def count_colorings(g: Graph, lists: dict[int, tuple[int, ...]]) -> int:
-    """Exact number of proper colorings with per-vertex allowed color sets."""
-    return len(_colorings(g, lists, limit=None))
-
-
-def proper_list_colorings(
-    g: Graph, lists: dict[int, tuple[int, ...]], limit: int | None = None
-) -> list[tuple[int, ...]]:
-    """Proper list colorings in lexicographic order, at most `limit` of them."""
-    return _colorings(g, lists, limit)
-
-
-def _colorings(g, lists, limit: int | None):
-    """Collect proper list colorings by backtracking, stopping at `limit`."""
-    earlier = {
-        v: tuple(u for u in g.adjacency[v] if u < v) for v in range(1, g.n + 1)
-    }
-    out = []
-    assign = [0] * (g.n + 1)
-
-    def backtrack(v: int):
-        if limit is not None and len(out) >= limit:
-            return
-        if v > g.n:
-            out.append(tuple(assign[1:]))
-            return
-        for c in sorted(lists[v]):
-            if all(assign[u] != c for u in earlier[v]):
-                assign[v] = c
-                backtrack(v + 1)
-        assign[v] = 0
-
-    backtrack(1)
-    return out
-
-
 @dataclass(frozen=True)
 class ColorClassStats:
     """The unique partition into k independent classes, with its edge counts.
@@ -470,29 +408,36 @@ def unique_k_analysis(g: Graph, k: int) -> ColorClassStats:
     """
     if k < 1:
         raise GraphError("k must be positive")
+    n = g.n
+    earlier = [()] + [tuple(u for u in g.adjacency[v] if u < v) for v in range(1, n + 1)]
     partitions = []
-    assign = {}
-
-    def backtrack(v: int, used: int):
-        if len(partitions) >= 2:
-            return
-        if v > g.n:
-            if used == k:
+    color = [0] * (n + 1)
+    # used[v]: classes opened by the vertices before v; nxt[v]: next class to try
+    used = [0] * (n + 2)
+    nxt = [0] * (n + 2)
+    v = 1
+    while v >= 1 and len(partitions) < 2:
+        if v > n:
+            if used[v] == k:
                 classes = [[] for _ in range(k)]
-                for u, c in assign.items():
-                    classes[c].append(u)
-                partitions.append(tuple(tuple(sorted(c)) for c in classes))
-            return
-        if used + (g.n - v + 1) < k:
-            return
-        for c in range(min(used + 1, k)):
-            if any(w in assign and assign[w] == c for w in g.adjacency[v]):
-                continue
-            assign[v] = c
-            backtrack(v + 1, max(used, c + 1))
-            del assign[v]
-
-    backtrack(1, 0)
+                for u in range(1, n + 1):
+                    classes[color[u]].append(u)
+                partitions.append(tuple(map(tuple, classes)))
+            v -= 1
+            continue
+        c = nxt[v]
+        # no class to try when the vertices left cannot open the missing classes
+        top = min(used[v] + 1, k) if used[v] + (n - v + 1) >= k else 0
+        while c < top and any(color[w] == c for w in earlier[v]):
+            c += 1
+        if c >= top:
+            nxt[v] = 0
+            v -= 1
+            continue
+        color[v] = c
+        nxt[v] = c + 1
+        used[v + 1] = max(used[v], c + 1)
+        v += 1
     if len(partitions) != 1:
         raise NotUniquelyColorable(k, len(partitions))
     classes = partitions[0]

@@ -1,4 +1,5 @@
 """Front-end behavior: exit codes, file round trips, and determinism."""
+import contextlib
 import hashlib
 import io
 import os
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpnull import cli
 from dpnull import cover as C
@@ -321,3 +323,69 @@ def test_pattern_spec_with_offsets():
     signs, offsets = cli.parse_pattern_spec("1-2:+2,default:-1", g.edges)
     assert signs == {(1, 2): 1, (1, 3): -1, (2, 3): -1}
     assert offsets == {(1, 2): 2, (1, 3): 1, (2, 3): 1}
+
+
+# ---------------------------------------------------------------------------
+# malformed spec values: a clean input error, never a crash
+
+C4_EDGES = ("1-2", "1-4", "2-3", "3-4")
+NO_DIGITS = "abxyz+-.*/ "  # int() rejects every string over these characters
+SIGNS = st.sampled_from("+-")
+
+
+def spliced(good, bad):
+    """Comma-joined tokens: some valid ones with one malformed token."""
+    return st.tuples(st.lists(good, max_size=4), bad, st.integers(0, 4)).map(
+        lambda t: ",".join(t[0][:t[2]] + [t[1]] + t[0][t[2]:]))
+
+
+def malformed_edge_tokens(value):
+    """Tokens that fail before their value is read: no colon, a key that is
+    not an `i-j` pair of integers, or a pair that is not an edge of C_4."""
+    no_colon = st.text(NO_DIGITS + "0123456789", min_size=1).filter(str.strip)
+    bad_key = st.text(NO_DIGITS).map(lambda k: f"{k}:{value}")
+    non_edge = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+        lambda p: f"{min(p)}-{max(p)}" not in C4_EDGES).map(lambda p: f"{p[0]}-{p[1]}:{value}")
+    return st.one_of(no_colon, bad_key, non_edge)
+
+
+sign_tokens = st.one_of(
+    st.tuples(st.sampled_from(C4_EDGES + ("default",)), SIGNS).map(":".join), st.just(""))
+bad_sign_values = st.text(NO_DIGITS + "0123456789:").filter(lambda v: v.strip() not in ("+", "-"))
+bad_sign_tokens = st.one_of(
+    malformed_edge_tokens("+"),
+    st.tuples(st.sampled_from(C4_EDGES + ("default",)), bad_sign_values).map(":".join))
+
+pattern_tokens = st.tuples(
+    st.sampled_from(C4_EDGES + ("default",)), SIGNS, st.sampled_from(("", "0", "1", "2")),
+).map(lambda t: f"{t[0]}:{t[1]}{t[2]}")
+bad_pattern_values = st.one_of(
+    st.just(""),
+    st.text(NO_DIGITS + "0123456789", min_size=1).filter(lambda v: v[0] not in "+-"),
+    st.tuples(SIGNS, st.text(NO_DIGITS).filter(str.strip)).map("".join))
+bad_pattern_tokens = st.one_of(
+    malformed_edge_tokens("+0"),
+    st.tuples(st.sampled_from(C4_EDGES + ("default",)), bad_pattern_values).map(":".join))
+
+bad_targets = st.tuples(
+    st.lists(st.sampled_from("012"), min_size=3, max_size=3), st.text(NO_DIGITS), st.integers(0, 3),
+).map(lambda t: ",".join(t[0][:t[2]] + [t[1]] + t[0][t[2]:]))
+
+malformed_argv = st.one_of(
+    spliced(sign_tokens, bad_sign_tokens).map(
+        lambda spec: ["coeff", "c4", f"--signs={spec}", "--target=1,1,1,1"]),
+    spliced(pattern_tokens, bad_pattern_tokens).map(
+        lambda spec: ["make-cover", "c4", f"--pattern={spec}", "--field=3"]),
+    bad_targets.map(lambda target: ["coeff", "c4", f"--target={target}"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_argv)
+def test_malformed_spec_values_are_input_errors(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code == 2, (argv, out.getvalue())
+    assert err.getvalue().startswith("error:")
+    assert "Traceback" not in err.getvalue()

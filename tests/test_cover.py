@@ -124,7 +124,8 @@ def test_oracle_matches_list_coloring_on_random_lists():
         lists = {v: tuple(sorted(rng.sample(range(3), rng.randint(1, 3)))) for v in range(1, n + 1)}
         cov = C.cover_from_lists(g, lists, 3)
         via_cover = C.h_coloring_search(cov) is not None
-        via_lists = G.count_colorings(g, lists) > 0
+        via_lists = any(all(a[i - 1] != a[j - 1] for i, j in g.edges)
+                        for a in product(*(lists[v] for v in range(1, n + 1))))
         assert via_cover == via_lists
 
 
@@ -619,6 +620,42 @@ def test_h_coloring_search_matches_recursive_search_and_ticks():
 def test_h_coloring_search_handles_long_paths():
     cov = identity_cover(G.path(5000), 2)
     assert C.h_coloring_search(cov) == (0, 1) * 2500
+
+
+def random_partial_cover(rng, n):
+    """A cover with label sets of unequal sizes and partial matchings."""
+    g = random_graph(rng, n, 0.5)
+    t = rng.choice((2, 3, 4, 5))
+    labels = tuple(tuple(sorted(rng.sample(range(t), rng.randint(1, t)))) for _ in range(n))
+    matchings = {}
+    for i, j in g.edges:
+        size = rng.randint(0, min(len(labels[i - 1]), len(labels[j - 1])))
+        matchings[(i, j)] = dict(zip(rng.sample(labels[i - 1], size),
+                                     rng.sample(labels[j - 1], size)))
+    return C.Cover(g, t, labels, matchings)
+
+
+def test_transversals_match_product_reference():
+    rng = random.Random(8)
+    counts = set()
+    for _ in range(150):
+        cov = random_partial_cover(rng, rng.randint(1, 6))
+        assert C.validate(cov) == []
+        want = [choice for choice in product(*(cov.labels_of(v) for v in range(1, cov.graph.n + 1)))
+                if C.is_valid_transversal(cov, choice)]
+        assert list(C.transversals(cov)) == want
+        assert C.count_transversals(cov) == len(want)
+        counts.add(len(want))
+    assert 0 in counts and len(counts) > 20
+
+
+def test_transversals_charge_the_budget():
+    cov = identity_cover(G.cycle(5), 3)
+    with pytest.raises(BudgetExceeded):
+        list(C.transversals(cov, Budget(20)))
+    spent = Budget(10**6)
+    assert len(list(C.transversals(cov, spent))) == 30
+    assert spent.spent > 30
 
 
 def random_tree(rng, n):

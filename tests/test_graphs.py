@@ -6,6 +6,7 @@ import pytest
 
 from dpnull.budget import Budget, BudgetExceeded
 from dpnull.errors import FormatError, NotUniquelyColorable
+from dpnull import cover as C
 from dpnull import graphs as G
 
 
@@ -56,12 +57,6 @@ def test_family_validation():
         G.from_edges(3, [(1, 1)])
     with pytest.raises(G.GraphError):
         G.Graph(3, ((1, 2), (1, 2)))
-
-
-def test_make_family_dispatch():
-    assert G.make_family("cycle_power", 6, 2).edges == G.cycle_power(6, 2).edges
-    with pytest.raises(G.GraphError):
-        G.make_family("moebius", 5)
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -288,22 +283,30 @@ def count_colorings_oracle(g, lists):
     return total
 
 
+def count_colorings(g, lists):
+    """Proper list colorings counted by the transversal search on the cover
+    that matches equal colours."""
+    return C.count_transversals(C.cover_from_lists(g, lists))
+
+
 def test_count_colorings_examples():
-    assert G.count_colorings(G.path(3), {1: (0,), 2: (0, 1), 3: (0, 1)}) == 1
-    assert G.count_colorings(G.complete(3), {1: (0,), 2: (0, 1), 3: (0, 1, 2)}) == 1
-    assert G.count_colorings(G.path(2), {1: (0,), 2: (0,)}) == 0
+    assert count_colorings(G.path(3), {1: (0,), 2: (0, 1), 3: (0, 1)}) == 1
+    assert count_colorings(G.complete(3), {1: (0,), 2: (0, 1), 3: (0, 1, 2)}) == 1
+    assert count_colorings(G.path(2), {1: (0,), 2: (0,)}) == 0
 
 
 def test_count_colorings_against_product_oracle():
-    import random
-
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(2, 5)
         edges = [e for e in G.complete(n).edges if rng.random() < 0.6]
         g = G.from_edges(n, edges)
         lists = {v: tuple(sorted(rng.sample(range(3), rng.randint(1, 3)))) for v in range(1, n + 1)}
-        assert G.count_colorings(g, lists) == count_colorings_oracle(g, lists)
+        assert count_colorings(g, lists) == count_colorings_oracle(g, lists)
+
+
+def test_count_colorings_on_a_long_path():
+    assert count_colorings(G.path(1500), {v: (0, 1) for v in range(1, 1501)}) == 2
 
 
 def test_unique_k_analysis_k2p5():
@@ -329,6 +332,60 @@ def test_unique_k_analysis_rejects_non_unique():
         G.unique_k_analysis(G.cycle(6), 3)
     with pytest.raises(NotUniquelyColorable):
         G.unique_k_analysis(G.path(2), 1)  # zero partitions
+
+
+def ref_unique_k_partitions(g, k):
+    """The recursive restricted-growth enumeration, stopped at two
+    partitions."""
+    partitions = []
+    assign = {}
+
+    def backtrack(v, used):
+        if len(partitions) >= 2:
+            return
+        if v > g.n:
+            if used == k:
+                classes = [[] for _ in range(k)]
+                for u, c in assign.items():
+                    classes[c].append(u)
+                partitions.append(tuple(tuple(sorted(c)) for c in classes))
+            return
+        if used + (g.n - v + 1) < k:
+            return
+        for c in range(min(used + 1, k)):
+            if any(w in assign and assign[w] == c for w in g.adjacency[v]):
+                continue
+            assign[v] = c
+            backtrack(v + 1, max(used, c + 1))
+            del assign[v]
+
+    backtrack(1, 0)
+    return partitions
+
+
+def test_unique_k_analysis_matches_recursive_enumeration():
+    known = [G.join(G.empty_graph(2), G.path(5)), G.cycle(4), G.cycle(6), G.complete(5),
+             G.path(9), mycielskian(G.cycle(5)), G.empty_graph(3)]
+    found = {0: 0, 1: 0, 2: 0}
+    for g in _random_graphs(5, 120, 8) + known:
+        for k in range(1, 5):
+            want = ref_unique_k_partitions(g, k)
+            found[len(want)] += 1
+            if len(want) == 1:
+                stats = G.unique_k_analysis(g, k)
+                assert stats.classes == want[0]
+                assert sum(stats.cross.values()) == len(g.edges)
+            else:
+                with pytest.raises(NotUniquelyColorable) as err:
+                    G.unique_k_analysis(g, k)
+                assert err.value.found == len(want)
+    assert min(found.values()) > 20
+
+
+def test_unique_k_analysis_handles_long_paths():
+    stats = G.unique_k_analysis(G.path(1500), 2)
+    assert stats.classes == (tuple(range(1, 1501, 2)), tuple(range(2, 1501, 2)))
+    assert stats.cross == {(1, 2): 1499}
 
 
 def test_graph_text_round_trip():
@@ -379,5 +436,4 @@ def test_orientation_degrees():
     g = G.cycle(4)  # edges in lex order: (1,2), (1,4), (2,3), (3,4)
     d = G.Orientation(g, (1, 0, 1, 1))  # 1->2->3->4->1
     assert d.outdegrees() == (1, 1, 1, 1)
-    assert d.indegrees() == (1, 1, 1, 1)
     assert set(d.arcs()) == {(1, 2), (2, 3), (3, 4), (4, 1)}
