@@ -667,8 +667,9 @@ def certify_cone_unique3(g: Graph, class_order: tuple[int, int, int] | None = No
 # ---------------------------------------------------------------------------
 # bounds report
 
-# dp_chromatic_bounds runs the exact search on a component when it would
-# walk at most this many covers (sum of m!^cotree over the open range of m)
+# without max_m, dp_chromatic_bounds runs the exact search on a component
+# when it would walk at most this many covers (sum of m!^cotree over the open
+# range of m)
 EXACT_SEARCH_COVERS = 20_000
 
 
@@ -680,15 +681,23 @@ class DpBounds:
     notes: tuple[str, ...]
 
 
-def dp_chromatic_bounds(g: Graph, budget: Budget | None = None) -> DpBounds:
+def dp_chromatic_bounds(g: Graph, budget: Budget | None = None,
+                        max_m: int | None = None) -> DpBounds:
     """Lower/upper bounds on chi_DP with an exact value when they meet or an
-    affordable exhaustive search resolves the gap.
+    exhaustive search resolves the gap.
 
     Lower bounds: the chromatic number, 3 for any graph containing a cycle,
     and 4 for squares of cycles of length 3k >= 6 via the explicit
     uncolorable cover (re-checked by the oracle).  Upper bounds: n for
     complete components, 3 for cycle components, otherwise the smaller of
     the maximum degree and the coloring number.
+
+    Where a component's bounds lo < up leave a gap, one exact search walks
+    its m-fold covers for m = lo..min(max_m, up - 1).  An m whose covers are
+    all colorable is the exact value; an uncolorable cover at every m up to
+    up - 1 makes up exact; a search that runs out of budget still raises lo
+    past every m it refuted.  Without max_m the search runs only when it
+    would walk at most EXACT_SEARCH_COVERS covers.
     """
     if g.n == 0:
         raise PreconditionError("the graph must have at least one vertex")
@@ -696,7 +705,6 @@ def dp_chromatic_bounds(g: Graph, budget: Budget | None = None) -> DpBounds:
     lower = 1
     upper = 1
     notes = []
-    exact_parts = []
     for ci, comp in enumerate(g.components(), start=1):
         sub = g.subgraph(comp)
         tag = f"component {ci} ({sub.n} vertices)"
@@ -712,7 +720,12 @@ def dp_chromatic_bounds(g: Graph, budget: Budget | None = None) -> DpBounds:
             notes.append(f"{tag}: contains a cycle, lower bound 3")
         if sub.n % 3 == 0 and sub.n >= 6 and sub.edges == cycle_power(sub.n, 2).edges:
             cov = uncolorable_cover_c3k_square(sub.n // 3)
-            if not validate(cov) and h_coloring_search(cov, budget) is None:
+            try:
+                uncolorable = not validate(cov) and h_coloring_search(cov, budget) is None
+            except BudgetExceeded:  # an earlier component's search spent it
+                notes.append(f"{tag}: 3-fold cover of C_{sub.n}^2 not re-checked within budget")
+                uncolorable = False
+            if uncolorable:
                 lo = max(lo, 4)
                 notes.append(f"{tag}: uncolorable 3-fold cover of C_{sub.n}^2, lower bound 4")
         if not sub.edges:
@@ -726,25 +739,28 @@ def dp_chromatic_bounds(g: Graph, budget: Budget | None = None) -> DpBounds:
         else:
             up = min(sub.max_degree(), sub.coloring_number())
             notes.append(f"{tag}: upper bound min(max degree, coloring number) = {up}")
-        part_exact = lo if lo == up else None
-        if part_exact is None and sub.edges:
-            cotree = len(sub.edges) - sub.n + 1
-            estimate = sum(math.factorial(m) ** cotree for m in range(lo, up))
-            if estimate <= EXACT_SEARCH_COVERS:
-                res = exact_dp_chromatic(sub, up, budget)
+        if lo < up:
+            if max_m is not None:
+                hi = min(max_m, up - 1)
+                if hi < lo:
+                    notes.append(f"{tag}: lower bound {lo} already gives chi_DP > {max_m}")
+            else:
+                cotree = len(sub.edges) - sub.n + 1
+                estimate = sum(math.factorial(m) ** cotree for m in range(lo, up))
+                hi = up - 1 if estimate <= EXACT_SEARCH_COVERS else 0
+            if lo <= hi:
+                res = exact_dp_chromatic(sub, hi, budget, mmin=lo)
+                done = f"{tag}: exact search over {res.covers_tested} covers"
                 if res.status == "exact":
-                    part_exact = res.value
                     lo = up = res.value
-                    notes.append(
-                        f"{tag}: exact search over {res.covers_tested} covers gives {res.value}"
-                    )
-        exact_parts.append(part_exact)
+                    notes.append(f"{done} gives {res.value}")
+                elif res.status == "greater":
+                    lo = hi + 1
+                    notes.append(f"{done} gives chi_DP > {hi}")
+                else:
+                    lo = max(lo, res.m_reached)
+                    notes.append(f"{done} ran out of budget at m = {res.m_reached}")
         lower = max(lower, lo)
         upper = max(upper, up)
-    exact = None
-    if lower == upper:
-        exact = lower
-    elif all(e is not None for e in exact_parts):
-        exact = max(exact_parts)
-        lower = upper = exact
+    exact = lower if lower == upper else None
     return DpBounds(lower, upper, exact, tuple(notes))

@@ -31,6 +31,17 @@ from . import poly as pl
 # ---------------------------------------------------------------------------
 # argument helpers
 
+def _budget_arg(text: str) -> Budget:
+    """argparse type of --budget: a step limit of at least 1."""
+    try:
+        limit = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if limit < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {limit}")
+    return Budget(limit)
+
+
 def load_graph(arg: str) -> gr.Graph:
     p = Path(arg)
     if p.exists():
@@ -153,9 +164,8 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_certify_cover(args) -> int:
     cov = cv.read_cover(Path(args.cover).read_text())
-    budget = Budget(args.budget) if args.budget else None
     if args.mode == "order3":
-        cert = ce.certify_order3_cover(cov, budget)
+        cert = ce.certify_order3_cover(cov, args.budget)
         if cert is None:
             print("not certified: every qualifying coefficient vanishes")
             return 1
@@ -164,12 +174,12 @@ def _cmd_certify_cover(args) -> int:
     # mode good: rename first when needed
     renaming = None
     if not all(cv.classify_saturation(cov, e).is_good for e in cov.graph.edges):
-        renaming = cv.is_good_cover(cov, budget)
+        renaming = cv.is_good_cover(cov, args.budget)
         if renaming is None:
             print("not certified: the cover is not good under any naming")
             return 1
         cov = cv.apply_relabeling(cov, renaming)
-    cert = ce.certify_good_cover(cov, budget)
+    cert = ce.certify_good_cover(cov, args.budget)
     if cert is None:
         print("not certified: every qualifying coefficient vanishes")
         return 1
@@ -187,9 +197,8 @@ def _cmd_certify_cover(args) -> int:
 
 def _cmd_certify_dp3(args) -> int:
     g = load_graph(args.graph)
-    budget = Budget(args.budget) if args.budget else None
     result = ce.certify_dp3(
-        g, use_spanning_tree=args.spanning_tree, jobs=args.jobs, budget=budget
+        g, use_spanning_tree=args.spanning_tree, jobs=args.jobs, budget=args.budget
     )
     print("kind: dp3-sweep")
     print(f"graph: n={g.n} m={len(g.edges)}")
@@ -213,28 +222,13 @@ def _cmd_certify_dp3(args) -> int:
 
 def _cmd_chi_dp(args) -> int:
     g = load_graph(args.graph)
-    budget = Budget(args.budget) if args.budget else None
-    bounds = ce.dp_chromatic_bounds(g, budget)
-    exact = bounds.exact
-    lower, upper = bounds.lower, bounds.upper
-    notes = list(bounds.notes)
-    if exact is None and args.max_m:
-        res = cv.exact_dp_chromatic(g, args.max_m, budget)
-        if res.status == "exact":
-            exact = res.value
-            lower = upper = res.value
-            notes.append(f"exhaustive search over {res.covers_tested} covers")
-        elif res.status == "greater":
-            lower = max(lower, args.max_m + 1)
-            notes.append(f"exhaustive search: chi_DP > {args.max_m}")
-        else:
-            notes.append("exhaustive search: unknown (budget)")
+    bounds = ce.dp_chromatic_bounds(g, args.budget, args.max_m)
     print("kind: chi-dp-bounds")
     print(f"graph: n={g.n} m={len(g.edges)}")
-    print(f"lower: {lower}")
-    print(f"upper: {upper}")
-    print(f"exact: {exact if exact is not None else 'unresolved'}")
-    for note in notes:
+    print(f"lower: {bounds.lower}")
+    print(f"upper: {bounds.upper}")
+    print(f"exact: {bounds.exact if bounds.exact is not None else 'unresolved'}")
+    for note in bounds.notes:
         print(f"note: {note}")
     return 0
 
@@ -287,8 +281,7 @@ def _read_lists(text: str) -> dict[int, tuple[int, ...]]:
 
 def _cmd_check_cover(args) -> int:
     cov = cv.read_cover(Path(args.cover).read_text())
-    budget = Budget(args.budget) if args.budget else None
-    coloring = cv.h_coloring_search(cov, budget)
+    coloring = cv.h_coloring_search(cov, args.budget)
     if coloring is None:
         print("none")
         return 1
@@ -608,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify-cover", help="certificate for one cover file")
     p.add_argument("cover")
     p.add_argument("--mode", choices=("good", "order3"), default="good")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget_arg, default=None)
     p.set_defaults(fn=_cmd_certify_cover)
 
     p = sub.add_parser("certify-dp3", help="sweep sign patterns to certify chi_DP <= 3")
@@ -616,13 +609,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spanning-tree", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--emit-all", action="store_true", help="print every pattern certificate")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget_arg, default=None)
     p.set_defaults(fn=_cmd_certify_dp3)
 
     p = sub.add_parser("chi-dp", help="bounds / exact report for chi_DP")
     p.add_argument("graph")
     p.add_argument("--max-m", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget_arg, default=None)
     p.set_defaults(fn=_cmd_chi_dp)
 
     p = sub.add_parser("make-cover", help="construct and print a cover file")
@@ -636,7 +629,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-cover", help="run the H-coloring oracle on a cover file")
     p.add_argument("cover")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget_arg, default=None)
     p.set_defaults(fn=_cmd_check_cover)
 
     p = sub.add_parser("reproduce", help="replay the reference scenarios")

@@ -10,15 +10,15 @@ every matched pair.
 This module owns the ground-truth oracle (one transversal search), the
 saturation-function classification and renaming machinery, the explicit
 uncolorable covers for squares of cycles of length 3k, and the exhaustive
-cover-space searches used to pin down exact DP-chromatic numbers at desk
-scale.
+cover-space walk that checks f-covers and pins down exact DP-chromatic
+numbers at desk scale.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import permutations, takewhile
+from itertools import combinations, permutations, takewhile
 from operator import or_
 
 from .budget import Budget, BudgetExceeded, ensure_budget
@@ -357,7 +357,8 @@ def is_good_cover(cover: Cover, budget: Budget | None = None) -> dict[int, dict[
     Vertices are processed in BFS order so each non-root is constrained by
     at least one earlier edge; candidates for a constrained vertex are
     generated from one such edge (a shift choice plus an arbitrary injective
-    extension) instead of all injections.
+    extension) instead of all injections.  The backtracking is iterative and
+    charges one budget step per candidate tried.
     """
     budget = ensure_budget(budget, 20_000_000, "searching for a good renaming")
     g = cover.graph
@@ -411,45 +412,54 @@ def is_good_cover(cover: Cover, budget: Budget | None = None) -> dict[int, dict[
 
     maps: dict[int, dict[int, int]] = {}
 
-    def backtrack(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for rho in candidates(v, maps):
-            budget.tick()
-            ok = True
-            for u in order[:k]:
-                e = (u, v) if u < v else (v, u)
-                sigma = cover.matchings.get(e)
-                if not sigma:
-                    continue
-                if e == (u, v):
-                    good = renamed_good(u, v, sigma, maps[u], rho)
-                else:
-                    good = renamed_good(v, u, sigma, rho, maps[u])
-                if not good:
-                    ok = False
-                    break
-            if ok:
-                maps[v] = rho
-                if backtrack(k + 1):
-                    return True
-                del maps[v]
-        return False
+    def consistent(k: int, v: int, rho: dict[int, int]) -> bool:
+        """Every edge from an earlier vertex to v is good under rho."""
+        for u in order[:k]:
+            e = (u, v) if u < v else (v, u)
+            sigma = cover.matchings.get(e)
+            if not sigma:
+                continue
+            if e == (u, v):
+                good = renamed_good(u, v, sigma, maps[u], rho)
+            else:
+                good = renamed_good(v, u, sigma, rho, maps[u])
+            if not good:
+                return False
+        return True
 
-    if backtrack(0):
-        witness = dict(maps)
-        renamed = _relabel_cover(cover, witness)
-        assert all(classify_saturation(renamed, e).is_good for e in cover.graph.edges)
-        return witness
-    return None
+    # depth first with an explicit stack: pending[k] is the suspended
+    # candidate generator of order[k], and maps holds the renamings of
+    # order[:k]
+    pending = []
+    k = 0
+    while k < len(order):
+        v = order[k]
+        if len(pending) == k:
+            pending.append(candidates(v, maps))
+        for rho in pending[k]:
+            budget.tick()
+            if consistent(k, v, rho):
+                maps[v] = rho
+                k += 1
+                break
+        else:
+            pending.pop()
+            if k == 0:
+                return None
+            k -= 1
+            del maps[order[k]]
+    witness = dict(maps)
+    renamed = _relabel_cover(cover, witness)
+    assert all(classify_saturation(renamed, e).is_good for e in cover.graph.edges)
+    return witness
 
 
 # ---------------------------------------------------------------------------
-# exhaustive cover-space searches
+# exhaustive cover-space search
 #
-# Both searches walk a tree of covers depth first, fixing one edge's matching
-# per level, and carry the set of transversals that are still valid as one
+# One walk serves both the exact DP-chromatic number and the f-cover check.
+# It walks a tree of covers depth first, fixing one edge's matching per
+# level, and carries the set of transversals that are still valid as one
 # Python int: bit p stands for the p-th label tuple of a list of vertices in
 # `product` order (the first vertex most significant).  Each (edge, matching)
 # candidate has a precomputed survivor mask, so one step of the walk is a
@@ -538,14 +548,118 @@ def _walk(start: int, levels: list[list[int]], budget: Budget) -> tuple[int, lis
     return leaves, None, True
 
 
+def _matchings(a: int, b: int, ordered: bool) -> list[tuple[tuple[int, int], ...]]:
+    """Maximal matchings between the labels 0..a-1 and 0..b-1 as (a, b)
+    label pairs: every injection of the smaller side into the larger, or,
+    when `ordered`, only the order-preserving ones; lexicographic order."""
+    pick = combinations if ordered else permutations
+    if a <= b:
+        return [tuple(zip(range(a), img)) for img in pick(range(b), a)]
+    return [tuple(zip(dom, range(b))) for dom in pick(range(a), b)]
+
+
+def _cover_walk(g: Graph, parent: dict[int, int], f: dict[int, int],
+                budget: Budget) -> tuple[int, Cover | None, bool]:
+    """Walk the f-covers of g (labels 0..f(v)-1, maximal matchings) whose
+    forest matchings are in the normal form `f_dp_exhaustive` describes.
+
+    `parent` maps each vertex to its parent in a BFS forest of g (0 at a
+    root), parents before children.  The forest edge from u to a child v is
+    pinned to a -> a on the first f(u) labels when f(u) <= f(v); otherwise
+    it is walked over its C(f(u), f(v)) order-preserving matchings.  Every
+    other edge is walked over all its maximal matchings, the walked edges in
+    `g.edges` order.
+
+    The walk runs over the grid of the endpoints of the walked edges.  Its
+    start mask is the projection onto that grid of the labellings that
+    respect the pinned edges, folded from the leaves of the pinned forest to
+    its roots (a vertex whose parent edge is walked is a root): a pinned
+    edge only forbids equal labels, and a walked edge constrains grid
+    vertices only, so a grid point survives exactly when each pinned tree
+    extends it on its own.
+
+    Returns (covers_tested, counterexample, finished).  covers_tested counts
+    the colorable covers walked, plus the uncolorable one when there is one;
+    that cover is the counterexample, re-checked by h_coloring_search.
+    finished is False when the budget ran out.
+
+    A budget step is one walk node.  Building a grid of P points is charged
+    ceil(P / 64) steps per mask it needs, f(v) per vertex v and one per
+    (walked edge, matching), so a grid too large to hold exhausts the budget
+    instead of memory.
+    """
+    # the children whose edge to their parent is pinned
+    pinned = {v for v, u in parent.items() if u and f[u] <= f[v]}
+    # edges with equal sizes and kind share one candidate list
+    walked, choices, lists = [], [], {}
+    for i, j in g.edges:
+        child = j if parent[j] == i else i if parent[i] == j else 0
+        if child in pinned:
+            continue
+        key = (f[i], f[j], child != 0)
+        if key not in lists:
+            lists[key] = _matchings(*key)
+        walked.append((i, j))
+        choices.append(lists[key])
+    tested = 0
+    try:
+        grid_vertices = sorted({v for e in walked for v in e})
+        words = -(-math.prod(f[v] for v in grid_vertices) // 64)
+        budget.tick(words * (sum(f.values()) + sum(map(len, choices))))
+        grid = _Grid({v: f[v] for v in grid_vertices})
+        levels = [[grid.survivor(i, j, pairs) for pairs in pairs_list]
+                  for (i, j), pairs_list in zip(walked, choices)]
+        start = grid.full
+        # folded[u][a]: points whose labelling of u's folded children can
+        # give u the label a
+        folded: dict[int, list[int]] = {}
+        for v in reversed(parent):
+            own = grid.digit.get(v) or [grid.full] * f[v]
+            if v in folded:
+                own = [x & y for x, y in zip(own, folded.pop(v))]
+            if v not in pinned:
+                start &= reduce(or_, own)
+                continue
+            u = parent[v]
+            up = [reduce(or_, own[:a] + own[a + 1:], 0) for a in range(f[u])]
+            folded[u] = [x & y for x, y in zip(folded[u], up)] if u in folded else up
+        tested, dead, finished = _walk(start, levels, budget)
+        if not finished or dead is None:
+            return tested, None, finished
+        tested += 1
+        picked = {e: pairs_list[k] for e, pairs_list, k in zip(walked, choices, dead)}
+        # a pinned edge from u to v is a -> a on the first f(u) <= f(v) labels
+        matchings = {(i, j): dict(picked[(i, j)]) if (i, j) in picked
+                     else {a: a for a in range(min(f[i], f[j]))}
+                     for i, j in g.edges}
+        bad = Cover(g, smallest_prime_power(max([2, *f.values()])),
+                    tuple(tuple(range(f[v])) for v in range(1, g.n + 1)), matchings)
+        if h_coloring_search(bad, budget) is not None:
+            raise AssertionError("counterexample failed oracle re-check")
+    except BudgetExceeded:
+        return tested, None, False
+    return tested, bad, True
+
+
+def _bfs_forest(g: Graph) -> dict[int, int]:
+    """BFS parent of every vertex, 0 at the lowest vertex of each component,
+    parents before children."""
+    parent: dict[int, int] = {}
+    for v in range(1, g.n + 1):
+        if v not in parent:
+            parent.update(bfs(g.adjacency, v))
+    return parent
+
+
 @dataclass(frozen=True)
 class DpExactResult:
     """Outcome of the exact DP-chromatic search.
 
     status is 'exact' (value holds chi_DP), 'greater' (every m <= mmax has an
     uncolorable cover), or 'unknown' (budget ran out; m_reached/covers_tested
-    report progress).  counterexample holds an uncolorable cover for the last
-    m that failed, when one was found.
+    report progress, and every m tried below m_reached has an uncolorable
+    cover).  counterexample holds an uncolorable cover for the last m that
+    failed, when one was found.
     """
 
     status: str
@@ -555,31 +669,20 @@ class DpExactResult:
     counterexample: Cover | None = field(default=None, compare=False)
 
 
-def exact_dp_chromatic(g: Graph, mmax: int, budget: Budget | None = None) -> DpExactResult:
-    """Exact chi_DP by exhausting m-fold covers for m = chi(G)..mmax.
+def exact_dp_chromatic(g: Graph, mmax: int, budget: Budget | None = None,
+                       mmin: int | None = None) -> DpExactResult:
+    """Exact chi_DP by exhausting m-fold covers for m = chi(G)..mmax per
+    component, or for m = mmin..mmax when the caller already knows the lower
+    bound mmin on chi_DP(G).
 
-    Only full-label, perfect-matching covers with spanning-tree matchings
-    pinned to the identity are enumerated; both reductions lose no
-    generality (smaller matchings only add transversals, and renaming makes
-    tree matchings the identity while preserving colorability).
-
-    For each m the walk fixes only the cotree edges' permutations, in
-    `product` order, over the grid of S, the endpoints of the cotree edges:
-    m^|S| points with |S| <= min(n, 2c) for c cotree edges, one point for a
-    tree.  The start mask is the projection onto S of the transversals of
-    the tree-pinned cover, computed by folding label masks from the leaves
-    of the tree to its root.  The projection is exact: a cotree matching
-    constrains only vertices of S, so a full labelling is a transversal
-    exactly when its restriction to S survives every cotree edge and extends
-    to the tree, and the tree constraints decide that extension on their own.
-    covers_tested counts the colorable covers before the first uncolorable
-    one, plus that one; only the uncolorable cover is built as a Cover, and
-    it is re-checked by h_coloring_search.
-
-    A budget step is one walk node.  Building a grid of P points is charged
-    ceil(P / 64) steps per mask it needs, m per vertex and one per (cotree
-    edge, permutation), so a grid too large to hold exhausts the budget
-    instead of memory.
+    This is the f = m case of the f-cover walk (see `f_dp_exhaustive`):
+    only full-label, perfect-matching covers are enumerated, with the
+    spanning-tree matchings pinned to the identity, so the walk fixes only
+    the cotree edges' permutations, in `product` order, over the grid of the
+    cotree edges' endpoints: m^|S| points with |S| <= min(n, 2c) for c
+    cotree edges, one point for a tree.  The BFS tree is built once per
+    component.  covers_tested counts the colorable covers before the first
+    uncolorable one for each m, plus that one.
     """
     budget = ensure_budget(budget, 10_000_000, "enumerating covers for exact chi_DP")
     comps = g.components()
@@ -590,7 +693,7 @@ def exact_dp_chromatic(g: Graph, mmax: int, budget: Budget | None = None) -> DpE
     for comp in comps:
         sub = g.subgraph(comp)
         try:
-            res = _exact_dp_component(sub, mmax, budget)
+            res = _exact_dp_component(sub, mmin, mmax, budget)
         except BudgetExceeded:
             return DpExactResult("unknown", None, total_tested, m_reached)
         total_tested += res.covers_tested
@@ -604,59 +707,22 @@ def exact_dp_chromatic(g: Graph, mmax: int, budget: Budget | None = None) -> DpE
     return DpExactResult("exact", overall, total_tested, m_reached, witness)
 
 
-def _tree_projection(g: Graph, tree: tuple[Edge, ...], m: int, grid: _Grid) -> int:
-    """Mask of the grid points that extend to a labelling of every vertex
-    with one of m labels, the two ends of each tree edge labelled apart.
-    Leaves first, each vertex's per-label masks (points whose labelling of
-    its subtree can give it that label) are folded into its parent's."""
-    parent = bfs(from_edges(g.n, tree).adjacency, 1)
-    order = list(parent)
-    folded: dict[int, list[int]] = {}
-    for v in reversed(order):
-        own = grid.digit.get(v) or [grid.full] * m
-        if v in folded:
-            own = [x & y for x, y in zip(own, folded.pop(v))]
-        if v == 1:
-            return reduce(or_, own)
-        up = [reduce(or_, own[:a] + own[a + 1:], 0) for a in range(m)]
-        p = parent[v]
-        folded[p] = [x & y for x, y in zip(folded[p], up)] if p in folded else up
-    raise AssertionError("unreachable: the root ends the fold")
-
-
-def _exact_dp_component(g: Graph, mmax: int, budget: Budget) -> DpExactResult:
+def _exact_dp_component(g: Graph, mmin: int | None, mmax: int, budget: Budget) -> DpExactResult:
     if not g.edges:
         return DpExactResult("exact", 1, 0, 1)
-    start = chromatic_number(g, mmax, budget)
+    start = mmin or chromatic_number(g, mmax, budget)
     if start is None:
         return DpExactResult("greater", None, 0, mmax)
-    tree = spanning_tree(g)
-    cotree = [e for e in g.edges if e not in set(tree)]
-    s_vertices = sorted({v for e in cotree for v in e})
+    parent = _bfs_forest(g)
     tested = 0
     last_bad = None
     for m in range(start, mmax + 1):
-        perms = list(permutations(range(m)))
-        try:
-            words = -(-(m ** len(s_vertices)) // 64)
-            budget.tick(words * (m * g.n + len(perms) * len(cotree)))
-            grid = _Grid({v: m for v in s_vertices})
-            levels = [[grid.survivor(i, j, enumerate(p)) for p in perms] for i, j in cotree]
-            leaves, dead, finished = _walk(_tree_projection(g, tree, m, grid), levels, budget)
-            if not finished:
-                return DpExactResult("unknown", None, tested + leaves, m, last_bad)
-            if dead is None:
-                return DpExactResult("exact", m, tested + leaves, m, last_bad)
-            tested += leaves + 1
-            matchings = {e: {a: a for a in range(m)} for e in tree}
-            for e, k in zip(cotree, dead):
-                matchings[e] = dict(enumerate(perms[k]))
-            bad = Cover(g, smallest_prime_power(m), tuple(tuple(range(m)) for _ in range(g.n)),
-                        matchings)
-            if h_coloring_search(bad, budget) is not None:
-                raise AssertionError("counterexample failed oracle re-check")
-        except BudgetExceeded:
+        walked, bad, finished = _cover_walk(g, parent, dict.fromkeys(parent, m), budget)
+        tested += walked
+        if not finished:
             return DpExactResult("unknown", None, tested, m, last_bad)
+        if bad is None:
+            return DpExactResult("exact", m, tested, m, last_bad)
         last_bad = bad
     return DpExactResult("greater", None, tested, mmax, last_bad)
 
@@ -672,60 +738,42 @@ class FDpResult:
     counterexample: Cover | None = field(default=None, compare=False)
 
 
-def _maximal_matchings(a_labels: tuple[int, ...], b_labels: tuple[int, ...]):
-    """All maximal partial injective maps between two label sets (those
-    saturating the smaller side), as dicts in a deterministic order."""
-    if len(a_labels) <= len(b_labels):
-        for img in permutations(b_labels, len(a_labels)):
-            yield dict(zip(a_labels, img))
-    else:
-        for dom in permutations(a_labels, len(b_labels)):
-            yield dict(zip(dom, b_labels))
-
-
 def f_dp_exhaustive(g: Graph, f: dict[int, int], budget: Budget | None = None) -> FDpResult:
-    """Check every f-cover of g for colorability, up to two reductions:
-    only maximal matchings are enumerated (sub-matchings only gain
-    transversals) and relabelings of the lowest-index matched vertex are
-    quotiented out when its first matching saturates its label set.
+    """Check every f-cover of g for colorability, up to two reductions that
+    lose no generality.
 
-    Walks the edges depth-first carrying the set of still-valid transversals
-    as a mask over the grid of all vertices (prod f(v) points), so applying
-    an edge's matching is one `&` with its survivor mask.  An empty set
-    proves every completion uncolorable, and the first such completion is
-    returned after an oracle re-check.  A budget step is one walk node;
-    covers_tested counts the colorable leaves.
+    Only maximal matchings are enumerated: a sub-matching only gains
+    transversals.  And the matchings of a BFS forest are put in a normal
+    form by renaming labels, each non-root vertex v once, in BFS order,
+    after its parent u.  Renaming L(v) is an isomorphism of the cover graph
+    H, so it preserves colorability; it changes only the matchings at v, of
+    which the edge to u is fixed here, the edges to v's children are fixed
+    when the children are renamed later, and every other edge is enumerated
+    in full.  The edge uv is maximal, so:
+
+    - when f(u) <= f(v) it maps L(u) injectively into L(v); renaming the
+      image of each a to a makes it a -> a on the first f(u) labels, one
+      choice instead of f(v)! / (f(v) - f(u))!;
+    - when f(u) > f(v) it maps a set D of f(v) labels of u onto L(v);
+      renaming the image of the k-th smallest label of D to k makes it
+      order-preserving, C(f(u), f(v)) choices instead of
+      f(u)! / (f(u) - f(v))!.
+
+    The walk and its start mask are described at `_cover_walk`.  An empty
+    set of transversals proves every completion uncolorable, and the first
+    such cover is returned after an oracle re-check.  A budget step is one
+    walk node; covers_tested counts the reduced covers walked.
     """
     budget = ensure_budget(budget, 50_000_000, "exhausting f-covers")
     for v in range(1, g.n + 1):
         if f.get(v, 0) < 1:
             raise PreconditionError(f"size function must be >= 1 at vertex {v}")
-    t = smallest_prime_power(max([2] + [f[v] for v in range(1, g.n + 1)]))
-    labels = tuple(tuple(range(f[v])) for v in range(1, g.n + 1))
-    edges = list(g.edges)
-    if not edges:
-        return FDpResult("all_colorable", 1)
-
-    grid = _Grid({v: f[v] for v in range(1, g.n + 1)})
-    candidates = []
-    for idx, (i, j) in enumerate(edges):
-        cands = list(_maximal_matchings(labels[i - 1], labels[j - 1]))
-        if idx == 0 and f[i] <= f[j]:
-            # quotient by relabelings of L(v_i): keep image-sorted representatives
-            cands = [sig for sig in cands if list(sig.values()) == sorted(sig.values())]
-        candidates.append(cands)
-    levels = [
-        [grid.survivor(i, j, sig.items()) for sig in cands]
-        for (i, j), cands in zip(edges, candidates)
-    ]
-    tested, dead, finished = _walk(grid.full, levels, budget)
+    parent = _bfs_forest(g)
+    tested, bad, finished = _cover_walk(g, parent, {v: f[v] for v in parent}, budget)
     if not finished:
         return FDpResult("unknown", tested)
-    if dead is None:
+    if bad is None:
         return FDpResult("all_colorable", tested)
-    bad = Cover(g, t, labels, {e: cands[k] for e, cands, k in zip(edges, candidates, dead)})
-    if h_coloring_search(bad, budget) is not None:
-        raise AssertionError("counterexample failed oracle re-check")
     return FDpResult("counterexample", tested, bad)
 
 

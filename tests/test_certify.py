@@ -582,3 +582,14 @@ def test_bounds_k44_without_sweep_stays_open():
     b = X.dp_chromatic_bounds(G.complete_bipartite_minus_matching(4, 4, 2))
     assert (b.lower, b.upper) == (3, 4)
     assert b.exact is None
+
+
+def test_bounds_survive_a_search_that_spends_the_budget():
+    # K_{4,6} (bounds 3..5) refutes m = 3 and runs out of budget at m = 4;
+    # the C_6^2 component after it must still get its bounds, not exit
+    a, b = G.complete_bipartite(4, 6), G.cycle_power(6, 2)
+    g = G.from_edges(16, list(a.edges) + [(i + 10, j + 10) for i, j in b.edges])
+    bounds = X.dp_chromatic_bounds(g, Budget(1_300_000), max_m=4)
+    assert (bounds.lower, bounds.upper, bounds.exact) == (4, 5, None)
+    assert any("ran out of budget at m = 4" in note for note in bounds.notes)
+    assert any(note.startswith("component 2") and "upper bound" in note for note in bounds.notes)

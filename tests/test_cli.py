@@ -168,6 +168,38 @@ def test_chi_dp_max_m_reports_greater(capsys):
     assert "lower: 3" in out and "upper: 4" in out
 
 
+@pytest.mark.parametrize("max_m", ["3", "4"])
+def test_chi_dp_max_m_settles_k44(max_m, capsys):
+    # the exact search refutes m = 3, one below the upper bound 4, so
+    # chi_DP(K_{4,4}) = 4 without walking the 4-fold covers
+    code, out, err = run_cli(["chi-dp", "k4,4", "--max-m", max_m], capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "lower: 4" in lines and "upper: 4" in lines and "exact: 4" in lines
+    assert "chi_DP > 3" in out
+
+
+def test_chi_dp_max_m_keeps_what_an_exhausted_search_refuted(capsys):
+    # K_{4,6} has bounds 3..5; refuting m = 3 takes about 1.22 M budget
+    # steps, and the budget then runs out at m = 4, so the lower bound is 4
+    code, out, _ = run_cli(["chi-dp", "k4,6", "--max-m", "4", "--budget", "1300000"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "lower: 4" in lines and "upper: 5" in lines and "exact: unresolved" in lines
+    assert out.endswith("ran out of budget at m = 4\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["certify-dp3", "c4"], ["chi-dp", "c4"], ["check-cover", "missing.cover"],
+    ["certify-cover", "missing.cover"],
+])
+@pytest.mark.parametrize("value", ["0", "-5", "ten"])
+def test_budget_below_one_is_an_input_error(command, value, capsys):
+    code, out, err = run_cli(command + ["--budget", value], capsys)
+    assert code == 2
+    assert out == "" and "--budget" in err and "Traceback" not in err
+
+
 def test_scenario_results_do_not_depend_on_jobs():
     k44 = next(s for s in cli.scenario_registry() if s.name == "k44-minus-matching")
     k35 = next(s for s in cli.scenario_registry() if s.name == "k35-zero")

@@ -1,5 +1,6 @@
 """Covers: validation, classification, the transversal oracle, renaming,
 explicit constructions, and the exhaustive cover-space searches."""
+import collections
 import math
 import random
 import time
@@ -349,6 +350,17 @@ def test_exact_dp_chromatic_at_least_chromatic_number():
         assert res.value >= G.chromatic_number(g, 4)
 
 
+def test_exact_dp_chromatic_starts_at_mmin():
+    # K_{3,3} has chi = 2 and chi_DP = 3: starting at m = 3 skips exactly
+    # the covers the m = 2 search walks
+    g = G.complete_bipartite(3, 3)
+    full, below = C.exact_dp_chromatic(g, 3), C.exact_dp_chromatic(g, 2)
+    from3 = C.exact_dp_chromatic(g, 3, mmin=3)
+    assert below.status == "greater" and below.covers_tested > 0
+    assert (from3.status, from3.value, from3.m_reached) == ("exact", 3, 3)
+    assert from3.covers_tested == full.covers_tested - below.covers_tested
+
+
 def test_exact_dp_chromatic_budget_returns_unknown():
     res = C.exact_dp_chromatic(G.cycle_power(6, 2), 4, Budget(50))
     assert res.status == "unknown"
@@ -371,24 +383,13 @@ def test_f_dp_exhaustive_unknown_on_tiny_budget():
 
 
 def test_f_dp_quotient_never_flips_the_verdict():
-    # the quotient applies when f(v1) <= f(v2) and not otherwise; both
-    # orderings of the same size multiset must agree
+    # the forest edges out of v1 are pinned when f(v1) <= f(v) and walked
+    # over order-preserving matchings otherwise; both orderings of the same
+    # size multiset must agree
     g = G.cycle(3)
     res_a = C.f_dp_exhaustive(g, {1: 2, 2: 2, 3: 3})
     res_b = C.f_dp_exhaustive(g, {1: 3, 2: 2, 3: 2})
     assert res_a.status == res_b.status == "all_colorable"
-
-
-@pytest.mark.parametrize("g", [G.path(3), G.cycle(3), G.cycle(4), G.cycle(5)],
-                         ids=("P3", "C3", "C4", "C5"))
-@pytest.mark.parametrize("m", (2, 3))
-def test_f_dp_uniform_agrees_with_exact_search(g, m):
-    """Two independent enumerations must agree: uniform f-covers are all
-    colorable exactly when chi_DP <= m."""
-    verdict = C.f_dp_exhaustive(g, {v: m for v in range(1, g.n + 1)})
-    exact = C.exact_dp_chromatic(g, 4).value
-    want = "all_colorable" if exact <= m else "counterexample"
-    assert verdict.status == want
 
 
 # ---------------------------------------------------------------------------
@@ -464,47 +465,6 @@ def ref_exact_dp_chromatic(g, mmax):
     return C.DpExactResult("exact", overall, total, m_reached, witness)
 
 
-def ref_f_dp_exhaustive(g, f, budget):
-    """The list-of-tuples walk: one tick per node, a list comprehension
-    filtering the valid transversals at each edge."""
-    labels = tuple(tuple(range(f[v])) for v in range(1, g.n + 1))
-    edges = list(g.edges)
-    candidates = []
-    for idx, (i, j) in enumerate(edges):
-        cands = [(frozenset(sig.items()), sig)
-                 for sig in C._maximal_matchings(labels[i - 1], labels[j - 1])]
-        if idx == 0 and f[i] <= f[j]:
-            cands = [(fs, sig) for fs, sig in cands
-                     if list(sig.values()) == sorted(sig.values())]
-        candidates.append(cands)
-    tested = 0
-    chosen = []
-
-    def rec(depth, valid):
-        nonlocal tested
-        budget.tick()
-        if not valid:
-            return {e: chosen[d] if d < depth else candidates[d][0][1]
-                    for d, e in enumerate(edges)}
-        if depth == len(edges):
-            tested += 1
-            return None
-        ii, jj = edges[depth][0] - 1, edges[depth][1] - 1
-        for fs, sig in candidates[depth]:
-            chosen.append(sig)
-            bad = rec(depth + 1, [x for x in valid if (x[ii], x[jj]) not in fs])
-            chosen.pop()
-            if bad is not None:
-                return bad
-        return None
-
-    try:
-        bad = rec(0, list(product(*labels)))
-    except BudgetExceeded:
-        return "unknown", tested, None
-    return ("counterexample" if bad else "all_colorable"), tested, bad
-
-
 def random_graph(rng, n, p):
     return G.from_edges(n, [e for e in G.complete(n).edges if rng.random() < p])
 
@@ -565,38 +525,201 @@ def test_exact_dp_chromatic_matches_per_cover_enumeration_on_random_graphs():
     assert with_counterexample >= 10
 
 
-def test_f_dp_exhaustive_matches_list_filter_walk():
+@pytest.mark.parametrize("g", [G.path(3), G.cycle(3), G.cycle(4), G.cycle(5)],
+                         ids=("P3", "C3", "C4", "C5"))
+@pytest.mark.parametrize("m", (2, 3))
+def test_f_dp_uniform_agrees_with_exact_search(g, m):
+    """Two independent enumerations must agree: uniform f-covers are all
+    colorable exactly when chi_DP <= m (one Cover and one oracle call per
+    cotree assignment on the exact side)."""
+    verdict = C.f_dp_exhaustive(g, {v: m for v in range(1, g.n + 1)})
+    exact = ref_exact_dp_chromatic(g, 4).value
+    want = "all_colorable" if exact <= m else "counterexample"
+    assert verdict.status == want
+
+
+def maximal_matchings(a, b):
+    """Every injection of the smaller of the label sets 0..a-1 and 0..b-1
+    into the larger, as a dict from the first set to the second."""
+    if a <= b:
+        return [dict(zip(range(a), img)) for img in permutations(range(b), a)]
+    return [dict(zip(dom, range(b))) for dom in permutations(range(a), b)]
+
+
+def tree_pinned_edges(g, f):
+    """The reduced f-covers, rebuilt from their definition: a BFS forest
+    (lowest vertex first, neighbours in order, a `pop(0)` queue), its edge
+    to a child v pinned when f(parent) <= f(v), walked over the
+    order-preserving maximal matchings otherwise, and every other edge
+    walked over all its maximal matchings.  Returns (pinned edges,
+    [(walked edge, candidate matchings)]) and the number of forest edges
+    with f(parent) <= f(child) and with f(parent) > f(child)."""
+    parent = {}
+    for root in range(1, g.n + 1):
+        if root in parent:
+            continue
+        parent[root] = 0
+        queue = [root]
+        while queue:
+            v = queue.pop(0)
+            for w in sorted(g.adjacency[v]):
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+    pinned, walked, kinds = [], [], [0, 0]
+    for i, j in g.edges:
+        cands = maximal_matchings(f[i], f[j])
+        if parent[j] == i or parent[i] == j:
+            u, v = (i, j) if parent[j] == i else (j, i)
+            kinds[f[u] > f[v]] += 1
+            if f[u] <= f[v]:
+                pinned.append((i, j))
+                continue
+            cands = [sig for sig in cands
+                     if [b for _, b in sorted(sig.items())] == sorted(sig.values())]
+        walked.append(((i, j), cands))
+    return pinned, walked, kinds
+
+
+def ref_f_dp_exhaustive(g, f, budget):
+    """The list-of-tuples walk over the reduced f-covers: the grid charge of
+    the bitmask walk, then one tick per node, a list comprehension filtering
+    the valid transversals at each walked edge, and the oracle re-check of
+    the counterexample on the same budget."""
+    pinned, walked, _ = tree_pinned_edges(g, f)
+    labels = tuple(tuple(range(f[v])) for v in range(1, g.n + 1))
+    grid = {v for e, _ in walked for v in e}
+    words = -(-math.prod(f[v] for v in grid) // 64)
+    tested = 0
+    chosen = []
+
+    def rec(depth, valid):
+        nonlocal tested
+        budget.tick()
+        if not valid:
+            return [chosen[d] if d < depth else cands[0] for d, (_, cands) in enumerate(walked)]
+        if depth == len(walked):
+            tested += 1
+            return None
+        (i, j), cands = walked[depth]
+        for sig in cands:
+            chosen.append(sig)
+            bad = rec(depth + 1, [x for x in valid if sig.get(x[i - 1]) != x[j - 1]])
+            chosen.pop()
+            if bad is not None:
+                return bad
+        return None
+
+    try:
+        budget.tick(words * (sum(f[v] for v in range(1, g.n + 1))
+                             + sum(len(cands) for _, cands in walked)))
+        start = [x for x in product(*labels) if all(x[i - 1] != x[j - 1] for i, j in pinned)]
+        picks = rec(0, start)
+        if picks is None:
+            return "all_colorable", tested, None
+        tested += 1
+        matchings = {(i, j): {a: a for a in range(min(f[i], f[j]))} for i, j in pinned}
+        matchings.update((e, sig) for (e, _), sig in zip(walked, picks))
+        t = C.smallest_prime_power(max([2, *f.values()]))
+        assert ref_h_coloring_search(C.Cover(g, t, labels, matchings), budget) is None
+    except BudgetExceeded:
+        return "unknown", tested, None
+    return "counterexample", tested, matchings
+
+
+def unreduced_f_dp_status(g, f):
+    """Status of the f-cover check over every maximal matching of every
+    edge, with no renaming quotient."""
+    labels = [range(f[v]) for v in range(1, g.n + 1)]
+    edges = [(e, maximal_matchings(f[e[0]], f[e[1]])) for e in g.edges]
+
+    def all_colorable(depth, valid):
+        if not valid:
+            return False
+        if depth == len(edges):
+            return True
+        (i, j), cands = edges[depth]
+        return all(all_colorable(depth + 1, [x for x in valid if sig.get(x[i - 1]) != x[j - 1]])
+                   for sig in cands)
+
+    return "all_colorable" if all_colorable(0, list(product(*labels))) else "counterexample"
+
+
+def seeded_f_instances():
     rng = random.Random(77)
     for _ in range(60):
         n = rng.randint(2, 5)
         g = random_graph(rng, n, 0.6)
-        if not g.edges:
-            continue
-        f = {v: rng.randint(1, 3) for v in range(1, n + 1)}
+        if g.edges:
+            yield g, {v: rng.randint(1, 3) for v in range(1, n + 1)}
+
+
+def test_f_dp_exhaustive_matches_list_filter_walk():
+    statuses = set()
+    for g, f in seeded_f_instances():
         got_budget, want_budget = Budget(10**9), Budget(10**9)
         got = C.f_dp_exhaustive(g, f, got_budget)
         status, tested, bad = ref_f_dp_exhaustive(g, f, want_budget)
-        assert (got.status, got.covers_tested) == (status, tested)
-        # the oracle re-check of a counterexample spends on the same budget
-        recheck = Budget(10**9)
+        assert (got.status, got.covers_tested, got_budget.spent) == (
+            status, tested, want_budget.spent)
         if bad is not None:
             assert got.counterexample.matchings == bad
-            ref_h_coloring_search(got.counterexample, recheck)
-        assert got_budget.spent == want_budget.spent + recheck.spent
+            assert C.h_coloring_search(got.counterexample) is None
+        statuses.add(status)
+    assert statuses == {"all_colorable", "counterexample"}
+
+
+def test_f_dp_exhaustive_agrees_with_the_unreduced_walk():
+    kinds = [0, 0]
+    for g, f in seeded_f_instances():
+        assert C.f_dp_exhaustive(g, f).status == unreduced_f_dp_status(g, f)
+        kinds = [x + y for x, y in zip(kinds, tree_pinned_edges(g, f)[2])]
+    # forest edges with f(parent) <= f(child) and with f(parent) > f(child)
+    assert min(kinds) >= 20
 
 
 def test_f_dp_exhaustive_stops_where_the_list_filter_walk_runs_out():
-    rng = random.Random(5)
-    g = G.cycle(4)
-    f = {1: 2, 2: 3, 3: 2, 4: 3}
-    full = Budget(10**9)
-    C.f_dp_exhaustive(g, f, full)
-    for limit in sorted({rng.randint(1, full.spent) for _ in range(40)} | {1, 2, full.spent}):
-        got_budget, want_budget = Budget(limit), Budget(limit)
-        got = C.f_dp_exhaustive(g, f, got_budget)
-        status, tested, _ = ref_f_dp_exhaustive(g, f, want_budget)
-        assert (got.status, got.covers_tested, got_budget.spent) == (
-            status, tested, want_budget.spent)
+    for g, f in (
+        (G.cycle(4), {1: 2, 2: 3, 3: 2, 4: 3}),
+        # a theta graph with a counterexample after 123 colorable covers, so
+        # that some limits cut the oracle re-check
+        (G.from_edges(5, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 5), (3, 5)]),
+         {1: 3, 2: 2, 3: 3, 4: 1, 5: 2}),
+    ):
+        full = Budget(10**9)
+        C.f_dp_exhaustive(g, f, full)
+        for limit in range(1, full.spent + 2):
+            got_budget, want_budget = Budget(limit), Budget(limit)
+            got = C.f_dp_exhaustive(g, f, got_budget)
+            status, tested, _ = ref_f_dp_exhaustive(g, f, want_budget)
+            assert (got.status, got.covers_tested, got_budget.spent) == (
+                status, tested, want_budget.spent)
+
+
+@pytest.mark.parametrize("k", (6, 8))
+def test_f_dp_exhaustive_even_cones_are_colorable(k):
+    """cone(C_2k) is f-DP-colorable with two apex labels and three
+    elsewhere: 6^k reduced covers, all colorable."""
+    g = G.cone(G.cycle(k))
+    res = C.f_dp_exhaustive(g, {v: 2 if v == 1 else 3 for v in range(1, g.n + 1)})
+    assert (res.status, res.covers_tested) == ("all_colorable", 6 ** k)
+
+
+@pytest.mark.parametrize("k", (3, 5))
+def test_f_dp_exhaustive_odd_cones_have_a_counterexample(k):
+    g = G.cone(G.cycle(k))
+    res = C.f_dp_exhaustive(g, {v: 2 if v == 1 else 3 for v in range(1, g.n + 1)})
+    assert res.status == "counterexample"
+    assert C.validate(res.counterexample) == []
+    assert C.h_coloring_search(res.counterexample) is None
+    assert ref_h_coloring_search(res.counterexample, Budget(10**6)) is None
+
+
+def test_f_dp_exhaustive_pins_a_long_path():
+    begin = time.perf_counter()
+    res = C.f_dp_exhaustive(G.path(22), {v: 2 for v in range(1, 23)})
+    assert (res.status, res.covers_tested) == ("all_colorable", 1)
+    assert time.perf_counter() - begin < 1.0
 
 
 def test_h_coloring_search_matches_recursive_search_and_ticks():
@@ -656,6 +779,142 @@ def test_transversals_charge_the_budget():
     spent = Budget(10**6)
     assert len(list(C.transversals(cov, spent))) == 30
     assert spent.spent > 30
+
+
+def ref_is_good_cover(cover, budget, undone=None):
+    """The recursive renaming search: BFS order, candidates anchored on the
+    first earlier matched edge, one tick per candidate tried.  `undone`, a
+    list, gets one item per renaming taken back."""
+    g = cover.graph
+    t = cover.t
+    fld = cover.field
+    order = [v for comp in g.components() for v in G.bfs(g.adjacency, comp[0])]
+    pos = {v: k for k, v in enumerate(order)}
+
+    def renamed_good(sigma, rho_i, rho_j):
+        return len({fld.sub(rho_i[a], rho_j[b]) for a, b in sigma.items()}) <= 1
+
+    def candidates(v, maps):
+        anchor = None
+        for u in order[: pos[v]]:
+            e = (u, v) if u < v else (v, u)
+            sigma = cover.matchings.get(e)
+            if sigma:
+                anchor = (u, e, sigma)
+                break
+        if anchor is None:
+            for img in permutations(range(t), len(cover.labels_of(v))):
+                yield dict(zip(cover.labels_of(v), img))
+            return
+        u, e, sigma = anchor
+        rho_u = maps[u]
+        if e == (u, v):
+            pinned_src = {b: rho_u[a] for a, b in sigma.items()}
+        else:
+            pinned_src = {a: rho_u[b] for a, b in sigma.items()}
+        for beta in range(t):
+            rho = {}
+            for lbl, base in pinned_src.items():
+                val = fld.sub(base, beta) if e == (u, v) else fld.add(base, beta)
+                if val in rho.values():
+                    break
+                rho[lbl] = val
+            else:
+                free = [lbl for lbl in cover.labels_of(v) if lbl not in rho]
+                avail = tuple(x for x in range(t) if x not in set(rho.values()))
+                for img in permutations(avail, len(free)):
+                    yield {**rho, **dict(zip(free, img))}
+
+    maps = {}
+
+    def backtrack(k):
+        if k == len(order):
+            return True
+        v = order[k]
+        for rho in candidates(v, maps):
+            budget.tick()
+            ok = True
+            for u in order[:k]:
+                e = (u, v) if u < v else (v, u)
+                sigma = cover.matchings.get(e)
+                if not sigma:
+                    continue
+                good = (renamed_good(sigma, maps[u], rho) if e == (u, v)
+                        else renamed_good(sigma, rho, maps[u]))
+                if not good:
+                    ok = False
+                    break
+            if ok:
+                maps[v] = rho
+                if backtrack(k + 1):
+                    return True
+                del maps[v]
+                if undone is not None:
+                    undone.append(v)
+        return False
+
+    return dict(maps) if backtrack(0) else None
+
+
+def disguised_good_cover(rng, n):
+    """A cover with good-diff matchings on a random graph, with every label
+    set renamed at random, so that the search must undo the renaming."""
+    g = random_graph(rng, n, 0.6)
+    t = rng.choice((3, 4, 5))
+    fld = make_field(t)
+    labels = tuple(tuple(sorted(rng.sample(range(t), rng.randint(2, t)))) for _ in range(n))
+    matchings = {}
+    for i, j in g.edges:
+        beta = rng.randrange(t)
+        matchings[(i, j)] = {a: fld.sub(a, beta) for a in labels[i - 1]
+                             if fld.sub(a, beta) in labels[j - 1]}
+    cov = C.Cover(g, t, labels, matchings)
+    maps = {v: dict(zip(cov.labels_of(v), rng.sample(range(t), len(cov.labels_of(v)))))
+            for v in range(1, n + 1)}
+    return C.apply_relabeling(cov, maps)
+
+
+def test_is_good_cover_matches_recursive_search_and_ticks():
+    rng = random.Random(12)
+    outcomes = collections.Counter()
+    for k in range(120):
+        n = rng.randint(1, 6)
+        if k % 3 == 0:
+            cov = disguised_good_cover(rng, n)
+        elif k % 3 == 1:
+            cov = random_partial_cover(rng, n)
+        else:  # full labels and random permutations: often not good
+            g, t = random_graph(rng, n, 0.6), 3
+            cov = C.Cover(g, t, tuple(tuple(range(t)) for _ in range(n)),
+                          {e: dict(enumerate(rng.sample(range(t), t))) for e in g.edges})
+        got_budget, want_budget, undone = Budget(10**9), Budget(10**9), []
+        got = C.is_good_cover(cov, got_budget)
+        want = ref_is_good_cover(cov, want_budget, undone)
+        assert got == want
+        if got is not None:
+            assert list(got) == list(want)  # the same vertex order too
+        assert got_budget.spent == want_budget.spent
+        outcomes[got is not None, bool(undone)] += 1
+        # a budget that runs out stops both searches at the same step
+        limit = rng.randint(1, want_budget.spent)
+        cut = []
+        for search in (C.is_good_cover, ref_is_good_cover):
+            budget = Budget(limit)
+            try:
+                search(cov, budget)
+            except BudgetExceeded:
+                cut.append(("exhausted", budget.spent))
+            else:
+                cut.append(("finished", budget.spent))
+        assert cut[0] == cut[1]
+    # found without and after taking a renaming back, and not found
+    assert min(outcomes[True, False], outcomes[True, True], outcomes[False, True]) >= 5
+
+
+def test_is_good_cover_handles_long_paths():
+    cov = C.cover_from_pattern(G.path(1500), 3)
+    witness = C.is_good_cover(cov)
+    assert witness is not None and len(witness) == 1500
 
 
 def random_tree(rng, n):
