@@ -10,6 +10,11 @@ the transversal oracle.  One uncolorable 3-fold cover proves chi_DP > 3.
 Clues need not pan out (K_{3,5} fails the sweep yet every tried cover is
 colorable); colorable outcomes are reported too.
 
+Exit codes are those of the dpnull CLI: 0 when an uncolorable cover is
+found or every pattern qualifies, 1 when no uncolorable cover is found,
+2 for an input error, 3 for an exhausted budget or expansion limit, and
+141 when stdout is closed by the reader.
+
 Example:
     python scripts/pattern_clues.py c6sq --offsets 2
 """
@@ -18,7 +23,7 @@ import sys
 from itertools import product
 
 from dpnull import certify, cover, graphs
-from dpnull.cli import format_pattern, load_graph
+from dpnull.cli import exit_code, format_pattern, load_graph
 
 
 def main():
@@ -66,4 +71,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

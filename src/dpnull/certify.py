@@ -233,19 +233,16 @@ def _check_size(ones, twos) -> int:
     return size
 
 
-def _sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budget):
-    """Depth-first sweep over sign assignments for var_edges (prefix fixed),
-    sharing the expansion of common factor prefixes.
+def _sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget):
+    """Depth-first sweep over sign assignments for var_edges, sharing the
+    expansion of the factors that sibling patterns have in common.
 
     Returns (passes, failures) where passes are (pattern, monomial,
     coefficient) triples in pattern-lex order (-1 before +1) and failures
     are bare patterns.  Each node of the sign tree charges the budget the
-    size of its map; a prefix node is charged by the block whose remaining
-    prefix signs are all -1, which is the first block below it, so the
-    blocks of one sweep together charge what the sweep without a prefix
-    charges.  A node with an empty map charges 1, like each node below
-    it; those nodes are charged in one tick, which exhausts the budget at
-    the same step as a node-by-node walk.  A map of more than
+    size of its map.  A node with an empty map charges 1, like each node
+    below it; those nodes are charged in one tick, which exhausts the
+    budget at the same step as a node-by-node walk.  A map of more than
     DEFAULT_MAX_TERMS terms raises ExpansionLimitError before its node is
     charged.
 
@@ -272,24 +269,14 @@ def _sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budget):
     the recursion limit.
     """
     ones, twos = {0}, set()
-    # the forest and prefix levels build a child they drop; they are a
-    # small share of a sweep
     for i, j in fixed_edges:
         ones, twos = _times_factor(ones, twos, i, j, n)[0]
-        _check_size(ones, twos)
-    for d, ((i, j), s) in enumerate(zip(var_edges, prefix)):
-        if 1 not in prefix[d:]:
-            budget.tick(max(len(ones) + len(twos), 1))
-        ones, twos = _times_factor(ones, twos, i, j, n)[s > 0]
         _check_size(ones, twos)
     passes = []
     failures = []
     slot = {e: k for k, e in enumerate(all_edges)}
     pattern = [-1] * len(all_edges)
-    for e, s in zip(var_edges, prefix):
-        pattern[slot[e]] = s
-    rest = var_edges[len(prefix):]
-    rest_slots = [slot[e] for e in rest]
+    var_slots = [slot[e] for e in var_edges]
     shifts = range(2 * (n - 1), -1, -2)
     # (depth, sign of the edge above, ones, twos); the -1 child is on top
     stack = [(0, -1, ones, twos)]
@@ -297,20 +284,20 @@ def _sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budget):
         d, s, ones, twos = stack.pop()
         size = _check_size(ones, twos)
         if d:
-            pattern[rest_slots[d - 1]] = s
+            pattern[var_slots[d - 1]] = s
         if not size:
             # every leaf below an empty map fails: one tick charges the
             # subtree's nodes and stops where a node-by-node walk would
-            nodes = (2 << (len(rest) - d)) - 1
+            nodes = (2 << (len(var_edges) - d)) - 1
             budget.tick(min(nodes, budget.limit - budget.spent))
-            below = rest_slots[d:]
+            below = var_slots[d:]
             for signs in product((-1, 1), repeat=len(below)):
                 for k, sign in zip(below, signs):
                     pattern[k] = sign
                 failures.append(tuple(pattern))
             continue
         budget.tick(size)
-        if d == len(rest):
+        if d == len(var_edges):
             if collect:
                 top = max(max(ones, default=-1), max(twos, default=-1))
                 monomial = tuple(top >> shift & 3 for shift in shifts)
@@ -318,26 +305,11 @@ def _sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budget):
             else:
                 passes.append((tuple(pattern), None, None))
             continue
-        i, j = rest[d]
+        i, j = var_edges[d]
         minus, plus = _times_factor(ones, twos, i, j, n)
         stack.append((d + 1, 1, *plus))
         stack.append((d + 1, -1, *minus))
     return passes, failures
-
-
-def _sweep_worker(args):
-    """One prefix block on its own budget of `limit` steps; returns the
-    block's passes, failures and the steps it charged (on exhaustion, the
-    steps charged so far, which reach the limit)."""
-    n, all_edges, fixed_edges, var_edges, prefix, collect, limit = args
-    budget = Budget(limit)
-    try:
-        passes, failures = _sweep_signs(
-            n, all_edges, fixed_edges, var_edges, prefix, collect, budget
-        )
-    except BudgetExceeded as exc:
-        return [], [], exc.spent
-    return passes, failures, budget.spent
 
 
 def _switchings(g: Graph):
@@ -380,7 +352,6 @@ def _pattern_index(pattern) -> int:
 def certify_dp3(
     g: Graph,
     use_spanning_tree: bool = False,
-    jobs: int = 1,
     budget: Budget | None = None,
     collect_certificates: bool = True,
 ) -> Dp3Result:
@@ -409,13 +380,6 @@ def certify_dp3(
 
     With use_spanning_tree (connected graphs containing a cycle only),
     the result lists the representatives alone; the verdict is the same.
-
-    With jobs > 1 the representatives are swept in sign-prefix blocks over
-    a process pool and merged in prefix order, so results are identical to
-    the sequential run.  Each block runs on the budget left at the start
-    and the blocks' steps are charged in prefix order, including the
-    shared prefix nodes, so a budget is exhausted exactly when it is on
-    the sequential path.
     """
     if not g.edges:
         raise PreconditionError("the sweep needs a graph with at least one edge")
@@ -428,32 +392,9 @@ def certify_dp3(
     var_edges = tuple(e for e in g.edges if e not in forest)
     budget = ensure_budget(budget, 2_000_000_000, "sweeping sign patterns")
 
-    if jobs <= 1 or len(var_edges) < 4:
-        passes, failures = _sweep_signs(
-            g.n, g.edges, fixed, var_edges, (), collect_certificates, budget
-        )
-    else:
-        # imported here so that sequential runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        depth = max(2, math.ceil(math.log2(4 * jobs)))
-        depth = min(depth, len(var_edges) - 1)
-        limit = budget.limit - budget.spent
-        tasks = [
-            (g.n, g.edges, fixed, var_edges, p, collect_certificates, limit)
-            for p in product((-1, 1), repeat=depth)
-        ]
-        passes = []
-        failures = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            try:
-                for ps, fs, steps in pool.map(_sweep_worker, tasks):
-                    budget.tick(steps)
-                    passes.extend(ps)
-                    failures.extend(fs)
-            except BudgetExceeded:
-                pool.shutdown(cancel_futures=True)
-                raise
+    passes, failures = _sweep_signs(
+        g.n, g.edges, fixed, var_edges, collect_certificates, budget
+    )
 
     if use_spanning_tree:
         mode = "spanning-tree"
@@ -712,9 +653,10 @@ def dp_chromatic_bounds(g: Graph, budget: Budget | None = None,
             chi = chromatic_number(sub, sub.n, budget)
         except BudgetExceeded:
             notes.append(f"{tag}: chromatic number not resolved within budget")
-            chi = 1
-        lo = chi or 1
-        notes.append(f"{tag}: chromatic number {lo}")
+            lo = 1
+        else:
+            lo = chi or 1
+            notes.append(f"{tag}: chromatic number {lo}")
         if sub.contains_cycle() and lo < 3:
             lo = 3
             notes.append(f"{tag}: contains a cycle, lower bound 3")

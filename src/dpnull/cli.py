@@ -6,8 +6,7 @@ scenario failure (a sound negative), 2 input error, 3 budget or expansion
 size limit exhausted, 141 (128 + SIGPIPE) stdout closed by the reader.
 
 `reproduce` replays the toolkit's reference computations as named
-scenarios and prints one deterministic table row per scenario; the output
-bytes do not depend on --jobs.
+scenarios and prints one deterministic table row per scenario.
 """
 from __future__ import annotations
 
@@ -197,9 +196,7 @@ def _cmd_certify_cover(args) -> int:
 
 def _cmd_certify_dp3(args) -> int:
     g = load_graph(args.graph)
-    result = ce.certify_dp3(
-        g, use_spanning_tree=args.spanning_tree, jobs=args.jobs, budget=args.budget
-    )
+    result = ce.certify_dp3(g, use_spanning_tree=args.spanning_tree, budget=args.budget)
     print("kind: dp3-sweep")
     print(f"graph: n={g.n} m={len(g.edges)}")
     print(f"mode: {result.mode}")
@@ -298,7 +295,7 @@ def _cmd_reproduce(args) -> int:
         if not any(s.name == args.scenario for s in registry):
             known = ", ".join(s.name for s in registry)
             raise FormatError(f"unknown scenario {args.scenario!r}; known: all, {known}")
-    env = ScenarioEnv(jobs=args.jobs, seed=args.seed)
+    env = ScenarioEnv(seed=args.seed)
     results = []
     for sc in registry:
         if sc.name in names:
@@ -316,14 +313,12 @@ def _cmd_reproduce(args) -> int:
 
 @dataclass(frozen=True)
 class ScenarioEnv:
-    jobs: int = 1
     seed: int = 0
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
     name: str
-    claim: str
     expected: str
     computed: str
     passed: bool
@@ -337,8 +332,8 @@ class Scenario:
     run: Callable[[ScenarioEnv], ScenarioResult]
 
 
-def _result(name, claim, expected, computed, work) -> ScenarioResult:
-    return ScenarioResult(name, claim, str(expected), str(computed), str(expected) == str(computed), work)
+def _result(name, expected, computed, work) -> ScenarioResult:
+    return ScenarioResult(name, str(expected), str(computed), str(expected) == str(computed), work)
 
 
 def _sc_tree_dp2(env: ScenarioEnv) -> ScenarioResult:
@@ -347,7 +342,6 @@ def _sc_tree_dp2(env: ScenarioEnv) -> ScenarioResult:
     shown = values[0] if len(values) == 1 else values
     return _result(
         "tree-dp2",
-        "every tree with an edge has DP-chromatic number 2",
         "chi_DP=2 for all 24 trees",
         f"chi_DP={shown} for all {len(trees)} trees",
         len(trees),
@@ -367,7 +361,6 @@ def _sc_at_even_cycle(env: ScenarioEnv) -> ScenarioResult:
         coeffs.append(pl.coefficient_at(pl.from_graph(g, f2), (1,) * n, "both"))
     return _result(
         "at-even-cycle",
-        "cyclic even-cycle orientations have diff 2, yet the F_2 top coefficient is 0",
         "diff=[2, 2] coeff=[0, 0, 0]",
         f"diff={diffs} coeff={coeffs}",
         sum(1 << len(gr.cycle(n).edges) for n in (4, 6)),
@@ -378,7 +371,6 @@ def _sc_cone_bipartite(env: ScenarioEnv) -> ScenarioResult:
     vals = [ce.certify_cone_bipartite(gr.cycle(n)).coefficient for n in (4, 6)]
     return _result(
         "cone-bipartite",
-        "cones of even cycles: top coefficient 2*(-1)^m over F_3",
         "[2, 1]",
         str(vals),
         2,
@@ -390,7 +382,6 @@ def _sc_cone_even_cycle_f(env: ScenarioEnv) -> ScenarioResult:
     res = cv.f_dp_exhaustive(g, {1: 2, 2: 3, 3: 3, 4: 3, 5: 3}, Budget(500_000_000))
     return _result(
         "cone-even-cycle-f",
-        "the cone of C_4 is f-DP-colorable with two apex labels and three elsewhere",
         "all_colorable",
         res.status,
         res.covers_tested,
@@ -402,7 +393,6 @@ def _sc_cone_unique3(env: ScenarioEnv) -> ScenarioResult:
     cert = ce.certify_cone_unique3(g)
     return _result(
         "cone-unique3-k2p5",
-        "the joined 2-independent-set + P_5 graph meets the cone criterion over F_4",
         "coefficient=1",
         f"coefficient={cert.coefficient}",
         1,
@@ -419,7 +409,6 @@ def _sc_unique_list_tree(env: ScenarioEnv) -> ScenarioResult:
         work += cert.work.get("grid_points", 0)
     return _result(
         "unique-list-tree",
-        "a forced unique list coloring certifies every good prime 2-cover of a tree",
         "[True, True]",
         str(outcomes),
         work,
@@ -428,13 +417,12 @@ def _sc_unique_list_tree(env: ScenarioEnv) -> ScenarioResult:
 
 def _sc_k44(env: ScenarioEnv) -> ScenarioResult:
     g = gr.complete_bipartite_minus_matching(4, 4, 2)
-    full = ce.certify_dp3(g, jobs=env.jobs, collect_certificates=False)
-    tree = ce.certify_dp3(g, use_spanning_tree=True, jobs=env.jobs, collect_certificates=False)
+    full = ce.certify_dp3(g, collect_certificates=False)
+    tree = ce.certify_dp3(g, use_spanning_tree=True, collect_certificates=False)
     lower = 3 if g.contains_cycle() else 2
     verdict = "chi_DP=3" if full.passed and tree.passed and lower == 3 else "unresolved"
     return _result(
         "k44-minus-matching",
-        "K_{4,4} minus a 2-matching: every sign pattern qualifies, so chi_DP = 3",
         "chi_DP=3 patterns=[16384, 128]",
         f"{verdict} patterns=[{full.patterns_tested}, {tree.patterns_tested}]",
         full.patterns_tested + tree.patterns_tested,
@@ -447,12 +435,11 @@ def _sc_k35(env: ScenarioEnv) -> ScenarioResult:
     poly = pl.from_graph(g, fld)
     targets = [t for t in _targets_sum(8, 2, 15)]
     coeffs = sorted({pl.coefficient_at(poly, t, "both") for t in targets})
-    sweep = ce.certify_dp3(g, use_spanning_tree=True, jobs=env.jobs, collect_certificates=False)
+    sweep = ce.certify_dp3(g, use_spanning_tree=True, collect_certificates=False)
     allneg = tuple([-1] * len(g.edges))
     has = (not sweep.passed) and allneg in sweep.failure.failing_patterns
     return _result(
         "k35-zero",
-        "K_{3,5}: all 8 qualifying top coefficients vanish; the all-minus pattern fails",
         "targets=8 coeffs=[0] all-minus-fails=True",
         f"targets={len(targets)} coeffs={coeffs} all-minus-fails={has}",
         sweep.patterns_tested + len(targets),
@@ -481,7 +468,6 @@ def _sc_c6sq(env: ScenarioEnv) -> ScenarioResult:
     vals = [pl.coefficient_at(f1, (2,) * 6, "both"), pl.coefficient_at(f2, (2,) * 6, "both")]
     return _result(
         "c6sq-coeffs",
-        "C_6^2 over F_3: the plain polynomial tops out at 0, the two-plus-signs one at 1",
         "[0, 1]",
         str(vals),
         2 * 3**6,
@@ -498,7 +484,6 @@ def _sc_c3k_bad_cover(env: ScenarioEnv) -> ScenarioResult:
         outcomes.append(ok and good and uncolorable)
     return _result(
         "c3k-bad-cover",
-        "the shifted covers of C_6^2 and C_9^2 are valid, all-good and uncolorable",
         "[True, True]",
         str(outcomes),
         2,
@@ -512,7 +497,6 @@ def _sc_cycle_squares(env: ScenarioEnv) -> ScenarioResult:
         table.append(b.exact if b.exact is not None else f"[{b.lower},{b.upper}]")
     return _result(
         "cycle-squares",
-        "chi_DP of squares of cycles, n = 3..12",
         "[3, 4, 5, 4, 4, 4, 4, 4, 4, 4]",
         str(table),
         len(table),
@@ -539,7 +523,6 @@ def _sc_expand_grid_random(env: ScenarioEnv) -> ScenarioResult:
         agree += a == b
     return _result(
         "expand-grid-random",
-        "sparse expansion equals the grid sum on seeded random polynomials",
         f"{total}/{total} agree",
         f"{agree}/{total} agree",
         total,
@@ -565,18 +548,42 @@ def _random_target(rng, n, cap, total):
 
 def scenario_registry() -> list[Scenario]:
     return [
-        Scenario("tree-dp2", "trees have chi_DP = 2", _sc_tree_dp2),
-        Scenario("at-even-cycle", "circulation counts vs F_2 coefficients", _sc_at_even_cycle),
-        Scenario("cone-bipartite", "cones of even cycles over F_3", _sc_cone_bipartite),
-        Scenario("cone-even-cycle-f", "exhaustive f-covers of the C_4 cone", _sc_cone_even_cycle_f),
-        Scenario("cone-unique3-k2p5", "uniquely 3-colorable cone over F_4", _sc_cone_unique3),
-        Scenario("unique-list-tree", "unique list coloring on trees", _sc_unique_list_tree),
-        Scenario("k44-minus-matching", "dp3 sweep of K_{4,4} minus a 2-matching", _sc_k44),
-        Scenario("k35-zero", "K_{3,5} vanishing coefficients", _sc_k35),
-        Scenario("c6sq-coeffs", "C_6^2 coefficient pair", _sc_c6sq),
-        Scenario("c3k-bad-cover", "uncolorable covers of cycle squares", _sc_c3k_bad_cover),
-        Scenario("cycle-squares", "chi_DP table for cycle squares", _sc_cycle_squares),
-        Scenario("expand-grid-random", "expansion agrees with the grid sum", _sc_expand_grid_random),
+        Scenario("tree-dp2",
+                 "every tree with an edge has DP-chromatic number 2",
+                 _sc_tree_dp2),
+        Scenario("at-even-cycle",
+                 "cyclic even-cycle orientations have diff 2, yet the F_2 top coefficient is 0",
+                 _sc_at_even_cycle),
+        Scenario("cone-bipartite",
+                 "cones of even cycles: top coefficient 2*(-1)^m over F_3",
+                 _sc_cone_bipartite),
+        Scenario("cone-even-cycle-f",
+                 "the cone of C_4 is f-DP-colorable with two apex labels and three elsewhere",
+                 _sc_cone_even_cycle_f),
+        Scenario("cone-unique3-k2p5",
+                 "the joined 2-independent-set + P_5 graph meets the cone criterion over F_4",
+                 _sc_cone_unique3),
+        Scenario("unique-list-tree",
+                 "a forced unique list coloring certifies every good prime 2-cover of a tree",
+                 _sc_unique_list_tree),
+        Scenario("k44-minus-matching",
+                 "K_{4,4} minus a 2-matching: every sign pattern qualifies, so chi_DP = 3",
+                 _sc_k44),
+        Scenario("k35-zero",
+                 "K_{3,5}: all 8 qualifying top coefficients vanish; the all-minus pattern fails",
+                 _sc_k35),
+        Scenario("c6sq-coeffs",
+                 "C_6^2 over F_3: the plain polynomial tops out at 0, the two-plus-signs one at 1",
+                 _sc_c6sq),
+        Scenario("c3k-bad-cover",
+                 "the shifted covers of C_6^2 and C_9^2 are valid, all-good and uncolorable",
+                 _sc_c3k_bad_cover),
+        Scenario("cycle-squares",
+                 "chi_DP of squares of cycles, n = 3..12",
+                 _sc_cycle_squares),
+        Scenario("expand-grid-random",
+                 "sparse expansion equals the grid sum on seeded random polynomials",
+                 _sc_expand_grid_random),
     ]
 
 
@@ -607,7 +614,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify-dp3", help="sweep sign patterns to certify chi_DP <= 3")
     p.add_argument("graph")
     p.add_argument("--spanning-tree", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--emit-all", action="store_true", help="print every pattern certificate")
     p.add_argument("--budget", type=_budget_arg, default=None)
     p.set_defaults(fn=_cmd_certify_dp3)
@@ -634,7 +640,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="replay the reference scenarios")
     p.add_argument("scenario", help="scenario name or 'all'")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_reproduce)
     return top
@@ -646,8 +651,17 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    return exit_code(args.fn, args)
+
+
+def exit_code(fn, *args) -> int:
+    """Call fn(*args), flush stdout and return fn's exit code, or map the
+    toolkit's errors to the documented codes, each with a one-line message
+    on stderr: 2 for an input error, 3 for an exhausted budget or
+    expansion limit, and 141, silently, for a stdout closed by the
+    reader."""
     try:
-        code = args.fn(args)
+        code = fn(*args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -780,18 +780,16 @@ def f_dp_exhaustive(g: Graph, f: dict[int, int], budget: Budget | None = None) -
 # ---------------------------------------------------------------------------
 # level labels of a cone cover
 
-def level_vertices(cover: Cover, universal: int = 1) -> tuple[int, ...]:
-    """Labels (v_1, j) of the universal vertex whose closed-neighborhood
+def level_vertices(cover: Cover) -> tuple[int, ...]:
+    """Labels (v_1, j) of the universal vertex v_1 whose closed-neighborhood
     removal leaves the maximum possible number |E(G)|(m - 1) of cross-edges
     among the non-universal parts.
 
-    Requires the cone shape: the universal vertex is adjacent to every other
-    vertex, the other label sets share one size m, and every matching from
-    the universal vertex saturates its label set.
+    Requires the cone shape: v_1 is adjacent to every other vertex, the
+    other label sets share one size m, and every matching from v_1
+    saturates its label set.
     """
     g = cover.graph
-    if universal != 1:
-        raise PreconditionError("the universal vertex must be v_1 in this representation")
     others = [v for v in range(2, g.n + 1)]
     if any(not g.has_edge(1, v) for v in others):
         raise PreconditionError("not a cone: v_1 must be adjacent to every other vertex")

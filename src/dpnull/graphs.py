@@ -55,9 +55,6 @@ class Graph:
             adj[j].add(i)
         return {v: frozenset(s) for v, s in adj.items()}
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

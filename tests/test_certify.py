@@ -260,36 +260,16 @@ def test_dp3_all_edges_matches_per_pattern_expansion():
         assert bare.failure == res.failure
 
 
-def test_dp3_parallel_equals_sequential():
-    g = G.cycle_power(6, 2)
-    seq = X.certify_dp3(g, jobs=1)
-    par = X.certify_dp3(g, jobs=3)
-    assert seq.certificates == par.certificates
-    assert seq.failure == par.failure
-
-
-def test_dp3_parallel_equals_sequential_on_disconnected_graph():
-    # K_4, C_5 and an isolated vertex: 3 + 1 co-forest edges, so jobs=2
-    # splits the representatives into prefix blocks
-    g = G.from_edges(10, list(G.complete(4).edges)
-                     + [(i + 4, j + 4) for i, j in G.cycle(5).edges])
-    for collect in (True, False):
-        seq = X.certify_dp3(g, jobs=1, collect_certificates=collect)
-        par = X.certify_dp3(g, jobs=2, collect_certificates=collect)
-        assert seq == par
-
-
-def test_dp3_budget_exhaustion_does_not_depend_on_jobs():
+def test_dp3_budget_exhaustion():
     g = G.cycle_power(6, 2)
     used = Budget(10**9)
     full = X.certify_dp3(g, budget=used)
-    for jobs in (1, 2):
-        with pytest.raises(BudgetExceeded):
-            X.certify_dp3(g, jobs=jobs, budget=Budget(used.spent))
-        assert X.certify_dp3(g, jobs=jobs, budget=Budget(used.spent + 1)) == full
+    with pytest.raises(BudgetExceeded):
+        X.certify_dp3(g, budget=Budget(used.spent))
+    assert X.certify_dp3(g, budget=Budget(used.spent + 1)) == full
 
 
-def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budget,
+def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget,
                     max_terms=P.DEFAULT_MAX_TERMS):
     """The dict-map sweep the set-sliced kernel replaced: one
     apply_factor_packed call per child, recursive, unpacking every key of
@@ -299,20 +279,13 @@ def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budge
     cur = {0: 1}
     for e in fixed_edges:
         cur = P.apply_factor_packed(cur, P.Factor(e[0], e[1], -1, 0), caps, fld, max_terms)
-    for d, (e, s) in enumerate(zip(var_edges, prefix)):
-        if 1 not in prefix[d:]:
-            budget.tick(max(len(cur), 1))
-        cur = P.apply_factor_packed(cur, P.Factor(e[0], e[1], s, 0), caps, fld, max_terms)
     passes = []
     failures = []
     signs = dict.fromkeys(all_edges, -1)
-    for e, s in zip(var_edges, prefix):
-        signs[e] = s
-    rest = var_edges[len(prefix):]
 
     def rec(cur, idx):
         budget.tick(max(len(cur), 1))
-        if idx == len(rest):
+        if idx == len(var_edges):
             pattern = tuple(signs[e] for e in all_edges)
             if not cur:
                 failures.append(pattern)
@@ -322,7 +295,7 @@ def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budge
             else:
                 passes.append((pattern, None, None))
             return
-        e = rest[idx]
+        e = var_edges[idx]
         for s in (-1, 1):
             signs[e] = s
             rec(P.apply_factor_packed(cur, P.Factor(e[0], e[1], s, 0), caps, fld, max_terms),
@@ -333,10 +306,10 @@ def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, prefix, collect, budge
     return passes, failures
 
 
-def _sweep_args(g, prefix=()):
+def _sweep_args(g):
     fixed = G.spanning_tree(g)
     var = tuple(e for e in g.edges if e not in set(fixed))
-    return g.n, g.edges, fixed, var, prefix
+    return g.n, g.edges, fixed, var
 
 
 def _kernel_graphs():
@@ -369,7 +342,7 @@ def test_sweep_kernel_matches_per_pattern_expansion():
     assert any(g.degree(v) == 0 for g in graphs for v in range(1, g.n + 1))
     tree_mode = 0
     for g in graphs:
-        n, edges, fixed, var, _ = _sweep_args(g)
+        n, edges, fixed, var = _sweep_args(g)
         passes = []
         failing = []
         for signs in product((-1, 1), repeat=len(var)):
@@ -383,11 +356,11 @@ def test_sweep_kernel_matches_per_pattern_expansion():
                 passes.append((key, *found))
         for collect in (True, False):
             budget = Budget(10**9)
-            got = X._sweep_signs(n, edges, fixed, var, (), collect, budget)
+            got = X._sweep_signs(n, edges, fixed, var, collect, budget)
             want = passes if collect else [(p, None, None) for p, _, _ in passes]
             assert got == (want, failing)
             ref = Budget(10**9)
-            assert ref_sweep_signs(n, edges, fixed, var, (), collect, ref) == got
+            assert ref_sweep_signs(n, edges, fixed, var, collect, ref) == got
             assert budget.spent == ref.spent
             if g.is_connected() and g.contains_cycle():
                 tree_mode += 1
@@ -401,29 +374,24 @@ def test_sweep_kernel_matches_per_pattern_expansion():
 
 
 def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion():
-    """Prefix blocks charge what the dict-map sweep charges, and a budget
-    runs out at the same step, also inside subtrees whose map is empty."""
+    """The sweep charges what the dict-map sweep charges, and a budget runs
+    out at the same step, also inside subtrees whose map is empty."""
     graphs = [G.complete(5), G.cycle_power(7, 2), G.complete_bipartite(3, 4),
               G.from_edges(7, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4),
                                (4, 5), (5, 6), (6, 7), (5, 7)])]
     rng = random.Random(77)
     for g in graphs:
-        n, edges, fixed, var, _ = _sweep_args(g)
-        for depth in (1, 2):
-            for prefix in product((-1, 1), repeat=depth):
-                new, old = Budget(10**9), Budget(10**9)
-                got = X._sweep_signs(n, edges, fixed, var, prefix, True, new)
-                assert got == ref_sweep_signs(n, edges, fixed, var, prefix, True, old)
-                assert new.spent == old.spent
+        n, edges, fixed, var = _sweep_args(g)
         total = Budget(10**9)
-        X._sweep_signs(n, edges, fixed, var, (), False, total)
+        X._sweep_signs(n, edges, fixed, var, False, total)
         limits = sorted({1, 2, total.spent, total.spent + 1,
                          *rng.sample(range(1, total.spent), 40)})
         for limit in limits:
             outcomes = []
             for sweep in (X._sweep_signs, ref_sweep_signs):
+                budget = Budget(limit)
                 try:
-                    outcomes.append(sweep(n, edges, fixed, var, (), False, Budget(limit)))
+                    outcomes.append((sweep(n, edges, fixed, var, False, budget), budget.spent))
                 except BudgetExceeded as exc:
                     outcomes.append(("exhausted", exc.spent))
             assert outcomes[0] == outcomes[1], (g, limit)
@@ -431,7 +399,7 @@ def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion():
 
 def test_sweep_kernel_raises_the_expansion_limit_where_the_dict_sweep_does(monkeypatch):
     g = G.cycle_power(7, 2)
-    n, edges, fixed, var, _ = _sweep_args(g)
+    n, edges, fixed, var = _sweep_args(g)
     raised = 0
     for limit in (1, 4, 16, 40, 60, 100, 400):
         monkeypatch.setattr(X, "DEFAULT_MAX_TERMS", limit)
@@ -439,7 +407,7 @@ def test_sweep_kernel_raises_the_expansion_limit_where_the_dict_sweep_does(monke
         for sweep in (X._sweep_signs, lambda *a: ref_sweep_signs(*a, max_terms=limit)):
             budget = Budget(10**9)
             try:
-                outcomes.append(sweep(n, edges, fixed, var, (), True, budget))
+                outcomes.append(sweep(n, edges, fixed, var, True, budget))
             except P.ExpansionLimitError as exc:
                 outcomes.append(("limit", exc.size, exc.limit, budget.spent))
         assert outcomes[0] == outcomes[1], limit
@@ -593,3 +561,15 @@ def test_bounds_survive_a_search_that_spends_the_budget():
     assert (bounds.lower, bounds.upper, bounds.exact) == (4, 5, None)
     assert any("ran out of budget at m = 4" in note for note in bounds.notes)
     assert any(note.startswith("component 2") and "upper bound" in note for note in bounds.notes)
+
+
+def test_bounds_do_not_report_an_unresolved_chromatic_number():
+    # the budget runs out inside chromatic_number; the fallback lower
+    # bound of 1 must not be reported as the chromatic number
+    bounds = X.dp_chromatic_bounds(G.complete(5), Budget(3))
+    assert bounds.notes == (
+        "component 1 (5 vertices): chromatic number not resolved within budget",
+        "component 1 (5 vertices): contains a cycle, lower bound 3",
+        "component 1 (5 vertices): complete, upper bound 5",
+    )
+    assert (bounds.lower, bounds.upper, bounds.exact) == (3, 5, None)

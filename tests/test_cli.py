@@ -200,26 +200,14 @@ def test_budget_below_one_is_an_input_error(command, value, capsys):
     assert out == "" and "--budget" in err and "Traceback" not in err
 
 
-def test_scenario_results_do_not_depend_on_jobs():
-    k44 = next(s for s in cli.scenario_registry() if s.name == "k44-minus-matching")
-    k35 = next(s for s in cli.scenario_registry() if s.name == "k35-zero")
-    for sc in (k44, k35):
-        seq = sc.run(cli.ScenarioEnv(jobs=1))
-        par = sc.run(cli.ScenarioEnv(jobs=3))
-        assert seq == par
-
-
 def test_budget_exit_code(capsys):
     code, _, err = run_cli(["certify-dp3", "k4,4-m2", "--budget", "10"], capsys)
     assert code == 3
     assert "budget" in err
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_budget_exit_code_does_not_depend_on_jobs(jobs, capsys):
-    code, out, err = run_cli(
-        ["certify-dp3", "k4,4", "--budget", "1000", "--jobs", jobs], capsys
-    )
+def test_dp3_budget_exit_code_with_empty_stdout(capsys):
+    code, out, err = run_cli(["certify-dp3", "k4,4", "--budget", "1000"], capsys)
     assert code == 3
     assert "budget" in err and out == ""
 
@@ -276,20 +264,54 @@ def test_emit_all_output_is_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_closed_stdout_pipe_exits_quietly():
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "dpnull.cli", "certify-dp3", "k4,4", "--emit-all"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+SRC = Path(cli.__file__).resolve().parents[1]
+PATTERN_CLUES = SRC.parent / "scripts" / "pattern_clues.py"
+
+
+def _env(**extra):
+    """The environment of a child process that imports dpnull from SRC."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])),
+        **extra)
+
+
+def _first_line_then_close(argv, env):
+    """Read the first stdout line of a child, close the pipe, and return
+    (exit code, first line, stderr)."""
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=120) == 141
+    return proc.wait(timeout=120), first, err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    code, first, err = _first_line_then_close(
+        [sys.executable, "-m", "dpnull.cli", "certify-dp3", "k4,4", "--emit-all"], _env()
+    )
+    assert code == 141
     assert first == b"kind: dp3-sweep\n"
+    assert err == b""
+
+
+def test_pattern_clues_bad_graph_is_an_input_error():
+    proc = subprocess.run([sys.executable, str(PATTERN_CLUES), "nosuch"],
+                          capture_output=True, env=_env(), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
+
+
+def test_pattern_clues_closed_stdout_pipe_exits_quietly():
+    # one line per failing pattern, 2336 of them: far more than a pipe
+    # buffer holds, so the script writes after the pipe is closed
+    code, first, err = _first_line_then_close(
+        [sys.executable, str(PATTERN_CLUES), "c6sq", "--limit", "4096"],
+        _env(PYTHONUNBUFFERED="1"),
+    )
+    assert code == 141
+    assert first == b"2336 failing patterns of 4096\n"
     assert err == b""
 
 
