@@ -22,15 +22,18 @@ replay the claim.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import islice, product
-from operator import mul
+from operator import add, eq, index
 
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .errors import MethodDisagreement, PreconditionError
 from .ff import make_field
 from .graphs import (
     Graph,
+    bfs,
     chromatic_number,
     cone,
     cycle_power,
@@ -85,7 +88,7 @@ class FailureReport:
     """Sign patterns for which every qualifying coefficient vanishes."""
 
     mode: str
-    failing_patterns: tuple[tuple[int, ...], ...]
+    failing_patterns: Sequence[tuple[int, ...]]
     patterns_tested: int
 
 
@@ -93,7 +96,7 @@ class FailureReport:
 class Dp3Result:
     mode: str
     patterns_tested: int
-    certificates: tuple[Certificate, ...]
+    certificates: Sequence[Certificate]
     failure: FailureReport | None
 
     @property
@@ -312,41 +315,229 @@ def _sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget):
     return passes, failures
 
 
-def _switchings(g: Graph):
-    """The vertex switchings that fix each component's lowest vertex.
+class _PatternSpace:
+    """The sign patterns a sweep reports on, in pattern-lex order, and the
+    index arithmetic that takes each one to its forest-pinned
+    representative and its switching (see certify_dp3).
 
-    One entry per vertex set S avoiding those vertices: (cut, flips,
-    parity, mask) with cut the edges having exactly one end in S as a
-    bitmask (edge 0 the most significant bit), flips the same edges as a
-    -1 per edge and +1 elsewhere, parity the parity of the number of edges
-    whose lower end lies in S, and mask the set S (vertex v at bit v - 1).
+    The signs are pinned to -1 on the forest edges that are not switched
+    and free on the others.  A pattern's domain index y reads its free
+    signs as bits (+1 = 1, the first free edge most significant), so y
+    order is pattern-lex order; bit t is free[-1 - t].  Flipping a switched
+    forest edge's bit switches the side S of that edge away from its
+    tree's root, which flips the edge itself and the co-forest edges
+    leaving S.  Both the set S(y) and the representative y XOR cut(S(y))
+    are therefore XORs over the set bits of y: of sig[t] and of the
+    representatives of the single bits.
+
+    A representative is named by its coordinates kappa, chosen by
+    elimination over bits 0, 1, ...: kap[t] is the kappa of bit t alone,
+    and dims[t] the rank of the bits below t.  The representatives of the
+    y that agree above bit t are then exactly those whose kappa agree
+    from bit dims[t] up, so a count of members per value of kappa >> d
+    sizes any such block of y, which lets a sequence skip blocks and find
+    its i-th member.
     """
-    m = len(g.edges)
-    star = [0] * (g.n + 1)
-    lower = [0] * (g.n + 1)
-    for k, (i, j) in enumerate(g.edges):
-        bit = 1 << (m - 1 - k)
-        star[i] |= bit
-        star[j] |= bit
-        lower[i] ^= 1
-    roots = {comp[0] for comp in g.components()}
-    sets = [(0, 0, 0)]
-    for v in range(1, g.n + 1):
-        if v not in roots:
-            sets += [(cut ^ star[v], par ^ lower[v], mask | 1 << (v - 1))
-                     for cut, par, mask in sets]
-    return [
-        (cut, tuple(-1 if cut >> (m - 1 - k) & 1 else 1 for k in range(m)), par, mask)
-        for cut, par, mask in sets
-    ]
+
+    BLOCK = 10  # free bits scanned per block when streaming
+
+    def __init__(self, g: Graph, forest, switched: bool):
+        m = len(g.edges)
+        star = [0] * (g.n + 1)
+        for k, (i, j) in enumerate(g.edges):
+            star[i] |= 1 << (m - 1 - k)
+            star[j] |= 1 << (m - 1 - k)
+        below = {}  # switched forest edge -> (S, cut(S)) of its lower side
+        if switched:
+            for comp in g.components():
+                parent = bfs(g.adjacency, comp[0])
+                side = {v: 1 << (v - 1) for v in parent}
+                cuts = {v: star[v] for v in parent}
+                for v in reversed(list(parent)):  # children before parents
+                    p = parent[v]
+                    if p:
+                        below[(p, v) if p < v else (v, p)] = (side[v], cuts[v])
+                        side[p] |= side[v]
+                        cuts[p] ^= cuts[v]
+        self.m = m
+        self.free = [k for k, e in enumerate(g.edges) if switched or e not in forest]
+        self.is_free = [switched or e not in forest for e in g.edges]
+        self.nbits = len(self.free)
+        self.kap, self.sig, self.dims = [], [], [0]
+        reduced = []  # (pivot bit, vector, its kappa), by descending pivot
+        for k in reversed(self.free):
+            mask, cut = below.get(g.edges[k], (0, 0))
+            rep = 1 << (m - 1 - k) ^ cut
+            kappa = 0
+            for pivot, vec, vk in reduced:
+                if rep >> pivot & 1:
+                    rep ^= vec
+                    kappa ^= vk
+            if rep:  # a new coordinate: this bit's representative itself
+                d = self.dims[-1]
+                reduced.append((rep.bit_length() - 1, rep, kappa ^ 1 << d))
+                reduced.sort(reverse=True)
+                kappa = 1 << d
+            self.kap.append(kappa)
+            self.sig.append(mask)
+            self.dims.append(self.dims[-1] + bool(rep))
+        self.rank = self.dims[-1]
+        # the same per edge slot, 0 on pinned slots
+        self.slot_kap = [0] * m
+        self.slot_sig = [0] * m
+        for k, kappa, s in zip(reversed(self.free), self.kap, self.sig):
+            self.slot_kap[k] = kappa
+            self.slot_sig[k] = s
+        self.block = min(self.nbits, self.BLOCK)
+        self.split = self.free[self.nbits - self.block]
+        self._tails = None
+
+    def locate(self, pattern) -> tuple[int, int] | None:
+        """(kappa of the representative, switching set S) of a sign tuple,
+        None outside the domain."""
+        if not isinstance(pattern, tuple) or len(pattern) != self.m:
+            return None
+        kappa = mask = 0
+        for s, free, k, sg in zip(pattern, self.is_free, self.slot_kap, self.slot_sig):
+            if free and s == 1:
+                kappa ^= k
+                mask ^= sg
+            elif s != -1:
+                return None
+        return kappa, mask
+
+    def signs(self, y: int) -> tuple[int, ...]:
+        """The sign pattern of index y."""
+        out = [-1] * self.m
+        for t, k in enumerate(reversed(self.free)):
+            if y >> t & 1:
+                out[k] = 1
+        return tuple(out)
+
+    def tails(self):
+        """(signs from edge `split` on, kappa, S) of each of the low
+        `block` bits' values, in order."""
+        if self._tails is None:
+            low = self.free[self.nbits - self.block:]
+            self._tails = []
+            for bits in product((-1, 1), repeat=self.block):
+                tail = [-1] * (self.m - self.split)
+                for k, s in zip(low, bits):
+                    tail[k - self.split] = s
+                tail = tuple(tail)
+                self._tails.append((tail, *self.locate((-1,) * self.split + tail)))
+        return self._tails
 
 
-def _pattern_index(pattern) -> int:
-    """Position of a sign pattern in pattern-lex order (-1 before +1)."""
-    index = 0
-    for s in pattern:
-        index = index << 1 | (s > 0)
-    return index
+class PatternSequence(Sequence):
+    """The sign patterns (or their certificates) whose representative is
+    a member, in pattern-lex order, built on demand.
+
+    payload[kappa] is None for a representative that is not a member;
+    make(pattern, S, payload[kappa]) builds the item of a member pattern.
+    len is O(1) and `in` O(|E|); indexing and slicing walk down to the
+    wanted block, and iteration streams block by block.  A sequence
+    compares equal to the tuple of its items.
+    """
+
+    def __init__(self, space: _PatternSpace, payload: list, make):
+        self._space = space
+        self._payload = payload
+        self._make = make
+        members = len(payload) - payload.count(None)
+        self._len = members << (space.nbits - space.rank)
+
+    def __len__(self) -> int:
+        return self._len
+
+    @cached_property
+    def _counts(self):
+        """counts[d][h]: the members whose kappa >> d is h."""
+        counts = [[p is not None for p in self._payload]]
+        while len(counts[-1]) > 1:
+            c = counts[-1]
+            counts.append(list(map(add, c[::2], c[1::2])))
+        return counts
+
+    def _items(self, skip: int):
+        """The items from position `skip` on."""
+        space, payload, counts, make = self._space, self._payload, self._counts, self._make
+        dims, kap, sig = space.dims, space.kap, space.sig
+        # (t, y, kappa(y), S(y)): the block of indices that agree with y
+        # above its low t bits, which are 0 in y
+        stack = [(space.nbits, 0, 0, 0)]
+        while stack:
+            t, y, kappa, mask = stack.pop()
+            d = dims[t]
+            size = counts[d][kappa >> d] << (t - d)
+            if size <= skip:
+                skip -= size
+            elif t > space.block:
+                t -= 1
+                stack.append((t, y | 1 << t, kappa ^ kap[t], mask ^ sig[t]))
+                stack.append((t, y, kappa, mask))
+            else:
+                head = space.signs(y)[:space.split]
+                for tail, k, s in space.tails():
+                    data = payload[kappa ^ k]
+                    if data is None:
+                        continue
+                    if skip:
+                        skip -= 1
+                    else:
+                        yield make(head + tail, mask ^ s, data)
+
+    def __iter__(self):
+        return self._items(0)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            r = range(*i.indices(self._len))
+            if r.step < 0:  # the same items, read forwards
+                return self[r[-1]:r[0] + 1:-r.step][::-1] if r else ()
+            return tuple(islice(self._items(r.start), 0, len(r) * r.step, r.step))
+        i = index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("pattern index out of range")
+        return next(self._items(i))
+
+    def __contains__(self, item) -> bool:
+        pattern = getattr(item, "pattern", item)
+        found = self._space.locate(pattern)
+        if found is None:
+            return False
+        kappa, mask = found
+        data = self._payload[kappa]
+        return data is not None and self._make(pattern, mask, data) == item
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, PatternSequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<PatternSequence of {self._len} items>"
+
+
+def _bare(pattern, mask, data):
+    return pattern
+
+
+def _certificate(n, pattern, mask, data):
+    """The certificate of a pattern switched by S = mask from a passing
+    representative with data (monomial, coefficient, flip): the
+    coefficient negates when S meets flip an odd number of times."""
+    monomial, coeff, flip = data
+    if (mask & flip).bit_count() & 1:
+        coeff = 3 - coeff
+    # positional: (kind, t, n, monomial, coefficient, pattern), the
+    # cheaper call for what may be millions of certificates
+    return Certificate("dp3-pattern", 3, n, monomial, coeff, pattern)
 
 
 def certify_dp3(
@@ -374,9 +565,25 @@ def certify_dp3(
     component's lowest vertex, the forest edges fix sigma along each tree,
     so every pattern is the switching of exactly one forest-pinned pattern
     by exactly one such sigma: the 2^(|V|-c) switchings of the
-    2^(|E|-|V|+c) representatives are the 2^|E| patterns.  With edge 0 as
-    the most significant bit, s' has the lex index of s XOR the mask of
-    the edges with exactly one end where sigma = -1.
+    2^(|E|-|V|+c) representatives are the 2^|E| patterns.
+
+    Nothing is materialised per pattern.  With edge 0 as the most
+    significant bit and +1 as 1, a pattern's lex index x names its
+    switching set S = {v : sigma_v = -1} by walking each tree from its
+    root: v is in S iff (v's parent is in S) XOR (x's bit on the edge to
+    the parent).  x XOR cut(S), cut(S) the edges with exactly one end in
+    S, is its representative, whose forest bits are all zero.  By the
+    rule above, x's coefficient at a is the representative's, negated
+    when the edges whose lower end is in S and the v in S with a_v odd
+    are odd in number together.
+
+    The result's `certificates` and `failure.failing_patterns` are lazy
+    PatternSequence views in pattern-lex order over the representatives'
+    verdicts: items are built when read, iteration streams them, len and
+    `in` use the arithmetic above, and each view compares equal to the
+    tuple of its items.  Memory does not grow with 2^|E|.  The budget is
+    charged 2^(|V|-c) per representative switched, that is per failing
+    one and, with collect_certificates, per passing one.
 
     With use_spanning_tree (connected graphs containing a cycle only),
     the result lists the representatives alone; the verdict is the same.
@@ -396,56 +603,30 @@ def certify_dp3(
         g.n, g.edges, fixed, var_edges, collect_certificates, budget
     )
 
-    if use_spanning_tree:
-        mode = "spanning-tree"
-        patterns_tested = 1 << len(var_edges)
-    else:
-        mode = "all-edges"
-        patterns_tested = 1 << len(g.edges)
-        passes, failures = _switch_all(g, passes, failures, collect_certificates, budget)
+    mode = "spanning-tree" if use_spanning_tree else "all-edges"
+    space = _PatternSpace(g, forest, switched=not use_spanning_tree)
+    if not use_spanning_tree:
+        switchings = 1 << (space.nbits - space.rank)
+        for _ in range((len(passes) if collect_certificates else 0) + len(failures)):
+            budget.tick(switchings)
 
-    certs = ()
-    if collect_certificates:
-        certs = tuple(
-            Certificate(
-                kind="dp3-pattern",
-                t=3,
-                n=g.n,
-                monomial=mono,
-                coefficient=coeff,
-                pattern=pattern,
-            )
-            for pattern, mono, coeff in passes
-        )
+    lower = 0  # vertex v at bit v - 1: the parity of the edges it is the lower end of
+    for i, _ in g.edges:
+        lower ^= 1 << (i - 1)
+    certs = [None] * (1 << space.rank)
+    fails = [None] * (1 << space.rank)
+    for pattern, mono, coeff in passes if collect_certificates else ():
+        odd = sum(1 << v for v, a in enumerate(mono) if a & 1)
+        certs[space.locate(pattern)[0]] = (mono, coeff, lower ^ odd)
+    for pattern in failures:
+        fails[space.locate(pattern)[0]] = True
+
+    patterns_tested = 1 << space.nbits
     failure = None
     if failures:
-        failure = FailureReport(mode, tuple(sorted(failures)), patterns_tested)
-    return Dp3Result(mode, patterns_tested, certs, failure)
-
-
-def _switch_all(g: Graph, passes, failures, collect: bool, budget: Budget):
-    """Every pattern's (pattern, monomial, coefficient) pass, in
-    pattern-lex order, and failing pattern, from those of the
-    forest-pinned representatives (see certify_dp3).  Without collect the
-    passes are not needed: none are returned and only the failures are
-    switched."""
-    switchings = _switchings(g)
-    switched_passes = []
-    if collect:
-        slots = [None] * (1 << len(g.edges))
-        for pattern, mono, coeff in passes:
-            budget.tick(len(switchings))
-            base = _pattern_index(pattern)
-            odd = sum(1 << v for v, a in enumerate(mono) if a & 1)
-            for cut, flips, parity, mask in switchings:
-                c = 3 - coeff if (parity + (odd & mask).bit_count()) & 1 else coeff
-                slots[base ^ cut] = (tuple(map(mul, pattern, flips)), mono, c)
-        switched_passes = [s for s in slots if s is not None]
-    switched_failures = []
-    for pattern in failures:
-        budget.tick(len(switchings))
-        switched_failures += [tuple(map(mul, pattern, flips)) for _, flips, _, _ in switchings]
-    return switched_passes, switched_failures
+        failure = FailureReport(mode, PatternSequence(space, fails, _bare), patterns_tested)
+    certificates = PatternSequence(space, certs, partial(_certificate, g.n))
+    return Dp3Result(mode, patterns_tested, certificates, failure)
 
 
 # ---------------------------------------------------------------------------

@@ -110,10 +110,14 @@ def parse_pattern_spec(spec: str, edges) -> tuple[dict, dict]:
     return {e: s for e, (s, _) in values.items()}, {e: b for e, (_, b) in values.items()}
 
 
+def pattern_formatter(edges):
+    """format_pattern for one edge list, with its edge tokens built once."""
+    plus = [f"{i}-{j}:+," for i, j in edges]
+    return lambda pattern: "".join([t for t, s in zip(plus, pattern) if s > 0]) + "default:-"
+
+
 def format_pattern(edges, pattern) -> str:
-    toks = [f"{i}-{j}:+" for (i, j), s in zip(edges, pattern) if s > 0]
-    toks.append("default:-")
-    return ",".join(toks)
+    return pattern_formatter(edges)(pattern)
 
 
 def format_offsets(edges, offsets) -> str:
@@ -212,8 +216,8 @@ def _cmd_certify_dp3(args) -> int:
         return 0
     print("verdict: not certified")
     print(f"failing-patterns: {len(result.failure.failing_patterns)}")
-    for pat in result.failure.failing_patterns:
-        print(f"  {format_pattern(g.edges, pat)}")
+    fmt = pattern_formatter(g.edges)
+    sys.stdout.writelines(f"  {fmt(pat)}\n" for pat in result.failure.failing_patterns)
     return 1
 
 

@@ -2,7 +2,9 @@
 pattern sweeps count and verdict correctly, and the family certifiers
 enforce their hypotheses."""
 import random
+import tracemalloc
 from itertools import permutations, product
+from operator import mul
 
 import pytest
 
@@ -416,6 +418,157 @@ def test_sweep_kernel_raises_the_expansion_limit_where_the_dict_sweep_does(monke
     monkeypatch.setattr(X, "DEFAULT_MAX_TERMS", 4)
     with pytest.raises(P.ExpansionLimitError):
         X.certify_dp3(g)
+
+
+def ref_switchings(g):
+    """The vertex switchings that fix each component's lowest vertex, one
+    (cut, flips, parity, mask) per vertex set S avoiding those vertices:
+    cut the edges with exactly one end in S as a bitmask (edge 0 the most
+    significant bit), flips the same edges as a -1 per edge, parity the
+    parity of the edges whose lower end lies in S, and mask the set S
+    (vertex v at bit v - 1)."""
+    m = len(g.edges)
+    star = [0] * (g.n + 1)
+    lower = [0] * (g.n + 1)
+    for k, (i, j) in enumerate(g.edges):
+        bit = 1 << (m - 1 - k)
+        star[i] |= bit
+        star[j] |= bit
+        lower[i] ^= 1
+    roots = {comp[0] for comp in g.components()}
+    sets = [(0, 0, 0)]
+    for v in range(1, g.n + 1):
+        if v not in roots:
+            sets += [(cut ^ star[v], par ^ lower[v], mask | 1 << (v - 1))
+                     for cut, par, mask in sets]
+    return [
+        (cut, tuple(-1 if cut >> (m - 1 - k) & 1 else 1 for k in range(m)), par, mask)
+        for cut, par, mask in sets
+    ]
+
+
+def ref_switch_all(g, passes, failures, collect, budget):
+    """The materialising switch the lazy sequences replaced: every
+    pattern's (pattern, monomial, coefficient) pass in pattern-lex order,
+    and every failing pattern, built from the representatives."""
+    switchings = ref_switchings(g)
+    switched_passes = []
+    if collect:
+        slots = [None] * (1 << len(g.edges))
+        for pattern, mono, coeff in passes:
+            budget.tick(len(switchings))
+            base = sum(1 << (len(pattern) - 1 - k) for k, s in enumerate(pattern) if s > 0)
+            odd = sum(1 << v for v, a in enumerate(mono) if a & 1)
+            for cut, flips, parity, mask in switchings:
+                c = 3 - coeff if (parity + (odd & mask).bit_count()) & 1 else coeff
+                slots[base ^ cut] = (tuple(map(mul, pattern, flips)), mono, c)
+        switched_passes = [s for s in slots if s is not None]
+    switched_failures = []
+    for pattern in failures:
+        budget.tick(len(switchings))
+        switched_failures += [tuple(map(mul, pattern, flips)) for _, flips, _, _ in switchings]
+    return switched_passes, sorted(switched_failures)
+
+
+def ref_certify_dp3(g, use_spanning_tree, collect, budget):
+    """(certificates, failing patterns) as tuples, from the sweep kernel
+    and ref_switch_all."""
+    n, edges, fixed, var = _sweep_args(g)
+    passes, failures = X._sweep_signs(n, edges, fixed, var, collect, budget)
+    if not use_spanning_tree:
+        passes, failures = ref_switch_all(g, passes, failures, collect, budget)
+    certs = tuple(
+        X.Certificate(kind="dp3-pattern", t=3, n=n, monomial=mono, coefficient=coeff,
+                      pattern=pattern)
+        for pattern, mono, coeff in passes
+    ) if collect else ()
+    return certs, tuple(failures)
+
+
+def _check_sequence(seq, want, absent, rng):
+    """A lazy sequence against the tuple it stands for."""
+    assert isinstance(seq, X.PatternSequence)
+    assert len(seq) == len(want) and bool(seq) == bool(want)
+    assert tuple(seq) == want and list(iter(seq)) == list(want)
+    assert seq == want and want == seq and not seq != want
+    assert seq != want + (None,) and seq != list(want)
+    for i in rng.sample(range(len(want)), min(len(want), 12)):
+        assert seq[i] == want[i] and seq[i - len(want)] == want[i - len(want)]
+    for bad in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            seq[bad]
+    with pytest.raises(TypeError):
+        seq[0.0]
+    for _ in range(6):
+        a, b = rng.randrange(-3, len(want) + 3), rng.randrange(-3, len(want) + 3)
+        for step in (None, 1, 3, -2):
+            assert seq[a:b:step] == want[a:b:step]
+    assert seq[:] == want and seq[::-1] == want[::-1]
+    for item in rng.sample(want, min(len(want), 12)):
+        assert item in seq
+    for item in absent:
+        assert item not in seq
+
+
+def test_lazy_sequences_match_the_materialised_switch():
+    """certificates and failing_patterns, in both modes and with and
+    without certificates, against the materialising reference: len,
+    iteration, indices, slices, `in` and ==, and the budget charged."""
+    rng = random.Random(5005)
+    checked = 0
+    for g in _random_sweep_graphs() + _kernel_graphs():
+        modes = [False] + ([True] if g.is_connected() and g.contains_cycle() else [])
+        for tree, collect in product(modes, (True, False)):
+            ref = Budget(10**9)
+            certs, failing = ref_certify_dp3(g, tree, collect, ref)
+            budget = Budget(10**9)
+            res = X.certify_dp3(g, use_spanning_tree=tree, budget=budget,
+                                collect_certificates=collect)
+            assert budget.spent == ref.spent
+            assert res.passed == (not failing)
+            assert res.certificates == certs
+            # absent items: the other verdict's patterns, a pattern one sign
+            # longer, signs that are not +-1, a list, a + on a pinned forest
+            # edge, and a certificate with its coefficient negated
+            passing = tuple(c.pattern for c in certs)
+            absent = [passing[0] + (1,)] if passing else []
+            absent += [(0,) * len(g.edges), list(failing[0]) if failing else None]
+            if tree:
+                absent.append((1,) * len(g.edges))
+            _check_sequence(res.certificates, certs,
+                            absent + list(failing[:5]) + [
+                                X.Certificate(**{**c.__dict__, "coefficient": 3 - c.coefficient})
+                                for c in certs[:5]],
+                            rng)
+            if failing:
+                _check_sequence(res.failure.failing_patterns, failing,
+                                absent + list(passing[:5]) + list(certs[:5]), rng)
+            else:
+                assert res.failure is None
+            checked += 1
+    assert checked >= 200
+
+
+def test_all_edges_failing_patterns_do_not_grow_with_the_pattern_count():
+    """K_7 fails every one of its 2^21 patterns: the result holds its
+    32,768 failing representatives, not 2^21 sign tuples."""
+    g = G.complete(7)
+    tracemalloc.start()
+    try:
+        res = X.certify_dp3(g, collect_certificates=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    failing = res.failure.failing_patterns
+    assert len(failing) == res.patterns_tested == 2 ** 21
+    assert peak < 32 * 2**20
+    fld = make_field(3)
+    rng = random.Random(7)
+    for i in rng.sample(range(2 ** 21), 20):
+        pattern = failing[i]
+        assert sum(1 << (20 - k) for k, s in enumerate(pattern) if s > 0) == i
+        poly = P.from_graph(g, fld, signs=dict(zip(g.edges, pattern)))
+        assert P.find_qualifying_monomial(poly, (2,) * 7) is None
 
 
 def test_k35_external_ground_truth_recorded():
