@@ -349,8 +349,13 @@ class _PatternSpace:
             star[j] |= 1 << (m - 1 - k)
         below = {}  # switched forest edge -> (S, cut(S)) of its lower side
         if switched:
+            # the given forest rooted at each component's lowest vertex
+            tree = {v: [] for v in range(1, g.n + 1)}
+            for i, j in forest:
+                tree[i].append(j)
+                tree[j].append(i)
             for comp in g.components():
-                parent = bfs(g.adjacency, comp[0])
+                parent = bfs(tree, comp[0])
                 side = {v: 1 << (v - 1) for v in parent}
                 cuts = {v: star[v] for v in parent}
                 for v in reversed(list(parent)):  # children before parents
