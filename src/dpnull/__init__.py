@@ -54,7 +54,6 @@ from .cover import (
     f_dp_exhaustive,
     h_coloring_search,
     is_good_cover,
-    level_vertices,
     read_cover,
     transversals,
     tree_normalize,

@@ -191,23 +191,26 @@ def certify_order3_cover(cover: Cover, budget: Budget | None = None) -> Certific
 # ---------------------------------------------------------------------------
 # sign-pattern sweep: chi_DP <= 3
 
-def _shifted(ones, twos, v, n):
+def _shifted(ones, twos, v, n, dead):
     """(ones, twos) times x_v, dropping the keys whose x_v exponent would
-    reach 3."""
+    reach 3, and the keys whose x_v exponent goes from 1 to 2 while they
+    meet `dead`, the 2-bits of v's neighbours along the factors still to
+    be multiplied: such a key is dead (see _sweep_signs)."""
     shift = 2 * (n - v)
     two = 2 << shift  # digits are 0, 1 or 2, so this bit marks a 2
-    inc = 1 << shift
+    inc = 1 << shift  # on a key without the 2-bit, this bit marks a 1
     return (
-        {k + inc for k in ones if not k & two},
-        {k + inc for k in twos if not k & two},
+        {k + inc for k in ones if not (k & two or k & inc and k & dead)},
+        {k + inc for k in twos if not (k & two or k & inc and k & dead)},
     )
 
 
-def _times_factor(ones, twos, i, j, n):
+def _times_factor(ones, twos, i, j, n, dead_i, dead_j):
     """The (-1 child, +1 child) pair: (ones, twos) times x_i - x_j and
-    times x_i + x_j, from one shift by x_i and one by x_j."""
-    p1, p2 = _shifted(ones, twos, i, n)
-    q1, q2 = _shifted(ones, twos, j, n)
+    times x_i + x_j, from one shift by x_i and one by x_j, without the
+    terms that dead_i and dead_j mark as dead (see _dead_masks)."""
+    p1, p2 = _shifted(ones, twos, i, n, dead_i)
+    q1, q2 = _shifted(ones, twos, j, n, dead_j)
     # keys in both shifts: their coefficients add, the rest keep theirs
     i11 = p1 & q1
     i12 = p1 & q2
@@ -236,18 +239,34 @@ def _check_size(ones, twos) -> int:
     return size
 
 
+def _dead_masks(n, edges):
+    """For each factor (i, j) of `edges`, in order, the pair (dead_i,
+    dead_j): dead_i ORs the "digit is 2" bits of i's neighbours along the
+    later factors, so a key whose x_i digit is 2 and that meets dead_i has
+    a remaining edge with both ends at 2.  One backward pass."""
+    later = [0] * (n + 1)  # vertex -> the 2-bits of its neighbours in later factors
+    masks = []
+    for i, j in reversed(edges):
+        masks.append((later[i], later[j]))
+        later[i] |= 2 << 2 * (n - j)
+        later[j] |= 2 << 2 * (n - i)
+    masks.reverse()
+    return masks
+
+
 def _sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget):
     """Depth-first sweep over sign assignments for var_edges, sharing the
     expansion of the factors that sibling patterns have in common.
 
     Returns (passes, failures) where passes are (pattern, monomial,
     coefficient) triples in pattern-lex order (-1 before +1) and failures
-    are bare patterns.  Each node of the sign tree charges the budget the
-    size of its map.  A node with an empty map charges 1, like each node
-    below it; those nodes are charged in one tick, which exhausts the
-    budget at the same step as a node-by-node walk.  A map of more than
-    DEFAULT_MAX_TERMS terms raises ExpansionLimitError before its node is
-    charged.
+    are bare patterns.  Each node of the sign tree charges the budget one
+    step per live term of its map (dead terms, described below, are never
+    stored).  A node with an empty map charges 1, like each node below
+    it; those nodes are charged in one tick, which exhausts the budget at
+    the same step as a node-by-node walk.  A map of more than
+    DEFAULT_MAX_TERMS live terms raises ExpansionLimitError before its
+    node is charged.
 
     The sweep only ever expands prod (x_i + s x_j) over F_3 with every
     exponent capped at 2, so a map is held as two disjoint sets of packed
@@ -270,10 +289,26 @@ def _sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget):
     its +1 child as P + Q from those two shifts.  The sign tree is walked
     with an explicit stack, so its depth, |var_edges|, is not bounded by
     the recursion limit.
+
+    A term is dead when a factor still to be multiplied (the later
+    fixed_edges, then all of var_edges, in this order) has both ends at
+    exponent 2.  Exponents only grow and that factor raises one of its
+    ends, so no descendant of a dead term survives the cap: dropping dead
+    terms as they arise leaves every leaf map, and so every verdict,
+    monomial and coefficient, unchanged.  (This is the orientation view
+    of Alon and Tarsi, "Colorings and orientations of graphs", 1992: each
+    factor still to come orients its edge into one end, whose exponent
+    must have room.)  No stored map holds a dead term, so a child
+    term can only die at the end whose digit a shift takes from 1 to 2,
+    along a later factor at that end; _dead_masks gives, per factor and
+    end, the 2-bits of the neighbours along the later factors, and
+    _shifted drops a key that meets them.
     """
+    dead = _dead_masks(n, (*fixed_edges, *var_edges))
+    var_dead = dead[len(fixed_edges):]
     ones, twos = {0}, set()
-    for i, j in fixed_edges:
-        ones, twos = _times_factor(ones, twos, i, j, n)[0]
+    for (i, j), masks in zip(fixed_edges, dead):
+        ones, twos = _times_factor(ones, twos, i, j, n, *masks)[0]
         _check_size(ones, twos)
     passes = []
     failures = []
@@ -309,7 +344,7 @@ def _sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget):
                 passes.append((tuple(pattern), None, None))
             continue
         i, j = var_edges[d]
-        minus, plus = _times_factor(ones, twos, i, j, n)
+        minus, plus = _times_factor(ones, twos, i, j, n, *var_dead[d])
         stack.append((d + 1, 1, *plus))
         stack.append((d + 1, -1, *minus))
     return passes, failures
@@ -586,9 +621,13 @@ def certify_dp3(
     PatternSequence views in pattern-lex order over the representatives'
     verdicts: items are built when read, iteration streams them, len and
     `in` use the arithmetic above, and each view compares equal to the
-    tuple of its items.  Memory does not grow with 2^|E|.  The budget is
-    charged 2^(|V|-c) per representative switched, that is per failing
-    one and, with collect_certificates, per passing one.
+    tuple of its items.  Memory does not grow with 2^|E|.  The sweep
+    charges the budget one step per live term of each node's map, at
+    least one per node: a term with an edge still to be multiplied whose
+    two ends are both at exponent 2 has no descendant within the cap, so
+    it is dropped without changing any result (see _sweep_signs).  The
+    switch then charges 2^(|V|-c) per representative switched, that is
+    per failing one and, with collect_certificates, per passing one.
 
     With use_spanning_tree (connected graphs containing a cycle only),
     the result lists the representatives alone; the verdict is the same.

@@ -778,52 +778,6 @@ def f_dp_exhaustive(g: Graph, f: dict[int, int], budget: Budget | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# level labels of a cone cover
-
-def level_vertices(cover: Cover) -> tuple[int, ...]:
-    """Labels (v_1, j) of the universal vertex v_1 whose closed-neighborhood
-    removal leaves the maximum possible number |E(G)|(m - 1) of cross-edges
-    among the non-universal parts.
-
-    Requires the cone shape: v_1 is adjacent to every other vertex, the
-    other label sets share one size m, and every matching from v_1
-    saturates its label set.
-    """
-    g = cover.graph
-    others = [v for v in range(2, g.n + 1)]
-    if any(not g.has_edge(1, v) for v in others):
-        raise PreconditionError("not a cone: v_1 must be adjacent to every other vertex")
-    sizes = {len(cover.labels_of(v)) for v in others}
-    if len(sizes) != 1:
-        raise PreconditionError("non-universal label sets must share one size")
-    m = sizes.pop()
-    l_univ = cover.labels_of(1)
-    if len(l_univ) > m:
-        raise PreconditionError("the universal label set may not exceed the others")
-    partners = {}
-    for v in others:
-        sigma = cover.matching(1, v)
-        if len(sigma) != len(l_univ) or set(sigma) != set(l_univ):
-            raise PreconditionError(
-                f"matching from v_1 to v_{v} must saturate L(v_1) "
-                f"(|E_H(L(v_1), L(v))| = {len(l_univ)})"
-            )
-        partners[v] = sigma
-    inner_edges = [e for e in g.edges if e[0] != 1]
-    target = len(inner_edges) * (m - 1)
-    out = []
-    for j in l_univ:
-        count = 0
-        for (u, w) in inner_edges:
-            pu = partners[u][j]
-            pw = partners[w][j]
-            count += sum(1 for a, b in cover.matching(u, w).items() if a != pu and b != pw)
-        if count == target:
-            out.append(j)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # text format: '#' comments, "cover t=<t>", "L <v> <a>...", and
 # "M <i> <j> <a>-><b> ..." for each edge with a nonempty matching
 

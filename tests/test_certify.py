@@ -1,8 +1,10 @@
 """Certifier soundness: every certificate is honored by the oracle, the
 pattern sweeps count and verdict correctly, and the family certifiers
 enforce their hypotheses."""
+import math
 import random
 import tracemalloc
+from functools import partial
 from itertools import permutations, product
 from operator import mul
 
@@ -271,16 +273,35 @@ def test_dp3_budget_exhaustion():
     assert X.certify_dp3(g, budget=Budget(used.spent + 1)) == full
 
 
+def _dead(exps, later):
+    """Whether some edge of `later` has both ends at exponent 2 in `exps`."""
+    return any(exps[i - 1] == exps[j - 1] == 2 for i, j in later)
+
+
 def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget,
-                    max_terms=P.DEFAULT_MAX_TERMS):
+                    max_terms=P.DEFAULT_MAX_TERMS, prune=True):
     """The dict-map sweep the set-sliced kernel replaced: one
     apply_factor_packed call per child, recursive, unpacking every key of
-    a leaf to find its lex-greatest monomial."""
+    a leaf to find its lex-greatest monomial.  With prune, each product
+    then loses the terms that have a factor still to be multiplied with
+    both ends at exponent 2; the size limit applies to what is kept."""
     fld = make_field(3)
     caps = (2,) * n
+    order = (*fixed_edges, *var_edges)
+
+    def times(cur, step, sign):
+        i, j = order[step]
+        out = P.apply_factor_packed(cur, P.Factor(i, j, sign, 0), caps, fld, math.inf)
+        if prune:
+            later = order[step + 1:]
+            out = {k: c for k, c in out.items() if not _dead(P.unpack_exponents(k, n), later)}
+        if len(out) > max_terms:
+            raise P.ExpansionLimitError(len(out), max_terms)
+        return out
+
     cur = {0: 1}
-    for e in fixed_edges:
-        cur = P.apply_factor_packed(cur, P.Factor(e[0], e[1], -1, 0), caps, fld, max_terms)
+    for step in range(len(fixed_edges)):
+        cur = times(cur, step, -1)
     passes = []
     failures = []
     signs = dict.fromkeys(all_edges, -1)
@@ -300,8 +321,7 @@ def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget,
         e = var_edges[idx]
         for s in (-1, 1):
             signs[e] = s
-            rec(P.apply_factor_packed(cur, P.Factor(e[0], e[1], s, 0), caps, fld, max_terms),
-                idx + 1)
+            rec(times(cur, len(fixed_edges) + idx, s), idx + 1)
         signs[e] = -1
 
     rec(cur, 0)
@@ -470,11 +490,11 @@ def ref_switch_all(g, passes, failures, collect, budget):
     return switched_passes, sorted(switched_failures)
 
 
-def ref_certify_dp3(g, use_spanning_tree, collect, budget):
-    """(certificates, failing patterns) as tuples, from the sweep kernel
+def ref_certify_dp3(g, use_spanning_tree, collect, budget, sweep=ref_sweep_signs):
+    """(certificates, failing patterns) as tuples, from a reference sweep
     and ref_switch_all."""
     n, edges, fixed, var = _sweep_args(g)
-    passes, failures = X._sweep_signs(n, edges, fixed, var, collect, budget)
+    passes, failures = sweep(n, edges, fixed, var, collect, budget)
     if not use_spanning_tree:
         passes, failures = ref_switch_all(g, passes, failures, collect, budget)
     certs = tuple(
@@ -547,6 +567,52 @@ def test_lazy_sequences_match_the_materialised_switch():
                 assert res.failure is None
             checked += 1
     assert checked >= 200
+
+
+def test_pruned_sweep_keeps_every_leaf(monkeypatch):
+    """Dropping dead terms changes no result and never costs budget: the
+    sweep and certify_dp3, in both modes and with and without
+    certificates, against the unpruned dict sweep, and every map the
+    kernel stores checked for a remaining edge with both ends at 2."""
+    stored = []
+    times_factor = X._times_factor
+
+    def spy(ones, twos, i, j, n, *masks):
+        children = times_factor(ones, twos, i, j, n, *masks)
+        stored.append(((i, j), children))
+        return children
+
+    monkeypatch.setattr(X, "_times_factor", spy)
+    unpruned = partial(ref_sweep_signs, prune=False)
+    checked = saved = 0
+    for g in _kernel_graphs() + _random_sweep_graphs():
+        n, edges, fixed, var = _sweep_args(g)
+        order = (*fixed, *var)
+        modes = [False] + ([True] if g.is_connected() and g.contains_cycle() else [])
+        for tree, collect in product(modes, (True, False)):
+            stored.clear()
+            ref = Budget(10**9)
+            want = unpruned(n, edges, fixed, var, collect, ref)
+            budget = Budget(10**9)
+            assert X._sweep_signs(n, edges, fixed, var, collect, budget) == want
+            assert budget.spent <= ref.spent
+            saved += budget.spent < ref.spent
+            ref = Budget(10**9)
+            certs, failing = ref_certify_dp3(g, tree, collect, ref, unpruned)
+            budget = Budget(10**9)
+            res = X.certify_dp3(g, use_spanning_tree=tree, budget=budget,
+                                collect_certificates=collect)
+            assert res.certificates == certs
+            assert (res.failure.failing_patterns if res.failure else ()) == failing
+            assert budget.spent <= ref.spent
+            for edge, children in stored:
+                later = order[order.index(edge) + 1:]
+                for ones, twos in children:
+                    for key in ones | twos:
+                        exps = tuple(key >> 2 * (n - v) & 3 for v in range(1, n + 1))
+                        assert not _dead(exps, later), (g, edge, exps)
+            checked += 1
+    assert checked >= 200 and saved >= 50
 
 
 def test_all_edges_failing_patterns_do_not_grow_with_the_pattern_count():

@@ -264,6 +264,21 @@ def test_emit_all_output_is_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_dead_terms_do_not_spend_the_budget(capsys):
+    # C_13^2's spanning-tree sweep stores 2,304,630 terms when every
+    # term is kept; dropping the terms that no remaining edge can extend
+    # leaves 602,666 live ones, so it fits a budget of one million and
+    # prints the unbudgeted report byte for byte
+    code, out, err = run_cli(
+        ["certify-dp3", "c13sq", "--spanning-tree", "--budget", "1000000"], capsys
+    )
+    assert code == 1 and err == ""
+    assert len(out.splitlines()) == 11125
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "42c6e4f08b91050d13a537df54dd4e5baa833986961a606ccb6cf1c722ae72cc"
+    )
+
+
 SRC = Path(cli.__file__).resolve().parents[1]
 PATTERN_CLUES = SRC.parent / "scripts" / "pattern_clues.py"
 

@@ -944,56 +944,6 @@ def test_exact_dp_chromatic_charges_an_oversized_grid_to_the_budget():
 
 
 # ---------------------------------------------------------------------------
-# level labels
-
-def cone_cover(universal_maps, inner_matchings, l, m):
-    """Cover of the cone over C_4 with given universal and cycle matchings."""
-    g = G.cone(G.cycle(4))
-    labels = (tuple(range(l)),) + tuple(tuple(range(m)) for _ in range(4))
-    matchings = {}
-    for v in range(2, 6):
-        matchings[(1, v)] = dict(universal_maps[v])
-    for e, sigma in inner_matchings.items():
-        matchings[e] = dict(sigma)
-    return C.Cover(g, C.smallest_prime_power(m), labels, matchings)
-
-
-def test_level_vertices_identity_cone_all_level():
-    ident3 = {a: a for a in range(3)}
-    univ = {v: {0: 0, 1: 1} for v in range(2, 6)}
-    inner = {e: ident3 for e in G.cone(G.cycle(4)).edges if e[0] != 1}
-    cov = cone_cover(univ, inner, 2, 3)
-    assert C.level_vertices(cov) == (0, 1)
-
-
-def test_level_vertices_bad_closing_matching_at_most_one():
-    # path edges identity, cycle-closing edge (2, 5) carries the twisted map
-    ident3 = {a: a for a in range(3)}
-    univ = {v: {0: 0, 1: 1} for v in range(2, 6)}
-    inner = {(2, 3): ident3, (3, 4): ident3, (4, 5): ident3, (2, 5): {0: 0, 1: 2, 2: 1}}
-    cov = cone_cover(univ, inner, 2, 3)
-    levels = C.level_vertices(cov)
-    assert len(levels) <= 1
-    assert levels == (0,)
-
-
-def test_level_vertices_rejects_unsaturated_universal_matching():
-    ident3 = {a: a for a in range(3)}
-    univ = {v: {0: 0, 1: 1} for v in range(2, 6)}
-    univ[2] = {}  # empty matching from the apex breaks the setup
-    inner = {e: ident3 for e in G.cone(G.cycle(4)).edges if e[0] != 1}
-    cov = cone_cover(univ, inner, 2, 3)
-    with pytest.raises(PreconditionError, match="saturate"):
-        C.level_vertices(cov)
-
-
-def test_level_vertices_rejects_non_cone():
-    cov = identity_cover(G.cycle(4), 3)
-    with pytest.raises(PreconditionError, match="cone"):
-        C.level_vertices(cov)
-
-
-# ---------------------------------------------------------------------------
 # text format
 
 def test_cover_round_trip_bit_exact():
