@@ -33,7 +33,6 @@ from .errors import MethodDisagreement, PreconditionError
 from .ff import make_field
 from .graphs import (
     Graph,
-    bfs,
     chromatic_number,
     cone,
     cycle_power,
@@ -378,27 +377,20 @@ class _PatternSpace:
 
     def __init__(self, g: Graph, forest, switched: bool):
         m = len(g.edges)
-        star = [0] * (g.n + 1)
-        for k, (i, j) in enumerate(g.edges):
-            star[i] |= 1 << (m - 1 - k)
-            star[j] |= 1 << (m - 1 - k)
         below = {}  # switched forest edge -> (S, cut(S)) of its lower side
         if switched:
-            # the given forest rooted at each component's lowest vertex
-            tree = {v: [] for v in range(1, g.n + 1)}
-            for i, j in forest:
-                tree[i].append(j)
-                tree[j].append(i)
-            for comp in g.components():
-                parent = bfs(tree, comp[0])
-                side = {v: 1 << (v - 1) for v in parent}
-                cuts = {v: star[v] for v in parent}
-                for v in reversed(list(parent)):  # children before parents
-                    p = parent[v]
-                    if p:
-                        below[(p, v) if p < v else (v, p)] = (side[v], cuts[v])
-                        side[p] |= side[v]
-                        cuts[p] ^= cuts[v]
+            # S and cut(S) of each vertex's subtree of g.forest, folded from
+            # the leaves: a vertex's own bit and its star to start with
+            side = [0] + [1 << v for v in range(g.n)]
+            cuts = [0] * (g.n + 1)
+            for k, (i, j) in enumerate(g.edges):
+                cuts[i] |= 1 << (m - 1 - k)
+                cuts[j] |= 1 << (m - 1 - k)
+            for v, p in reversed(g.forest.items()):  # children before parents
+                if p:
+                    below[(p, v) if p < v else (v, p)] = (side[v], cuts[v])
+                    side[p] |= side[v]
+                    cuts[p] ^= cuts[v]
         self.m = m
         self.free = [k for k, e in enumerate(g.edges) if switched or e not in forest]
         self.is_free = [switched or e not in forest for e in g.edges]
@@ -589,11 +581,12 @@ def certify_dp3(
     """Sweep sign patterns over F_3; if every pattern's polynomial has a
     monomial with exponents <= 2 and nonzero coefficient, chi_DP(G) <= 3.
 
-    Only the patterns with the spanning forest (`spanning_tree(g)`) pinned
-    to -1 are expanded: one per sign choice on the 2^(|E|-|V|+c) co-forest
-    edges, c the number of components.  Every other pattern follows by
-    vertex switching (Zaslavsky, "Signed graph coloring", 1982).  For
-    sigma in {+1, -1}^V, substituting x_v -> sigma_v x_v in
+    Only the patterns with the BFS spanning forest `g.forest` (its edges
+    are `spanning_tree(g)`) pinned to -1 are expanded: one per sign choice
+    on the 2^(|E|-|V|+c) co-forest edges, c the number of components.
+    Every other pattern follows by vertex switching (Zaslavsky, "Signed
+    graph coloring", 1982).  For sigma in {+1, -1}^V, substituting
+    x_v -> sigma_v x_v in
     prod_{(i,j) in E, i<j} (x_i + s_ij x_j) gives
     (prod_E sigma_i) * prod (x_i + s_ij sigma_i sigma_j x_j), so the
     pattern s' = s sigma_i sigma_j has the coefficients

@@ -126,22 +126,21 @@ def format_offsets(edges, offsets) -> str:
     return ",".join(toks)
 
 
-def print_certificate(cert: ce.Certificate, edges=None, out=None) -> None:
-    out = out if out is not None else sys.stdout
-    print(f"kind: {cert.kind}", file=out)
-    print(f"field: {cert.t}", file=out)
-    print(f"n: {cert.n}", file=out)
-    if cert.pattern is not None and edges is not None:
-        print(f"pattern: {format_pattern(edges, cert.pattern)}", file=out)
-    if cert.offsets is not None and edges is not None:
-        print(f"offsets: {format_offsets(edges, cert.offsets)}", file=out)
-    print(f"monomial: {','.join(str(x) for x in cert.monomial)}", file=out)
-    print(f"coefficient: {cert.coefficient}", file=out)
+def print_certificate(cert: ce.Certificate, edges) -> None:
+    print(f"kind: {cert.kind}")
+    print(f"field: {cert.t}")
+    print(f"n: {cert.n}")
+    if cert.pattern is not None:
+        print(f"pattern: {format_pattern(edges, cert.pattern)}")
+    if cert.offsets is not None:
+        print(f"offsets: {format_offsets(edges, cert.offsets)}")
+    print(f"monomial: {','.join(str(x) for x in cert.monomial)}")
+    print(f"coefficient: {cert.coefficient}")
     if cert.witness is not None:
-        print(f"witness: {','.join(str(x) for x in cert.witness)}", file=out)
+        print(f"witness: {','.join(str(x) for x in cert.witness)}")
     if cert.verified is not None:
-        print(f"verified: {'true' if cert.verified else 'false'}", file=out)
-    print(file=out)
+        print(f"verified: {'true' if cert.verified else 'false'}")
+    print()
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from operator import or_
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .errors import FormatError, PreconditionError
 from .ff import FieldSpec, make_field
-from .graphs import Edge, Graph, bfs, chromatic_number, cycle_power, from_edges, spanning_tree
+from .graphs import Edge, Graph, chromatic_number, cycle_power, from_edges, spanning_tree
 
 GOOD_DIFF = "good-diff"
 BAD_SUM = "bad-sum"
@@ -308,38 +308,33 @@ def apply_relabeling(cover: Cover, maps: dict[int, dict[int, int]]) -> Cover:
 
 
 def tree_normalize(cover: Cover) -> tuple[Cover, dict[int, dict[int, int]]]:
-    """Rename labels, propagating from a BFS root per component, so that
-    every spanning-forest matching becomes the identity.  Requires uniform
-    label size m >= 2 and perfect matchings on the forest edges."""
+    """Rename labels, propagating from each root of `Graph.forest` to its
+    children, so that every forest matching becomes the identity.  Requires
+    uniform label size m >= 2 and perfect matchings on the forest edges."""
     g = cover.graph
     sizes = set(cover.size_function())
     if len(sizes) != 1 or sizes.pop() < 2:
         raise PreconditionError("tree_normalize needs a uniform label size m >= 2")
     m = len(cover.labels_of(1))
-    forest = set(spanning_tree(g))
-    for (i, j) in sorted(forest):
+    forest = spanning_tree(g)
+    for (i, j) in forest:
         sigma = cover.matching(i, j)
         if len(sigma) != m or set(sigma) != set(cover.labels_of(i)):
             raise PreconditionError(
                 f"forest edge ({i}, {j}) does not carry a perfect matching"
             )
-    adj = {v: [] for v in range(1, g.n + 1)}
-    for i, j in forest:
-        adj[i].append(j)
-        adj[j].append(i)
     maps: dict[int, dict[int, int]] = {}
-    for comp in g.components():
-        for w, u in bfs(adj, comp[0]).items():
-            if not u:
-                maps[w] = {a: a for a in cover.labels_of(w)}
-            elif u < w:
-                sigma = cover.matching(u, w)  # L(u) -> L(w)
-                maps[w] = {b: maps[u][a] for a, b in sigma.items()}
-            else:
-                sigma = cover.matching(w, u)  # L(w) -> L(u)
-                maps[w] = {a: maps[u][b] for a, b in sigma.items()}
+    for w, u in g.forest.items():
+        if not u:
+            maps[w] = {a: a for a in cover.labels_of(w)}
+        elif u < w:
+            sigma = cover.matching(u, w)  # L(u) -> L(w)
+            maps[w] = {b: maps[u][a] for a, b in sigma.items()}
+        else:
+            sigma = cover.matching(w, u)  # L(w) -> L(u)
+            maps[w] = {a: maps[u][b] for a, b in sigma.items()}
     renamed = _relabel_cover(cover, maps)
-    for e in sorted(forest):
+    for e in forest:
         sat = classify_saturation(renamed, e)
         assert sat.kind == GOOD_DIFF and sat.beta == 0
     return renamed, maps
@@ -354,17 +349,18 @@ def is_good_cover(cover: Cover, budget: Budget | None = None) -> dict[int, dict[
     """Search for a per-vertex relabeling under which every saturation
     function classifies good-diff; None after exhausting the search space.
 
-    Vertices are processed in BFS order so each non-root is constrained by
-    at least one earlier edge; candidates for a constrained vertex are
-    generated from one such edge (a shift choice plus an arbitrary injective
-    extension) instead of all injections.  The backtracking is iterative and
-    charges one budget step per candidate tried.
+    Vertices are processed in `Graph.forest` order, a BFS order, so each
+    non-root is constrained by at least one earlier edge; candidates for a
+    constrained vertex are generated from one such edge (a shift choice
+    plus an arbitrary injective extension) instead of all injections.  The
+    backtracking is iterative and charges one budget step per candidate
+    tried.
     """
     budget = ensure_budget(budget, 20_000_000, "searching for a good renaming")
     g = cover.graph
     t = cover.t
     fld = cover.field
-    order = [v for comp in g.components() for v in bfs(g.adjacency, comp[0])]
+    order = list(g.forest)
     pos = {v: k for k, v in enumerate(order)}
 
     def renamed_good(i, j, sigma, rho_i, rho_j) -> bool:
@@ -558,13 +554,11 @@ def _matchings(a: int, b: int, ordered: bool) -> list[tuple[tuple[int, int], ...
     return [tuple(zip(dom, range(b))) for dom in pick(range(a), b)]
 
 
-def _cover_walk(g: Graph, parent: dict[int, int], f: dict[int, int],
-                budget: Budget) -> tuple[int, Cover | None, bool]:
+def _cover_walk(g: Graph, f: dict[int, int], budget: Budget) -> tuple[int, Cover | None, bool]:
     """Walk the f-covers of g (labels 0..f(v)-1, maximal matchings) whose
     forest matchings are in the normal form `f_dp_exhaustive` describes.
 
-    `parent` maps each vertex to its parent in a BFS forest of g (0 at a
-    root), parents before children.  The forest edge from u to a child v is
+    The forest is `g.forest`.  Its edge from a vertex u to a child v is
     pinned to a -> a on the first f(u) labels when f(u) <= f(v); otherwise
     it is walked over its C(f(u), f(v)) order-preserving matchings.  Every
     other edge is walked over all its maximal matchings, the walked edges in
@@ -588,6 +582,7 @@ def _cover_walk(g: Graph, parent: dict[int, int], f: dict[int, int],
     (walked edge, matching), so a grid too large to hold exhausts the budget
     instead of memory.
     """
+    parent = g.forest
     # the children whose edge to their parent is pinned
     pinned = {v for v, u in parent.items() if u and f[u] <= f[v]}
     # edges with equal sizes and kind share one candidate list
@@ -641,16 +636,6 @@ def _cover_walk(g: Graph, parent: dict[int, int], f: dict[int, int],
     return tested, bad, True
 
 
-def _bfs_forest(g: Graph) -> dict[int, int]:
-    """BFS parent of every vertex, 0 at the lowest vertex of each component,
-    parents before children."""
-    parent: dict[int, int] = {}
-    for v in range(1, g.n + 1):
-        if v not in parent:
-            parent.update(bfs(g.adjacency, v))
-    return parent
-
-
 @dataclass(frozen=True)
 class DpExactResult:
     """Outcome of the exact DP-chromatic search.
@@ -680,9 +665,9 @@ def exact_dp_chromatic(g: Graph, mmax: int, budget: Budget | None = None,
     spanning-tree matchings pinned to the identity, so the walk fixes only
     the cotree edges' permutations, in `product` order, over the grid of the
     cotree edges' endpoints: m^|S| points with |S| <= min(n, 2c) for c
-    cotree edges, one point for a tree.  The BFS tree is built once per
-    component.  covers_tested counts the colorable covers before the first
-    uncolorable one for each m, plus that one.
+    cotree edges, one point for a tree.  The tree is the component's
+    `Graph.forest`.  covers_tested counts the colorable covers before the
+    first uncolorable one for each m, plus that one.
     """
     budget = ensure_budget(budget, 10_000_000, "enumerating covers for exact chi_DP")
     comps = g.components()
@@ -713,11 +698,10 @@ def _exact_dp_component(g: Graph, mmin: int | None, mmax: int, budget: Budget) -
     start = mmin or chromatic_number(g, mmax, budget)
     if start is None:
         return DpExactResult("greater", None, 0, mmax)
-    parent = _bfs_forest(g)
     tested = 0
     last_bad = None
     for m in range(start, mmax + 1):
-        walked, bad, finished = _cover_walk(g, parent, dict.fromkeys(parent, m), budget)
+        walked, bad, finished = _cover_walk(g, dict.fromkeys(g.forest, m), budget)
         tested += walked
         if not finished:
             return DpExactResult("unknown", None, tested, m, last_bad)
@@ -743,13 +727,13 @@ def f_dp_exhaustive(g: Graph, f: dict[int, int], budget: Budget | None = None) -
     lose no generality.
 
     Only maximal matchings are enumerated: a sub-matching only gains
-    transversals.  And the matchings of a BFS forest are put in a normal
-    form by renaming labels, each non-root vertex v once, in BFS order,
-    after its parent u.  Renaming L(v) is an isomorphism of the cover graph
-    H, so it preserves colorability; it changes only the matchings at v, of
-    which the edge to u is fixed here, the edges to v's children are fixed
-    when the children are renamed later, and every other edge is enumerated
-    in full.  The edge uv is maximal, so:
+    transversals.  And the matchings of the BFS forest `g.forest` are put
+    in a normal form by renaming labels, each non-root vertex v once, in
+    BFS order, after its parent u.  Renaming L(v) is an isomorphism of the
+    cover graph H, so it preserves colorability; it changes only the
+    matchings at v, of which the edge to u is fixed here, the edges to v's
+    children are fixed when the children are renamed later, and every
+    other edge is enumerated in full.  The edge uv is maximal, so:
 
     - when f(u) <= f(v) it maps L(u) injectively into L(v); renaming the
       image of each a to a makes it a -> a on the first f(u) labels, one
@@ -768,8 +752,7 @@ def f_dp_exhaustive(g: Graph, f: dict[int, int], budget: Budget | None = None) -
     for v in range(1, g.n + 1):
         if f.get(v, 0) < 1:
             raise PreconditionError(f"size function must be >= 1 at vertex {v}")
-    parent = _bfs_forest(g)
-    tested, bad, finished = _cover_walk(g, parent, {v: f[v] for v in parent}, budget)
+    tested, bad, finished = _cover_walk(g, {v: f[v] for v in g.forest}, budget)
     if not finished:
         return FDpResult("unknown", tested)
     if bad is None:

@@ -162,7 +162,7 @@ def _build_tables(t: int, p: int, k: int, reduction: tuple[int, ...] | None):
 
 
 @lru_cache(maxsize=None)
-def make_field(t: int, limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
+def make_field(t: int) -> FieldSpec:
     """Build F_t.  Rejects t that is not a prime power, naming the factorization.
 
     For k > 1 the reduction polynomial is the irreducible monic of degree k
@@ -171,8 +171,8 @@ def make_field(t: int, limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
     """
     if t < 2:
         raise FieldError(f"field order must be at least 2, got {t}")
-    if t > limit:
-        raise FieldError(f"field order {t} exceeds the configured limit {limit}")
+    if t > DEFAULT_ORDER_LIMIT:
+        raise FieldError(f"field order {t} exceeds the configured limit {DEFAULT_ORDER_LIMIT}")
     factors = _factorize(t)
     if len(factors) != 1:
         shown = " * ".join(f"{p}^{k}" if k > 1 else str(p) for p, k in factors)

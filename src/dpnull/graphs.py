@@ -11,9 +11,11 @@ the certifiers, and a small catalog generator for trees.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
 
 from .budget import Budget, ensure_budget
 from .errors import FormatError, NotUniquelyColorable
@@ -55,30 +57,45 @@ class Graph:
             adj[j].add(i)
         return {v: frozenset(s) for v, s in adj.items()}
 
+    @cached_property
+    def forest(self) -> Mapping[int, int]:
+        """The one spanning forest of the toolkit, read-only: vertex -> BFS
+        parent, 0 at the lowest vertex of each component.  Components come
+        in order of their lowest vertex, each in BFS visit order with
+        neighbours taken in sorted order, so parents precede children.
+        Components, spanning_tree, bipartition, the cover searches and the
+        sign sweep's switchings all derive from it."""
+        parent: dict[int, int] = {}
+        for v in range(1, self.n + 1):
+            if v not in parent:
+                parent.update(bfs(self.adjacency, v))
+        return MappingProxyType(parent)
+
+    def __getstate__(self):
+        # a mappingproxy does not pickle; the forest is rebuilt on demand
+        state = dict(self.__dict__)
+        state.pop("forest", None)
+        return state
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adjacency.get(i, frozenset())
 
     def max_degree(self) -> int:
         return max((self.degree(v) for v in range(1, self.n + 1)), default=0)
 
     def components(self) -> list[tuple[int, ...]]:
-        seen = set()
         comps = []
-        for start in range(1, self.n + 1):
-            if start not in seen:
-                visit = bfs(self.adjacency, start)
-                seen.update(visit)
-                comps.append(tuple(sorted(visit)))
-        return comps
+        for v, parent in self.forest.items():
+            if not parent:
+                comps.append([])
+            comps[-1].append(v)
+        return [tuple(sorted(comp)) for comp in comps]
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return list(self.forest.values()).count(0) <= 1
 
     def contains_cycle(self) -> bool:
-        return len(self.edges) > self.n - len(self.components())
+        return len(self.edges) > self.n - list(self.forest.values()).count(0)
 
     def is_cycle_graph(self) -> bool:
         return (
@@ -93,9 +110,8 @@ class Graph:
     def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """(X, Y) with X holding the lowest vertex of each component, or None."""
         side = {}
-        for comp in self.components():
-            for v, parent in bfs(self.adjacency, comp[0]).items():
-                side[v] = 1 - side[parent] if parent else 0
+        for v, parent in self.forest.items():
+            side[v] = 1 - side[parent] if parent else 0
         if any(side[i] == side[j] for i, j in self.edges):
             return None
         xs = tuple(v for v in range(1, self.n + 1) if side[v] == 0)
@@ -316,11 +332,10 @@ def bfs(adj, root: int) -> dict[int, int]:
 
 
 def spanning_tree(g: Graph) -> tuple[Edge, ...]:
-    """Deterministic spanning forest: BFS from the lowest vertex per component."""
+    """The edges of `g.forest`, sorted."""
     return tuple(sorted(
         (parent, v) if parent < v else (v, parent)
-        for comp in g.components()
-        for v, parent in bfs(g.adjacency, comp[0]).items()
+        for v, parent in g.forest.items()
         if parent
     ))
 

@@ -130,10 +130,10 @@ def apply_factor_packed(
     factor: Factor,
     caps,
     field: FieldSpec,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> dict[int, int]:
     """Distribute one factor over a packed exponent map, dropping exponents
-    that exceed caps.  Stored coefficients are always nonzero."""
+    that exceed caps.  Stored coefficients are always nonzero; a map of
+    more than DEFAULT_MAX_TERMS terms raises ExpansionLimitError."""
     t = field.order
     addt = field.add_table
     mult = field.mul_table
@@ -173,8 +173,8 @@ def apply_factor_packed(
                 out[key] = s
             elif v:
                 del out[key]
-    if len(out) > max_terms:
-        raise ExpansionLimitError(len(out), max_terms)
+    if len(out) > DEFAULT_MAX_TERMS:
+        raise ExpansionLimitError(len(out), DEFAULT_MAX_TERMS)
     return out
 
 
@@ -182,7 +182,6 @@ def expand_packed(
     poly: EdgeProductPolynomial,
     caps,
     budget: Budget | None = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> dict[int, int]:
     if len(caps) != poly.n:
         raise PreconditionError(f"caps must have length {poly.n}")
@@ -195,7 +194,7 @@ def expand_packed(
     cur = {0: 1}
     for f in poly.factors:
         budget.tick(max(len(cur), 1))
-        cur = apply_factor_packed(cur, f, caps, poly.field, max_terms)
+        cur = apply_factor_packed(cur, f, caps, poly.field)
     return cur
 
 
@@ -203,10 +202,9 @@ def expand_coefficients(
     poly: EdgeProductPolynomial,
     caps,
     budget: Budget | None = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> dict[tuple[int, ...], int]:
     """All monomials with nonzero coefficient and exponents within caps."""
-    packed = expand_packed(poly, caps, budget, max_terms)
+    packed = expand_packed(poly, caps, budget)
     return {unpack_exponents(k, poly.n): v for k, v in packed.items()}
 
 
@@ -218,20 +216,9 @@ def find_qualifying_monomial(
     """Lexicographically greatest exponent vector within caps whose total
     degree equals deg(poly) and whose coefficient is nonzero, with that
     coefficient; None when no such monomial exists."""
-    packed = expand_packed(poly, caps, budget)
     deg = poly.degree
-    best = None
-    best_val = 0
-    for key, val in packed.items():
-        exps = unpack_exponents(key, poly.n)
-        if sum(exps) != deg:
-            continue
-        if best is None or exps > best:
-            best = exps
-            best_val = val
-    if best is None:
-        return None
-    return best, best_val
+    return max(((e, c) for e, c in expand_coefficients(poly, caps, budget).items()
+                if sum(e) == deg), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Certifier soundness: every certificate is honored by the oracle, the
 pattern sweeps count and verdict correctly, and the family certifiers
 enforce their hypotheses."""
-import math
 import random
 import tracemalloc
 from functools import partial
@@ -291,7 +290,7 @@ def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget,
 
     def times(cur, step, sign):
         i, j = order[step]
-        out = P.apply_factor_packed(cur, P.Factor(i, j, sign, 0), caps, fld, math.inf)
+        out = P.apply_factor_packed(cur, P.Factor(i, j, sign, 0), caps, fld)
         if prune:
             later = order[step + 1:]
             out = {k: c for k, c in out.items() if not _dead(P.unpack_exponents(k, n), later)}

@@ -331,11 +331,7 @@ def test_pattern_clues_closed_stdout_pipe_exits_quietly():
 
 
 def test_expansion_limit_is_exit_3(monkeypatch, capsys):
-    real = pl.apply_factor_packed
-    monkeypatch.setattr(
-        pl, "apply_factor_packed",
-        lambda cur, factor, caps, fld, max_terms: real(cur, factor, caps, fld, 5),
-    )
+    monkeypatch.setattr(pl, "DEFAULT_MAX_TERMS", 5)
     code, out, err = run_cli(
         ["coeff", "k5", "--target", "2,2,2,2,2", "--field", "3", "--method", "expand"], capsys
     )
@@ -367,6 +363,16 @@ def test_reproduce_deterministic_bytes(capsys):
             lines.append(out)
         outs.append("".join(lines))
     assert outs[0] == outs[1]
+
+
+def test_reproduce_all_output_is_pinned(capsys):
+    # every row, work= column included: cone-even-cycle-f walks 1,296
+    # covers because its BFS forest pins the edges out of the cone vertex
+    code, out, _ = run_cli(["reproduce", "all", "--seed", "0"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "815af8310a080e993b301942bc823a562690de7c3905d8ef2507f26c0068646f"
+    )
 
 
 def test_scenario_registry_contains_required_names():

@@ -1,4 +1,5 @@
 """Graph constructions, oracles, text format, and the tree catalog."""
+import pickle
 import random
 from itertools import product
 
@@ -262,7 +263,7 @@ def test_bfs_callers_match_queue_walks():
     assert any(g.bipartition() is not None and g.edges for g in graphs)
     for g in graphs:
         seen = set()
-        comps, tree = [], []
+        comps, tree, forest = [], [], []
         for start in range(1, g.n + 1):
             if start in seen:
                 continue
@@ -270,9 +271,18 @@ def test_bfs_callers_match_queue_walks():
             assert list(G.bfs(g.adjacency, start).items()) == visit
             comps.append(tuple(sorted(v for v, _ in visit)))
             tree += [tuple(sorted((v, p))) for v, p in visit if p]
+            forest += visit
+        assert list(g.forest.items()) == forest
+        with pytest.raises(TypeError):
+            g.forest[1] = 0
+        assert pickle.loads(pickle.dumps(g)).forest == g.forest
+        assert g.components() == comps
+        g.components().clear()  # the caller's own list
         assert g.components() == comps
         assert G.spanning_tree(g) == tuple(sorted(tree))
         assert g.bipartition() == ref_bipartition(g)
+        assert g.is_connected() == (len(comps) <= 1)
+        assert g.contains_cycle() == (len(g.edges) > len(tree))
 
 
 def count_colorings_oracle(g, lists):

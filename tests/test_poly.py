@@ -148,10 +148,11 @@ def test_caps_above_the_packed_range_are_rejected():
     assert coeffs[(15,) + (0,) * 15] == 1
 
 
-def test_expansion_limit_error_names_size():
+def test_expansion_limit_error_names_size(monkeypatch):
     poly = P.from_graph(G.complete(5), F3)
+    monkeypatch.setattr(P, "DEFAULT_MAX_TERMS", 5)
     with pytest.raises(P.ExpansionLimitError, match="terms"):
-        P.expand_coefficients(poly, (10,) * 5, max_terms=5)
+        P.expand_coefficients(poly, (10,) * 5)
 
 
 def test_expand_budget():
