@@ -32,6 +32,7 @@ from .budget import Budget, BudgetExceeded, ensure_budget
 from .errors import MethodDisagreement, PreconditionError
 from .ff import make_field
 from .graphs import (
+    Edge,
     Graph,
     chromatic_number,
     cone,
@@ -253,15 +254,27 @@ def _dead_masks(n, edges):
     return masks
 
 
+def _co_forest(g: Graph, forest) -> tuple[Edge, ...]:
+    """The edges of g outside `forest`, in the order the sweep multiplies
+    them: by descending deg(i) + deg(j), ties by descending edge."""
+    return tuple(sorted(
+        (e for e in g.edges if e not in forest),
+        key=lambda e: (g.degree(e[0]) + g.degree(e[1]), e),
+        reverse=True,
+    ))
+
+
 def _sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget):
     """Depth-first sweep over sign assignments for var_edges, sharing the
     expansion of the factors that sibling patterns have in common.
 
     Returns (passes, failures) where passes are (pattern, monomial,
-    coefficient) triples in pattern-lex order (-1 before +1) and failures
-    are bare patterns.  Each node of the sign tree charges the budget one
-    step per live term of its map (dead terms, described below, are never
-    stored).  A node with an empty map charges 1, like each node below
+    coefficient) triples and failures are bare patterns, both in the
+    sign-tree order of var_edges (the sign of var_edges[0] varies
+    slowest, -1 before +1), which is pattern-lex order only when
+    var_edges is in edge order.  Each node of the sign tree charges the
+    budget one step per live term of its map (dead terms, described
+    below, are never stored).  A node with an empty map charges 1, like each node below
     it; those nodes are charged in one tick, which exhausts the budget at
     the same step as a node-by-node walk.  A map of more than
     DEFAULT_MAX_TERMS live terms raises ExpansionLimitError before its
@@ -622,6 +635,17 @@ def certify_dp3(
     switch then charges 2^(|V|-c) per representative switched, that is
     per failing one and, with collect_certificates, per passing one.
 
+    The sweep multiplies the forest edges first, then the co-forest edges
+    in the order of _co_forest: by descending deg(i) + deg(j), ties by
+    descending edge.  On C_13^2 in spanning-tree mode that order charges
+    514,067 steps against 602,666 in edge order.  The order cannot change
+    a result, only the steps and the time: each leaf map is the whole
+    product with its exponents capped at 2, whatever order the factors
+    come in; each representative's verdict is stored at the index
+    _PatternSpace.locate gives its pattern, not at its place in the
+    sweep; and the dead-term masks are built from the factors in the
+    order they are multiplied.
+
     With use_spanning_tree (connected graphs containing a cycle only),
     the result lists the representatives alone; the verdict is the same.
     """
@@ -633,7 +657,7 @@ def certify_dp3(
         )
     fixed = spanning_tree(g)
     forest = set(fixed)
-    var_edges = tuple(e for e in g.edges if e not in forest)
+    var_edges = _co_forest(g, forest)
     budget = ensure_budget(budget, 2_000_000_000, "sweeping sign patterns")
 
     passes, failures = _sweep_signs(

@@ -328,9 +328,10 @@ def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget,
 
 
 def _sweep_args(g):
+    """The arguments certify_dp3 passes _sweep_signs: the forest edges,
+    then the co-forest edges in the sweep's factor order."""
     fixed = G.spanning_tree(g)
-    var = tuple(e for e in g.edges if e not in set(fixed))
-    return g.n, g.edges, fixed, var
+    return g.n, g.edges, fixed, X._co_forest(g, set(fixed))
 
 
 def _kernel_graphs():
@@ -386,9 +387,10 @@ def test_sweep_kernel_matches_per_pattern_expansion():
             if g.is_connected() and g.contains_cycle():
                 tree_mode += 1
                 res = X.certify_dp3(g, use_spanning_tree=True, collect_certificates=collect)
+                # certify_dp3 lists the representatives in pattern-lex order
                 certs = [(c.pattern, c.monomial, c.coefficient) for c in res.certificates]
-                assert certs == (passes if collect else [])
-                assert (res.failure.failing_patterns if res.failure else ()) == tuple(failing)
+                assert certs == (sorted(passes) if collect else [])
+                assert (res.failure.failing_patterns if res.failure else ()) == tuple(sorted(failing))
             full = X.certify_dp3(g, collect_certificates=collect)
             assert full.passed == (not failing)
     assert tree_mode >= 40  # (graph, collect) pairs in spanning-tree mode
@@ -494,7 +496,11 @@ def ref_certify_dp3(g, use_spanning_tree, collect, budget, sweep=ref_sweep_signs
     and ref_switch_all."""
     n, edges, fixed, var = _sweep_args(g)
     passes, failures = sweep(n, edges, fixed, var, collect, budget)
-    if not use_spanning_tree:
+    if use_spanning_tree:
+        # the sweep emits them in its sign-tree order; certify_dp3 lists them
+        # in pattern-lex order
+        passes, failures = sorted(passes), sorted(failures)
+    else:
         passes, failures = ref_switch_all(g, passes, failures, collect, budget)
     certs = tuple(
         X.Certificate(kind="dp3-pattern", t=3, n=n, monomial=mono, coefficient=coeff,
@@ -612,6 +618,39 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
                         assert not _dead(exps, later), (g, edge, exps)
             checked += 1
     assert checked >= 200 and saved >= 50
+
+
+def test_sweep_results_do_not_depend_on_the_factor_order():
+    """The co-forest order moves only the steps: edge order, the sweep's
+    degree order and two seeded shuffles give the same passes and
+    failures once both are sorted into pattern-lex order."""
+    rng = random.Random(6006)
+    reordered = 0
+    for g in _kernel_graphs() + _random_sweep_graphs():
+        n, edges, fixed, var = _sweep_args(g)
+        lex = tuple(sorted(var))
+        reordered += var != lex
+        orders = (lex, var, *(tuple(rng.sample(var, len(var))) for _ in range(2)))
+        results = []
+        for order in orders:
+            passes, failures = X._sweep_signs(n, edges, fixed, order, True, Budget(10**9))
+            results.append((sorted(passes), sorted(failures)))
+        for order, got in zip(orders, results):
+            assert got == results[0], (g, order)
+    assert reordered >= 30
+
+
+def test_factor_order_pins_the_c13sq_steps():
+    """C_13^2's spanning-tree sweep charges 514,067 steps in the degree
+    order and 602,666 in edge order, so a change of order shows here."""
+    g = G.cycle_power(13, 2)
+    budget = Budget(10**9)
+    X.certify_dp3(g, use_spanning_tree=True, budget=budget)
+    assert budget.spent == 514_067
+    n, edges, fixed, var = _sweep_args(g)
+    lex = Budget(10**9)
+    X._sweep_signs(n, edges, fixed, tuple(sorted(var)), False, lex)
+    assert lex.spent == 602_666
 
 
 def test_all_edges_failing_patterns_do_not_grow_with_the_pattern_count():

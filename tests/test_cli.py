@@ -267,8 +267,8 @@ def test_emit_all_output_is_pinned(argv, digest, capsys):
 def test_dead_terms_do_not_spend_the_budget(capsys):
     # C_13^2's spanning-tree sweep stores 2,304,630 terms when every
     # term is kept; dropping the terms that no remaining edge can extend
-    # leaves 602,666 live ones, so it fits a budget of one million and
-    # prints the unbudgeted report byte for byte
+    # leaves 514,067 live ones in the sweep's factor order, so it fits a
+    # budget of one million and prints the unbudgeted report byte for byte
     code, out, err = run_cli(
         ["certify-dp3", "c13sq", "--spanning-tree", "--budget", "1000000"], capsys
     )
