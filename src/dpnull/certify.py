@@ -45,6 +45,7 @@ from .poly import (
     DEFAULT_MAX_TERMS,
     ExpansionLimitError,
     Grid,
+    _grid_terms,
     coefficient_at,
     find_qualifying_monomial,
     from_graph,
@@ -116,18 +117,17 @@ def _certify_cover(cover: Cover, signs, betas, kind: str, budget: Budget) -> Cer
     if found is None:
         return None
     monomial, coeff = found
-    witness = None
-    points = 0
-    for point in product(*(cover.labels_of(v) for v in range(1, g.n + 1))):
-        points += 1
-        budget.tick()
-        if poly.evaluate(point) != 0:
-            witness = point
-            break
-    if witness is None:
+    # the lex-first nonzero point of the label grid; the walk charges one
+    # step per grid point up to it, so the spend is its rank + 1
+    label_grid = Grid(fld, tuple(cover.labels_of(v) for v in range(1, g.n + 1)))
+    before = budget.spent
+    first = next(_grid_terms(label_grid, poly, budget), None)
+    if first is None:
         raise AssertionError(
             "no nonzero point on the label grid despite a qualifying monomial"
         )
+    witness = first[0]
+    points = budget.spent - before
     if not is_valid_transversal(cover, witness):
         raise AssertionError("extracted witness is not a valid transversal")
     edge_order = g.edges

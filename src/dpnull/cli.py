@@ -155,7 +155,7 @@ def _cmd_coeff(args) -> int:
         target = tuple(int(x) for x in args.target.split(","))
     except ValueError:
         raise FormatError(f"--target must be comma-separated integers: {args.target!r}") from None
-    value = pl.coefficient_at(poly, target, method=args.method)
+    value = pl.coefficient_at(poly, target, method=args.method, budget=args.budget)
     print(f"kind: coefficient")
     print(f"field: {args.field}")
     print(f"target: {args.target}")
@@ -606,6 +606,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="comma-separated exponents")
     p.add_argument("--field", type=int, default=3)
     p.add_argument("--method", choices=("expand", "grid", "both"), default="both")
+    p.add_argument("--budget", type=_budget_arg, default=None,
+                   help="step limit shared by the expand and grid routes")
     p.set_defaults(fn=_cmd_coeff)
 
     p = sub.add_parser("certify-cover", help="certificate for one cover file")

@@ -11,6 +11,11 @@ are computed by two independent routes:
 * grid sum: the quantitative form of the Combinatorial Nullstellensatz,
   coefficient = sum over a product grid of N(p)^{-1} * f(p) where N is the
   product of pairwise differences within each coordinate's point set.
+  The grid is walked one coordinate at a time in product order; a factor
+  vanishes as soon as its later variable is fixed to a root of it, and
+  the whole block of completions below that partial point, all zeros of
+  f, is skipped.  The budget is still charged one step per grid point,
+  visited or skipped.
 
 Exponent maps are keyed by packed base-16 digits (each exponent < 16),
 little-endian in the variable index.
@@ -18,7 +23,6 @@ little-endian in the variable index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .budget import Budget, ensure_budget
 from .errors import MethodDisagreement, PreconditionError
@@ -217,8 +221,16 @@ def find_qualifying_monomial(
     degree equals deg(poly) and whose coefficient is nonzero, with that
     coefficient; None when no such monomial exists."""
     deg = poly.degree
-    return max(((e, c) for e, c in expand_coefficients(poly, caps, budget).items()
-                if sum(e) == deg), default=None)
+    # 16 = 1 (mod 15), so a packed key is congruent to its digit sum mod 15:
+    # only keys that pass this cheap filter are unpacked, and their exact
+    # sum is still checked, since it can differ from deg by a multiple of 15
+    residue = deg % PACK_MASK
+    candidates = (
+        (unpack_exponents(key, poly.n), c)
+        for key, c in expand_packed(poly, caps, budget).items()
+        if key % PACK_MASK == residue
+    )
+    return max(((e, c) for e, c in candidates if sum(e) == deg), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +272,11 @@ class Grid:
 
     def weight_tables(self) -> list[dict[int, int]]:
         """Per coordinate: point -> prod over other points eps of (point - eps)."""
-        fld = self.field
+        # the points were checked at construction, so the raw tables serve
+        t = self.field.order
+        mul = self.field.mul_table
+        add = self.field.add_table
+        neg = self.field.neg_table
         tables = []
         for pts in self.point_sets:
             tbl = {}
@@ -268,14 +284,19 @@ class Grid:
                 w = 1
                 for eps in pts:
                     if eps != p:
-                        w = fld.mul(w, fld.sub(p, eps))
+                        w = mul[w * t + add[p * t + neg[eps]]]
                 tbl[p] = w
             tables.append(tbl)
         return tables
 
     def coefficient(self, poly: EdgeProductPolynomial, budget: Budget | None = None) -> int:
         """Coefficient of prod x_i^{d_i} (d_i = |P_i| - 1) in poly, which must
-        have degree at most sum d_i."""
+        have degree at most sum d_i.
+
+        The sum skips every block of points on which a factor already
+        vanishes (see `_grid_terms`), but charges the budget one step per
+        grid point, visited or skipped, so `Budget.spent` grows by
+        prod |P_i| exactly as in a point-by-point sum."""
         if len(self.point_sets) != poly.n:
             raise PreconditionError("grid and polynomial disagree on variable count")
         if poly.degree > sum(self.degrees()):
@@ -284,20 +305,99 @@ class Grid:
                 f"{sum(self.degrees())}"
             )
         budget = ensure_budget(budget, 500_000_000, "summing over a coefficient grid")
-        fld = self.field
-        tables = self.weight_tables()
-        inv_w = [{p: fld.inv(w) for p, w in tbl.items()} for tbl in tables]
+        t = self.field.order
+        add = self.field.add_table
         total = 0
-        for point in product(*self.point_sets):
-            budget.tick()
-            val = poly.evaluate(point)
-            if val == 0:
-                continue
-            n_inv = 1
-            for pos, p in enumerate(point):
-                n_inv = fld.mul(n_inv, inv_w[pos][p])
-            total = fld.add(total, fld.mul(n_inv, val))
+        for _, value in _grid_terms(self, poly, budget):
+            total = add[total * t + value]
         return total
+
+
+def _grid_terms(grid: Grid, poly: EdgeProductPolynomial, budget: Budget):
+    """Yield (point, N(point)^{-1} * poly(point)) for every point of the grid
+    at which poly is nonzero, in the product order of the point sets.
+
+    The walk fixes x_1, x_2, ... in turn, without recursion.  Each factor
+    x_i + s*x_j - beta belongs to its later variable x_j: fixing x_j
+    multiplies the running value by x_j's inverse weight and by those
+    factors, whose other end is already fixed.  When one of them is 0,
+    poly vanishes on every completion of the partial point, and the walk
+    skips that block of prod |P_{j+1}| ... |P_n| points.
+
+    One budget step per grid point, visited or skipped, charged in
+    batches: before each yield, at the end of the walk, and at once when
+    the batch would exhaust the budget, which then stops at spent == limit
+    as a point-by-point charge would.
+    """
+    sets = grid.point_sets
+    n = len(sets)
+    if n == 0:
+        budget.tick()
+        yield (), 1
+        return
+    fld = grid.field
+    t = fld.order
+    mul = fld.mul_table
+    add = fld.add_table
+    neg = fld.neg_table
+    attached = [[] for _ in range(n)]
+    for f in poly.factors:
+        attached[f.j - 1].append(f)
+    # levels[j][k]: (p, inverse weight of p, ((i, c), ...)) for the k-th
+    # point p of P_j, where x_i + c is the value of one attached factor
+    levels = []
+    for j, (pts, weights) in enumerate(zip(sets, grid.weight_tables())):
+        row_of = []
+        for p in pts:
+            rows = []
+            for f in attached[j]:
+                c = add[(p if f.sign > 0 else neg[p]) * t + neg[f.beta]]
+                rows.append((f.i - 1, c))
+            row_of.append((p, fld.inv(weights[p]), tuple(rows)))
+        levels.append(row_of)
+    sizes = [len(pts) for pts in sets]
+    block = [1] * n  # block[j]: points below one choice at level j
+    for j in range(n - 2, -1, -1):
+        block[j] = block[j + 1] * sizes[j + 1]
+    last = n - 1
+    point = [0] * n
+    value = [1] * n  # value[j]: running value before level j's choice
+    index = [0] * n
+    spare = budget.limit - budget.spent
+    pending = 0
+    j = 0
+    while True:
+        k = index[j]
+        if k == sizes[j]:
+            if not j:
+                break
+            j -= 1
+            index[j] += 1
+            continue
+        point[j], w, rows = levels[j][k]
+        v = mul[value[j] * t + w]
+        for i, c in rows:
+            x = add[point[i] * t + c]
+            if not x:
+                v = 0
+                break
+            v = mul[v * t + x]
+        if v and j < last:
+            j += 1
+            value[j] = v
+            index[j] = 0
+            continue
+        index[j] = k + 1
+        pending += block[j]  # a block of zeros, or one point of the last level
+        if pending >= spare:
+            budget.tick(max(spare, 1))  # raises where a point-by-point charge would
+        if v:
+            budget.tick(pending)
+            pending = 0
+            yield tuple(point), v
+            spare = budget.limit - budget.spent
+    if pending:
+        budget.tick(pending)
 
 
 def coefficient_at(

@@ -123,6 +123,46 @@ def test_order3_soundness_exhaustive_tiny(g):
     assert certified > 0
 
 
+def _random_good_cover(rng, g, t):
+    """Shuffled label subsets, each edge a difference-constant matching."""
+    fld = make_field(t)
+    labels = tuple(tuple(rng.sample(range(t), rng.randint(2, t))) for _ in range(g.n))
+    matchings = {}
+    for i, j in g.edges:
+        beta = rng.randrange(t)
+        matchings[(i, j)] = {a: fld.sub(a, beta) for a in labels[i - 1]
+                             if fld.sub(a, beta) in labels[j - 1]}
+    return C.Cover(g, t, labels, matchings)
+
+
+def test_witness_is_the_first_nonzero_point_of_the_label_grid():
+    """The witness scan stops at the lex-first nonzero point and charges
+    its rank + 1 grid points, on top of the expansion's steps."""
+    rng = random.Random(2012)
+    checked = 0
+    for _ in range(60):
+        g = G.from_edges(6, sorted(rng.sample(
+            [(i, j) for i in range(1, 7) for j in range(i + 1, 7)], rng.randint(4, 9))))
+        for cov, certify in ((random_cover(rng, g, 3), X.certify_order3_cover),
+                             (_random_good_cover(rng, g, rng.choice((3, 4, 5))),
+                              X.certify_good_cover)):
+            budget = Budget(10**9)
+            cert = certify(cov, budget)
+            if cert is None:
+                continue
+            poly = P.from_graph(g, cov.field, signs=dict(zip(g.edges, cert.pattern)),
+                                offsets=dict(zip(g.edges, cert.offsets)))
+            rank, point = next((rank, p) for rank, p in enumerate(product(*cov.labels))
+                               if poly.evaluate(p))
+            assert cert.witness == point
+            assert cert.work["grid_points"] == rank + 1
+            expand = Budget(10**9)
+            P.expand_packed(poly, tuple(len(l) - 1 for l in cov.labels), expand)
+            assert budget.spent == expand.spent + rank + 1
+            checked += 1
+    assert checked >= 100
+
+
 def test_good_certifier_with_offsets_over_f4():
     """A good prime 4-cover of the cone with one apex label: certified and
     oracle-confirmed."""

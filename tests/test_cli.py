@@ -191,7 +191,7 @@ def test_chi_dp_max_m_keeps_what_an_exhausted_search_refuted(capsys):
 
 @pytest.mark.parametrize("command", [
     ["certify-dp3", "c4"], ["chi-dp", "c4"], ["check-cover", "missing.cover"],
-    ["certify-cover", "missing.cover"],
+    ["certify-cover", "missing.cover"], ["coeff", "c4", "--target", "2,2,0,0"],
 ])
 @pytest.mark.parametrize("value", ["0", "-5", "ten"])
 def test_budget_below_one_is_an_input_error(command, value, capsys):
@@ -204,6 +204,31 @@ def test_budget_exit_code(capsys):
     code, _, err = run_cli(["certify-dp3", "k4,4-m2", "--budget", "10"], capsys)
     assert code == 3
     assert "budget" in err
+
+
+def test_coeff_routes_share_one_budget(capsys):
+    # c6sq over F_3: the expansion spends 184 steps, the grid 3^6 = 729
+    argv = ["coeff", "c6sq", "--target", "2,2,2,2,2,2", "--field", "3", "--budget"]
+    code, out, _ = run_cli(argv + ["914"], capsys)
+    assert code == 0 and "coefficient: 0" in out
+    code, out, err = run_cli(argv + ["913"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: budget exceeded while summing over a coefficient grid: 913 >= 913 steps\n"
+    code, out, _ = run_cli(argv + ["730", "--method", "grid"], capsys)
+    assert code == 0 and "coefficient: 0" in out
+    code, _, err = run_cli(argv + ["184", "--method", "expand"], capsys)
+    assert code == 3 and "expanding" in err
+
+
+def test_grid_sum_charges_every_grid_point(capsys):
+    # 3^13 = 1,594,323 points, nearly all in skipped blocks; tick raises at
+    # spent >= limit
+    argv = ["coeff", "c13sq", "--target", ",".join(["2"] * 13), "--field", "3",
+            "--method", "grid", "--budget"]
+    code, out, _ = run_cli(argv + ["1594324"], capsys)
+    assert code == 0 and out.endswith("coefficient: 0\n")
+    code, out, err = run_cli(argv + ["1594323"], capsys)
+    assert code == 3 and out == "" and "1594323 >= 1594323" in err
 
 
 def test_dp3_budget_exit_code_with_empty_stdout(capsys):

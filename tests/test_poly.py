@@ -1,6 +1,8 @@
 """Coefficient extraction: worked examples, cross-method properties, and the
 circulation-count identity against an integer-expansion oracle."""
+import math
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -125,6 +127,41 @@ def test_find_qualifying_monomial_is_lex_greatest():
     assert (mono, coeff) == ((1, 1, 0), 1)
 
 
+def test_find_qualifying_monomial_checks_the_degree_behind_the_residue():
+    # degree 15: the constant term's packed key 0 is congruent to 15 mod 15,
+    # the residue filter lets it through, and only its digit sum rejects it
+    poly = P.EdgeProductPolynomial(F3, 2, (P.Factor(1, 2, -1, 1),) * 15)
+    assert P.expand_coefficients(poly, (0, 0)) == {(0, 0): 2}
+    assert P.find_qualifying_monomial(poly, (0, 0)) is None
+    # with room for full-degree terms, the lex-greatest of them wins over
+    # the lower-degree keys of the same residue
+    expansion = P.expand_coefficients(poly, (15, 15))
+    assert expansion[(0, 0)] == 2
+    want = max((e, c) for e, c in expansion.items() if sum(e) == 15)
+    budget, ref = Budget(10**9), Budget(10**9)
+    assert P.find_qualifying_monomial(poly, (15, 15), budget) == want == ((15, 0), 1)
+    P.expand_packed(poly, (15, 15), ref)
+    assert budget.spent == ref.spent
+
+
+def test_find_qualifying_monomial_matches_its_definition():
+    rng = random.Random(1515)
+    for _ in range(40):
+        field = rng.choice((F2, F3, F4))
+        n = rng.randint(2, 3)
+        m = rng.randint(1, 20)
+        factors = []
+        for _ in range(m):
+            i = rng.randint(1, n - 1)
+            factors.append(P.Factor(i, rng.randint(i + 1, n), rng.choice((-1, 1)),
+                                    rng.randrange(field.order)))
+        poly = P.EdgeProductPolynomial(field, n, tuple(factors))
+        caps = tuple(rng.randint(0, 15) for _ in range(n))
+        want = max(((e, c) for e, c in P.expand_coefficients(poly, caps).items()
+                    if sum(e) == m), default=None)
+        assert P.find_qualifying_monomial(poly, caps) == want
+
+
 def test_expansion_caps_are_sound():
     # capping a variable never changes the coefficients that survive
     g = G.cycle(4)
@@ -241,6 +278,106 @@ def test_grid_value_independent_of_point_sets(seed):
         tuple(sorted(rng.sample(range(3), ti + 1))) for ti in target
     )
     assert P.Grid(F3, sets).coefficient(poly) == default
+
+
+def ref_grid_coefficient(grid, poly, budget):
+    """The flat grid sum: N(p)^{-1} * f(p) over every point of the product,
+    one budget step per point."""
+    fld = grid.field
+    tables = []
+    for pts in grid.point_sets:
+        tbl = {}
+        for p in pts:
+            w = 1
+            for eps in pts:
+                if eps != p:
+                    w = fld.mul(w, fld.sub(p, eps))
+            tbl[p] = w
+        tables.append(tbl)
+    inv_w = [{p: fld.inv(w) for p, w in tbl.items()} for tbl in tables]
+    total = 0
+    for point in product(*grid.point_sets):
+        budget.tick()
+        val = poly.evaluate(point)
+        if val == 0:
+            continue
+        n_inv = 1
+        for pos, p in enumerate(point):
+            n_inv = fld.mul(n_inv, inv_w[pos][p])
+        total = fld.add(total, fld.mul(n_inv, val))
+    return total
+
+
+def _random_grid_instance(rng, field):
+    """A polynomial with random signs and offsets on a grid of shuffled
+    point sets of random sizes, its degree within the grid's."""
+    t = field.order
+    n = rng.randint(1, 5)
+    sets = tuple(tuple(rng.sample(range(t), rng.randint(1, min(t, 4)))) for _ in range(n))
+    room = sum(len(pts) - 1 for pts in sets)
+    factors = []
+    for _ in range(rng.randint(0, room) if n > 1 else 0):
+        i = rng.randint(1, n - 1)
+        factors.append(P.Factor(i, rng.randint(i + 1, n), rng.choice((-1, 1)),
+                                rng.randrange(t)))
+    return P.EdgeProductPolynomial(field, n, tuple(factors)), P.Grid(field, sets)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 7])
+def test_pruned_grid_sum_matches_the_flat_sum(t):
+    """Same value and the same spend, one step per grid point, as the
+    point-by-point sum; an exhausted budget stops at the same step."""
+    field = make_field(t)
+    rng = random.Random(700 + t)
+    nonzero = 0
+    for _ in range(150):
+        poly, grid = _random_grid_instance(rng, field)
+        budget, ref = Budget(10**9), Budget(10**9)
+        value = grid.coefficient(poly, budget)
+        assert value == ref_grid_coefficient(grid, poly, ref)
+        assert budget.spent == ref.spent == math.prod(len(pts) for pts in grid.point_sets)
+        nonzero += value != 0
+        limit = rng.randint(1, ref.spent)
+        outcomes = []
+        for run in (grid.coefficient, partial(ref_grid_coefficient, grid)):
+            budget = Budget(limit)
+            try:
+                outcomes.append((run(poly, budget), budget.spent))
+            except BudgetExceeded as exc:
+                outcomes.append(("exceeded", exc.spent, budget.spent))
+        assert outcomes[0] == outcomes[1]
+    assert nonzero > 0
+
+
+def test_grid_walk_yields_the_nonzero_points_in_product_order():
+    rng = random.Random(99)
+    for t in (3, 4, 5):
+        field = make_field(t)
+        for _ in range(40):
+            poly, grid = _random_grid_instance(rng, field)
+            budget = Budget(10**9)
+            walked = list(P._grid_terms(grid, poly, budget))
+            points = [p for p in product(*grid.point_sets) if poly.evaluate(p)]
+            assert [p for p, _ in walked] == points
+            assert all(v for _, v in walked)
+            assert budget.spent == math.prod(len(pts) for pts in grid.point_sets)
+    # no variables: the one empty point, where the empty product is 1
+    budget = Budget(10)
+    assert P.Grid(F3, ()).coefficient(P.EdgeProductPolynomial(F3, 0, ()), budget) == 1
+    assert budget.spent == 1
+
+
+def test_grid_walk_on_a_1200_vertex_graph_does_not_recurse():
+    # three edges: every other coordinate has the single point 0, and the
+    # walk still goes 1,200 coordinates deep
+    g = G.from_edges(1200, [(1, 2), (600, 601), (1199, 1200)])
+    poly = P.from_graph(g, F3)
+    target = [0] * 1200
+    target[0] = target[599] = target[1198] = 1
+    budget = Budget(100)
+    assert P.Grid.for_target(F3, target).coefficient(poly, budget) == 1
+    assert budget.spent == 8
+    assert P.coefficient_at(poly, target, "both") == 1
 
 
 @settings(max_examples=40, deadline=None)
