@@ -264,21 +264,26 @@ def _co_forest(g: Graph, forest) -> tuple[Edge, ...]:
     ))
 
 
-def _sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget):
+def _sweep_signs(n, fixed_edges, var_edges, weights, collect, budget):
     """Depth-first sweep over sign assignments for var_edges, sharing the
     expansion of the factors that sibling patterns have in common.
 
-    Returns (passes, failures) where passes are (pattern, monomial,
-    coefficient) triples and failures are bare patterns, both in the
-    sign-tree order of var_edges (the sign of var_edges[0] varies
-    slowest, -1 before +1), which is pattern-lex order only when
-    var_edges is in edge order.  Each node of the sign tree charges the
-    budget one step per live term of its map (dead terms, described
-    below, are never stored).  A node with an empty map charges 1, like each node below
-    it; those nodes are charged in one tick, which exhausts the budget at
-    the same step as a node-by-node walk.  A map of more than
-    DEFAULT_MAX_TERMS live terms raises ExpansionLimitError before its
-    node is charged.
+    Each leaf is named by the index kappa of its pattern's representative
+    (see _PatternSpace): weights[d] is the kappa of var_edges[d] at +1
+    alone, and the sweep carries each node's kappa down the tree, the -1
+    child keeping its parent's and the +1 child XORing in weights[d].
+    Returns (passes, failures) where passes are (kappa, top, coefficient)
+    triples, top the packed key of the leaf's lex-greatest monomial (top
+    and coefficient are None without collect), and failures are bare
+    kappas, both in the sign-tree order of var_edges (the sign of
+    var_edges[0] varies slowest, -1 before +1).  Each node of the sign
+    tree charges the budget one step per live term of its map (dead
+    terms, described below, are never stored).  A node with an empty map
+    charges 1, like each node below it; those nodes are charged in one
+    tick, which exhausts the budget at the same step as a node-by-node
+    walk, and their kappas are listed by XOR-closing the weights below.
+    A map of more than DEFAULT_MAX_TERMS live terms raises
+    ExpansionLimitError before its node is charged.
 
     The sweep only ever expands prod (x_i + s x_j) over F_3 with every
     exponent capped at 2, so a map is held as two disjoint sets of packed
@@ -287,9 +292,9 @@ def _sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget):
     2-bit digit, and variable 1 takes the most significant one (variable
     v is shifted by 2(n - v)).  Numeric order on keys is then
     lexicographic order on exponent vectors, so a leaf's lex-greatest
-    monomial is the largest key of either set, and its coefficient is 1
-    or 2 by membership.  Multiplying by x_v adds 1 << 2(n - v) to every
-    key whose x_v digit is below 2, negating swaps the two sets, and with
+    monomial is its largest key, and its coefficient is 1 or 2 by
+    membership.  Multiplying by x_v adds 1 << 2(n - v) to every key whose
+    x_v digit is below 2, negating swaps the two sets, and with
     A = A1 | A2 and B = B1 | B2 the F_3 sum of (A1, A2) and (B1, B2) is
 
         R1 = (A1 - B) | (B1 - A) | (A2 & B2)
@@ -298,9 +303,18 @@ def _sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget):
     since 1 + 1 = 2, 2 + 2 = 1 and 1 + 2 = 0; _times_factor computes
     (A1 - B) | (B1 - A) as (A1 | B1) - (A & B).  An internal node shifts
     its map by x_i and by x_j once and builds its -1 child as P + (-Q) and
-    its +1 child as P + Q from those two shifts.  The sign tree is walked
-    with an explicit stack, so its depth, |var_edges|, is not bounded by
-    the recursion limit.
+    its +1 child as P + Q from those two shifts, P = (p1, p2) and
+    Q = (q1, q2).  The last factor's two leaves are counted, not built:
+    the keys in one shift only survive in both, and a key in both
+    survives where its coefficients do not cancel, so
+
+        |minus| = |P| + |Q| - 2|P & Q| + |p2 & q1| + |p1 & q2|
+        |plus|  = |P| + |Q| - 2|P & Q| + |p2 & q2| + |p1 & q1|
+
+    and a leaf's largest key is the larger of the largest key of P ^ Q
+    and of its surviving intersections.  The sign tree is walked with an
+    explicit stack, so its depth, |var_edges|, is not bounded by the
+    recursion limit.
 
     A term is dead when a factor still to be multiplied (the later
     fixed_edges, then all of var_edges, in this order) has both ends at
@@ -324,41 +338,77 @@ def _sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget):
         _check_size(ones, twos)
     passes = []
     failures = []
-    slot = {e: k for k, e in enumerate(all_edges)}
-    pattern = [-1] * len(all_edges)
-    var_slots = [slot[e] for e in var_edges]
-    shifts = range(2 * (n - 1), -1, -2)
-    # (depth, sign of the edge above, ones, twos); the -1 child is on top
-    stack = [(0, -1, ones, twos)]
+    depth = len(var_edges)
+
+    def fail_below(d, kappa):
+        # every leaf below an empty map fails: one tick charges the
+        # subtree's nodes and stops where a node-by-node walk would
+        nodes = (2 << (depth - d)) - 1
+        budget.tick(min(nodes, budget.limit - budget.spent))
+        block = [kappa]
+        for w in reversed(weights[d:]):  # weights[d] varies slowest
+            block += [k ^ w for k in block]
+        failures.extend(block)
+
+    # (depth, kappa, ones, twos); the -1 child is on top
+    stack = [(0, 0, ones, twos)]
     while stack:
-        d, s, ones, twos = stack.pop()
+        d, kappa, ones, twos = stack.pop()
         size = _check_size(ones, twos)
-        if d:
-            pattern[var_slots[d - 1]] = s
         if not size:
-            # every leaf below an empty map fails: one tick charges the
-            # subtree's nodes and stops where a node-by-node walk would
-            nodes = (2 << (len(var_edges) - d)) - 1
-            budget.tick(min(nodes, budget.limit - budget.spent))
-            below = var_slots[d:]
-            for signs in product((-1, 1), repeat=len(below)):
-                for k, sign in zip(below, signs):
-                    pattern[k] = sign
-                failures.append(tuple(pattern))
+            fail_below(d, kappa)
             continue
         budget.tick(size)
-        if d == len(var_edges):
+        if d == depth:  # no co-forest edge: the root is the only leaf
             if collect:
-                top = max(max(ones, default=-1), max(twos, default=-1))
-                monomial = tuple(top >> shift & 3 for shift in shifts)
-                passes.append((tuple(pattern), monomial, 1 if top in ones else 2))
+                top = max((max(ones, default=-1), 1), (max(twos, default=-1), 2))
+                passes.append((kappa, *top))
             else:
-                passes.append((tuple(pattern), None, None))
+                passes.append((kappa, None, None))
             continue
         i, j = var_edges[d]
-        minus, plus = _times_factor(ones, twos, i, j, n, *var_dead[d])
-        stack.append((d + 1, 1, *plus))
-        stack.append((d + 1, -1, *minus))
+        if d + 1 < depth:
+            minus, plus = _times_factor(ones, twos, i, j, n, *var_dead[d])
+            stack.append((d + 1, kappa ^ weights[d], *plus))
+            stack.append((d + 1, kappa, *minus))
+            continue
+        # the last factor: its two leaves, counted without being built
+        p1, p2 = _shifted(ones, twos, i, n, var_dead[d][0])
+        q1, q2 = _shifted(ones, twos, j, n, var_dead[d][1])
+        i11 = p1 & q1
+        i12 = p1 & q2
+        i21 = p2 & q1
+        i22 = p2 & q2
+        apart = len(p1) + len(p2) + len(q1) + len(q2) - 2 * (
+            len(i11) + len(i12) + len(i21) + len(i22))
+        only = (None, None)
+        if collect:
+            # the largest key in one shift only, with its coefficient in
+            # P - Q and in P + Q
+            top = max((p1 | p2) ^ (q1 | q2), default=-1)
+            if top in p1 or top in p2:
+                c = 1 if top in p1 else 2
+                only = (top, c), (top, c)
+            else:  # from Q, negated in P - Q
+                c = 1 if top in q1 else 2
+                only = (top, 3 - c), (top, c)
+        # P - Q, then P + Q: (kappa, size, the shared keys left at 1 and
+        # at 2, the largest key in one shift only)
+        for leaf, size, r1, r2, one in (
+            (kappa, apart + len(i21) + len(i12), i21, i12, only[0]),
+            (kappa ^ weights[d], apart + len(i22) + len(i11), i22, i11, only[1]),
+        ):
+            if size > DEFAULT_MAX_TERMS:
+                raise ExpansionLimitError(size, DEFAULT_MAX_TERMS)
+            if not size:
+                fail_below(depth, leaf)
+                continue
+            budget.tick(size)
+            if collect:
+                top = max(one, (max(r1, default=-1), 1), (max(r2, default=-1), 2))
+                passes.append((leaf, *top))
+            else:
+                passes.append((leaf, None, None))
     return passes, failures
 
 
@@ -633,7 +683,17 @@ def certify_dp3(
     two ends are both at exponent 2 has no descendant within the cap, so
     it is dropped without changing any result (see _sweep_signs).  The
     switch then charges 2^(|V|-c) per representative switched, that is
-    per failing one and, with collect_certificates, per passing one.
+    per failing one and, with collect_certificates, per passing one, in
+    one tick that stops where one tick per representative would.
+
+    The sweep names each leaf by its representative's index kappa in the
+    _PatternSpace of the mode, built before the sweep.  The representative
+    fixes the forest edges at -1 in both modes, so its kappa is the XOR
+    of slot_kap over its co-forest edges at +1: the sweep starts at 0 and
+    XORs an edge's slot_kap into the +1 child's kappa only, and the result
+    is stored at certs[kappa] or fails[kappa] directly.  The last
+    factor's two leaves are counted from the sizes of its two shifts and
+    of their four intersections, not built (see _sweep_signs).
 
     The sweep multiplies the forest edges first, then the co-forest edges
     in the order of _co_forest: by descending deg(i) + deg(j), ties by
@@ -641,10 +701,10 @@ def certify_dp3(
     514,067 steps against 602,666 in edge order.  The order cannot change
     a result, only the steps and the time: each leaf map is the whole
     product with its exponents capped at 2, whatever order the factors
-    come in; each representative's verdict is stored at the index
-    _PatternSpace.locate gives its pattern, not at its place in the
-    sweep; and the dead-term masks are built from the factors in the
-    order they are multiplied.
+    come in; each representative's verdict is stored at its kappa, which
+    follows its edges' signs, not its place in the sweep; and the
+    dead-term masks are built from the factors in the order they are
+    multiplied.
 
     With use_spanning_tree (connected graphs containing a cycle only),
     the result lists the representatives alone; the verdict is the same.
@@ -659,28 +719,39 @@ def certify_dp3(
     forest = set(fixed)
     var_edges = _co_forest(g, forest)
     budget = ensure_budget(budget, 2_000_000_000, "sweeping sign patterns")
+    space = _PatternSpace(g, forest, switched=not use_spanning_tree)
+    slot = {e: k for k, e in enumerate(g.edges)}
+    weights = [space.slot_kap[slot[e]] for e in var_edges]
 
     passes, failures = _sweep_signs(
-        g.n, g.edges, fixed, var_edges, collect_certificates, budget
+        g.n, fixed, var_edges, weights, collect_certificates, budget
     )
 
     mode = "spanning-tree" if use_spanning_tree else "all-edges"
-    space = _PatternSpace(g, forest, switched=not use_spanning_tree)
-    if not use_spanning_tree:
+    reps = (len(passes) if collect_certificates else 0) + len(failures)
+    if not use_spanning_tree and reps:
+        # one tick that stops where one tick per representative would: at
+        # the first multiple of `switchings` that reaches the limit
         switchings = 1 << (space.nbits - space.rank)
-        for _ in range((len(passes) if collect_certificates else 0) + len(failures)):
-            budget.tick(switchings)
+        room = budget.limit - budget.spent
+        budget.tick(switchings * min(reps, max(1, -(-room // switchings))))
 
     lower = 0  # vertex v at bit v - 1: the parity of the edges it is the lower end of
     for i, _ in g.edges:
         lower ^= 1 << (i - 1)
     certs = [None] * (1 << space.rank)
     fails = [None] * (1 << space.rank)
-    for pattern, mono, coeff in passes if collect_certificates else ():
-        odd = sum(1 << v for v, a in enumerate(mono) if a & 1)
-        certs[space.locate(pattern)[0]] = (mono, coeff, lower ^ odd)
-    for pattern in failures:
-        fails[space.locate(pattern)[0]] = True
+    shifts = range(2 * (g.n - 1), -1, -2)
+    unpacked = {}  # top key -> (monomial, flip)
+    for kappa, top, coeff in passes if collect_certificates else ():
+        found = unpacked.get(top)
+        if found is None:
+            mono = tuple(top >> shift & 3 for shift in shifts)
+            odd = sum(1 << v for v, a in enumerate(mono) if a & 1)
+            found = unpacked[top] = (mono, lower ^ odd)
+        certs[kappa] = (found[0], coeff, found[1])
+    for kappa in failures:
+        fails[kappa] = True
 
     patterns_tested = 1 << space.nbits
     failure = None

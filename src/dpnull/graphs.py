@@ -14,6 +14,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from types import MappingProxyType
 
@@ -340,11 +341,21 @@ def spanning_tree(g: Graph) -> tuple[Edge, ...]:
     ))
 
 
+def _most_saturated(heap, colors, neighbor_colors):
+    """The uncoloured vertex of the largest (saturation, degree, -index):
+    the top of `heap` once the entries that no longer hold are popped."""
+    while True:
+        sat, _, v = heap[0]
+        if v not in colors and -sat == len(neighbor_colors[v]):
+            return v
+        heappop(heap)
+
+
 def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int | None:
     """Least k <= kmax with a proper k-coloring, or None when all fail.
 
-    Backtracking with saturation-degree vertex selection (ties by index) and
-    new-color symmetry breaking.
+    Backtracking with saturation-degree vertex selection (ties by degree,
+    then by index) and new-color symmetry breaking.
     """
     budget = ensure_budget(budget, 50_000_000, "computing the chromatic number")
     if g.n == 0:
@@ -354,9 +365,17 @@ def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int |
     def colorable(k: int) -> bool:
         """Depth-first search with an explicit stack of frames
         [vertex, colors used above it, next color to try, the neighbours
-        its current color was added to]; one tick per search node."""
+        its current color was added to]; one tick per search node.
+
+        The uncoloured vertices wait in a heap of (-saturation, -degree,
+        vertex) entries.  A vertex gets a new entry whenever its
+        saturation changes or it is uncoloured again, so each one has an
+        entry that holds; the others are popped when they reach the top,
+        or dropped all at once when the heap outgrows 4n entries."""
         colors = {}
         neighbor_colors = {v: set() for v in range(1, g.n + 1)}
+        heap = [(0, -len(adj[v]), v) for v in range(1, g.n + 1)]
+        heapify(heap)
         stack = []
         used = 0
         while True:
@@ -364,10 +383,11 @@ def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int |
             budget.tick()
             if len(colors) == g.n:
                 return True
-            v = max(
-                (u for u in range(1, g.n + 1) if u not in colors),
-                key=lambda u: (len(neighbor_colors[u]), len(adj[u]), -u),
-            )
+            if len(heap) > 4 * g.n:
+                heap = [(-len(neighbor_colors[u]), -len(adj[u]), u)
+                        for u in range(1, g.n + 1) if u not in colors]
+                heapify(heap)
+            v = _most_saturated(heap, colors, neighbor_colors)
             stack.append([v, used, 0, None])
             while stack:
                 frame = stack[-1]
@@ -375,6 +395,7 @@ def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int |
                 if touched is not None:  # back from the child: undo the color
                     for w in touched:
                         neighbor_colors[w].discard(c - 1)
+                        heappush(heap, (-len(neighbor_colors[w]), -len(adj[w]), w))
                     del colors[v]
                 top = used + 1 if used < k else k
                 while c < top and c in neighbor_colors[v]:
@@ -382,12 +403,15 @@ def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int |
                 if c < top:
                     break
                 stack.pop()
+                if touched is not None:
+                    heappush(heap, (-len(neighbor_colors[v]), -len(adj[v]), v))
             else:
                 return False
             colors[v] = c
             touched = [w for w in adj[v] if w not in colors and c not in neighbor_colors[w]]
             for w in touched:
                 neighbor_colors[w].add(c)
+                heappush(heap, (-len(neighbor_colors[w]), -len(adj[w]), w))
             frame[2] = c + 1
             frame[3] = touched
             used = max(used, c + 1)

@@ -367,11 +367,41 @@ def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget,
     return passes, failures
 
 
-def _sweep_args(g):
-    """The arguments certify_dp3 passes _sweep_signs: the forest edges,
-    then the co-forest edges in the sweep's factor order."""
+def _sweep_args(g, switched=True):
+    """The arguments certify_dp3 passes _sweep_signs (the forest edges,
+    then the co-forest edges in the sweep's factor order, and their kappa
+    weights) and the _PatternSpace that names the leaves: all-edges mode,
+    or spanning-tree mode when switched is False."""
     fixed = G.spanning_tree(g)
-    return g.n, g.edges, fixed, X._co_forest(g, set(fixed))
+    forest = set(fixed)
+    var = X._co_forest(g, forest)
+    space = X._PatternSpace(g, forest, switched)
+    return g.n, fixed, var, _weights(g, space, var), space
+
+
+def _weights(g, space, var):
+    """The kappa of each edge of var at +1 alone, in var's order."""
+    return [space.slot_kap[g.edges.index(e)] for e in var]
+
+
+def _located(space, swept):
+    """A reference sweep's (passes, failures) with each pattern replaced
+    by the kappa of its representative."""
+    passes, failures = swept
+    return ([(space.locate(p)[0], mono, c) for p, mono, c in passes],
+            [space.locate(p)[0] for p in failures])
+
+
+def _unpacked(n, swept):
+    """The kernel's (passes, failures) with each packed top key unpacked
+    into its exponent vector."""
+    passes, failures = swept
+    return ([(k, None if top is None else _digits(top, n), c) for k, top, c in passes],
+            failures)
+
+
+def _digits(key, n):
+    return tuple(key >> 2 * (n - v) & 3 for v in range(1, n + 1))
 
 
 def _kernel_graphs():
@@ -404,7 +434,8 @@ def test_sweep_kernel_matches_per_pattern_expansion():
     assert any(g.degree(v) == 0 for g in graphs for v in range(1, g.n + 1))
     tree_mode = 0
     for g in graphs:
-        n, edges, fixed, var = _sweep_args(g)
+        n, fixed, var, _, _ = _sweep_args(g)
+        edges = g.edges
         passes = []
         failing = []
         for signs in product((-1, 1), repeat=len(var)):
@@ -417,13 +448,17 @@ def test_sweep_kernel_matches_per_pattern_expansion():
             else:
                 passes.append((key, *found))
         for collect in (True, False):
-            budget = Budget(10**9)
-            got = X._sweep_signs(n, edges, fixed, var, collect, budget)
             want = passes if collect else [(p, None, None) for p, _, _ in passes]
-            assert got == (want, failing)
-            ref = Budget(10**9)
-            assert ref_sweep_signs(n, edges, fixed, var, collect, ref) == got
-            assert budget.spent == ref.spent
+            # the leaves named in both modes' kappa coordinates (a forest
+            # has no spanning-tree mode)
+            for switched in (True, False) if var else (True,):
+                _, _, _, weights, space = _sweep_args(g, switched)
+                budget = Budget(10**9)
+                got = _unpacked(n, X._sweep_signs(n, fixed, var, weights, collect, budget))
+                assert got == _located(space, (want, failing))
+                ref = Budget(10**9)
+                assert _located(space, ref_sweep_signs(n, edges, fixed, var, collect, ref)) == got
+                assert budget.spent == ref.spent
             if g.is_connected() and g.contains_cycle():
                 tree_mode += 1
                 res = X.certify_dp3(g, use_spanning_tree=True, collect_certificates=collect)
@@ -444,17 +479,19 @@ def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion():
                                (4, 5), (5, 6), (6, 7), (5, 7)])]
     rng = random.Random(77)
     for g in graphs:
-        n, edges, fixed, var = _sweep_args(g)
+        n, fixed, var, weights, space = _sweep_args(g)
         total = Budget(10**9)
-        X._sweep_signs(n, edges, fixed, var, False, total)
+        X._sweep_signs(n, fixed, var, weights, False, total)
         limits = sorted({1, 2, total.spent, total.spent + 1,
                          *rng.sample(range(1, total.spent), 40)})
+        kernel = lambda b: _unpacked(n, X._sweep_signs(n, fixed, var, weights, False, b))
+        reference = lambda b: _located(space, ref_sweep_signs(n, g.edges, fixed, var, False, b))
         for limit in limits:
             outcomes = []
-            for sweep in (X._sweep_signs, ref_sweep_signs):
+            for sweep in (kernel, reference):
                 budget = Budget(limit)
                 try:
-                    outcomes.append((sweep(n, edges, fixed, var, False, budget), budget.spent))
+                    outcomes.append((sweep(budget), budget.spent))
                 except BudgetExceeded as exc:
                     outcomes.append(("exhausted", exc.spent))
             assert outcomes[0] == outcomes[1], (g, limit)
@@ -462,15 +499,19 @@ def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion():
 
 def test_sweep_kernel_raises_the_expansion_limit_where_the_dict_sweep_does(monkeypatch):
     g = G.cycle_power(7, 2)
-    n, edges, fixed, var = _sweep_args(g)
+    n, fixed, var, weights, space = _sweep_args(g)
     raised = 0
     for limit in (1, 4, 16, 40, 60, 100, 400):
         monkeypatch.setattr(X, "DEFAULT_MAX_TERMS", limit)
         outcomes = []
-        for sweep in (X._sweep_signs, lambda *a: ref_sweep_signs(*a, max_terms=limit)):
+        for sweep in (
+            lambda b: _unpacked(n, X._sweep_signs(n, fixed, var, weights, True, b)),
+            lambda b: _located(space, ref_sweep_signs(n, g.edges, fixed, var, True, b,
+                                                      max_terms=limit)),
+        ):
             budget = Budget(10**9)
             try:
-                outcomes.append(sweep(n, edges, fixed, var, True, budget))
+                outcomes.append(sweep(budget))
             except P.ExpansionLimitError as exc:
                 outcomes.append(("limit", exc.size, exc.limit, budget.spent))
         assert outcomes[0] == outcomes[1], limit
@@ -534,8 +575,8 @@ def ref_switch_all(g, passes, failures, collect, budget):
 def ref_certify_dp3(g, use_spanning_tree, collect, budget, sweep=ref_sweep_signs):
     """(certificates, failing patterns) as tuples, from a reference sweep
     and ref_switch_all."""
-    n, edges, fixed, var = _sweep_args(g)
-    passes, failures = sweep(n, edges, fixed, var, collect, budget)
+    n, fixed, var, _, _ = _sweep_args(g)
+    passes, failures = sweep(n, g.edges, fixed, var, collect, budget)
     if use_spanning_tree:
         # the sweep emits them in its sign-tree order; certify_dp3 lists them
         # in pattern-lex order
@@ -614,6 +655,39 @@ def test_lazy_sequences_match_the_materialised_switch():
     assert checked >= 200
 
 
+def test_switch_charge_stops_where_one_tick_per_representative_does():
+    """certify_dp3 charges all the all-edges switchings in one tick; a
+    budget that runs out inside that phase stops at the spend of
+    ref_certify_dp3's one tick per representative."""
+    rng = random.Random(8008)
+    exhausted = 0
+    for g in [G.complete_bipartite(3, 3), G.cycle_power(7, 2), G.complete(5),
+              *_random_sweep_graphs()[:16]]:
+        n, fixed, var, weights, _ = _sweep_args(g)
+        for collect in (True, False):
+            swept, total = Budget(10**9), Budget(10**9)
+            X._sweep_signs(n, fixed, var, weights, collect, swept)
+            X.certify_dp3(g, budget=total, collect_certificates=collect)
+            inside = range(swept.spent + 1, total.spent + 1)
+            limits = {*inside[:3], *inside[-2:], total.spent + 1,
+                      *rng.sample(inside, min(len(inside), 8))}
+            for limit in sorted(limits):
+                outcomes = []
+                for run in (
+                    lambda b: X.certify_dp3(g, budget=b, collect_certificates=collect),
+                    lambda b: ref_certify_dp3(g, False, collect, b),
+                ):
+                    budget = Budget(limit)
+                    try:
+                        run(budget)
+                        outcomes.append(("done", budget.spent))
+                    except BudgetExceeded as exc:
+                        outcomes.append(("exhausted", exc.spent, budget.spent))
+                assert outcomes[0] == outcomes[1], (g, collect, limit)
+                exhausted += outcomes[0][0] == "exhausted"
+    assert exhausted >= 150
+
+
 def test_pruned_sweep_keeps_every_leaf(monkeypatch):
     """Dropping dead terms changes no result and never costs budget: the
     sweep and certify_dp3, in both modes and with and without
@@ -631,15 +705,17 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
     unpruned = partial(ref_sweep_signs, prune=False)
     checked = saved = 0
     for g in _kernel_graphs() + _random_sweep_graphs():
-        n, edges, fixed, var = _sweep_args(g)
+        n, fixed, var, _, _ = _sweep_args(g)
         order = (*fixed, *var)
         modes = [False] + ([True] if g.is_connected() and g.contains_cycle() else [])
         for tree, collect in product(modes, (True, False)):
+            _, _, _, weights, space = _sweep_args(g, switched=not tree)
             stored.clear()
             ref = Budget(10**9)
-            want = unpruned(n, edges, fixed, var, collect, ref)
+            want = _located(space, unpruned(n, g.edges, fixed, var, collect, ref))
             budget = Budget(10**9)
-            assert X._sweep_signs(n, edges, fixed, var, collect, budget) == want
+            got = X._sweep_signs(n, fixed, var, weights, collect, budget)
+            assert _unpacked(n, got) == want
             assert budget.spent <= ref.spent
             saved += budget.spent < ref.spent
             ref = Budget(10**9)
@@ -654,8 +730,7 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
                 later = order[order.index(edge) + 1:]
                 for ones, twos in children:
                     for key in ones | twos:
-                        exps = tuple(key >> 2 * (n - v) & 3 for v in range(1, n + 1))
-                        assert not _dead(exps, later), (g, edge, exps)
+                        assert not _dead(_digits(key, n), later), (g, edge, _digits(key, n))
             checked += 1
     assert checked >= 200 and saved >= 50
 
@@ -663,17 +738,18 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
 def test_sweep_results_do_not_depend_on_the_factor_order():
     """The co-forest order moves only the steps: edge order, the sweep's
     degree order and two seeded shuffles give the same passes and
-    failures once both are sorted into pattern-lex order."""
+    failures once both are sorted by kappa."""
     rng = random.Random(6006)
     reordered = 0
     for g in _kernel_graphs() + _random_sweep_graphs():
-        n, edges, fixed, var = _sweep_args(g)
+        n, fixed, var, _, space = _sweep_args(g)
         lex = tuple(sorted(var))
         reordered += var != lex
         orders = (lex, var, *(tuple(rng.sample(var, len(var))) for _ in range(2)))
         results = []
         for order in orders:
-            passes, failures = X._sweep_signs(n, edges, fixed, order, True, Budget(10**9))
+            passes, failures = X._sweep_signs(n, fixed, order, _weights(g, space, order), True,
+                                              Budget(10**9))
             results.append((sorted(passes), sorted(failures)))
         for order, got in zip(orders, results):
             assert got == results[0], (g, order)
@@ -687,9 +763,10 @@ def test_factor_order_pins_the_c13sq_steps():
     budget = Budget(10**9)
     X.certify_dp3(g, use_spanning_tree=True, budget=budget)
     assert budget.spent == 514_067
-    n, edges, fixed, var = _sweep_args(g)
+    n, fixed, var, _, space = _sweep_args(g, switched=False)
     lex = Budget(10**9)
-    X._sweep_signs(n, edges, fixed, tuple(sorted(var)), False, lex)
+    order = tuple(sorted(var))
+    X._sweep_signs(n, fixed, order, _weights(g, space, order), False, lex)
     assert lex.spent == 602_666
 
 
