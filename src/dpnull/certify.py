@@ -8,6 +8,9 @@ The certifiers tie the polynomial side to the cover side:
 * over F_3 the same works for arbitrary covers with the signed polynomial
   prod (x_i + B*x_j - beta_ij), B = -1 on good-diff edges and +1 on
   bad-sum edges;
+* in both, the offsets beta_ij only feed lower degrees, so the top-degree
+  coefficients are those of the offset-free product prod (x_i + B*x_j),
+  and the qualifying monomial is read from that product alone;
 * sweeping every sign pattern over F_3 certifies chi_DP(G) <= 3 outright;
   only the patterns with a spanning forest pinned to -1 are expanded, and
   vertex switching gives every other pattern's certificate;

@@ -307,6 +307,14 @@ def apply_relabeling(cover: Cover, maps: dict[int, dict[int, int]]) -> Cover:
     return _relabel_cover(cover, maps)
 
 
+def _pairs(cover: Cover, u: int, v: int) -> list[tuple[int, int]]:
+    """Edge uv's matched pairs as (label of u, label of v), in the
+    matching's item order."""
+    if u < v:
+        return list(cover.matching(u, v).items())
+    return [(b, a) for a, b in cover.matching(v, u).items()]
+
+
 def tree_normalize(cover: Cover) -> tuple[Cover, dict[int, dict[int, int]]]:
     """Rename labels, propagating from each root of `Graph.forest` to its
     children, so that every forest matching becomes the identity.  Requires
@@ -325,14 +333,10 @@ def tree_normalize(cover: Cover) -> tuple[Cover, dict[int, dict[int, int]]]:
             )
     maps: dict[int, dict[int, int]] = {}
     for w, u in g.forest.items():
-        if not u:
-            maps[w] = {a: a for a in cover.labels_of(w)}
-        elif u < w:
-            sigma = cover.matching(u, w)  # L(u) -> L(w)
-            maps[w] = {b: maps[u][a] for a, b in sigma.items()}
+        if u:
+            maps[w] = {b: maps[u][a] for a, b in _pairs(cover, u, w)}
         else:
-            sigma = cover.matching(w, u)  # L(w) -> L(u)
-            maps[w] = {a: maps[u][b] for a, b in sigma.items()}
+            maps[w] = {a: a for a in cover.labels_of(w)}
     renamed = _relabel_cover(cover, maps)
     for e in forest:
         sat = classify_saturation(renamed, e)
@@ -340,88 +344,65 @@ def tree_normalize(cover: Cover) -> tuple[Cover, dict[int, dict[int, int]]]:
     return renamed, maps
 
 
-def _injections(domain: tuple[int, ...], t: int):
-    for img in permutations(range(t), len(domain)):
-        yield dict(zip(domain, img))
-
-
 def is_good_cover(cover: Cover, budget: Budget | None = None) -> dict[int, dict[int, int]] | None:
     """Search for a per-vertex relabeling under which every saturation
     function classifies good-diff; None after exhausting the search space.
 
-    Vertices are processed in `Graph.forest` order, a BFS order, so each
-    non-root is constrained by at least one earlier edge; candidates for a
-    constrained vertex are generated from one such edge (a shift choice
-    plus an arbitrary injective extension) instead of all injections.  The
-    backtracking is iterative and charges one budget step per candidate
-    tried.
+    Vertices are processed in `Graph.forest` order, a BFS order.  Each
+    vertex v gets, once, the list of its matched edges to earlier vertices
+    u, in that order, with the pairs oriented as (label a of u, label b of
+    v).  Such an edge is good under renamings rho when rho_u(a) - rho_v(b)
+    takes one value over its pairs, so a candidate for v is checked against
+    v's list alone.  Candidates come from the list's first edge, the
+    anchor: v's matched labels get their partners' names shifted by each
+    beta in turn, and its free labels every injective extension; a vertex
+    with an empty list gets every injection.  The backtracking is
+    iterative and charges one budget step per candidate tried.
     """
     budget = ensure_budget(budget, 20_000_000, "searching for a good renaming")
-    g = cover.graph
     t = cover.t
     fld = cover.field
-    order = list(g.forest)
+    order = list(cover.graph.forest)
     pos = {v: k for k, v in enumerate(order)}
-
-    def renamed_good(i, j, sigma, rho_i, rho_j) -> bool:
-        diffs = {fld.sub(rho_i[a], rho_j[b]) for a, b in sigma.items()}
-        return len(diffs) <= 1
-
-    def candidates(v, maps):
-        anchor = None
-        for u in order[: pos[v]]:
-            e = (u, v) if u < v else (v, u)
-            sigma = cover.matchings.get(e)
-            if sigma:
-                anchor = (u, e, sigma)
-                break
-        if anchor is None:
-            yield from _injections(cover.labels_of(v), t)
-            return
-        u, e, sigma = anchor
-        rho_u = maps[u]
-        lv = cover.labels_of(v)
-        if e == (u, v):
-            # sigma: L(u) -> L(v); good means rho_v(sigma(a)) = rho_u(a) - beta
-            pinned_src = {b: rho_u[a] for a, b in sigma.items()}
-        else:
-            # sigma: L(v) -> L(u); good means rho_v(a) = rho_u(sigma(a)) + beta
-            pinned_src = {a: rho_u[b] for a, b in sigma.items()}
-        for beta in range(t):
-            rho = {}
-            ok = True
-            for lbl, base in pinned_src.items():
-                val = fld.sub(base, beta) if e == (u, v) else fld.add(base, beta)
-                if val in rho.values():
-                    ok = False
-                    break
-                rho[lbl] = val
-            if not ok:
-                continue
-            free = [lbl for lbl in lv if lbl not in rho]
-            used = set(rho.values())
-            avail = tuple(x for x in range(t) if x not in used)
-            for img in permutations(avail, len(free)):
-                cand = dict(rho)
-                cand.update(zip(free, img))
-                yield cand
-
+    # earlier[v]: (u, pairs of uv) per matched edge to an earlier u, in order
+    earlier: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {v: [] for v in order}
+    for u in order:
+        for v in cover.graph.adjacency[u]:
+            if pos[v] > pos[u] and (pairs := _pairs(cover, u, v)):
+                earlier[v].append((u, pairs))
     maps: dict[int, dict[int, int]] = {}
 
-    def consistent(k: int, v: int, rho: dict[int, int]) -> bool:
-        """Every edge from an earlier vertex to v is good under rho."""
-        for u in order[:k]:
-            e = (u, v) if u < v else (v, u)
-            sigma = cover.matchings.get(e)
-            if not sigma:
-                continue
-            if e == (u, v):
-                good = renamed_good(u, v, sigma, maps[u], rho)
+    def candidates(v):
+        lv = cover.labels_of(v)
+        if not earlier[v]:
+            for img in permutations(range(t), len(lv)):
+                yield dict(zip(lv, img))
+            return
+        u, pairs = earlier[v][0]
+        # beta is the anchor's offset rho_i(a) - rho_j(b), i < j, so the
+        # anchor is good when rho_v(b) = rho_u(a) -/+ beta as u < v or not
+        shift = fld.sub if u < v else fld.add
+        rho_u = maps[u]
+        for beta in range(t):
+            rho = {}
+            for a, b in pairs:
+                val = shift(rho_u[a], beta)
+                if val in rho.values():
+                    break
+                rho[b] = val
             else:
-                good = renamed_good(v, u, sigma, rho, maps[u])
-            if not good:
-                return False
-        return True
+                free = [lbl for lbl in lv if lbl not in rho]
+                used = set(rho.values())
+                avail = tuple(x for x in range(t) if x not in used)
+                for img in permutations(avail, len(free)):
+                    yield {**rho, **dict(zip(free, img))}
+
+    def consistent(v: int, rho: dict[int, int]) -> bool:
+        """Every matched edge from an earlier vertex to v is good under rho.
+        Negating the differences keeps their number, so the test does not
+        depend on which end the matching maps from."""
+        return all(len({fld.sub(maps[u][a], rho[b]) for a, b in pairs}) <= 1
+                   for u, pairs in earlier[v])
 
     # depth first with an explicit stack: pending[k] is the suspended
     # candidate generator of order[k], and maps holds the renamings of
@@ -431,10 +412,10 @@ def is_good_cover(cover: Cover, budget: Budget | None = None) -> dict[int, dict[
     while k < len(order):
         v = order[k]
         if len(pending) == k:
-            pending.append(candidates(v, maps))
+            pending.append(candidates(v))
         for rho in pending[k]:
             budget.tick()
-            if consistent(k, v, rho):
+            if consistent(v, rho):
                 maps[v] = rho
                 k += 1
                 break

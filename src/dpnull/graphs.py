@@ -120,19 +120,33 @@ class Graph:
         return xs, ys
 
     def coloring_number(self) -> int:
-        """1 + degeneracy, via repeated minimum-degree removal."""
+        """1 + degeneracy, via repeated minimum-degree removal.  A bucket
+        queue by degree serves the minimum; the degeneracy does not depend
+        on how ties are broken.  Entries go stale when a degree drops and
+        are skipped when popped."""
         if self.n == 0:
             return 0
-        deg = {v: self.degree(v) for v in range(1, self.n + 1)}
-        alive = set(deg)
-        best = 0
-        while alive:
-            v = min(alive, key=lambda u: (deg[u], u))
-            best = max(best, deg[v])
-            alive.discard(v)
-            for w in self.adjacency[v]:
-                if w in alive:
+        adj = self.adjacency
+        deg = [0, *(len(adj[v]) for v in range(1, self.n + 1))]  # -1: removed
+        buckets = [[] for _ in range(max(deg) + 1)]
+        for v in range(1, self.n + 1):
+            buckets[deg[v]].append(v)
+        best = d = 0
+        for _ in range(self.n):
+            while True:
+                while not buckets[d]:
+                    d += 1
+                v = buckets[d].pop()
+                if deg[v] == d:
+                    break
+            best = max(best, d)
+            deg[v] = -1
+            for w in adj[v]:
+                if deg[w] >= 0:
                     deg[w] -= 1
+                    buckets[deg[w]].append(w)
+            # removing v lowers a degree by one at most
+            d = max(d - 1, 0)
         return best + 1
 
     def subgraph(self, vertices: tuple[int, ...]) -> "Graph":
@@ -177,11 +191,13 @@ def cycle_power(n: int, k: int) -> Graph:
     """C_n^k: vertices in cyclic order, edges between cyclic distance <= k."""
     if n < 3 or k < 1:
         raise GraphError("cycle power needs n >= 3, k >= 1")
-    edges = []
-    for i, j in combinations(range(1, n + 1), 2):
-        d = min(j - i, n - (j - i))
-        if d <= k:
-            edges.append((i, j))
+    # a distance beyond n // 2 is a shorter one the other way round; the
+    # set keeps once an edge that two distances give
+    edges = set()
+    for d in range(1, min(k, n // 2) + 1):
+        for i in range(1, n + 1):
+            j = (i + d - 1) % n + 1
+            edges.add((i, j) if i < j else (j, i))
     return Graph(n, tuple(edges), f"C{n}^{k}")
 
 

@@ -219,18 +219,17 @@ def find_qualifying_monomial(
 ) -> tuple[tuple[int, ...], int] | None:
     """Lexicographically greatest exponent vector within caps whose total
     degree equals deg(poly) and whose coefficient is nonzero, with that
-    coefficient; None when no such monomial exists."""
-    deg = poly.degree
-    # 16 = 1 (mod 15), so a packed key is congruent to its digit sum mod 15:
-    # only keys that pass this cheap filter are unpacked, and their exact
-    # sum is still checked, since it can differ from deg by a multiple of 15
-    residue = deg % PACK_MASK
-    candidates = (
-        (unpack_exponents(key, poly.n), c)
-        for key, c in expand_packed(poly, caps, budget).items()
-        if key % PACK_MASK == residue
-    )
-    return max(((e, c) for e, c in candidates if sum(e) == deg), default=None)
+    coefficient; None when no such monomial exists.
+
+    The offsets beta only feed lower degrees, so the top-degree
+    coefficients of prod (x_i + s*x_j - beta) are those of the offset-free
+    prod (x_i + s*x_j).  That product is homogeneous of degree deg(poly),
+    and it alone is expanded: every term it keeps qualifies."""
+    offset_free = EdgeProductPolynomial(
+        poly.field, poly.n, tuple(Factor(f.i, f.j, f.sign) for f in poly.factors))
+    return max(((unpack_exponents(key, poly.n), c)
+                for key, c in expand_packed(offset_free, caps, budget).items()),
+               default=None)
 
 
 # ---------------------------------------------------------------------------

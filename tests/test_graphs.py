@@ -2,7 +2,7 @@
 import pickle
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -65,6 +65,14 @@ def test_family_validation():
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_cycle_power_matches_bfs_closure(n, k):
     assert set(G.cycle_power(n, k).edges) == bfs_distance_edges(n, k)
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_cycle_power_matches_the_pair_scan(n):
+    for k in range(1, 8):
+        want = tuple((i, j) for i, j in combinations(range(1, n + 1), 2)
+                     if min(j - i, n - (j - i)) <= k)
+        assert G.cycle_power(n, k).edges == want, k
 
 
 def test_parse_graph_name():
@@ -261,6 +269,32 @@ def test_chromatic_number_on_a_30000_vertex_path_takes_linear_time():
     assert G.chromatic_number(g, 3, budget) == 2
     assert time.perf_counter() - start < 5.0
     assert budget.spent == 2 + 30_001  # k = 1 fails at the second node
+
+
+def ref_coloring_number(g):
+    """1 + degeneracy by removing, at each step, the alive vertex of least
+    degree found by a scan over all of them."""
+    if g.n == 0:
+        return 0
+    deg = {v: g.degree(v) for v in range(1, g.n + 1)}
+    best = 0
+    while deg:
+        v = min(deg, key=lambda u: (deg[u], u))
+        best = max(best, deg.pop(v))
+        for w in g.adjacency[v]:
+            if w in deg:
+                deg[w] -= 1
+    return best + 1
+
+
+def test_coloring_number_matches_the_min_scan():
+    hard = [mycielskian(mycielskian(G.cycle(5))), G.cycle_power(13, 4), G.complete(7),
+            G.complete_bipartite(3, 9), G.path(40), G.empty_graph(0)]
+    values = set()
+    for g in _random_graphs(61, 150, 14) + hard:
+        assert g.coloring_number() == ref_coloring_number(g), g
+        values.add(g.coloring_number())
+    assert len(values) >= 7
 
 
 def ref_bfs(adj, root, seen):

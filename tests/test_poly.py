@@ -127,20 +127,23 @@ def test_find_qualifying_monomial_is_lex_greatest():
     assert (mono, coeff) == ((1, 1, 0), 1)
 
 
-def test_find_qualifying_monomial_checks_the_degree_behind_the_residue():
-    # degree 15: the constant term's packed key 0 is congruent to 15 mod 15,
-    # the residue filter lets it through, and only its digit sum rejects it
+def test_find_qualifying_monomial_offsets_never_reach_the_top_degree():
+    # caps (0, 0) keep only the constant term, which the offsets feed and
+    # which is no qualifying monomial
     poly = P.EdgeProductPolynomial(F3, 2, (P.Factor(1, 2, -1, 1),) * 15)
     assert P.expand_coefficients(poly, (0, 0)) == {(0, 0): 2}
     assert P.find_qualifying_monomial(poly, (0, 0)) is None
-    # with room for full-degree terms, the lex-greatest of them wins over
-    # the lower-degree keys of the same residue
+    # with room for full-degree terms, the top degree of the expansion is
+    # that of the offset-free product, and its lex-greatest term wins over
+    # the lower-degree keys
+    offset_free = P.EdgeProductPolynomial(F3, 2, (P.Factor(1, 2, -1),) * 15)
     expansion = P.expand_coefficients(poly, (15, 15))
     assert expansion[(0, 0)] == 2
-    want = max((e, c) for e, c in expansion.items() if sum(e) == 15)
+    top = {e: c for e, c in expansion.items() if sum(e) == 15}
+    assert top == P.expand_coefficients(offset_free, (15, 15))
     budget, ref = Budget(10**9), Budget(10**9)
-    assert P.find_qualifying_monomial(poly, (15, 15), budget) == want == ((15, 0), 1)
-    P.expand_packed(poly, (15, 15), ref)
+    assert P.find_qualifying_monomial(poly, (15, 15), budget) == max(top.items()) == ((15, 0), 1)
+    P.expand_packed(offset_free, (15, 15), ref)
     assert budget.spent == ref.spent
 
 
