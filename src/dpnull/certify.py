@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from itertools import islice, product
-from operator import add, eq, index
+from functools import cached_property, partial, reduce
+from itertools import chain, islice, product
+from operator import add, eq, index, or_
 
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .errors import MethodDisagreement, PreconditionError
@@ -194,52 +194,83 @@ def certify_order3_cover(cover: Cover, budget: Budget | None = None) -> Certific
 # ---------------------------------------------------------------------------
 # sign-pattern sweep: chi_DP <= 3
 
-def _shifted(ones, twos, v, n, dead):
-    """(ones, twos) times x_v, dropping the keys whose x_v exponent would
-    reach 3, and the keys whose x_v exponent goes from 1 to 2 while they
-    meet `dead`, the 2-bits of v's neighbours along the factors still to
-    be multiplied: such a key is dead (see _sweep_signs)."""
-    shift = 2 * (n - v)
-    two = 2 << shift  # digits are 0, 1 or 2, so this bit marks a 2
-    inc = 1 << shift  # on a key without the 2-bit, this bit marks a 1
-    return (
-        {k + inc for k in ones if not (k & two or k & inc and k & dead)},
-        {k + inc for k in twos if not (k & two or k & inc and k & dead)},
-    )
+# the sign-tree levels that _sweep_signs bit-slices under one node, so a
+# plane holds at most 2^SLICE_DEPTH sign patterns
+SLICE_DEPTH = 10
 
 
-def _times_factor(ones, twos, i, j, n, dead_i, dead_j):
-    """The (-1 child, +1 child) pair: (ones, twos) times x_i - x_j and
-    times x_i + x_j, from one shift by x_i and one by x_j, without the
-    terms that dead_i and dead_j mark as dead (see _dead_masks)."""
-    p1, p2 = _shifted(ones, twos, i, n, dead_i)
-    q1, q2 = _shifted(ones, twos, j, n, dead_j)
-    # keys in both shifts: their coefficients add, the rest keep theirs
-    i11 = p1 & q1
-    i12 = p1 & q2
-    i21 = p2 & q1
-    i22 = p2 & q2
-    both = i11 | i12 | i21 | i22
-    children = []
-    for b1, b2, r1, r2 in (
-        (q2, q1, i21, i12),  # P - Q, -Q = (q2, q1): 2 - 1 = 1, 1 - 2 = 2
-        (q1, q2, i22, i11),  # P + Q: 2 + 2 = 1, 1 + 1 = 2
-    ):
-        c1 = p1 | b1
-        c1 -= both
-        c1 |= r1
-        c2 = p2 | b2
-        c2 -= both
-        c2 |= r2
-        children.append((c1, c2))
-    return children
+def _level(cur, w, i, j, n, dead_i, dead_j):
+    """The map cur of w sign patterns times x_i + s x_j for both signs s:
+    pattern p of cur gives pattern p (s = -1) and p + w (s = +1) of the
+    result, without the terms that dead_i and dead_j mark as dead (see
+    _dead_masks).
+
+    A map takes each packed key to its planes (ones, twos): bit p of
+    ones is set when the key's coefficient under pattern p is 1, bit p of
+    twos when it is 2.  Multiplying by x_v adds 1 << 2(n - v) to every key
+    whose x_v digit is below 2; the x_i shift adds to both halves as it
+    is, the x_j shift adds to the +1 half as it is and to the -1 half
+    negated, that is with its planes swapped.  A key is dead when it meets
+    the dead mask of the end whose digit the shift takes from 1 to 2."""
+    si = 2 * (n - i)
+    sj = 2 * (n - j)
+    two_i = 2 << si  # digits are 0, 1 or 2, so this bit marks a 2
+    inc_i = 1 << si  # on a key without the 2-bit, this bit marks a 1
+    two_j = 2 << sj
+    inc_j = 1 << sj
+    p = {k + inc_i: (a | a << w, b | b << w) for k, (a, b) in cur.items()
+         if not (k & two_i or k & inc_i and k & dead_i)}
+    q = {k + inc_j: (b | a << w, a | b << w) for k, (a, b) in cur.items()
+         if not (k & two_j or k & inc_j and k & dead_j)}
+    out = p | q
+    # keys in both shifts: their coefficients add over F_3, pattern by
+    # pattern (1 + 1 = 2, 2 + 2 = 1, 1 + 2 = 0).  With a and b the shifted
+    # keys' coefficient vectors, the halves are a - b and a + b, which
+    # both vanish only if a = b = 0, so no key vanishes under every pattern
+    for k in p.keys() & q.keys():
+        a1, a2 = p[k]
+        b1, b2 = q[k]
+        out[k] = ((a1 ^ b1) & ~(a2 | b2) | a2 & b2, (a2 ^ b2) & ~(a1 | b1) | a1 & b1)
+    return out
 
 
-def _check_size(ones, twos) -> int:
-    size = len(ones) + len(twos)
+def _pattern(cur, p):
+    """The one-pattern map of pattern p of cur."""
+    return {k: (1, 0) if a >> p & 1 else (0, 1) for k, (a, b) in cur.items() if (a | b) >> p & 1}
+
+
+def _kappas(weights):
+    """The kappa offsets of the leaves below a node whose co-forest edges
+    still to come have these weights, in sign-tree order."""
+    block = [0]
+    for w in reversed(weights):  # weights[0] varies slowest
+        block += [k ^ w for k in block]
+    return block
+
+
+def _charge(cur, w, below, budget):
+    """Charge the level of w sign-tree nodes whose maps cur holds, `below`
+    levels above the leaves, in one tick, and return the union of their
+    supports (bit p set when pattern p's map is not empty).
+
+    Each node costs max(live terms, 1).  A level with more than
+    DEFAULT_MAX_TERMS keys raises ExpansionLimitError before it ticks; an
+    empty level charges every node from it down in one tick, clipped to
+    the budget, which stops where a node-by-node walk would."""
+    size = len(cur)
     if size > DEFAULT_MAX_TERMS:
         raise ExpansionLimitError(size, DEFAULT_MAX_TERMS)
-    return size
+    if not size:
+        budget.tick(min(w * ((2 << below) - 1), budget.limit - budget.spent))
+        return 0
+    if w == 1:  # one node, each key live in it
+        budget.tick(size)
+        return 1
+    # a key's planes are disjoint, so their set bits are its live patterns
+    union = reduce(or_, chain.from_iterable(cur.values()))
+    live = sum(map(int.bit_count, chain.from_iterable(cur.values())))
+    budget.tick(live + w - union.bit_count())
+    return union
 
 
 def _dead_masks(n, edges):
@@ -268,56 +299,54 @@ def _co_forest(g: Graph, forest) -> tuple[Edge, ...]:
 
 
 def _sweep_signs(n, fixed_edges, var_edges, weights, collect, budget):
-    """Depth-first sweep over sign assignments for var_edges, sharing the
-    expansion of the factors that sibling patterns have in common.
+    """Sweep over sign assignments for var_edges, sharing the expansion of
+    the factors that the patterns have in common.
 
     Each leaf is named by the index kappa of its pattern's representative
     (see _PatternSpace): weights[d] is the kappa of var_edges[d] at +1
-    alone, and the sweep carries each node's kappa down the tree, the -1
-    child keeping its parent's and the +1 child XORing in weights[d].
+    alone, so a leaf's kappa is the XOR of the weights of its +1 edges.
     Returns (passes, failures) where passes are (kappa, top, coefficient)
     triples, top the packed key of the leaf's lex-greatest monomial (top
     and coefficient are None without collect), and failures are bare
     kappas, both in the sign-tree order of var_edges (the sign of
-    var_edges[0] varies slowest, -1 before +1).  Each node of the sign
-    tree charges the budget one step per live term of its map (dead
-    terms, described below, are never stored).  A node with an empty map
-    charges 1, like each node below it; those nodes are charged in one
-    tick, which exhausts the budget at the same step as a node-by-node
-    walk, and their kappas are listed by XOR-closing the weights below.
-    A map of more than DEFAULT_MAX_TERMS live terms raises
-    ExpansionLimitError before its node is charged.
+    var_edges[0] varies slowest, -1 before +1).
 
     The sweep only ever expands prod (x_i + s x_j) over F_3 with every
-    exponent capped at 2, so a map is held as two disjoint sets of packed
-    exponent keys: `ones` holds the keys with coefficient 1 and `twos`
-    those with coefficient 2.  An exponent is at most 2, so it takes a
-    2-bit digit, and variable 1 takes the most significant one (variable
-    v is shifted by 2(n - v)).  Numeric order on keys is then
-    lexicographic order on exponent vectors, so a leaf's lex-greatest
-    monomial is its largest key, and its coefficient is 1 or 2 by
-    membership.  Multiplying by x_v adds 1 << 2(n - v) to every key whose
-    x_v digit is below 2, negating swaps the two sets, and with
-    A = A1 | A2 and B = B1 | B2 the F_3 sum of (A1, A2) and (B1, B2) is
+    exponent capped at 2.  An exponent takes a 2-bit digit of a packed
+    key, variable 1 the most significant one (variable v is shifted by
+    2(n - v)), so numeric order on keys is lexicographic order on
+    exponent vectors and a leaf's lex-greatest monomial is its largest
+    key.  A map holds the products of w sign patterns at once: it takes
+    each key to its two bit planes (ones, twos), bit p set in ones when
+    the key's coefficient under pattern p is 1 and in twos when it is 2,
+    and a key stays only while some pattern gives it a nonzero
+    coefficient.  _level multiplies all w patterns by the next factor in
+    one pass over the keys and puts the +1 children above the -1 ones.
 
-        R1 = (A1 - B) | (B1 - A) | (A2 & B2)
-        R2 = (A2 - B) | (B2 - A) | (A1 & B1)
+    The bottom SLICE_DEPTH levels of the sign tree (all of it when it is
+    shallower) are bit-sliced: under each node at that depth, one map per
+    level holds every node of the level, so a level costs one pass over
+    its keys, not one per node, and no plane is wider than
+    2^SLICE_DEPTH bits.  Level b of a slice signs bit b of the pattern
+    index.  All of a slice's leaves come from its last level: a pattern
+    passes iff some key has its bit set, its top is the largest such key
+    and its coefficient the plane that bit is in.  The levels above the
+    slices are walked depth first with an explicit stack, one node at a
+    time, so the depth, |var_edges|, is bounded neither by the recursion
+    limit nor, beyond one map per level, by memory: a node's one-pattern
+    map goes through _level and is split into its two children.
 
-    since 1 + 1 = 2, 2 + 2 = 1 and 1 + 2 = 0; _times_factor computes
-    (A1 - B) | (B1 - A) as (A1 | B1) - (A & B).  An internal node shifts
-    its map by x_i and by x_j once and builds its -1 child as P + (-Q) and
-    its +1 child as P + Q from those two shifts, P = (p1, p2) and
-    Q = (q1, q2).  The last factor's two leaves are counted, not built:
-    the keys in one shift only survive in both, and a key in both
-    survives where its coefficients do not cancel, so
-
-        |minus| = |P| + |Q| - 2|P & Q| + |p2 & q1| + |p1 & q2|
-        |plus|  = |P| + |Q| - 2|P & Q| + |p2 & q2| + |p1 & q1|
-
-    and a leaf's largest key is the larger of the largest key of P ^ Q
-    and of its surviving intersections.  The sign tree is walked with an
-    explicit stack, so its depth, |var_edges|, is not bounded by the
-    recursion limit.
+    A completed sweep charges the budget, for each node of the sign tree,
+    one step per live term of its map and at least one.  A node above
+    the slices ticks alone before it is expanded; a slice level ticks
+    once, with the sum over its nodes (its live terms are the set bits
+    of all planes, its empty nodes the patterns no key has).  An empty
+    node above the slices, or an empty slice level, charges every node
+    from it down in one tick, clipped to the budget, which stops where a
+    node-by-node walk would; it builds nothing below and lists the leaves
+    below as failures.  A map of more than DEFAULT_MAX_TERMS keys, one
+    node's or one slice level's, raises ExpansionLimitError before it
+    ticks.
 
     A term is dead when a factor still to be multiplied (the later
     fixed_edges, then all of var_edges, in this order) has both ends at
@@ -327,91 +356,74 @@ def _sweep_signs(n, fixed_edges, var_edges, weights, collect, budget):
     monomial and coefficient, unchanged.  (This is the orientation view
     of Alon and Tarsi, "Colorings and orientations of graphs", 1992: each
     factor still to come orients its edge into one end, whose exponent
-    must have room.)  No stored map holds a dead term, so a child
-    term can only die at the end whose digit a shift takes from 1 to 2,
-    along a later factor at that end; _dead_masks gives, per factor and
-    end, the 2-bits of the neighbours along the later factors, and
-    _shifted drops a key that meets them.
+    must have room.)  No stored map holds a dead term, so a new term can
+    only die at the end whose digit a shift takes from 1 to 2, along a
+    later factor at that end; _dead_masks gives, per factor and end, the
+    2-bits of the neighbours along the later factors, and _level drops a
+    key that meets them.  Whether a key is dead does not depend on the
+    signs, so the test runs once per key per level.
     """
     dead = _dead_masks(n, (*fixed_edges, *var_edges))
     var_dead = dead[len(fixed_edges):]
-    ones, twos = {0}, set()
+    cur = {0: (1, 0)}
     for (i, j), masks in zip(fixed_edges, dead):
-        ones, twos = _times_factor(ones, twos, i, j, n, *masks)[0]
-        _check_size(ones, twos)
+        cur = _pattern(_level(cur, 1, i, j, n, *masks), 0)
+        if len(cur) > DEFAULT_MAX_TERMS:
+            raise ExpansionLimitError(len(cur), DEFAULT_MAX_TERMS)
+    depth = len(var_edges)
+    top = max(0, depth - SLICE_DEPTH)
+    # a slice's leaves in sign-tree order: their pattern indices, level b
+    # of the slice at bit b, and their kappa offsets
+    order = [0]
+    for b in range(depth - top - 1, -1, -1):
+        order += [p | 1 << b for p in order]
+    tail = _kappas(weights[top:])
     passes = []
     failures = []
-    depth = len(var_edges)
-
-    def fail_below(d, kappa):
-        # every leaf below an empty map fails: one tick charges the
-        # subtree's nodes and stops where a node-by-node walk would
-        nodes = (2 << (depth - d)) - 1
-        budget.tick(min(nodes, budget.limit - budget.spent))
-        block = [kappa]
-        for w in reversed(weights[d:]):  # weights[d] varies slowest
-            block += [k ^ w for k in block]
-        failures.extend(block)
-
-    # (depth, kappa, ones, twos); the -1 child is on top
-    stack = [(0, 0, ones, twos)]
+    # (depth, kappa, map) of the nodes above the slices; the -1 child is on top
+    stack = [(0, 0, cur)]
     while stack:
-        d, kappa, ones, twos = stack.pop()
-        size = _check_size(ones, twos)
-        if not size:
-            fail_below(d, kappa)
-            continue
-        budget.tick(size)
-        if d == depth:  # no co-forest edge: the root is the only leaf
-            if collect:
-                top = max((max(ones, default=-1), 1), (max(twos, default=-1), 2))
-                passes.append((kappa, *top))
-            else:
-                passes.append((kappa, None, None))
-            continue
-        i, j = var_edges[d]
-        if d + 1 < depth:
-            minus, plus = _times_factor(ones, twos, i, j, n, *var_dead[d])
-            stack.append((d + 1, kappa ^ weights[d], *plus))
-            stack.append((d + 1, kappa, *minus))
-            continue
-        # the last factor: its two leaves, counted without being built
-        p1, p2 = _shifted(ones, twos, i, n, var_dead[d][0])
-        q1, q2 = _shifted(ones, twos, j, n, var_dead[d][1])
-        i11 = p1 & q1
-        i12 = p1 & q2
-        i21 = p2 & q1
-        i22 = p2 & q2
-        apart = len(p1) + len(p2) + len(q1) + len(q2) - 2 * (
-            len(i11) + len(i12) + len(i21) + len(i22))
-        only = (None, None)
-        if collect:
-            # the largest key in one shift only, with its coefficient in
-            # P - Q and in P + Q
-            top = max((p1 | p2) ^ (q1 | q2), default=-1)
-            if top in p1 or top in p2:
-                c = 1 if top in p1 else 2
-                only = (top, c), (top, c)
-            else:  # from Q, negated in P - Q
-                c = 1 if top in q1 else 2
-                only = (top, 3 - c), (top, c)
-        # P - Q, then P + Q: (kappa, size, the shared keys left at 1 and
-        # at 2, the largest key in one shift only)
-        for leaf, size, r1, r2, one in (
-            (kappa, apart + len(i21) + len(i12), i21, i12, only[0]),
-            (kappa ^ weights[d], apart + len(i22) + len(i11), i22, i11, only[1]),
-        ):
-            if size > DEFAULT_MAX_TERMS:
-                raise ExpansionLimitError(size, DEFAULT_MAX_TERMS)
-            if not size:
-                fail_below(depth, leaf)
+        d, kappa, cur = stack.pop()
+        if d < top:
+            if not _charge(cur, 1, depth - d, budget):
+                failures.extend(kappa ^ k for k in _kappas(weights[d:]))
                 continue
-            budget.tick(size)
-            if collect:
-                top = max(one, (max(r1, default=-1), 1), (max(r2, default=-1), 2))
-                passes.append((leaf, *top))
+            both = _level(cur, 1, *var_edges[d], n, *var_dead[d])
+            stack.append((d + 1, kappa ^ weights[d], _pattern(both, 1)))
+            stack.append((d + 1, kappa, _pattern(both, 0)))
+            continue
+        # the slice below this node, one level at a time
+        w = 1
+        union = _charge(cur, w, depth - d, budget)
+        while union and d < depth:
+            cur = _level(cur, w, *var_edges[d], n, *var_dead[d])
+            w <<= 1
+            d += 1
+            union = _charge(cur, w, depth - d, budget)
+        if not union:
+            failures.extend(kappa ^ k for k in tail)
+            continue
+        tops = [(None, None)] * w
+        if collect:
+            # each pattern's largest key: keys by descending value, each
+            # taking the patterns no larger key has
+            left = union
+            for k in sorted(cur, reverse=True):
+                a, b = cur[k]
+                hit = (a | b) & left
+                if hit:
+                    left ^= hit
+                    while hit:
+                        bit = hit & -hit
+                        tops[bit.bit_length() - 1] = (k, 1 if a & bit else 2)
+                        hit ^= bit
+                    if not left:
+                        break
+        for p, k in zip(order, tail):
+            if union >> p & 1:
+                passes.append((kappa ^ k, *tops[p]))
             else:
-                passes.append((leaf, None, None))
+                failures.append(kappa ^ k)
     return passes, failures
 
 
@@ -692,11 +704,14 @@ def certify_dp3(
     The sweep names each leaf by its representative's index kappa in the
     _PatternSpace of the mode, built before the sweep.  The representative
     fixes the forest edges at -1 in both modes, so its kappa is the XOR
-    of slot_kap over its co-forest edges at +1: the sweep starts at 0 and
-    XORs an edge's slot_kap into the +1 child's kappa only, and the result
-    is stored at certs[kappa] or fails[kappa] directly.  The last
-    factor's two leaves are counted from the sizes of its two shifts and
-    of their four intersections, not built (see _sweep_signs).
+    of slot_kap over its co-forest edges at +1, and the result is stored
+    at certs[kappa] or fails[kappa] directly.  The bottom SLICE_DEPTH
+    levels of the sign tree are expanded one level at a time for all
+    their nodes at once, each key holding its coefficients under all of
+    a level's sign patterns as two bit planes; the levels above are
+    walked one node at a time (see _sweep_signs).  A budget that runs out
+    stops at the tick of a node above the slices or of a whole slice
+    level.
 
     The sweep multiplies the forest edges first, then the co-forest edges
     in the order of _co_forest: by descending deg(i) + deg(j), ties by
@@ -976,7 +991,9 @@ def dp_chromatic_bounds(g: Graph, budget: Budget | None = None,
         if sub.contains_cycle() and lo < 3:
             lo = 3
             notes.append(f"{tag}: contains a cycle, lower bound 3")
-        if sub.n % 3 == 0 and sub.n >= 6 and sub.edges == cycle_power(sub.n, 2).edges:
+        # C_n^2 has 2n edges: count them before building it
+        if (sub.n % 3 == 0 and sub.n >= 6 and len(sub.edges) == 2 * sub.n
+                and sub.edges == cycle_power(sub.n, 2).edges):
             cov = uncolorable_cover_c3k_square(sub.n // 3)
             try:
                 uncolorable = not validate(cov) and h_coloring_search(cov, budget) is None

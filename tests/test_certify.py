@@ -321,14 +321,21 @@ def _dead(exps, later):
 
 def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget,
                     max_terms=P.DEFAULT_MAX_TERMS, prune=True):
-    """The dict-map sweep the set-sliced kernel replaced: one
-    apply_factor_packed call per child, recursive, unpacking every key of
-    a leaf to find its lex-greatest monomial.  With prune, each product
-    then loses the terms that have a factor still to be multiplied with
-    both ends at exponent 2; the size limit applies to what is kept."""
+    """The sweep as one apply_factor_packed call per sign-tree node,
+    unpacking every key of a leaf to find its lex-greatest monomial.  With
+    prune, each product then loses the terms that have a factor still to
+    be multiplied with both ends at exponent 2; the size limit applies to
+    what is kept.
+
+    It charges the budget in the bit-sliced kernel's order: the nodes above
+    the bottom X.SLICE_DEPTH levels one at a time, depth first, and below
+    each of them one tick per level, the sum of that level's node charges;
+    the term limit applies to the union of a level's keys, and an empty
+    level charges every node from it down at once."""
     fld = make_field(3)
     caps = (2,) * n
     order = (*fixed_edges, *var_edges)
+    top = max(0, len(var_edges) - X.SLICE_DEPTH)
 
     def times(cur, step, sign):
         i, j = order[step]
@@ -336,36 +343,64 @@ def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget,
         if prune:
             later = order[step + 1:]
             out = {k: c for k, c in out.items() if not _dead(P.unpack_exponents(k, n), later)}
-        if len(out) > max_terms:
-            raise P.ExpansionLimitError(len(out), max_terms)
         return out
+
+    def check(maps):
+        size = len(set().union(*maps))
+        if size > max_terms:
+            raise P.ExpansionLimitError(size, max_terms)
 
     cur = {0: 1}
     for step in range(len(fixed_edges)):
         cur = times(cur, step, -1)
+        check([cur])
     passes = []
     failures = []
-    signs = dict.fromkeys(all_edges, -1)
 
-    def rec(cur, idx):
-        budget.tick(max(len(cur), 1))
-        if idx == len(var_edges):
-            pattern = tuple(signs[e] for e in all_edges)
-            if not cur:
-                failures.append(pattern)
-            elif collect:
-                best = max(cur, key=lambda k: P.unpack_exponents(k, n))
-                passes.append((pattern, P.unpack_exponents(best, n), cur[best]))
-            else:
-                passes.append((pattern, None, None))
+    def leaf(signs, cur):
+        pattern = tuple(signs.get(e, -1) for e in all_edges)
+        if not cur:
+            failures.append(pattern)
+        elif collect:
+            best = max(cur, key=lambda k: P.unpack_exponents(k, n))
+            passes.append((pattern, P.unpack_exponents(best, n), cur[best]))
+        else:
+            passes.append((pattern, None, None))
+
+    def rec(cur, idx, signs):
+        if idx < top:
+            budget.tick(max(len(cur), 1))
+            e = var_edges[idx]
+            for s in (-1, 1):
+                child = times(cur, len(fixed_edges) + idx, s)
+                check([child])
+                rec(child, idx + 1, {**signs, e: s})
             return
-        e = var_edges[idx]
-        for s in (-1, 1):
-            signs[e] = s
-            rec(times(cur, len(fixed_edges) + idx, s), idx + 1)
-        signs[e] = -1
+        # the slice below: its nodes level by level, in sign-tree order
+        level = [(signs, cur)]
+        while True:
+            maps = [m for _, m in level]
+            check(maps)
+            if not any(maps):
+                below = len(var_edges) - idx
+                budget.tick(min(len(maps) * ((2 << below) - 1), budget.limit - budget.spent))
+                break
+            budget.tick(sum(max(len(m), 1) for m in maps))
+            if idx == len(var_edges):
+                break
+            e = var_edges[idx]
+            level = [({**sg, e: s}, times(m, len(fixed_edges) + idx, s))
+                     for sg, m in level for s in (-1, 1)]
+            idx += 1
+        if any(maps):
+            for sg, m in level:
+                leaf(sg, m)
+        else:  # every leaf below fails
+            for sg, _ in level:
+                for tail in product((-1, 1), repeat=len(var_edges) - idx):
+                    leaf({**sg, **dict(zip(var_edges[idx:], tail))}, {})
 
-    rec(cur, 0)
+    rec(cur, 0, {})
     return passes, failures
 
 
@@ -424,11 +459,16 @@ def _kernel_graphs():
     return graphs
 
 
-def test_sweep_kernel_matches_per_pattern_expansion():
+# slice depths for the kernel-against-reference tests: at 1 and 3 the small
+# graphs' sign trees cross the slice boundary, at the default most do not
+SLICE_DEPTHS = (1, 3, X.SLICE_DEPTH)
+
+
+def test_sweep_kernel_matches_per_pattern_expansion(monkeypatch):
     """Each forest-pinned pattern's monomial, coefficient and verdict from
-    the set-sliced sweep, in both modes, against find_qualifying_monomial
-    on that pattern's polynomial, and the budget it charges against the
-    dict-map sweep."""
+    the bit-sliced sweep, in both modes and at each slice depth, against
+    find_qualifying_monomial on that pattern's polynomial, and the budget
+    it charges against the dict-map sweep."""
     fld = make_field(3)
     graphs = _kernel_graphs()
     assert any(not g.is_connected() for g in graphs)
@@ -453,7 +493,8 @@ def test_sweep_kernel_matches_per_pattern_expansion():
             want = passes if collect else [(p, None, None) for p, _, _ in passes]
             # the leaves named in both modes' kappa coordinates (a forest
             # has no spanning-tree mode)
-            for switched in (True, False) if var else (True,):
+            for switched, depth in product((True, False) if var else (True,), SLICE_DEPTHS):
+                monkeypatch.setattr(X, "SLICE_DEPTH", depth)
                 _, _, _, weights, space = _sweep_args(g, switched)
                 budget = Budget(10**9)
                 got = _unpacked(n, X._sweep_signs(n, fixed, var, weights, collect, budget))
@@ -473,12 +514,17 @@ def test_sweep_kernel_matches_per_pattern_expansion():
     assert tree_mode >= 40  # (graph, collect) pairs in spanning-tree mode
 
 
-def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion():
+def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion(monkeypatch):
     """The sweep charges what the dict-map sweep charges, and a budget runs
-    out at the same step, also inside subtrees whose map is empty."""
+    out at the same step, also inside subtrees whose map is empty, at each
+    slice depth."""
     graphs = [G.complete(5), G.cycle_power(7, 2), G.complete_bipartite(3, 4),
               G.from_edges(7, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4),
-                               (4, 5), (5, 6), (6, 7), (5, 7)])]
+                               (4, 5), (5, 6), (6, 7), (5, 7)]),
+              # K_6 minus {23, 46}: a whole slice level of 2 (depth 3) or
+              # 64 (depth 10) nodes has every key capped or dead
+              G.from_edges(6, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5),
+                               (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (5, 6)])]
     rng = random.Random(77)
     for g in graphs:
         n, fixed, var, weights, space = _sweep_args(g)
@@ -488,7 +534,8 @@ def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion():
                          *rng.sample(range(1, total.spent), 40)})
         kernel = lambda b: _unpacked(n, X._sweep_signs(n, fixed, var, weights, False, b))
         reference = lambda b: _located(space, ref_sweep_signs(n, g.edges, fixed, var, False, b))
-        for limit in limits:
+        for limit, depth in product(limits, SLICE_DEPTHS):
+            monkeypatch.setattr(X, "SLICE_DEPTH", depth)
             outcomes = []
             for sweep in (kernel, reference):
                 budget = Budget(limit)
@@ -496,15 +543,16 @@ def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion():
                     outcomes.append((sweep(budget), budget.spent))
                 except BudgetExceeded as exc:
                     outcomes.append(("exhausted", exc.spent))
-            assert outcomes[0] == outcomes[1], (g, limit)
+            assert outcomes[0] == outcomes[1], (g, limit, depth)
 
 
 def test_sweep_kernel_raises_the_expansion_limit_where_the_dict_sweep_does(monkeypatch):
     g = G.cycle_power(7, 2)
     n, fixed, var, weights, space = _sweep_args(g)
-    raised = 0
-    for limit in (1, 4, 16, 40, 60, 100, 400):
+    raised = dict.fromkeys(SLICE_DEPTHS, 0)
+    for limit, depth in product((1, 4, 16, 40, 60, 100, 400), SLICE_DEPTHS):
         monkeypatch.setattr(X, "DEFAULT_MAX_TERMS", limit)
+        monkeypatch.setattr(X, "SLICE_DEPTH", depth)
         outcomes = []
         for sweep in (
             lambda b: _unpacked(n, X._sweep_signs(n, fixed, var, weights, True, b)),
@@ -516,9 +564,9 @@ def test_sweep_kernel_raises_the_expansion_limit_where_the_dict_sweep_does(monke
                 outcomes.append(sweep(budget))
             except P.ExpansionLimitError as exc:
                 outcomes.append(("limit", exc.size, exc.limit, budget.spent))
-        assert outcomes[0] == outcomes[1], limit
-        raised += outcomes[0][0] == "limit"
-    assert 0 < raised < 7
+        assert outcomes[0] == outcomes[1], (limit, depth)
+        raised[depth] += outcomes[0][0] == "limit"
+    assert all(0 < r < 7 for r in raised.values()), raised
     monkeypatch.setattr(X, "DEFAULT_MAX_TERMS", 4)
     with pytest.raises(P.ExpansionLimitError):
         X.certify_dp3(g)
@@ -696,14 +744,14 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
     certificates, against the unpruned dict sweep, and every map the
     kernel stores checked for a remaining edge with both ends at 2."""
     stored = []
-    times_factor = X._times_factor
+    level = X._level
 
-    def spy(ones, twos, i, j, n, *masks):
-        children = times_factor(ones, twos, i, j, n, *masks)
-        stored.append(((i, j), children))
-        return children
+    def spy(cur, w, i, j, n, *masks):
+        out = level(cur, w, i, j, n, *masks)
+        stored.append(((i, j), out))
+        return out
 
-    monkeypatch.setattr(X, "_times_factor", spy)
+    monkeypatch.setattr(X, "_level", spy)
     unpruned = partial(ref_sweep_signs, prune=False)
     checked = saved = 0
     for g in _kernel_graphs() + _random_sweep_graphs():
@@ -728,11 +776,10 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
             assert res.certificates == certs
             assert (res.failure.failing_patterns if res.failure else ()) == failing
             assert budget.spent <= ref.spent
-            for edge, children in stored:
+            for edge, out in stored:
                 later = order[order.index(edge) + 1:]
-                for ones, twos in children:
-                    for key in ones | twos:
-                        assert not _dead(_digits(key, n), later), (g, edge, _digits(key, n))
+                for key in out:
+                    assert not _dead(_digits(key, n), later), (g, edge, _digits(key, n))
             checked += 1
     assert checked >= 200 and saved >= 50
 
@@ -770,6 +817,20 @@ def test_factor_order_pins_the_c13sq_steps():
     order = tuple(sorted(var))
     X._sweep_signs(n, fixed, order, _weights(g, space, order), False, lex)
     assert lex.spent == 602_666
+
+
+def test_deep_sign_tree_exhausts_the_budget_in_bounded_memory():
+    """K_50 has 1,176 co-forest edges: the levels above the slices are
+    walked one node at a time, so the sweep runs out of budget without
+    holding more than one map per level."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            X.certify_dp3(G.complete(50), budget=Budget(20_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_all_edges_failing_patterns_do_not_grow_with_the_pattern_count():
@@ -897,6 +958,25 @@ def test_bounds_cycle_square_examples():
     assert X.dp_chromatic_bounds(G.cycle_power(5, 2)).exact == 5
     assert X.dp_chromatic_bounds(G.cycle_power(6, 2)).exact == 4
     assert X.dp_chromatic_bounds(G.cycle_power(9, 2)).exact == 4
+
+
+def test_bounds_build_cycle_squares_only_for_components_with_2n_edges(monkeypatch):
+    """C_n^2 is built for the uncolorable-cover test only when a component
+    with 3 | n >= 6 has 2n edges: never on a path, once on C_9^2."""
+    calls = []
+    cycle_power = X.cycle_power
+
+    def counted(n, k):
+        calls.append((n, k))
+        return cycle_power(n, k)
+
+    monkeypatch.setattr(X, "cycle_power", counted)
+    assert X.dp_chromatic_bounds(G.path(30000)).exact == 2
+    assert calls == []
+    bounds = X.dp_chromatic_bounds(G.cycle_power(9, 2))
+    assert calls == [(9, 2)]
+    assert any(note.endswith("uncolorable 3-fold cover of C_9^2, lower bound 4")
+               for note in bounds.notes)
 
 
 def test_bounds_even_cycle_resolved_by_cycle_rule():

@@ -272,8 +272,9 @@ def test_chi_dp_on_a_long_path(capsys):
 
 
 def test_chi_dp_on_a_30000_vertex_path(capsys):
-    # 3 | 30,000, so the C_n^2 test builds cycle_power(30000, 2), and the
-    # upper bound needs the coloring number: both are linear in n
+    # 3 | 30,000, but a path has n - 1 edges, not the 2n of C_n^2, so the
+    # bounds build no cycle square; the upper bound needs the coloring
+    # number, which is linear in n
     code, out, err = run_cli(["chi-dp", "p30000"], capsys)
     assert code == 0 and err == ""
     assert "exact: 2" in out.splitlines()
