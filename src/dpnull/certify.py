@@ -941,7 +941,9 @@ def certify_cone_unique3(g: Graph, class_order: tuple[int, int, int] | None = No
 
 # without max_m, dp_chromatic_bounds runs the exact search on a component
 # when it would walk at most this many covers (sum of m!^cotree over the open
-# range of m)
+# range of m).  The search walks only about one cover per conjugation orbit,
+# but the estimate still counts every cover, so the components it settles,
+# and their notes, stay the same.
 EXACT_SEARCH_COVERS = 20_000
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, permutations, takewhile
 from operator import or_
 
@@ -468,52 +468,88 @@ class _Grid:
         return self.full & ~hit
 
 
-def _walk(start: int, levels: list[list[int]], budget: Budget) -> tuple[int, list[int] | None, bool]:
+def _walk(start: int, levels: list[list[int]], budget: Budget,
+          orbits: _Orbits | None = None) -> tuple[int, list[int] | None, bool]:
     """Depth-first walk choosing one survivor mask per level, in order.
 
-    Returns (leaves, dead, finished).  `leaves` counts the nodes below the
-    last level whose set is nonempty.  `dead` is the choice index per level
+    Returns (rank, dead, finished).  `dead` is the choice index per level
     of the first node whose set is empty, padded with zeros below it, or
     None when there is no such node.  `finished` is False when the budget
-    ran out; `leaves` then holds the count so far.
+    ran out.  `rank` is the position, in `product` order of the choice
+    tuples, of the first tuple the walk has not settled: the number of
+    tuples when the walk completes, the rank of `dead` when it finds one,
+    and otherwise the rank of the node whose step exhausted the budget,
+    padded with zeros.
 
-    One budget step per node, root included.  The leaves below one node are
-    counted in one pass with one batched tick, which stops exactly where a
-    node-by-node walk would have stopped: at the first empty leaf, or at the
-    leaf whose step exhausts the budget.
+    With `orbits`, every level has the same m! choices (see `_Orbits`) and
+    the walk visits only the tuples that are lex-least in their
+    conjugation orbit, and their prefixes.  Every tuple before the
+    frontier then has a visited conjugate no later than itself, so every
+    tuple up to `rank` is settled as in the full walk, and `dead`, the
+    lex-first tuple with an empty set, is the same tuple.
+
+    One budget step per node visited, root included.  The leaves below one
+    node are counted in one pass with one batched tick, which stops exactly
+    where a node-by-node walk would have stopped: at the first empty leaf,
+    or at the leaf whose step exhausts the budget.
     """
     # the root is the one choice of a level above the first
     levels = [[start], *levels]
     top = len(levels) - 1
-    last = levels[top]
     sizes = [len(choices) for choices in levels]
+    if orbits is None:
+        every = [0] * max(sizes)
+        state, row_of = 0, lambda _: every
+    else:
+        state, row_of = orbits.root, orbits.row
     path = [0] * (top + 1)
     valid = [-1] * (top + 1)  # valid[d]: the set before level d's choice
+    # states[d], rows[d]: the orbit state of the prefix before level d and
+    # its row, whose entry k is the state below choice k, or -1 when k is cut
+    states = [state] * (top + 1)
+    rows = [row_of(state)] * (top + 1)
+    leaves: dict[int, tuple[list[int], list[int]]] = {}  # state -> its leaves
     tick = budget.tick
-    leaves = 0
+
+    def rank() -> int:
+        r = 0
+        for k, size in zip(path, sizes):
+            r = r * size + k
+        return r
+
     try:
         d = 0
         while d >= 0:
             if d == top:
+                if states[top] not in leaves:
+                    index = [k for k in range(sizes[top]) if rows[top][k] >= 0]
+                    leaves[states[top]] = index, [levels[top][k] for k in index]
+                index, masks = leaves[states[top]]
                 cur = valid[top]
-                alive = len(list(takewhile(bool, map(cur.__and__, last))))
-                steps = alive + (alive < sizes[top])
+                alive = len(list(takewhile(bool, map(cur.__and__, masks))))
+                steps = alive + (alive < len(masks))
                 spare = budget.limit - budget.spent
-                if steps >= spare:  # the node-by-node walk stops at child `spare`
-                    leaves += spare - 1
+                if steps >= spare:  # the node-by-node walk stops at leaf `spare`
+                    path[top] = index[spare - 1]
                     tick(spare)
-                leaves += alive
                 tick(steps)
-                if alive < sizes[top]:
-                    path[top] = alive
-                    return leaves, path[1:], True
+                if alive < len(masks):
+                    path[top] = index[alive]
+                    return rank(), path[1:], True
             elif path[d] < sizes[d]:
+                k = path[d]
+                child = rows[d][k]
+                if child < 0:
+                    path[d] = k + 1
+                    continue
                 tick()
-                sub = valid[d] & levels[d][path[d]]
+                sub = valid[d] & levels[d][k]
                 if not sub:
-                    return leaves, path[1:], True
+                    return rank(), path[1:], True
                 d += 1
                 valid[d] = sub
+                states[d] = child
+                rows[d] = row_of(child)
                 continue
             # every child of this node is done: back up to the next sibling
             path[d] = 0
@@ -521,8 +557,67 @@ def _walk(start: int, levels: list[list[int]], budget: Budget) -> tuple[int, lis
             if d >= 0:
                 path[d] += 1
     except BudgetExceeded:
-        return leaves, None, False
-    return leaves, None, True
+        return rank(), None, False
+    return math.prod(sizes), None, True
+
+
+class _Orbits:
+    """Orderly generation of tuples of permutations of 0..m-1 up to
+    simultaneous conjugation, the permutations indexed as in
+    `_matchings(m, m, False)`.
+
+    Relabelling every vertex of a cover by one sigma in S_m keeps each
+    identity matching and turns each matching pi into sigma pi sigma^-1,
+    so it is an isomorphism of the cover graph.  The walk keeps the tuples
+    that are lex-least in their orbit; every prefix of one is lex-least in
+    its own orbit too.  A state is the set of sigma != id that fix a kept
+    prefix; every other sigma maps the prefix above itself.  So a choice k
+    below the prefix is cut when some sigma of the state maps k to a
+    smaller index, and otherwise leads to the state of the sigma that fix
+    k as well.  A state's row is built the first time a walk enters it and
+    then kept; rows depend on m alone, so every walk can share them.
+    """
+
+    def __init__(self, m: int):
+        self.perms = [tuple(b for _, b in pairs) for pairs in _matchings(m, m, False)]
+        self.index = {p: k for k, p in enumerate(self.perms)}
+        self.ids: dict[tuple[tuple[int, ...], ...], int] = {}
+        self.kept: list[tuple[tuple[int, ...], ...]] = []
+        self.rows: list[list[int] | None] = []
+        self.root = self._state(tuple(self.perms[1:]))
+
+    def _state(self, kept: tuple[tuple[int, ...], ...]) -> int:
+        if kept not in self.ids:
+            self.ids[kept] = len(self.kept)
+            self.kept.append(kept)
+            self.rows.append(None)
+        return self.ids[kept]
+
+    def row(self, state: int) -> list[int]:
+        """Entry k: the state below choice k, or -1 when k is cut."""
+        if self.rows[state] is None:
+            self.rows[state] = [self._child(state, k) for k in range(len(self.perms))]
+        return self.rows[state]
+
+    def _child(self, state: int, k: int) -> int:
+        pi = self.perms[k]
+        fixed = []
+        for sigma in self.kept[state]:
+            # sigma pi sigma^-1 maps sigma(a) to sigma(pi(a))
+            image = [0] * len(pi)
+            for a, b in enumerate(pi):
+                image[sigma[a]] = sigma[b]
+            conj = self.index[tuple(image)]
+            if conj < k:
+                return -1
+            if conj == k:
+                fixed.append(sigma)
+        return self._state(tuple(fixed))
+
+
+@cache
+def _orbits(m: int) -> _Orbits:
+    return _Orbits(m)
 
 
 def _matchings(a: int, b: int, ordered: bool) -> list[tuple[tuple[int, int], ...]]:
@@ -535,7 +630,8 @@ def _matchings(a: int, b: int, ordered: bool) -> list[tuple[tuple[int, int], ...
     return [tuple(zip(dom, range(b))) for dom in pick(range(a), b)]
 
 
-def _cover_walk(g: Graph, f: dict[int, int], budget: Budget) -> tuple[int, Cover | None, bool]:
+def _cover_walk(g: Graph, f: dict[int, int], budget: Budget,
+                orbits: _Orbits | None = None) -> tuple[int, Cover | None, bool]:
     """Walk the f-covers of g (labels 0..f(v)-1, maximal matchings) whose
     forest matchings are in the normal form `f_dp_exhaustive` describes.
 
@@ -553,10 +649,17 @@ def _cover_walk(g: Graph, f: dict[int, int], budget: Budget) -> tuple[int, Cover
     vertices only, so a grid point survives exactly when each pinned tree
     extends it on its own.
 
-    Returns (covers_tested, counterexample, finished).  covers_tested counts
-    the colorable covers walked, plus the uncolorable one when there is one;
-    that cover is the counterexample, re-checked by h_coloring_search.
-    finished is False when the budget ran out.
+    With `orbits` (f = m everywhere, so every forest edge is pinned and
+    every walked edge has the m! permutations), the walk visits one cover
+    per conjugation orbit, the lex-least; see `_walk` and `_Orbits`.
+
+    Returns (covers_tested, counterexample, finished).  covers_tested is
+    the rank in `product` order of the first cover not settled: the number
+    of covers when every one is colorable, the counterexample's rank plus
+    one when there is one, and the walk's frontier when the budget ran
+    out.  The counterexample is the lex-first uncolorable cover,
+    re-checked by h_coloring_search.  finished is False when the budget ran
+    out.
 
     A budget step is one walk node.  Building a grid of P points is charged
     ceil(P / 64) steps per mask it needs, f(v) per vertex v and one per
@@ -599,7 +702,7 @@ def _cover_walk(g: Graph, f: dict[int, int], budget: Budget) -> tuple[int, Cover
             u = parent[v]
             up = [reduce(or_, own[:a] + own[a + 1:], 0) for a in range(f[u])]
             folded[u] = [x & y for x, y in zip(folded[u], up)] if u in folded else up
-        tested, dead, finished = _walk(start, levels, budget)
+        tested, dead, finished = _walk(start, levels, budget, orbits)
         if not finished or dead is None:
             return tested, None, finished
         tested += 1
@@ -626,6 +729,12 @@ class DpExactResult:
     report progress, and every m tried below m_reached has an uncolorable
     cover).  counterexample holds an uncolorable cover for the last m that
     failed, when one was found.
+
+    covers_tested counts covers in `product` order, every m-fold cover
+    alike, although the search walks one per conjugation orbit: per m, all
+    m!^c covers (c cotree edges) when every one is colorable, the rank of
+    the lex-first uncolorable one plus one otherwise, and, where the budget
+    ran out, the rank of the first cover not settled.
     """
 
     status: str
@@ -647,9 +756,19 @@ def exact_dp_chromatic(g: Graph, mmax: int, budget: Budget | None = None,
     the cotree edges' permutations, in `product` order, over the grid of the
     cotree edges' endpoints: m^|S| points with |S| <= min(n, 2c) for c
     cotree edges, one point for a tree.  The tree is the component's
-    `Graph.forest`.  covers_tested counts the colorable covers before the
-    first uncolorable one for each m, plus that one.
+    `Graph.forest`.
+
+    Relabelling every vertex by one sigma in S_m keeps the identity pins
+    and conjugates every cotree permutation, an isomorphism of the cover
+    graph.  So the walk visits only the cotree tuples that are lex-least
+    in their conjugation orbit (see `_Orbits`), and a budget step is one
+    node of that walk.  The first uncolorable cover in `product` order is
+    lex-least in its orbit, so the walk finds the same counterexample as a
+    walk over every cover, and covers_tested still counts every cover
+    before it, plus that one, for each m (see `DpExactResult`).
     """
+    if mmin is not None and mmin < 1:
+        raise PreconditionError(f"the lower bound mmin must be >= 1, got {mmin}")
     budget = ensure_budget(budget, 10_000_000, "enumerating covers for exact chi_DP")
     comps = g.components()
     total_tested = 0
@@ -682,7 +801,7 @@ def _exact_dp_component(g: Graph, mmin: int | None, mmax: int, budget: Budget) -
     tested = 0
     last_bad = None
     for m in range(start, mmax + 1):
-        walked, bad, finished = _cover_walk(g, dict.fromkeys(g.forest, m), budget)
+        walked, bad, finished = _cover_walk(g, dict.fromkeys(g.forest, m), budget, _orbits(m))
         tested += walked
         if not finished:
             return DpExactResult("unknown", None, tested, m, last_bad)

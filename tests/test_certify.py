@@ -1009,8 +1009,9 @@ def test_bounds_k44_without_sweep_stays_open():
 
 
 def test_bounds_survive_a_search_that_spends_the_budget():
-    # K_{4,6} (bounds 3..5) refutes m = 3 and runs out of budget at m = 4;
-    # the C_6^2 component after it must still get its bounds, not exit
+    # K_{4,6} (bounds 3..5) refutes m = 3 in about 0.33 M steps and runs
+    # out of budget at m = 4; the C_6^2 component after it must still get
+    # its bounds, not exit
     a, b = G.complete_bipartite(4, 6), G.cycle_power(6, 2)
     g = G.from_edges(16, list(a.edges) + [(i + 10, j + 10) for i, j in b.edges])
     bounds = X.dp_chromatic_bounds(g, Budget(1_300_000), max_m=4)

@@ -180,7 +180,7 @@ def test_chi_dp_max_m_settles_k44(max_m, capsys):
 
 
 def test_chi_dp_max_m_keeps_what_an_exhausted_search_refuted(capsys):
-    # K_{4,6} has bounds 3..5; refuting m = 3 takes about 1.22 M budget
+    # K_{4,6} has bounds 3..5; refuting m = 3 takes about 0.33 M budget
     # steps, and the budget then runs out at m = 4, so the lower bound is 4
     code, out, _ = run_cli(["chi-dp", "k4,6", "--max-m", "4", "--budget", "1300000"], capsys)
     assert code == 0

@@ -366,6 +366,95 @@ def test_exact_dp_chromatic_budget_returns_unknown():
     assert res.status == "unknown"
 
 
+@pytest.mark.parametrize("mmin", (0, -1))
+def test_exact_dp_chromatic_rejects_mmin_below_one(mmin):
+    with pytest.raises(PreconditionError, match="mmin"):
+        C.exact_dp_chromatic(G.cycle(4), 3, mmin=mmin)
+
+
+def conjugation_orbits_s3(c):
+    """Orbits of S_3 acting by simultaneous conjugation on c-tuples of
+    permutations of {0, 1, 2} (Burnside): the identity fixes all 6^c tuples,
+    each of the 3 transpositions the 2^c tuples of its centraliser, each of
+    the 2 three-cycles the 3^c tuples of its centraliser."""
+    return (6 ** c + 3 * 2 ** c + 2 * 3 ** c) // 6
+
+
+@pytest.mark.parametrize("name,g,c,orbits", [
+    ("cone-C4", G.cone(G.cycle(4)), 4, 251),
+    ("K26", G.complete_bipartite(2, 6), 5, 1393),
+    ("K34", G.complete_bipartite(3, 4), 6, 8051),
+])
+def test_exact_walk_visits_one_cover_per_conjugation_orbit(name, g, c, orbits, monkeypatch):
+    # every 3-fold cover of these graphs is colorable, so the walk visits
+    # every lex-least tuple; the leaves are its steps less those of the
+    # same walk without the last level, which visits the same inner nodes
+    leaves = []
+    walk = C._walk
+
+    def counted(start, levels, budget, orbit_cut=None):
+        before = budget.spent
+        out = walk(start, levels, budget, orbit_cut)
+        inner = Budget(10**9)
+        walk(start, levels[:-1], inner, orbit_cut)
+        leaves.append(budget.spent - before - inner.spent)
+        return out
+
+    monkeypatch.setattr(C, "_walk", counted)
+    res = C.exact_dp_chromatic(g, 3, mmin=3)
+    assert (res.status, res.value, res.covers_tested) == ("exact", 3, 6 ** c)
+    assert leaves == [conjugation_orbits_s3(c)] == [orbits]
+
+
+@pytest.mark.parametrize("m,c", [(3, 1), (3, 2), (3, 3), (3, 4), (4, 2)])
+def test_orbit_walk_stops_at_the_budget_where_brute_force_says(m, c):
+    # with every set nonempty the walk visits, in preorder, the tuples of
+    # length <= c that are lex-least among their conjugates, root first;
+    # the budget runs out on the limit-th of them, whose rank (padded with
+    # zeros) is the first not settled
+    perms = list(permutations(range(m)))
+    index = {p: k for k, p in enumerate(perms)}
+
+    def conjugate(sigma, k):
+        inverse = [sigma.index(x) for x in range(m)]
+        return index[tuple(sigma[perms[k][inverse[x]]] for x in range(m))]
+
+    nodes = sorted(t for j in range(c + 1) for t in product(range(len(perms)), repeat=j)
+                   if all(tuple(conjugate(s, k) for k in t) >= t for s in perms))
+    levels = [[1] * len(perms)] * c
+    for limit, node in enumerate(nodes, start=1):
+        padded = node + (0,) * (c - len(node))
+        want = sum(k * len(perms) ** (c - 1 - d) for d, k in enumerate(padded))
+        assert C._walk(1, levels, Budget(limit), C._orbits(m)) == (want, None, False)
+    budget = Budget(len(nodes) + 1)
+    assert C._walk(1, levels, budget, C._orbits(m)) == (len(perms) ** c, None, True)
+    assert budget.spent == len(nodes)
+
+
+@pytest.mark.parametrize("name,g", [
+    # K_{2,2,2}: an uncolorable 3-fold cover after 3,891 colorable ones
+    ("octahedron", G.from_edges(6, [e for e in G.complete(6).edges
+                                    if e not in {(1, 2), (3, 4), (5, 6)}])),
+    # K_{3,3}: an uncolorable 2-fold cover, then every 3-fold cover colorable
+    ("K33", G.complete_bipartite(3, 3)),
+])
+def test_exact_dp_chromatic_under_every_budget(name, g):
+    full = Budget(10**9)
+    want = C.exact_dp_chromatic(g, 3, full)
+    assert want.counterexample is not None
+    tested = 0
+    # a budget runs out at spent >= limit, so full.spent + 1 is the first
+    # limit that completes
+    for limit in range(1, full.spent + 2):
+        got = C.exact_dp_chromatic(g, 3, Budget(limit))
+        if got.status != "unknown":
+            assert got == want
+            assert C.write_cover(got.counterexample) == C.write_cover(want.counterexample)
+        assert tested <= got.covers_tested <= want.covers_tested
+        tested = got.covers_tested
+    assert got.status == want.status
+
+
 def test_f_dp_exhaustive_examples():
     assert C.f_dp_exhaustive(G.path(2), {1: 1, 2: 1}).status == "counterexample"
     assert C.f_dp_exhaustive(G.path(4), {1: 1, 2: 2, 3: 2, 4: 2}).status == "all_colorable"
