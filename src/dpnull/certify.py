@@ -194,8 +194,9 @@ def certify_order3_cover(cover: Cover, budget: Budget | None = None) -> Certific
 # ---------------------------------------------------------------------------
 # sign-pattern sweep: chi_DP <= 3
 
-# the sign-tree levels that _sweep_signs bit-slices under one node, so a
-# plane holds at most 2^SLICE_DEPTH sign patterns
+# the co-forest factors at the end of the factor order that _sweep_signs
+# bit-slices under one sign-tree node, so a plane holds at most
+# 2^SLICE_DEPTH sign patterns
 SLICE_DEPTH = 10
 
 
@@ -234,9 +235,38 @@ def _level(cur, w, i, j, n, dead_i, dead_j):
     return out
 
 
-def _pattern(cur, p):
-    """The one-pattern map of pattern p of cur."""
-    return {k: (1, 0) if a >> p & 1 else (0, 1) for k, (a, b) in cur.items() if (a | b) >> p & 1}
+def _times(cur, s, i, j, n, dead_i, dead_j):
+    """The map cur times x_i + s x_j, the same sign s under each of its
+    patterns, without dead terms: the x_i shift of each key as it is, the
+    x_j shift with its planes swapped when s = -1, as in _level.  A key
+    whose two shifts cancel under every pattern is dropped."""
+    si = 2 * (n - i)
+    sj = 2 * (n - j)
+    two_i = 2 << si
+    inc_i = 1 << si
+    two_j = 2 << sj
+    inc_j = 1 << sj
+    out = {k + inc_i: ab for k, ab in cur.items()
+           if not (k & two_i or k & inc_i and k & dead_i)}
+    get = out.get
+    for k, (b1, b2) in cur.items():
+        if k & two_j or k & inc_j and k & dead_j:
+            continue
+        if s < 0:
+            b1, b2 = b2, b1
+        k += inc_j
+        a = get(k)  # each key's j-shift is distinct, so this is its i-shift
+        if a is None:
+            out[k] = (b1, b2)
+            continue
+        a1, a2 = a
+        ones = (a1 ^ b1) & ~(a2 | b2) | a2 & b2
+        twos = (a2 ^ b2) & ~(a1 | b1) | a1 & b1
+        if ones | twos:
+            out[k] = (ones, twos)
+        else:
+            del out[k]
+    return out
 
 
 def _kappas(weights):
@@ -249,28 +279,22 @@ def _kappas(weights):
 
 
 def _charge(cur, w, below, budget):
-    """Charge the level of w sign-tree nodes whose maps cur holds, `below`
-    levels above the leaves, in one tick, and return the union of their
-    supports (bit p set when pattern p's map is not empty).
+    """Charge a map just built for w sign-tree nodes, `below` co-forest
+    factors above the leaves: one step per key, in one tick.  Return
+    whether it has a key.
 
-    Each node costs max(live terms, 1).  A level with more than
-    DEFAULT_MAX_TERMS keys raises ExpansionLimitError before it ticks; an
-    empty level charges every node from it down in one tick, clipped to
-    the budget, which stops where a node-by-node walk would."""
+    A map of more than DEFAULT_MAX_TERMS keys raises ExpansionLimitError
+    before it ticks; an empty map charges every node from its level down
+    in one tick, clipped to the budget, so a sweep whose budget cannot
+    cover a dead subtree stops there instead of listing its leaves."""
     size = len(cur)
     if size > DEFAULT_MAX_TERMS:
         raise ExpansionLimitError(size, DEFAULT_MAX_TERMS)
     if not size:
         budget.tick(min(w * ((2 << below) - 1), budget.limit - budget.spent))
-        return 0
-    if w == 1:  # one node, each key live in it
-        budget.tick(size)
-        return 1
-    # a key's planes are disjoint, so their set bits are its live patterns
-    union = reduce(or_, chain.from_iterable(cur.values()))
-    live = sum(map(int.bit_count, chain.from_iterable(cur.values())))
-    budget.tick(live + w - union.bit_count())
-    return union
+        return False
+    budget.tick(size)
+    return True
 
 
 def _dead_masks(n, edges):
@@ -288,28 +312,31 @@ def _dead_masks(n, edges):
     return masks
 
 
-def _co_forest(g: Graph, forest) -> tuple[Edge, ...]:
-    """The edges of g outside `forest`, in the order the sweep multiplies
-    them: by descending deg(i) + deg(j), ties by descending edge."""
+def _factor_order(g: Graph) -> tuple[Edge, ...]:
+    """The edges of g in the order the sweep multiplies them: by
+    descending deg(i) + deg(j), ties by descending edge."""
     return tuple(sorted(
-        (e for e in g.edges if e not in forest),
+        g.edges,
         key=lambda e: (g.degree(e[0]) + g.degree(e[1]), e),
         reverse=True,
     ))
 
 
-def _sweep_signs(n, fixed_edges, var_edges, weights, collect, budget):
-    """Sweep over sign assignments for var_edges, sharing the expansion of
-    the factors that the patterns have in common.
+def _sweep_signs(n, order, co, weights, collect, budget):
+    """Sweep over sign assignments for the co-forest factors, sharing the
+    expansion of the factors that the patterns have in common.
 
-    Each leaf is named by the index kappa of its pattern's representative
-    (see _PatternSpace): weights[d] is the kappa of var_edges[d] at +1
-    alone, so a leaf's kappa is the XOR of the weights of its +1 edges.
-    Returns (passes, failures) where passes are (kappa, top, coefficient)
-    triples, top the packed key of the leaf's lex-greatest monomial (top
-    and coefficient are None without collect), and failures are bare
-    kappas, both in the sign-tree order of var_edges (the sign of
-    var_edges[0] varies slowest, -1 before +1).
+    order lists every factor (i, j) in the order they are multiplied, and
+    co[k] tells whether order[k] is a co-forest factor, whose sign is
+    swept; the others are forest factors, pinned to -1.  Each leaf is
+    named by the index kappa of its pattern's representative (see
+    _PatternSpace): weights[d] is the kappa of the d-th co-forest factor
+    at +1 alone, so a leaf's kappa is the XOR of the weights of its +1
+    edges.  Returns (passes, failures) where passes are (kappa, top,
+    coefficient) triples, top the packed key of the leaf's lex-greatest
+    monomial (top and coefficient are None without collect), and failures
+    are bare kappas, both in the sign-tree order of the co-forest factors
+    (the sign of the first varies slowest, -1 before +1).
 
     The sweep only ever expands prod (x_i + s x_j) over F_3 with every
     exponent capped at 2.  An exponent takes a 2-bit digit of a packed
@@ -320,36 +347,36 @@ def _sweep_signs(n, fixed_edges, var_edges, weights, collect, budget):
     each key to its two bit planes (ones, twos), bit p set in ones when
     the key's coefficient under pattern p is 1 and in twos when it is 2,
     and a key stays only while some pattern gives it a nonzero
-    coefficient.  _level multiplies all w patterns by the next factor in
-    one pass over the keys and puts the +1 children above the -1 ones.
+    coefficient.  A forest factor is a one-sign product (_times): the
+    map keeps its width.  A co-forest factor doubles it (_level): one
+    pass over the keys multiplies every pattern by both signs and puts
+    the +1 children above the -1 ones.
 
-    The bottom SLICE_DEPTH levels of the sign tree (all of it when it is
-    shallower) are bit-sliced: under each node at that depth, one map per
-    level holds every node of the level, so a level costs one pass over
-    its keys, not one per node, and no plane is wider than
-    2^SLICE_DEPTH bits.  Level b of a slice signs bit b of the pattern
-    index.  All of a slice's leaves come from its last level: a pattern
-    passes iff some key has its bit set, its top is the largest such key
-    and its coefficient the plane that bit is in.  The levels above the
-    slices are walked depth first with an explicit stack, one node at a
-    time, so the depth, |var_edges|, is bounded neither by the recursion
-    limit nor, beyond one map per level, by memory: a node's one-pattern
-    map goes through _level and is split into its two children.
+    The last SLICE_DEPTH co-forest factors (all of them when there are
+    fewer) are bit-sliced: under each sign-tree node at that depth, one
+    map per factor holds every node of its level, so a factor costs one
+    pass over its keys, not one per node, and no plane is wider than
+    2^SLICE_DEPTH bits.  The b-th sliced co-forest factor signs bit b of
+    the pattern index.  All of a slice's leaves come from its last map: a
+    pattern passes iff some key has its bit set, its top is the largest
+    such key and its coefficient the plane that bit is in.  The nodes
+    above the slices are walked depth first with an explicit stack, one
+    at a time, so the depth is bounded neither by the recursion limit
+    nor, beyond one map per level, by memory: a node multiplies its map
+    by its forest factors one sign at a time and builds each child as
+    one more one-sign product, the -1 child at once and the +1 child
+    when the walk comes back to it.
 
-    A completed sweep charges the budget, for each node of the sign tree,
-    one step per live term of its map and at least one.  A node above
-    the slices ticks alone before it is expanded; a slice level ticks
-    once, with the sum over its nodes (its live terms are the set bits
-    of all planes, its empty nodes the patterns no key has).  An empty
-    node above the slices, or an empty slice level, charges every node
-    from it down in one tick, clipped to the budget, which stops where a
-    node-by-node walk would; it builds nothing below and lists the leaves
-    below as failures.  A map of more than DEFAULT_MAX_TERMS keys, one
-    node's or one slice level's, raises ExpansionLimitError before it
-    ticks.
+    The budget is charged one step per key of each map the sweep builds,
+    in one tick per map: one map per factor for each node above the
+    slices, one per factor for a whole slice level.  A map of more than
+    DEFAULT_MAX_TERMS keys raises ExpansionLimitError before its tick.
+    An empty map charges every sign-tree node from its level down in one
+    tick, clipped to the budget, before it lists their leaves as
+    failures, so a sweep that cannot pay for a dead subtree stops there;
+    a budget that runs out stops at the tick of one map.
 
-    A term is dead when a factor still to be multiplied (the later
-    fixed_edges, then all of var_edges, in this order) has both ends at
+    A term is dead when a factor still to be multiplied has both ends at
     exponent 2.  Exponents only grow and that factor raises one of its
     ends, so no descendant of a dead term survives the cap: dropping dead
     terms as they arise leaves every leaf map, and so every verdict,
@@ -359,71 +386,70 @@ def _sweep_signs(n, fixed_edges, var_edges, weights, collect, budget):
     must have room.)  No stored map holds a dead term, so a new term can
     only die at the end whose digit a shift takes from 1 to 2, along a
     later factor at that end; _dead_masks gives, per factor and end, the
-    2-bits of the neighbours along the later factors, and _level drops a
-    key that meets them.  Whether a key is dead does not depend on the
-    signs, so the test runs once per key per level.
+    2-bits of the neighbours along the later factors, and _level and
+    _times drop a key that meets them.  Whether a key is dead does not
+    depend on the signs, so the test runs once per key per map.
     """
-    dead = _dead_masks(n, (*fixed_edges, *var_edges))
-    var_dead = dead[len(fixed_edges):]
-    cur = {0: (1, 0)}
-    for (i, j), masks in zip(fixed_edges, dead):
-        cur = _pattern(_level(cur, 1, i, j, n, *masks), 0)
-        if len(cur) > DEFAULT_MAX_TERMS:
-            raise ExpansionLimitError(len(cur), DEFAULT_MAX_TERMS)
-    depth = len(var_edges)
+    dead = _dead_masks(n, order)
+    depth = len(weights)
     top = max(0, depth - SLICE_DEPTH)
     # a slice's leaves in sign-tree order: their pattern indices, level b
     # of the slice at bit b, and their kappa offsets
-    order = [0]
+    leaves = [0]
     for b in range(depth - top - 1, -1, -1):
-        order += [p | 1 << b for p in order]
+        leaves += [p | 1 << b for p in leaves]
     tail = _kappas(weights[top:])
     passes = []
     failures = []
-    # (depth, kappa, map) of the nodes above the slices; the -1 child is on top
-    stack = [(0, 0, cur)]
+    # (next factor, co-forest factors before it, kappa, map before that
+    # factor, whether the entry is a +1 child still to be built by it)
+    stack = [(0, 0, 0, {0: (1, 0)}, False)]
     while stack:
-        d, kappa, cur = stack.pop()
-        if d < top:
-            if not _charge(cur, 1, depth - d, budget):
-                failures.extend(kappa ^ k for k in _kappas(weights[d:]))
-                continue
-            both = _level(cur, 1, *var_edges[d], n, *var_dead[d])
-            stack.append((d + 1, kappa ^ weights[d], _pattern(both, 1)))
-            stack.append((d + 1, kappa, _pattern(both, 0)))
-            continue
-        # the slice below this node, one level at a time
+        k, d, kappa, cur, plus = stack.pop()
         w = 1
-        union = _charge(cur, w, depth - d, budget)
-        while union and d < depth:
-            cur = _level(cur, w, *var_edges[d], n, *var_dead[d])
-            w <<= 1
-            d += 1
-            union = _charge(cur, w, depth - d, budget)
-        if not union:
-            failures.extend(kappa ^ k for k in tail)
-            continue
-        tops = [(None, None)] * w
-        if collect:
-            # each pattern's largest key: keys by descending value, each
-            # taking the patterns no larger key has
-            left = union
-            for k in sorted(cur, reverse=True):
-                a, b = cur[k]
-                hit = (a | b) & left
-                if hit:
-                    left ^= hit
-                    while hit:
-                        bit = hit & -hit
-                        tops[bit.bit_length() - 1] = (k, 1 if a & bit else 2)
-                        hit ^= bit
-                    if not left:
-                        break
-        for p, k in zip(order, tail):
-            if union >> p & 1:
-                passes.append((kappa ^ k, *tops[p]))
+        for k in range(k, len(order)):
+            i, j = order[k]
+            if not co[k]:
+                cur = _times(cur, -1, i, j, n, *dead[k])
+            elif d < top:  # a node above the slices: on to one child
+                if plus:  # the +1 child, back from the stack
+                    kappa ^= weights[d]
+                else:  # the -1 child now, the +1 child later
+                    stack.append((k, d, kappa, cur, True))
+                cur = _times(cur, 1 if plus else -1, i, j, n, *dead[k])
+                plus = False
+                d += 1
             else:
-                failures.append(kappa ^ k)
+                cur = _level(cur, w, i, j, n, *dead[k])
+                w <<= 1
+                d += 1
+            if not _charge(cur, w, depth - d, budget):
+                # every leaf below fails: a slice's, or a node's above it
+                failures.extend(kappa ^ x for x in (tail if d >= top else _kappas(weights[d:])))
+                break
+        else:
+            tops = [(None, None)] * w
+            union = reduce(or_, chain.from_iterable(cur.values()))
+            if collect:
+                # each pattern's largest key: keys by descending value,
+                # each taking the patterns no larger key has
+                left = union
+                for key in sorted(cur, reverse=True):
+                    a, b = cur[key]
+                    hit = (a | b) & left
+                    if hit:
+                        left ^= hit
+                        while hit:
+                            bit = hit & -hit
+                            tops[bit.bit_length() - 1] = (key, 1 if a & bit else 2)
+                            hit ^= bit
+                        if not left:
+                            break
+            for p, x in zip(leaves, tail):
+                if union >> p & 1:
+                    passes.append((kappa ^ x, *tops[p]))
+                else:
+                    failures.append(kappa ^ x)
     return passes, failures
 
 
@@ -693,36 +719,42 @@ def certify_dp3(
     verdicts: items are built when read, iteration streams them, len and
     `in` use the arithmetic above, and each view compares equal to the
     tuple of its items.  Memory does not grow with 2^|E|.  The sweep
-    charges the budget one step per live term of each node's map, at
-    least one per node: a term with an edge still to be multiplied whose
-    two ends are both at exponent 2 has no descendant within the cap, so
-    it is dropped without changing any result (see _sweep_signs).  The
-    switch then charges 2^(|V|-c) per representative switched, that is
-    per failing one and, with collect_certificates, per passing one, in
-    one tick that stops where one tick per representative would.
+    charges the budget one step per key of each map it stores: one map
+    per factor for each sign-tree node above the slices and one per
+    factor for each whole slice level, a key holding its coefficients
+    under all of the map's patterns.  An empty map charges every node
+    from its level down instead, in one tick clipped to the budget.  A
+    term with an edge still to be multiplied whose two ends are both at
+    exponent 2 has no descendant within the cap, so it is dropped
+    without changing any result (see _sweep_signs).  The switch then
+    charges 2^(|V|-c) per representative switched, that is per failing
+    one and, with collect_certificates, per passing one, in one tick that
+    stops where one tick per representative would.
 
     The sweep names each leaf by its representative's index kappa in the
     _PatternSpace of the mode, built before the sweep.  The representative
     fixes the forest edges at -1 in both modes, so its kappa is the XOR
     of slot_kap over its co-forest edges at +1, and the result is stored
-    at certs[kappa] or fails[kappa] directly.  The bottom SLICE_DEPTH
-    levels of the sign tree are expanded one level at a time for all
-    their nodes at once, each key holding its coefficients under all of
-    a level's sign patterns as two bit planes; the levels above are
-    walked one node at a time (see _sweep_signs).  A budget that runs out
-    stops at the tick of a node above the slices or of a whole slice
-    level.
+    at certs[kappa] or fails[kappa] directly.  The sign tree's levels of
+    the last SLICE_DEPTH co-forest edges are expanded one factor at a
+    time for all their nodes at once, each key holding its coefficients
+    under all of a level's sign patterns as two bit planes; the nodes
+    above are walked one at a time (see _sweep_signs).  A budget that
+    runs out stops at the tick of one stored map: a node's above the
+    slices or a whole slice level's.
 
-    The sweep multiplies the forest edges first, then the co-forest edges
-    in the order of _co_forest: by descending deg(i) + deg(j), ties by
-    descending edge.  On C_13^2 in spanning-tree mode that order charges
-    514,067 steps against 602,666 in edge order.  The order cannot change
-    a result, only the steps and the time: each leaf map is the whole
-    product with its exponents capped at 2, whatever order the factors
-    come in; each representative's verdict is stored at its kappa, which
-    follows its edges' signs, not its place in the sweep; and the
-    dead-term masks are built from the factors in the order they are
-    multiplied.
+    The sweep multiplies every edge in the order of _factor_order: by
+    descending deg(i) + deg(j), ties by descending edge, forest and
+    co-forest edges alike.  A forest edge keeps the width of the map it
+    multiplies and a co-forest edge doubles it.  On C_13^2 in
+    spanning-tree mode that order stores 37,444 keys, against 83,252
+    with the forest edges first and 41,909 in edge order.  The order
+    cannot change a result, only the steps and the time: each leaf map
+    is the whole product with its exponents capped at 2, whatever order
+    the factors come in; each representative's verdict is stored at its
+    kappa, which follows its edges' signs, not its place in the sweep;
+    and the dead-term masks are built from the factors in the order they
+    are multiplied.
 
     With use_spanning_tree (connected graphs containing a cycle only),
     the result lists the representatives alone; the verdict is the same.
@@ -733,16 +765,16 @@ def certify_dp3(
         raise PreconditionError(
             "spanning-tree mode needs a connected graph containing a cycle"
         )
-    fixed = spanning_tree(g)
-    forest = set(fixed)
-    var_edges = _co_forest(g, forest)
+    forest = set(spanning_tree(g))
+    order = _factor_order(g)
+    co = [e not in forest for e in order]
     budget = ensure_budget(budget, 2_000_000_000, "sweeping sign patterns")
     space = _PatternSpace(g, forest, switched=not use_spanning_tree)
     slot = {e: k for k, e in enumerate(g.edges)}
-    weights = [space.slot_kap[slot[e]] for e in var_edges]
+    weights = [space.slot_kap[slot[e]] for e, c in zip(order, co) if c]
 
     passes, failures = _sweep_signs(
-        g.n, fixed, var_edges, weights, collect_certificates, budget
+        g.n, order, co, weights, collect_certificates, budget
     )
 
     mode = "spanning-tree" if use_spanning_tree else "all-edges"

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import itemgetter
 from types import MappingProxyType
 
 from .budget import Budget, ensure_budget
@@ -583,21 +584,33 @@ def _tree_centers(n: int, edges) -> list[int]:
     return sorted(alive)
 
 
-def _rooted_key(root: int, n: int, edges):
+def _rooted_key(root: int, n: int, edges) -> tuple[str, tuple]:
+    """(code, key) of the tree rooted at root.  A vertex's key is the
+    sorted tuple of its children's keys, built children before parents
+    without recursion.
+
+    The code spells the key in brackets, "1" for ( and "0" for ): keys
+    compare as their codes do, since a closing bracket sorts first and no
+    code is a prefix of another.  Siblings are sorted, and centres
+    compared, by code, because comparing deep keys recurses."""
     adj = {v: [] for v in range(1, n + 1)}
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-
-    def key(v: int, parent: int):
-        return tuple(sorted(key(w, v) for w in adj[v] if w != parent))
-
-    return key(root, 0)
+    parent = bfs(adj, root)
+    kids = {v: [] for v in parent}  # vertex -> (code, key) of its children
+    for v in reversed(parent):  # children before parents
+        subs = sorted(kids.pop(v), key=itemgetter(0))
+        node = ("1" + "".join(code for code, _ in subs) + "0", tuple(key for _, key in subs))
+        if parent[v]:
+            kids[parent[v]].append(node)
+    return node
 
 
 def tree_key(n: int, edges) -> tuple:
     """Isomorphism-invariant canonical key for a tree (center-rooted encoding)."""
-    return min(_rooted_key(c, n, edges) for c in _tree_centers(n, edges))
+    return min((_rooted_key(c, n, edges) for c in _tree_centers(n, edges)),
+               key=itemgetter(0))[1]
 
 
 def tree_catalog(max_n: int) -> list[Graph]:

@@ -224,12 +224,21 @@ def find_qualifying_monomial(
     The offsets beta only feed lower degrees, so the top-degree
     coefficients of prod (x_i + s*x_j - beta) are those of the offset-free
     prod (x_i + s*x_j).  That product is homogeneous of degree deg(poly),
-    and it alone is expanded: every term it keeps qualifies."""
+    and it alone is expanded: every term it keeps qualifies.  The
+    lex-greatest key is found digit by digit, x_1's first: each pass keeps
+    the keys with the largest digit, and only the winner is unpacked."""
     offset_free = EdgeProductPolynomial(
         poly.field, poly.n, tuple(Factor(f.i, f.j, f.sign) for f in poly.factors))
-    return max(((unpack_exponents(key, poly.n), c)
-                for key, c in expand_packed(offset_free, caps, budget).items()),
-               default=None)
+    terms = expand_packed(offset_free, caps, budget)
+    keys = list(terms)
+    for shift in range(0, PACK_BITS * poly.n, PACK_BITS):
+        if len(keys) < 2:
+            break
+        best = max(key >> shift & PACK_MASK for key in keys)
+        keys = [key for key in keys if key >> shift & PACK_MASK == best]
+    if not keys:
+        return None
+    return unpack_exponents(keys[0], poly.n), terms[keys[0]]
 
 
 # ---------------------------------------------------------------------------

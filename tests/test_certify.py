@@ -319,22 +319,25 @@ def _dead(exps, later):
     return any(exps[i - 1] == exps[j - 1] == 2 for i, j in later)
 
 
-def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget,
+def ref_sweep_signs(n, all_edges, order, co, collect, budget,
                     max_terms=P.DEFAULT_MAX_TERMS, prune=True):
-    """The sweep as one apply_factor_packed call per sign-tree node,
-    unpacking every key of a leaf to find its lex-greatest monomial.  With
-    prune, each product then loses the terms that have a factor still to
-    be multiplied with both ends at exponent 2; the size limit applies to
-    what is kept.
+    """The sweep as one apply_factor_packed call per sign-tree node per
+    factor, unpacking every key of a leaf to find its lex-greatest
+    monomial.  order lists every factor in the order they are multiplied,
+    co[k] whether order[k] is a co-forest factor (its sign swept) or a
+    forest one (pinned to -1).  With prune, each product then loses the
+    terms that have a factor still to be multiplied with both ends at
+    exponent 2; the size limit applies to what is kept.
 
     It charges the budget in the bit-sliced kernel's order: the nodes above
-    the bottom X.SLICE_DEPTH levels one at a time, depth first, and below
-    each of them one tick per level, the sum of that level's node charges;
-    the term limit applies to the union of a level's keys, and an empty
-    level charges every node from it down at once."""
+    the last X.SLICE_DEPTH co-forest factors one at a time, depth first,
+    each child built when the walk reaches it, and below each of them one
+    tick per factor for the whole level, the size of the union of its
+    nodes' keys; the term limit applies to that union, and an empty level
+    charges every node from it down at once."""
     fld = make_field(3)
     caps = (2,) * n
-    order = (*fixed_edges, *var_edges)
+    var_edges = [e for e, c in zip(order, co) if c]
     top = max(0, len(var_edges) - X.SLICE_DEPTH)
 
     def times(cur, step, sign):
@@ -345,15 +348,17 @@ def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget,
             out = {k: c for k, c in out.items() if not _dead(P.unpack_exponents(k, n), later)}
         return out
 
-    def check(maps):
+    def stored(maps, below):
+        """Check and charge one level's maps; whether any holds a key."""
         size = len(set().union(*maps))
         if size > max_terms:
             raise P.ExpansionLimitError(size, max_terms)
+        if not size:
+            budget.tick(min(len(maps) * ((2 << below) - 1), budget.limit - budget.spent))
+        else:
+            budget.tick(size)
+        return size > 0
 
-    cur = {0: 1}
-    for step in range(len(fixed_edges)):
-        cur = times(cur, step, -1)
-        check([cur])
     passes = []
     failures = []
 
@@ -367,58 +372,64 @@ def ref_sweep_signs(n, all_edges, fixed_edges, var_edges, collect, budget,
         else:
             passes.append((pattern, None, None))
 
-    def rec(cur, idx, signs):
-        if idx < top:
-            budget.tick(max(len(cur), 1))
-            e = var_edges[idx]
-            for s in (-1, 1):
-                child = times(cur, len(fixed_edges) + idx, s)
-                check([child])
-                rec(child, idx + 1, {**signs, e: s})
-            return
+    def fail_below(level, idx):
+        for sg, _ in level:
+            for tail in product((-1, 1), repeat=len(var_edges) - idx):
+                leaf({**sg, **dict(zip(var_edges[idx:], tail))}, {})
+
+    def rec(cur, step, idx, signs):
+        """The node with map cur, before factor `step`, idx co-forest
+        factors from the root."""
+        if idx >= top:
+            return walk_slice(cur, step, idx, signs)
+        while not co[step]:
+            cur = times(cur, step, -1)
+            step += 1
+            if not stored([cur], len(var_edges) - idx):
+                return fail_below([(signs, cur)], idx)
+        e = order[step]
+        for s in (-1, 1):
+            child = times(cur, step, s)
+            sg = {**signs, e: s}
+            if stored([child], len(var_edges) - idx - 1):
+                rec(child, step + 1, idx + 1, sg)
+            else:
+                fail_below([(sg, child)], idx + 1)
+
+    def walk_slice(cur, step, idx, signs):
         # the slice below: its nodes level by level, in sign-tree order
         level = [(signs, cur)]
-        while True:
-            maps = [m for _, m in level]
-            check(maps)
-            if not any(maps):
-                below = len(var_edges) - idx
-                budget.tick(min(len(maps) * ((2 << below) - 1), budget.limit - budget.spent))
-                break
-            budget.tick(sum(max(len(m), 1) for m in maps))
-            if idx == len(var_edges):
-                break
-            e = var_edges[idx]
-            level = [({**sg, e: s}, times(m, len(fixed_edges) + idx, s))
-                     for sg, m in level for s in (-1, 1)]
-            idx += 1
-        if any(maps):
-            for sg, m in level:
-                leaf(sg, m)
-        else:  # every leaf below fails
-            for sg, _ in level:
-                for tail in product((-1, 1), repeat=len(var_edges) - idx):
-                    leaf({**sg, **dict(zip(var_edges[idx:], tail))}, {})
+        for step in range(step, len(order)):
+            e = order[step]
+            if co[step]:
+                level = [({**sg, e: s}, times(m, step, s)) for sg, m in level for s in (-1, 1)]
+                idx += 1
+            else:
+                level = [(sg, times(m, step, -1)) for sg, m in level]
+            if not stored([m for _, m in level], len(var_edges) - idx):
+                return fail_below(level, idx)
+        for sg, m in level:
+            leaf(sg, m)
 
-    rec(cur, 0, {})
+    rec({0: 1}, 0, 0, {})
     return passes, failures
 
 
 def _sweep_args(g, switched=True):
-    """The arguments certify_dp3 passes _sweep_signs (the forest edges,
-    then the co-forest edges in the sweep's factor order, and their kappa
-    weights) and the _PatternSpace that names the leaves: all-edges mode,
-    or spanning-tree mode when switched is False."""
-    fixed = G.spanning_tree(g)
-    forest = set(fixed)
-    var = X._co_forest(g, forest)
+    """The arguments certify_dp3 passes _sweep_signs (every edge in the
+    sweep's factor order, which of them are co-forest edges, and the kappa
+    weights of those) and the _PatternSpace that names the leaves:
+    all-edges mode, or spanning-tree mode when switched is False."""
+    forest = set(G.spanning_tree(g))
+    order = X._factor_order(g)
+    co = [e not in forest for e in order]
     space = X._PatternSpace(g, forest, switched)
-    return g.n, fixed, var, _weights(g, space, var), space
+    return g.n, order, co, _weights(g, space, order, co), space
 
 
-def _weights(g, space, var):
-    """The kappa of each edge of var at +1 alone, in var's order."""
-    return [space.slot_kap[g.edges.index(e)] for e in var]
+def _weights(g, space, order, co):
+    """The kappa of each co-forest edge of order at +1 alone, in order."""
+    return [space.slot_kap[g.edges.index(e)] for e, c in zip(order, co) if c]
 
 
 def _located(space, swept):
@@ -476,7 +487,8 @@ def test_sweep_kernel_matches_per_pattern_expansion(monkeypatch):
     assert any(g.degree(v) == 0 for g in graphs for v in range(1, g.n + 1))
     tree_mode = 0
     for g in graphs:
-        n, fixed, var, _, _ = _sweep_args(g)
+        n, order, co, _, _ = _sweep_args(g)
+        var = [e for e, c in zip(order, co) if c]
         edges = g.edges
         passes = []
         failing = []
@@ -497,10 +509,10 @@ def test_sweep_kernel_matches_per_pattern_expansion(monkeypatch):
                 monkeypatch.setattr(X, "SLICE_DEPTH", depth)
                 _, _, _, weights, space = _sweep_args(g, switched)
                 budget = Budget(10**9)
-                got = _unpacked(n, X._sweep_signs(n, fixed, var, weights, collect, budget))
+                got = _unpacked(n, X._sweep_signs(n, order, co, weights, collect, budget))
                 assert got == _located(space, (want, failing))
                 ref = Budget(10**9)
-                assert _located(space, ref_sweep_signs(n, edges, fixed, var, collect, ref)) == got
+                assert _located(space, ref_sweep_signs(n, edges, order, co, collect, ref)) == got
                 assert budget.spent == ref.spent
             if g.is_connected() and g.contains_cycle():
                 tree_mode += 1
@@ -522,18 +534,18 @@ def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion(monk
               G.from_edges(7, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4),
                                (4, 5), (5, 6), (6, 7), (5, 7)]),
               # K_6 minus {23, 46}: a whole slice level of 2 (depth 3) or
-              # 64 (depth 10) nodes has every key capped or dead
+              # 128 (depth 10) nodes has every key capped or dead
               G.from_edges(6, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5),
                                (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (5, 6)])]
     rng = random.Random(77)
     for g in graphs:
-        n, fixed, var, weights, space = _sweep_args(g)
+        n, order, co, weights, space = _sweep_args(g)
         total = Budget(10**9)
-        X._sweep_signs(n, fixed, var, weights, False, total)
+        X._sweep_signs(n, order, co, weights, False, total)
         limits = sorted({1, 2, total.spent, total.spent + 1,
                          *rng.sample(range(1, total.spent), 40)})
-        kernel = lambda b: _unpacked(n, X._sweep_signs(n, fixed, var, weights, False, b))
-        reference = lambda b: _located(space, ref_sweep_signs(n, g.edges, fixed, var, False, b))
+        kernel = lambda b: _unpacked(n, X._sweep_signs(n, order, co, weights, False, b))
+        reference = lambda b: _located(space, ref_sweep_signs(n, g.edges, order, co, False, b))
         for limit, depth in product(limits, SLICE_DEPTHS):
             monkeypatch.setattr(X, "SLICE_DEPTH", depth)
             outcomes = []
@@ -548,15 +560,15 @@ def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion(monk
 
 def test_sweep_kernel_raises_the_expansion_limit_where_the_dict_sweep_does(monkeypatch):
     g = G.cycle_power(7, 2)
-    n, fixed, var, weights, space = _sweep_args(g)
+    n, order, co, weights, space = _sweep_args(g)
     raised = dict.fromkeys(SLICE_DEPTHS, 0)
     for limit, depth in product((1, 4, 16, 40, 60, 100, 400), SLICE_DEPTHS):
         monkeypatch.setattr(X, "DEFAULT_MAX_TERMS", limit)
         monkeypatch.setattr(X, "SLICE_DEPTH", depth)
         outcomes = []
         for sweep in (
-            lambda b: _unpacked(n, X._sweep_signs(n, fixed, var, weights, True, b)),
-            lambda b: _located(space, ref_sweep_signs(n, g.edges, fixed, var, True, b,
+            lambda b: _unpacked(n, X._sweep_signs(n, order, co, weights, True, b)),
+            lambda b: _located(space, ref_sweep_signs(n, g.edges, order, co, True, b,
                                                       max_terms=limit)),
         ):
             budget = Budget(10**9)
@@ -625,8 +637,8 @@ def ref_switch_all(g, passes, failures, collect, budget):
 def ref_certify_dp3(g, use_spanning_tree, collect, budget, sweep=ref_sweep_signs):
     """(certificates, failing patterns) as tuples, from a reference sweep
     and ref_switch_all."""
-    n, fixed, var, _, _ = _sweep_args(g)
-    passes, failures = sweep(n, g.edges, fixed, var, collect, budget)
+    n, order, co, _, _ = _sweep_args(g)
+    passes, failures = sweep(n, g.edges, order, co, collect, budget)
     if use_spanning_tree:
         # the sweep emits them in its sign-tree order; certify_dp3 lists them
         # in pattern-lex order
@@ -713,10 +725,10 @@ def test_switch_charge_stops_where_one_tick_per_representative_does():
     exhausted = 0
     for g in [G.complete_bipartite(3, 3), G.cycle_power(7, 2), G.complete(5),
               *_random_sweep_graphs()[:16]]:
-        n, fixed, var, weights, _ = _sweep_args(g)
+        n, order, co, weights, _ = _sweep_args(g)
         for collect in (True, False):
             swept, total = Budget(10**9), Budget(10**9)
-            X._sweep_signs(n, fixed, var, weights, collect, swept)
+            X._sweep_signs(n, order, co, weights, collect, swept)
             X.certify_dp3(g, budget=total, collect_certificates=collect)
             inside = range(swept.spent + 1, total.spent + 1)
             limits = {*inside[:3], *inside[-2:], total.spent + 1,
@@ -742,29 +754,31 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
     """Dropping dead terms changes no result and never costs budget: the
     sweep and certify_dp3, in both modes and with and without
     certificates, against the unpruned dict sweep, and every map the
-    kernel stores checked for a remaining edge with both ends at 2."""
+    kernel stores, forest factors included, checked for a remaining edge
+    with both ends at 2."""
     stored = []
-    level = X._level
 
-    def spy(cur, w, i, j, n, *masks):
-        out = level(cur, w, i, j, n, *masks)
-        stored.append(((i, j), out))
-        return out
+    def spy(build):
+        def wrapped(cur, x, i, j, n, *masks):
+            out = build(cur, x, i, j, n, *masks)
+            stored.append(((i, j), out))
+            return out
+        return wrapped
 
-    monkeypatch.setattr(X, "_level", spy)
+    monkeypatch.setattr(X, "_level", spy(X._level))
+    monkeypatch.setattr(X, "_times", spy(X._times))
     unpruned = partial(ref_sweep_signs, prune=False)
-    checked = saved = 0
+    checked = saved = forest_maps = 0
     for g in _kernel_graphs() + _random_sweep_graphs():
-        n, fixed, var, _, _ = _sweep_args(g)
-        order = (*fixed, *var)
+        n, order, co, _, _ = _sweep_args(g)
         modes = [False] + ([True] if g.is_connected() and g.contains_cycle() else [])
         for tree, collect in product(modes, (True, False)):
             _, _, _, weights, space = _sweep_args(g, switched=not tree)
             stored.clear()
             ref = Budget(10**9)
-            want = _located(space, unpruned(n, g.edges, fixed, var, collect, ref))
+            want = _located(space, unpruned(n, g.edges, order, co, collect, ref))
             budget = Budget(10**9)
-            got = X._sweep_signs(n, fixed, var, weights, collect, budget)
+            got = X._sweep_signs(n, order, co, weights, collect, budget)
             assert _unpacked(n, got) == want
             assert budget.spent <= ref.spent
             saved += budget.spent < ref.spent
@@ -777,46 +791,57 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
             assert (res.failure.failing_patterns if res.failure else ()) == failing
             assert budget.spent <= ref.spent
             for edge, out in stored:
-                later = order[order.index(edge) + 1:]
+                k = order.index(edge)
+                forest_maps += not co[k]
                 for key in out:
-                    assert not _dead(_digits(key, n), later), (g, edge, _digits(key, n))
+                    assert not _dead(_digits(key, n), order[k + 1:]), (g, edge, _digits(key, n))
             checked += 1
-    assert checked >= 200 and saved >= 50
+    assert checked >= 200 and saved >= 50 and forest_maps >= 1000
 
 
 def test_sweep_results_do_not_depend_on_the_factor_order():
-    """The co-forest order moves only the steps: edge order, the sweep's
-    degree order and two seeded shuffles give the same passes and
+    """The factor order moves only the steps: edge order, the sweep's
+    degree order, the forest edges first and two seeded shuffles of the
+    whole order, forest edges interleaved, give the same passes and
     failures once both are sorted by kappa."""
     rng = random.Random(6006)
-    reordered = 0
+    reordered = interleaved = 0
     for g in _kernel_graphs() + _random_sweep_graphs():
-        n, fixed, var, _, space = _sweep_args(g)
-        lex = tuple(sorted(var))
-        reordered += var != lex
-        orders = (lex, var, *(tuple(rng.sample(var, len(var))) for _ in range(2)))
+        n, order, co, _, space = _sweep_args(g)
+        forest = {e for e, c in zip(order, co) if not c}
+        first = tuple(sorted(order, key=lambda e: e not in forest))
+        reordered += order != tuple(sorted(order))
+        orders = (g.edges, order, first, *(tuple(rng.sample(order, len(order))) for _ in range(2)))
         results = []
-        for order in orders:
-            passes, failures = X._sweep_signs(n, fixed, order, _weights(g, space, order), True,
-                                              Budget(10**9))
+        for edges in orders:
+            flags = [e not in forest for e in edges]
+            interleaved += flags != sorted(flags)
+            passes, failures = X._sweep_signs(n, edges, flags, _weights(g, space, edges, flags),
+                                              True, Budget(10**9))
             results.append((sorted(passes), sorted(failures)))
-        for order, got in zip(orders, results):
-            assert got == results[0], (g, order)
-    assert reordered >= 30
+        for edges, got in zip(orders, results):
+            assert got == results[0], (g, edges)
+    assert reordered >= 30 and interleaved >= 100
 
 
 def test_factor_order_pins_the_c13sq_steps():
-    """C_13^2's spanning-tree sweep charges 514,067 steps in the degree
-    order and 602,666 in edge order, so a change of order shows here."""
+    """C_13^2's spanning-tree sweep stores 37,444 keys in the degree
+    order, and more with the forest edges first (the spanning tree, then
+    the co-forest edges in degree order) or in edge order, so a change of
+    order shows here."""
     g = G.cycle_power(13, 2)
     budget = Budget(10**9)
     X.certify_dp3(g, use_spanning_tree=True, budget=budget)
-    assert budget.spent == 514_067
-    n, fixed, var, _, space = _sweep_args(g, switched=False)
-    lex = Budget(10**9)
-    order = tuple(sorted(var))
-    X._sweep_signs(n, fixed, order, _weights(g, space, order), False, lex)
-    assert lex.spent == 602_666
+    assert budget.spent == 37_444
+    n, order, co, _, space = _sweep_args(g, switched=False)
+    first = (*G.spanning_tree(g), *(e for e, c in zip(order, co) if c))
+    spent = []
+    for edges in (first, g.edges):
+        flags = [co[order.index(e)] for e in edges]
+        other = Budget(10**9)
+        X._sweep_signs(n, edges, flags, _weights(g, space, edges, flags), False, other)
+        spent.append(other.spent)
+    assert spent == [83_252, 41_909]
 
 
 def test_deep_sign_tree_exhausts_the_budget_in_bounded_memory():

@@ -517,6 +517,50 @@ def test_tree_catalog_members_are_trees():
         assert t.is_connected()
 
 
+def ref_rooted_key(root, n, edges):
+    """The recursive definition: a vertex's key is the sorted tuple of its
+    children's keys."""
+    adj = {v: [] for v in range(1, n + 1)}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+
+    def key(v, parent):
+        return tuple(sorted(key(w, v) for w in adj[v] if w != parent))
+
+    return key(root, 0)
+
+
+def test_rooted_keys_match_the_recursive_definition(monkeypatch):
+    """Every rooting of every tree on up to 9 vertices keys as the
+    recursive definition does, codes sort as their keys, and the catalog
+    built from the recursive keys is the same."""
+    cat = G.tree_catalog(9)
+    rooted = []
+    for t in cat:
+        for r in range(1, t.n + 1):
+            code, key = G._rooted_key(r, t.n, t.edges)
+            assert key == ref_rooted_key(r, t.n, t.edges)
+            rooted.append((code, key))
+    assert sorted(rooted, key=lambda ck: ck[0]) == sorted(rooted, key=lambda ck: ck[1])
+    assert len({code for code, _ in rooted}) == len({key for _, key in rooted})
+    monkeypatch.setattr(G, "tree_key", lambda n, edges: min(
+        ref_rooted_key(c, n, edges) for c in G._tree_centers(n, edges)))
+    assert G.tree_catalog(9) == cat
+
+
+def test_tree_key_of_a_long_path_does_not_recurse():
+    """A path's key nests once per vertex from its centre; 5,000 vertices
+    are far past the recursion limit.  The key is walked down its longer
+    branch, since comparing it whole would recurse."""
+    key = G.tree_key(5000, G.path(5000).edges)
+    sizes = []
+    while key:
+        sizes.append(len(key))
+        key = key[-1]
+    assert sizes == [2] + [1] * 2499
+
+
 def test_orientation_degrees():
     g = G.cycle(4)  # edges in lex order: (1,2), (1,4), (2,3), (3,4)
     d = G.Orientation(g, (1, 0, 1, 1))  # 1->2->3->4->1

@@ -165,6 +165,37 @@ def test_find_qualifying_monomial_matches_its_definition():
         assert P.find_qualifying_monomial(poly, caps) == want
 
 
+def test_find_qualifying_monomial_narrows_to_the_max_over_unpacked_keys():
+    """The digit-by-digit pick against max over every unpacked key of the
+    offset-free expansion, on seeded polynomials over F_3, F_5 and F_7,
+    with the expansion's spend unchanged."""
+    rng = random.Random(1717)
+    ties = 0
+    for t in (3, 5, 7) * 20:
+        field = make_field(t)
+        n = rng.randint(2, 7)
+        factors = []
+        for _ in range(rng.randint(1, 12)):
+            i = rng.randint(1, n - 1)
+            factors.append(P.Factor(i, rng.randint(i + 1, n), rng.choice((-1, 1)),
+                                    rng.randrange(t)))
+        poly = P.EdgeProductPolynomial(field, n, tuple(factors))
+        caps = tuple(rng.randint(0, 4) for _ in range(n))
+        offset_free = P.EdgeProductPolynomial(
+            field, n, tuple(P.Factor(f.i, f.j, f.sign) for f in factors))
+        ref = Budget(10**9)
+        terms = P.expand_packed(offset_free, caps, ref)
+        want = max(((P.unpack_exponents(k, n), c) for k, c in terms.items()), default=None)
+        budget = Budget(10**9)
+        assert P.find_qualifying_monomial(poly, caps, budget) == want
+        assert budget.spent == ref.spent
+        # keys that share the winner's first digit, so narrowing takes
+        # more than one pass
+        ties += want is not None and sum(
+            k & P.PACK_MASK == want[0][0] for k in terms) > 1
+    assert ties >= 20
+
+
 def test_expansion_caps_are_sound():
     # capping a variable never changes the coefficients that survive
     g = G.cycle(4)
