@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import chain, islice, product
 from operator import add, eq, index, or_
 
@@ -194,9 +194,8 @@ def certify_order3_cover(cover: Cover, budget: Budget | None = None) -> Certific
 # ---------------------------------------------------------------------------
 # sign-pattern sweep: chi_DP <= 3
 
-# the co-forest factors at the end of the factor order that _sweep_signs
-# bit-slices under one sign-tree node, so a plane holds at most
-# 2^SLICE_DEPTH sign patterns
+# the most co-forest levels of the sign tree that _sweep_signs bit-slices
+# in one chunk, so a plane holds at most 2^SLICE_DEPTH sign patterns
 SLICE_DEPTH = 10
 
 
@@ -235,11 +234,11 @@ def _level(cur, w, i, j, n, dead_i, dead_j):
     return out
 
 
-def _times(cur, s, i, j, n, dead_i, dead_j):
-    """The map cur times x_i + s x_j, the same sign s under each of its
+def _times(cur, i, j, n, dead_i, dead_j):
+    """The map cur times the forest factor x_i - x_j under each of its
     patterns, without dead terms: the x_i shift of each key as it is, the
-    x_j shift with its planes swapped when s = -1, as in _level.  A key
-    whose two shifts cancel under every pattern is dropped."""
+    x_j shift with its planes swapped, as in _level.  A key whose two
+    shifts cancel under every pattern is dropped."""
     si = 2 * (n - i)
     sj = 2 * (n - j)
     two_i = 2 << si
@@ -249,11 +248,9 @@ def _times(cur, s, i, j, n, dead_i, dead_j):
     out = {k + inc_i: ab for k, ab in cur.items()
            if not (k & two_i or k & inc_i and k & dead_i)}
     get = out.get
-    for k, (b1, b2) in cur.items():
+    for k, (b2, b1) in cur.items():  # planes swapped: the -x_j shift
         if k & two_j or k & inc_j and k & dead_j:
             continue
-        if s < 0:
-            b1, b2 = b2, b1
         k += inc_j
         a = get(k)  # each key's j-shift is distinct, so this is its i-shift
         if a is None:
@@ -269,19 +266,26 @@ def _times(cur, s, i, j, n, dead_i, dead_j):
     return out
 
 
-def _kappas(weights):
-    """The kappa offsets of the leaves below a node whose co-forest edges
+def _kappas(weights, kappa=0):
+    """The kappas of the leaves below a node of kappa whose co-forest edges
     still to come have these weights, in sign-tree order."""
-    block = [0]
+    block = [kappa]
     for w in reversed(weights):  # weights[0] varies slowest
         block += [k ^ w for k in block]
     return block
 
 
+@cache
+def _tree_order(levels):
+    """The pattern indices of a chunk of this many co-forest levels in
+    sign-tree order: the chunk's first factor signs bit 0 and varies
+    slowest."""
+    return _kappas([1 << b for b in range(levels)])
+
+
 def _charge(cur, w, below, budget):
     """Charge a map just built for w sign-tree nodes, `below` co-forest
-    factors above the leaves: one step per key, in one tick.  Return
-    whether it has a key.
+    factors above the leaves: one step per key, in one tick.
 
     A map of more than DEFAULT_MAX_TERMS keys raises ExpansionLimitError
     before it ticks; an empty map charges every node from its level down
@@ -290,11 +294,7 @@ def _charge(cur, w, below, budget):
     size = len(cur)
     if size > DEFAULT_MAX_TERMS:
         raise ExpansionLimitError(size, DEFAULT_MAX_TERMS)
-    if not size:
-        budget.tick(min(w * ((2 << below) - 1), budget.limit - budget.spent))
-        return False
-    budget.tick(size)
-    return True
+    budget.tick(size or min(w * ((2 << below) - 1), budget.limit - budget.spent))
 
 
 def _dead_masks(n, edges):
@@ -347,32 +347,30 @@ def _sweep_signs(n, order, co, weights, collect, budget):
     each key to its two bit planes (ones, twos), bit p set in ones when
     the key's coefficient under pattern p is 1 and in twos when it is 2,
     and a key stays only while some pattern gives it a nonzero
-    coefficient.  A forest factor is a one-sign product (_times): the
-    map keeps its width.  A co-forest factor doubles it (_level): one
-    pass over the keys multiplies every pattern by both signs and puts
-    the +1 children above the -1 ones.
+    coefficient.  A forest factor keeps the map's width (_times).  A
+    co-forest factor doubles it (_level): one pass over the keys
+    multiplies every pattern by both signs and puts the +1 children above
+    the -1 ones.
 
-    The last SLICE_DEPTH co-forest factors (all of them when there are
-    fewer) are bit-sliced: under each sign-tree node at that depth, one
+    The sign tree is walked in chunks of at most SLICE_DEPTH co-forest
+    levels, depth first with an explicit stack of chunk roots, each a
+    one-pattern map.  The top chunk takes what is left over, so every
+    chunk below it is a full SLICE_DEPTH levels deep.  Within a chunk one
     map per factor holds every node of its level, so a factor costs one
     pass over its keys, not one per node, and no plane is wider than
-    2^SLICE_DEPTH bits.  The b-th sliced co-forest factor signs bit b of
-    the pattern index.  All of a slice's leaves come from its last map: a
-    pattern passes iff some key has its bit set, its top is the largest
-    such key and its coefficient the plane that bit is in.  The nodes
-    above the slices are walked depth first with an explicit stack, one
-    at a time, so the depth is bounded neither by the recursion limit
-    nor, beyond one map per level, by memory: a node multiplies its map
-    by its forest factors one sign at a time and builds each child as
-    one more one-sign product, the -1 child at once and the +1 child
-    when the walk comes back to it.
+    2^SLICE_DEPTH bits; the b-th co-forest factor of the chunk signs bit
+    b of the pattern index.  At a chunk's end above the leaves, one pass
+    over the last map's keys splits it into its one-pattern child roots.
+    At the leaves, a pattern passes iff some key has its bit set, its top
+    is the largest such key and its coefficient the plane that bit is in.
+    The depth is bounded neither by the recursion limit nor, beyond one
+    chunk's child roots per chunk level, by memory.
 
     The budget is charged one step per key of each map the sweep builds,
-    in one tick per map: one map per factor for each node above the
-    slices, one per factor for a whole slice level.  A map of more than
-    DEFAULT_MAX_TERMS keys raises ExpansionLimitError before its tick.
-    An empty map charges every sign-tree node from its level down in one
-    tick, clipped to the budget, before it lists their leaves as
+    in one tick per map: one per factor for each chunk.  A map of more
+    than DEFAULT_MAX_TERMS keys raises ExpansionLimitError before its
+    tick.  An empty map charges every sign-tree node from its level down
+    in one tick, clipped to the budget, before it lists their leaves as
     failures, so a sweep that cannot pay for a dead subtree stops there;
     a budget that runs out stops at the tick of one map.
 
@@ -392,64 +390,66 @@ def _sweep_signs(n, order, co, weights, collect, budget):
     """
     dead = _dead_masks(n, order)
     depth = len(weights)
-    top = max(0, depth - SLICE_DEPTH)
-    # a slice's leaves in sign-tree order: their pattern indices, level b
-    # of the slice at bit b, and their kappa offsets
-    leaves = [0]
-    for b in range(depth - top - 1, -1, -1):
-        leaves += [p | 1 << b for p in leaves]
-    tail = _kappas(weights[top:])
     passes = []
     failures = []
-    # (next factor, co-forest factors before it, kappa, map before that
-    # factor, whether the entry is a +1 child still to be built by it)
-    stack = [(0, 0, 0, {0: (1, 0)}, False)]
+    # chunk roots: (next factor, co-forest factors before it, kappa, map)
+    stack = [(0, 0, 0, {0: (1, 0)})]
     while stack:
-        k, d, kappa, cur, plus = stack.pop()
+        k, start, kappa, cur = stack.pop()
+        end = min(depth, start + (depth - start - 1) % SLICE_DEPTH + 1)
+        d = start
         w = 1
         for k in range(k, len(order)):
             i, j = order[k]
             if not co[k]:
-                cur = _times(cur, -1, i, j, n, *dead[k])
-            elif d < top:  # a node above the slices: on to one child
-                if plus:  # the +1 child, back from the stack
-                    kappa ^= weights[d]
-                else:  # the -1 child now, the +1 child later
-                    stack.append((k, d, kappa, cur, True))
-                cur = _times(cur, 1 if plus else -1, i, j, n, *dead[k])
-                plus = False
-                d += 1
+                cur = _times(cur, i, j, n, *dead[k])
+            elif d == end:
+                break  # the chunk's end, above the leaves
             else:
                 cur = _level(cur, w, i, j, n, *dead[k])
                 w <<= 1
                 d += 1
-            if not _charge(cur, w, depth - d, budget):
-                # every leaf below fails: a slice's, or a node's above it
-                failures.extend(kappa ^ x for x in (tail if d >= top else _kappas(weights[d:])))
+            _charge(cur, w, depth - d, budget)
+            if not cur:
                 break
-        else:
-            tops = [(None, None)] * w
-            union = reduce(or_, chain.from_iterable(cur.values()))
-            if collect:
-                # each pattern's largest key: keys by descending value,
-                # each taking the patterns no larger key has
-                left = union
-                for key in sorted(cur, reverse=True):
-                    a, b = cur[key]
-                    hit = (a | b) & left
-                    if hit:
-                        left ^= hit
-                        while hit:
-                            bit = hit & -hit
-                            tops[bit.bit_length() - 1] = (key, 1 if a & bit else 2)
-                            hit ^= bit
-                        if not left:
-                            break
-            for p, x in zip(leaves, tail):
-                if union >> p & 1:
-                    passes.append((kappa ^ x, *tops[p]))
-                else:
-                    failures.append(kappa ^ x)
+        if not cur:  # every leaf below the chunk root fails
+            failures.extend(_kappas(weights[start:], kappa))
+            continue
+        # the chunk's patterns in sign-tree order, with their kappas
+        patterns = zip(_tree_order(d - start), _kappas(weights[start:d], kappa))
+        if d < depth:
+            roots = [{} for _ in range(w)]
+            for key, (a, b) in cur.items():
+                hit = a | b
+                while hit:
+                    bit = hit & -hit
+                    roots[bit.bit_length() - 1][key] = (1, 0) if a & bit else (0, 1)
+                    hit ^= bit
+            # pushed last to first, so they pop in sign-tree order
+            stack.extend((k, d, x, roots[p]) for p, x in reversed(list(patterns)))
+            continue
+        tops = [(None, None)] * w
+        union = reduce(or_, chain.from_iterable(cur.values()))
+        if collect:
+            # each pattern's largest key: keys by descending value,
+            # each taking the patterns no larger key has
+            left = union
+            for key in sorted(cur, reverse=True):
+                a, b = cur[key]
+                hit = (a | b) & left
+                if hit:
+                    left ^= hit
+                    while hit:
+                        bit = hit & -hit
+                        tops[bit.bit_length() - 1] = (key, 1 if a & bit else 2)
+                        hit ^= bit
+                    if not left:
+                        break
+        for p, x in patterns:
+            if union >> p & 1:
+                passes.append((x, *tops[p]))
+            else:
+                failures.append(x)
     return passes, failures
 
 
@@ -720,35 +720,33 @@ def certify_dp3(
     `in` use the arithmetic above, and each view compares equal to the
     tuple of its items.  Memory does not grow with 2^|E|.  The sweep
     charges the budget one step per key of each map it stores: one map
-    per factor for each sign-tree node above the slices and one per
-    factor for each whole slice level, a key holding its coefficients
-    under all of the map's patterns.  An empty map charges every node
-    from its level down instead, in one tick clipped to the budget.  A
-    term with an edge still to be multiplied whose two ends are both at
-    exponent 2 has no descendant within the cap, so it is dropped
-    without changing any result (see _sweep_signs).  The switch then
-    charges 2^(|V|-c) per representative switched, that is per failing
-    one and, with collect_certificates, per passing one, in one tick that
-    stops where one tick per representative would.
+    per factor for each chunk of the sign tree, a key holding its
+    coefficients under all of the chunk level's patterns.  An empty map
+    charges every node from its level down instead, in one tick clipped
+    to the budget.  A term with an edge still to be multiplied whose two
+    ends are both at exponent 2 has no descendant within the cap, so it
+    is dropped without changing any result (see _sweep_signs).  The
+    switch then charges 2^(|V|-c) per representative switched, that is
+    per failing one and, with collect_certificates, per passing one, in
+    one tick that stops where one tick per representative would.
 
     The sweep names each leaf by its representative's index kappa in the
     _PatternSpace of the mode, built before the sweep.  The representative
     fixes the forest edges at -1 in both modes, so its kappa is the XOR
     of slot_kap over its co-forest edges at +1, and the result is stored
-    at certs[kappa] or fails[kappa] directly.  The sign tree's levels of
-    the last SLICE_DEPTH co-forest edges are expanded one factor at a
-    time for all their nodes at once, each key holding its coefficients
-    under all of a level's sign patterns as two bit planes; the nodes
-    above are walked one at a time (see _sweep_signs).  A budget that
-    runs out stops at the tick of one stored map: a node's above the
-    slices or a whole slice level's.
+    at certs[kappa] or fails[kappa] directly.  The sign tree is walked in
+    chunks of at most SLICE_DEPTH co-forest levels, each expanded one
+    factor at a time for all of a level's nodes at once, each key holding
+    its coefficients under all of the level's sign patterns as two bit
+    planes (see _sweep_signs).  A budget that runs out stops at the tick
+    of one stored map: a whole chunk level's.
 
     The sweep multiplies every edge in the order of _factor_order: by
     descending deg(i) + deg(j), ties by descending edge, forest and
     co-forest edges alike.  A forest edge keeps the width of the map it
     multiplies and a co-forest edge doubles it.  On C_13^2 in
-    spanning-tree mode that order stores 37,444 keys, against 83,252
-    with the forest edges first and 41,909 in edge order.  The order
+    spanning-tree mode that order stores 36,088 keys, against 60,884
+    with the forest edges first and 39,261 in edge order.  The order
     cannot change a result, only the steps and the time: each leaf map
     is the whole product with its exponents capped at 2, whatever order
     the factors come in; each representative's verdict is stored at its

@@ -354,9 +354,11 @@ def is_good_cover(cover: Cover, budget: Budget | None = None) -> dict[int, dict[
     v).  Such an edge is good under renamings rho when rho_u(a) - rho_v(b)
     takes one value over its pairs, so a candidate for v is checked against
     v's list alone.  Candidates come from the list's first edge, the
-    anchor: v's matched labels get their partners' names shifted by each
-    beta in turn, and its free labels every injective extension; a vertex
-    with an empty list gets every injection.  The backtracking is
+    anchor: v's matched labels get their partners' names, and its free
+    labels every injective extension; a vertex with an empty list gets
+    every injection.  Translating all of v's names by one constant keeps
+    each of its edges' good test, so the anchor's other offsets would
+    only repeat these candidates, translated.  The backtracking is
     iterative and charges one budget step per candidate tried.
     """
     budget = ensure_budget(budget, 20_000_000, "searching for a good renaming")
@@ -379,23 +381,11 @@ def is_good_cover(cover: Cover, budget: Budget | None = None) -> dict[int, dict[
                 yield dict(zip(lv, img))
             return
         u, pairs = earlier[v][0]
-        # beta is the anchor's offset rho_i(a) - rho_j(b), i < j, so the
-        # anchor is good when rho_v(b) = rho_u(a) -/+ beta as u < v or not
-        shift = fld.sub if u < v else fld.add
-        rho_u = maps[u]
-        for beta in range(t):
-            rho = {}
-            for a, b in pairs:
-                val = shift(rho_u[a], beta)
-                if val in rho.values():
-                    break
-                rho[b] = val
-            else:
-                free = [lbl for lbl in lv if lbl not in rho]
-                used = set(rho.values())
-                avail = tuple(x for x in range(t) if x not in used)
-                for img in permutations(avail, len(free)):
-                    yield {**rho, **dict(zip(free, img))}
+        rho = {b: maps[u][a] for a, b in pairs}
+        free = [lbl for lbl in lv if lbl not in rho]
+        avail = tuple(x for x in range(t) if x not in rho.values())
+        for img in permutations(avail, len(free)):
+            yield {**rho, **dict(zip(free, img))}
 
     def consistent(v: int, rho: dict[int, int]) -> bool:
         """Every matched edge from an earlier vertex to v is good under rho.

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from operator import itemgetter
 from types import MappingProxyType
 
 from .budget import Budget, ensure_budget
@@ -584,33 +583,33 @@ def _tree_centers(n: int, edges) -> list[int]:
     return sorted(alive)
 
 
-def _rooted_key(root: int, n: int, edges) -> tuple[str, tuple]:
-    """(code, key) of the tree rooted at root.  A vertex's key is the
-    sorted tuple of its children's keys, built children before parents
-    without recursion.
+def _rooted_key(root: int, n: int, edges) -> str:
+    """The code of the tree rooted at root: a vertex spells "1", its
+    children's codes in sorted order, then "0", built children before
+    parents without recursion.
 
-    The code spells the key in brackets, "1" for ( and "0" for ): keys
-    compare as their codes do, since a closing bracket sorts first and no
-    code is a prefix of another.  Siblings are sorted, and centres
-    compared, by code, because comparing deep keys recurses."""
+    The code is the bracket spelling of the recursive key, a vertex's key
+    being the sorted tuple of its children's keys, "1" for ( and "0" for
+    ): codes compare as those keys do, since a closing bracket sorts
+    first and no code is a prefix of another, and a string compares
+    without recursing however deep the tree."""
     adj = {v: [] for v in range(1, n + 1)}
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
     parent = bfs(adj, root)
-    kids = {v: [] for v in parent}  # vertex -> (code, key) of its children
+    kids = {v: [] for v in parent}  # vertex -> the codes of its children
     for v in reversed(parent):  # children before parents
-        subs = sorted(kids.pop(v), key=itemgetter(0))
-        node = ("1" + "".join(code for code, _ in subs) + "0", tuple(key for _, key in subs))
+        code = "1" + "".join(sorted(kids.pop(v))) + "0"
         if parent[v]:
-            kids[parent[v]].append(node)
-    return node
+            kids[parent[v]].append(code)
+    return code
 
 
-def tree_key(n: int, edges) -> tuple:
-    """Isomorphism-invariant canonical key for a tree (center-rooted encoding)."""
-    return min((_rooted_key(c, n, edges) for c in _tree_centers(n, edges)),
-               key=itemgetter(0))[1]
+def tree_key(n: int, edges) -> str:
+    """Isomorphism-invariant canonical key for a tree: the least code of
+    the tree rooted at a centre (see _rooted_key)."""
+    return min(_rooted_key(c, n, edges) for c in _tree_centers(n, edges))
 
 
 def tree_catalog(max_n: int) -> list[Graph]:

@@ -329,16 +329,16 @@ def ref_sweep_signs(n, all_edges, order, co, collect, budget,
     terms that have a factor still to be multiplied with both ends at
     exponent 2; the size limit applies to what is kept.
 
-    It charges the budget in the bit-sliced kernel's order: the nodes above
-    the last X.SLICE_DEPTH co-forest factors one at a time, depth first,
-    each child built when the walk reaches it, and below each of them one
-    tick per factor for the whole level, the size of the union of its
-    nodes' keys; the term limit applies to that union, and an empty level
-    charges every node from it down at once."""
+    It charges the budget in the bit-sliced kernel's order: the sign tree
+    in chunks of at most X.SLICE_DEPTH co-forest levels, the top chunk
+    the short one, depth first; within a chunk one tick per factor for
+    the whole level, the size of the union of its nodes' keys.  The term
+    limit applies to that union, and an empty level charges every node
+    from it down at once."""
     fld = make_field(3)
     caps = (2,) * n
     var_edges = [e for e, c in zip(order, co) if c]
-    top = max(0, len(var_edges) - X.SLICE_DEPTH)
+    depth = len(var_edges)
 
     def times(cur, step, sign):
         i, j = order[step]
@@ -372,46 +372,32 @@ def ref_sweep_signs(n, all_edges, order, co, collect, budget,
         else:
             passes.append((pattern, None, None))
 
-    def fail_below(level, idx):
-        for sg, _ in level:
-            for tail in product((-1, 1), repeat=len(var_edges) - idx):
-                leaf({**sg, **dict(zip(var_edges[idx:], tail))}, {})
-
-    def rec(cur, step, idx, signs):
-        """The node with map cur, before factor `step`, idx co-forest
-        factors from the root."""
-        if idx >= top:
-            return walk_slice(cur, step, idx, signs)
-        while not co[step]:
-            cur = times(cur, step, -1)
-            step += 1
-            if not stored([cur], len(var_edges) - idx):
-                return fail_below([(signs, cur)], idx)
-        e = order[step]
-        for s in (-1, 1):
-            child = times(cur, step, s)
-            sg = {**signs, e: s}
-            if stored([child], len(var_edges) - idx - 1):
-                rec(child, step + 1, idx + 1, sg)
-            else:
-                fail_below([(sg, child)], idx + 1)
-
-    def walk_slice(cur, step, idx, signs):
-        # the slice below: its nodes level by level, in sign-tree order
+    def chunk(cur, step, idx, signs):
+        """The chunk rooted at the node with map cur, before factor
+        `step`, idx co-forest factors from the root: its nodes level by
+        level, in sign-tree order."""
+        end = min(depth, idx + (depth - idx - 1) % X.SLICE_DEPTH + 1)
         level = [(signs, cur)]
         for step in range(step, len(order)):
             e = order[step]
+            if co[step] and idx == end:
+                for sg, m in level:
+                    chunk(m, step, idx, sg)
+                return
             if co[step]:
                 level = [({**sg, e: s}, times(m, step, s)) for sg, m in level for s in (-1, 1)]
                 idx += 1
             else:
                 level = [(sg, times(m, step, -1)) for sg, m in level]
-            if not stored([m for _, m in level], len(var_edges) - idx):
-                return fail_below(level, idx)
+            if not stored([m for _, m in level], depth - idx):
+                for sg, _ in level:
+                    for tail in product((-1, 1), repeat=depth - idx):
+                        leaf({**sg, **dict(zip(var_edges[idx:], tail))}, {})
+                return
         for sg, m in level:
             leaf(sg, m)
 
-    rec({0: 1}, 0, 0, {})
+    chunk({0: 1}, 0, 0, {})
     return passes, failures
 
 
@@ -759,8 +745,9 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
     stored = []
 
     def spy(build):
-        def wrapped(cur, x, i, j, n, *masks):
-            out = build(cur, x, i, j, n, *masks)
+        def wrapped(cur, *args):
+            out = build(cur, *args)
+            i, j, _, _, _ = args[-5:]
             stored.append(((i, j), out))
             return out
         return wrapped
@@ -825,14 +812,14 @@ def test_sweep_results_do_not_depend_on_the_factor_order():
 
 
 def test_factor_order_pins_the_c13sq_steps():
-    """C_13^2's spanning-tree sweep stores 37,444 keys in the degree
+    """C_13^2's spanning-tree sweep stores 36,088 keys in the degree
     order, and more with the forest edges first (the spanning tree, then
     the co-forest edges in degree order) or in edge order, so a change of
     order shows here."""
     g = G.cycle_power(13, 2)
     budget = Budget(10**9)
     X.certify_dp3(g, use_spanning_tree=True, budget=budget)
-    assert budget.spent == 37_444
+    assert budget.spent == 36_088
     n, order, co, _, space = _sweep_args(g, switched=False)
     first = (*G.spanning_tree(g), *(e for e, c in zip(order, co) if c))
     spent = []
@@ -841,13 +828,13 @@ def test_factor_order_pins_the_c13sq_steps():
         other = Budget(10**9)
         X._sweep_signs(n, edges, flags, _weights(g, space, edges, flags), False, other)
         spent.append(other.spent)
-    assert spent == [83_252, 41_909]
+    assert spent == [60_884, 39_261]
 
 
 def test_deep_sign_tree_exhausts_the_budget_in_bounded_memory():
-    """K_50 has 1,176 co-forest edges: the levels above the slices are
-    walked one node at a time, so the sweep runs out of budget without
-    holding more than one map per level."""
+    """K_50 has 1,176 co-forest edges: the sign tree is walked in chunks,
+    depth first, so the sweep runs out of budget without holding more
+    than one chunk's child roots per chunk level."""
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded):

@@ -870,10 +870,12 @@ def test_transversals_charge_the_budget():
     assert spent.spent > 30
 
 
-def ref_is_good_cover(cover, budget, undone=None):
+def ref_is_good_cover(cover, budget, undone=None, shifts=1):
     """The recursive renaming search: BFS order, candidates anchored on the
     first earlier matched edge, one tick per candidate tried.  `undone`, a
-    list, gets one item per renaming taken back."""
+    list, gets one item per renaming taken back.  The anchor's partners'
+    names are shifted by each of the first `shifts` offsets in turn; with
+    shifts = t, every offset."""
     g = cover.graph
     t = cover.t
     fld = cover.field
@@ -901,7 +903,7 @@ def ref_is_good_cover(cover, budget, undone=None):
             pinned_src = {b: rho_u[a] for a, b in sigma.items()}
         else:
             pinned_src = {a: rho_u[b] for a, b in sigma.items()}
-        for beta in range(t):
+        for beta in range(shifts):
             rho = {}
             for lbl, base in pinned_src.items():
                 val = fld.sub(base, beta) if e == (u, v) else fld.add(base, beta)
@@ -966,6 +968,7 @@ def disguised_good_cover(rng, n):
 def test_is_good_cover_matches_recursive_search_and_ticks():
     rng = random.Random(12)
     outcomes = collections.Counter()
+    more = 0
     for k in range(120):
         n = rng.randint(1, 6)
         if k % 3 == 0:
@@ -983,6 +986,12 @@ def test_is_good_cover_matches_recursive_search_and_ticks():
         if got is not None:
             assert list(got) == list(want)  # the same vertex order too
         assert got_budget.spent == want_budget.spent
+        # the anchor's other offsets only repeat the candidates, translated:
+        # every offset finds the same witness, at no lower spend
+        every = Budget(10**9)
+        assert ref_is_good_cover(cov, every, shifts=cov.t) == got
+        assert every.spent >= got_budget.spent
+        more += every.spent > got_budget.spent
         outcomes[got is not None, bool(undone)] += 1
         # a budget that runs out stops both searches at the same step
         limit = rng.randint(1, want_budget.spent)
@@ -998,6 +1007,7 @@ def test_is_good_cover_matches_recursive_search_and_ticks():
         assert cut[0] == cut[1]
     # found without and after taking a renaming back, and not found
     assert min(outcomes[True, False], outcomes[True, True], outcomes[False, True]) >= 5
+    assert more >= 5
 
 
 def test_is_good_cover_handles_long_paths():

@@ -531,16 +531,22 @@ def ref_rooted_key(root, n, edges):
     return key(root, 0)
 
 
+def ref_code(key):
+    """The bracket spelling of a recursive key, "1" for ( and "0" for )."""
+    return "1" + "".join(ref_code(k) for k in key) + "0"
+
+
 def test_rooted_keys_match_the_recursive_definition(monkeypatch):
-    """Every rooting of every tree on up to 9 vertices keys as the
-    recursive definition does, codes sort as their keys, and the catalog
-    built from the recursive keys is the same."""
+    """Every rooting of every tree on up to 9 vertices codes as the
+    recursive key spells, codes sort as their keys, and the catalog built
+    from the recursive keys is the same."""
     cat = G.tree_catalog(9)
     rooted = []
     for t in cat:
         for r in range(1, t.n + 1):
-            code, key = G._rooted_key(r, t.n, t.edges)
-            assert key == ref_rooted_key(r, t.n, t.edges)
+            key = ref_rooted_key(r, t.n, t.edges)
+            code = G._rooted_key(r, t.n, t.edges)
+            assert code == ref_code(key)
             rooted.append((code, key))
     assert sorted(rooted, key=lambda ck: ck[0]) == sorted(rooted, key=lambda ck: ck[1])
     assert len({code for code, _ in rooted}) == len({key for _, key in rooted})
@@ -551,14 +557,12 @@ def test_rooted_keys_match_the_recursive_definition(monkeypatch):
 
 def test_tree_key_of_a_long_path_does_not_recurse():
     """A path's key nests once per vertex from its centre; 5,000 vertices
-    are far past the recursion limit.  The key is walked down its longer
-    branch, since comparing it whole would recurse."""
+    are far past the recursion limit, yet two keys compare, and the key
+    is the path's code from its centre."""
     key = G.tree_key(5000, G.path(5000).edges)
-    sizes = []
-    while key:
-        sizes.append(len(key))
-        key = key[-1]
-    assert sizes == [2] + [1] * 2499
+    assert key == G.tree_key(5000, G.path(5000).edges)
+    # a centre above two branches of 2,499 and 2,500 vertices
+    assert key == "1" + "1" * 2499 + "0" * 2499 + "1" * 2500 + "0" * 2500 + "0"
 
 
 def test_orientation_degrees():
