@@ -1009,8 +1009,11 @@ def dp_chromatic_bounds(g: Graph, budget: Budget | None = None,
     lower = 1
     upper = 1
     notes = []
-    for ci, comp in enumerate(g.components(), start=1):
-        sub = g.subgraph(comp)
+    comps = g.components()
+    for ci, comp in enumerate(comps, start=1):
+        # a connected graph is its own component: no copy, and its cached
+        # adjacency and forest are reused
+        sub = g if len(comps) == 1 else g.subgraph(comp)
         tag = f"component {ci} ({sub.n} vertices)"
         try:
             chi = chromatic_number(sub, sub.n, budget)

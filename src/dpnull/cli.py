@@ -15,6 +15,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -593,6 +594,12 @@ def scenario_registry() -> list[Scenario]:
 # ---------------------------------------------------------------------------
 # entry point
 
+# Building the parser costs about 1.6 ms, more than many whole subcommands.
+# It is built on the first `run` (not at import, which stays cheap) and kept:
+# in-process callers that call `run` many times, such as the test suite and
+# benchmark harnesses, pay for it once.  Parsing leaves it unchanged, every
+# default is immutable, and `--budget` makes a fresh Budget per parse.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="dpnull",

@@ -766,7 +766,7 @@ def exact_dp_chromatic(g: Graph, mmax: int, budget: Budget | None = None,
     m_reached = 0
     witness = None
     for comp in comps:
-        sub = g.subgraph(comp)
+        sub = g if len(comps) == 1 else g.subgraph(comp)
         try:
             res = _exact_dp_component(sub, mmin, mmax, budget)
         except BudgetExceeded:

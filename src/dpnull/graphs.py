@@ -370,12 +370,18 @@ def _most_saturated(heap, colors, neighbor_colors):
 def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int | None:
     """Least k <= kmax with a proper k-coloring, or None when all fail.
 
-    Backtracking with saturation-degree vertex selection (ties by degree,
-    then by index) and new-color symmetry breaking.
+    The cached BFS forest settles k <= 2 with no search: a graph with no
+    edges needs 1 color and a bipartite one 2.  Any other graph has an odd
+    cycle, and backtracking with saturation-degree vertex selection (ties
+    by degree, then by index) and new-color symmetry breaking tries
+    k = 3..kmax, one budget tick per search node.
     """
     budget = ensure_budget(budget, 50_000_000, "computing the chromatic number")
     if g.n == 0:
         return 0
+    if g.bipartition() is not None:
+        least = 2 if g.edges else 1
+        return least if least <= kmax else None
     adj = g.adjacency
 
     def colorable(k: int) -> bool:
@@ -432,7 +438,7 @@ def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int |
             frame[3] = touched
             used = max(used, c + 1)
 
-    for k in range(1, kmax + 1):
+    for k in range(3, kmax + 1):
         if colorable(k):
             return k
     return None

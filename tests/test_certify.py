@@ -1014,6 +1014,24 @@ def test_bounds_never_below_chromatic_number():
         assert b.lower >= G.chromatic_number(g, g.n)
 
 
+@pytest.mark.parametrize("name", ["cone(c4)", "c6sq", "k3,3", "c7", "p6", "k4"])
+def test_a_connected_graph_gives_what_its_copy_gives(name):
+    """The bounds and the exact search use a connected graph itself as its
+    one component; a renumbered copy must give the same results, notes,
+    counterexamples and spend."""
+    g = G.parse_graph_name(name)
+    copy = g.subgraph(tuple(range(1, g.n + 1)))
+    assert copy is not g and g.is_connected()
+    results = []
+    for h in (g, copy):
+        bounds_budget, exact_budget = Budget(10**8), Budget(10**8)
+        exact = C.exact_dp_chromatic(h, 3, exact_budget)
+        bad = exact.counterexample
+        results.append((X.dp_chromatic_bounds(h, bounds_budget), bounds_budget.spent,
+                        exact, exact_budget.spent, bad and C.write_cover(bad)))
+    assert results[0] == results[1]
+
+
 def test_bounds_k44_without_sweep_stays_open():
     b = X.dp_chromatic_bounds(G.complete_bipartite_minus_matching(4, 4, 2))
     assert (b.lower, b.upper) == (3, 4)

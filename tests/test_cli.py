@@ -220,6 +220,33 @@ def test_coeff_routes_share_one_budget(capsys):
     assert code == 3 and "expanding" in err
 
 
+def test_repeated_runs_in_one_process_match_a_fresh_parser(capsys):
+    # the parser is built once per process; each parse must still start
+    # from its defaults and make a fresh --budget, so a budget spent by one
+    # call cannot leak into the next
+    coeff = ["coeff", "c6sq", "--target", "2,2,2,2,2,2", "--field", "3", "--budget"]
+    calls = [
+        coeff + ["914"],
+        ["chi-dp", "cone(c4)"],
+        coeff + ["913"],
+        ["coeff", "nosuch", "--target", "1"],
+        ["certify-dp3", "c7sq", "--spanning-tree"],
+        ["certify-dp3", "k4,4", "--budget", "1000"],
+        ["chi-dp", "c4", "--budget", "0"],
+        coeff + ["914"],
+        ["chi-dp", "k4", "--max-m", "3"],
+        ["reproduce", "c6sq-coeffs"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    assert [code for code, _, _ in fresh] == [0, 0, 3, 2, 1, 3, 2, 0, 0, 0]
+    parser = cli._build_parser()
+    assert [run_cli(argv, capsys) for argv in calls] == fresh
+    assert cli._build_parser() is parser
+
+
 def test_grid_sum_charges_every_grid_point(capsys):
     # 3^13 = 1,594,323 points, nearly all in skipped blocks; tick raises at
     # spent >= limit
@@ -333,6 +360,13 @@ def _first_line_then_close(argv, env):
     err = proc.stderr.read()
     proc.stderr.close()
     return proc.wait(timeout=120), first, err
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "from dpnull import cli; print(cli._build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=_env(), timeout=120, check=True).stdout
+    assert out == "0\n"
 
 
 def test_closed_stdout_pipe_exits_quietly():

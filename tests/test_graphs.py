@@ -147,11 +147,34 @@ def test_chromatic_number_against_product_oracle(g):
     assert G.chromatic_number(g, g.n) == exhaustive_chromatic(g, g.n)
 
 
+def ref_two_colorable(g):
+    """Whether a 2-colouring found by a graph search of its own over the
+    adjacency leaves no edge inside one colour class."""
+    side = {}
+    for s in range(1, g.n + 1):
+        if s in side:
+            continue
+        side[s] = 0
+        queue = [s]
+        while queue:
+            v = queue.pop()
+            for w in g.adjacency[v]:
+                if w not in side:
+                    side[w] = 1 - side[v]
+                    queue.append(w)
+    return all(side[i] != side[j] for i, j in g.edges)
+
+
 def ref_chromatic_number(g, kmax, budget, picks=None):
     """The recursive search that chromatic_number replaced, scanning every
-    uncoloured vertex for the next one; `picks` collects them in order."""
+    uncoloured vertex for the next one; `picks` collects them in order.
+    A 2-colouring of its own gives the least k to search from: 1 with no
+    edges and 2 without an odd cycle, both answered with no search, else 3."""
     if g.n == 0:
         return 0
+    start = 1 if not g.edges else 2 if ref_two_colorable(g) else 3
+    if start < 3:
+        return start if start <= kmax else None
     adj = g.adjacency
 
     def colorable(k):
@@ -184,7 +207,7 @@ def ref_chromatic_number(g, kmax, budget, picks=None):
 
         return backtrack(0)
 
-    for k in range(1, kmax + 1):
+    for k in range(start, kmax + 1):
         if colorable(k):
             return k
     return None
@@ -247,7 +270,7 @@ def test_chromatic_number_picks_the_vertices_the_scan_picks(monkeypatch):
 
     monkeypatch.setattr(G, "_most_saturated", spy)
     hard = [mycielskian(mycielskian(G.cycle(5))), mycielskian(G.cycle(9)),
-            G.cycle_power(13, 4), G.cycle_power(17, 5), G.path(40)]
+            mycielskian(G.cycle(11)), G.cycle_power(13, 4), G.cycle_power(17, 5), G.path(40)]
     nodes = 0
     for g in _random_graphs(47, 120, 14) + hard:
         for kmax in (2, 3, 4, g.n):
@@ -261,14 +284,40 @@ def test_chromatic_number_picks_the_vertices_the_scan_picks(monkeypatch):
 
 
 def test_chromatic_number_on_a_30000_vertex_path_takes_linear_time():
-    # the scan took 2.5 s at n = 3,000 and grew as n^2; the heap takes
-    # about 0.25 s at n = 30,000 on a 2 GHz core
+    # a bipartite graph is settled by its forest, with no search
     g = G.path(30_000)
     budget = Budget(10**9)
     start = time.perf_counter()
     assert G.chromatic_number(g, 3, budget) == 2
     assert time.perf_counter() - start < 5.0
-    assert budget.spent == 2 + 30_001  # k = 1 fails at the second node
+    assert budget.spent == 0
+
+
+def test_chromatic_number_on_a_30001_vertex_odd_cycle_takes_linear_time():
+    # the scan took 2.5 s at n = 3,000 and grew as n^2; the heap's search
+    # at k = 3 never backtracks here
+    g = G.cycle(30_001)
+    budget = Budget(10**9)
+    start = time.perf_counter()
+    assert G.chromatic_number(g, 3, budget) == 3
+    assert time.perf_counter() - start < 5.0
+    assert budget.spent == 30_001 + 1  # one node per vertex, one at the leaf
+
+
+@pytest.mark.parametrize("g, kmax, want", [
+    (G.empty_graph(0), 3, 0),
+    (G.empty_graph(4), 1, 1),
+    (G.empty_graph(4), 0, None),
+    (G.complete(2), 1, None),
+    (G.complete_bipartite(3, 4), 1, None),
+    (G.complete_bipartite(3, 4), 2, 2),
+    (G.cycle(5), 2, None),
+    (G.cycle(5), 3, 3),
+])
+def test_chromatic_number_edge_cases(g, kmax, want):
+    budget = Budget(10**6)
+    assert G.chromatic_number(g, kmax, budget) == want
+    assert g.bipartition() is None or budget.spent == 0
 
 
 def ref_coloring_number(g):
