@@ -6,8 +6,10 @@ bound 3, the explicit uncolorable 3-fold cover when 3 | n, and the
 max-degree / complete / cycle upper-bound rules.
 """
 import argparse
+import sys
 
 from dpnull import certify, graphs
+from dpnull.cli import exit_code
 
 
 def main():
@@ -25,4 +27,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

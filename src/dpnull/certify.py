@@ -28,7 +28,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial, reduce
-from itertools import chain, islice, product
+from itertools import chain, islice, permutations, product
 from operator import add, eq, index, or_
 
 from .budget import Budget, BudgetExceeded, ensure_budget
@@ -744,15 +744,13 @@ def certify_dp3(
     The sweep multiplies every edge in the order of _factor_order: by
     descending deg(i) + deg(j), ties by descending edge, forest and
     co-forest edges alike.  A forest edge keeps the width of the map it
-    multiplies and a co-forest edge doubles it.  On C_13^2 in
-    spanning-tree mode that order stores 36,088 keys, against 60,884
-    with the forest edges first and 39,261 in edge order.  The order
-    cannot change a result, only the steps and the time: each leaf map
-    is the whole product with its exponents capped at 2, whatever order
-    the factors come in; each representative's verdict is stored at its
-    kappa, which follows its edges' signs, not its place in the sweep;
-    and the dead-term masks are built from the factors in the order they
-    are multiplied.
+    multiplies and a co-forest edge doubles it.  The order cannot change
+    a result, only the steps and the time: each leaf map is the whole
+    product with its exponents capped at 2, whatever order the factors
+    come in; each representative's verdict is stored at its kappa, which
+    follows its edges' signs, not its place in the sweep; and the
+    dead-term masks are built from the factors in the order they are
+    multiplied.
 
     With use_spanning_tree (connected graphs containing a cycle only),
     the result lists the representatives alone; the verdict is the same.
@@ -906,7 +904,7 @@ def certify_cone_bipartite(g: Graph) -> Certificate:
 _CONGRUENCES = ((2, (1, 3), 0), (3, (1, 2), 1), (1, (2, 3), 2))
 
 
-def certify_cone_unique3(g: Graph, class_order: tuple[int, int, int] | None = None) -> Certificate:
+def certify_cone_unique3(g: Graph) -> Certificate:
     """For uniquely 3-colorable g with 2|V| = |E| whose class sizes n_i and
     cross-edge counts m_{i,j} satisfy n_2 + m_{1,3} = 0, n_3 + m_{1,2} = 1
     and n_1 + m_{2,3} = 2 (mod 3) under some ordering of the classes: the
@@ -914,19 +912,16 @@ def certify_cone_unique3(g: Graph, class_order: tuple[int, int, int] | None = No
     exponent 0 on the apex and 3 elsewhere, so every good prime cover of
     order 4 with one apex label and four labels elsewhere is colorable.
 
-    class_order, when given, pins which stored class plays each role
-    (0-based indices into the unique partition); otherwise all six
-    assignments are tried.
+    All six assignments of the stored classes to the three roles are
+    tried; work["class_order"] names the first that passes (0-based
+    indices into the unique partition).
     """
     stats = unique_k_analysis(g, 3)
     if 2 * g.n != len(g.edges):
         raise PreconditionError(f"need 2|V| = |E|, got 2*{g.n} != {len(g.edges)}")
-    orders = [class_order] if class_order is not None else [
-        (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
-    ]
     chosen = None
     last_failures = []
-    for order in orders:
+    for order in permutations(range(3)):
         ns = {role + 1: stats.sizes[order[role]] for role in range(3)}
         ms = {}
         for a in range(3):

@@ -14,10 +14,9 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from pathlib import Path
-from typing import Callable
 
 from .budget import Budget, BudgetExceeded
 from .errors import FormatError, MethodDisagreement, PreconditionError
@@ -291,68 +290,43 @@ def _cmd_check_cover(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    registry = scenario_registry()
     if args.scenario == "all":
-        names = [s.name for s in registry]
-    else:
+        names = list(SCENARIOS)
+    elif args.scenario in SCENARIOS:
         names = [args.scenario]
-        if not any(s.name == args.scenario for s in registry):
-            known = ", ".join(s.name for s in registry)
-            raise FormatError(f"unknown scenario {args.scenario!r}; known: all, {known}")
-    env = ScenarioEnv(seed=args.seed)
-    results = []
-    for sc in registry:
-        if sc.name in names:
-            results.append(sc.run(env))
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<22} {status:<5} work={r.work:<9} expected={r.expected} computed={r.computed}")
-    passed = sum(1 for r in results if r.passed)
-    print(f"{passed}/{len(results)} scenarios passed")
-    return 0 if passed == len(results) else 1
+    else:
+        known = ", ".join(SCENARIOS)
+        raise FormatError(f"unknown scenario {args.scenario!r}; known: all, {known}")
+    passed = 0
+    for name in names:
+        expected, computed, work = SCENARIOS[name](args.seed)
+        passed += expected == computed
+        status = "PASS" if expected == computed else "FAIL"
+        print(f"{name:<22} {status:<5} work={work:<9} expected={expected} computed={computed}")
+    print(f"{passed}/{len(names)} scenarios passed")
+    return 0 if passed == len(names) else 1
 
 
 # ---------------------------------------------------------------------------
 # scenario registry
 
-@dataclass(frozen=True)
-class ScenarioEnv:
-    seed: int = 0
+# Each scenario takes the seed and returns (expected, computed, work); it
+# passes when the two strings agree.  Its docstring states the claim.
 
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    name: str
-    expected: str
-    computed: str
-    passed: bool
-    work: int
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    claim: str
-    run: Callable[[ScenarioEnv], ScenarioResult]
-
-
-def _result(name, expected, computed, work) -> ScenarioResult:
-    return ScenarioResult(name, str(expected), str(computed), str(expected) == str(computed), work)
-
-
-def _sc_tree_dp2(env: ScenarioEnv) -> ScenarioResult:
+def _sc_tree_dp2(seed: int) -> tuple[str, str, int]:
+    """Every tree with an edge has DP-chromatic number 2."""
     trees = [t for t in gr.tree_catalog(7) if t.n >= 2]
     values = sorted({cv.exact_dp_chromatic(t, 4).value for t in trees})
     shown = values[0] if len(values) == 1 else values
-    return _result(
-        "tree-dp2",
+    return (
         "chi_DP=2 for all 24 trees",
         f"chi_DP={shown} for all {len(trees)} trees",
         len(trees),
     )
 
 
-def _sc_at_even_cycle(env: ScenarioEnv) -> ScenarioResult:
+def _sc_at_even_cycle(seed: int) -> tuple[str, str, int]:
+    """Cyclic even-cycle orientations have diff 2, yet the F_2 top coefficient is 0."""
     f2 = make_field(2)
     diffs = []
     for n in (4, 6):
@@ -363,47 +337,47 @@ def _sc_at_even_cycle(env: ScenarioEnv) -> ScenarioResult:
     for n in (4, 6, 8):
         g = gr.cycle(n)
         coeffs.append(pl.coefficient_at(pl.from_graph(g, f2), (1,) * n, "both"))
-    return _result(
-        "at-even-cycle",
+    return (
         "diff=[2, 2] coeff=[0, 0, 0]",
         f"diff={diffs} coeff={coeffs}",
         sum(1 << len(gr.cycle(n).edges) for n in (4, 6)),
     )
 
 
-def _sc_cone_bipartite(env: ScenarioEnv) -> ScenarioResult:
+def _sc_cone_bipartite(seed: int) -> tuple[str, str, int]:
+    """Cones of even cycles: top coefficient 2*(-1)^m over F_3."""
     vals = [ce.certify_cone_bipartite(gr.cycle(n)).coefficient for n in (4, 6)]
-    return _result(
-        "cone-bipartite",
+    return (
         "[2, 1]",
         str(vals),
         2,
     )
 
 
-def _sc_cone_even_cycle_f(env: ScenarioEnv) -> ScenarioResult:
+def _sc_cone_even_cycle_f(seed: int) -> tuple[str, str, int]:
+    """The cone of C_4 is f-DP-colorable with two apex labels and three elsewhere."""
     g = gr.cone(gr.cycle(4))
     res = cv.f_dp_exhaustive(g, {1: 2, 2: 3, 3: 3, 4: 3, 5: 3}, Budget(500_000_000))
-    return _result(
-        "cone-even-cycle-f",
+    return (
         "all_colorable",
         res.status,
         res.covers_tested,
     )
 
 
-def _sc_cone_unique3(env: ScenarioEnv) -> ScenarioResult:
+def _sc_cone_unique3(seed: int) -> tuple[str, str, int]:
+    """The joined 2-independent-set + P_5 graph meets the cone criterion over F_4."""
     g = gr.join(gr.empty_graph(2), gr.path(5))
     cert = ce.certify_cone_unique3(g)
-    return _result(
-        "cone-unique3-k2p5",
+    return (
         "coefficient=1",
         f"coefficient={cert.coefficient}",
         1,
     )
 
 
-def _sc_unique_list_tree(env: ScenarioEnv) -> ScenarioResult:
+def _sc_unique_list_tree(seed: int) -> tuple[str, str, int]:
+    """A forced unique list coloring certifies every good prime 2-cover of a tree."""
     outcomes = []
     work = 0
     for g in (gr.path(5), gr.from_edges(4, [(1, 2), (1, 3), (1, 4)], "star4")):
@@ -411,74 +385,62 @@ def _sc_unique_list_tree(env: ScenarioEnv) -> ScenarioResult:
         cert = ce.certify_unique_list(g, lists, 2)
         outcomes.append(cert.coefficient != 0)
         work += cert.work.get("grid_points", 0)
-    return _result(
-        "unique-list-tree",
+    return (
         "[True, True]",
         str(outcomes),
         work,
     )
 
 
-def _sc_k44(env: ScenarioEnv) -> ScenarioResult:
+def _sc_k44(seed: int) -> tuple[str, str, int]:
+    """K_{4,4} minus a 2-matching: every sign pattern qualifies, so chi_DP = 3."""
     g = gr.complete_bipartite_minus_matching(4, 4, 2)
     full = ce.certify_dp3(g, collect_certificates=False)
     tree = ce.certify_dp3(g, use_spanning_tree=True, collect_certificates=False)
     lower = 3 if g.contains_cycle() else 2
     verdict = "chi_DP=3" if full.passed and tree.passed and lower == 3 else "unresolved"
-    return _result(
-        "k44-minus-matching",
+    return (
         "chi_DP=3 patterns=[16384, 128]",
         f"{verdict} patterns=[{full.patterns_tested}, {tree.patterns_tested}]",
         full.patterns_tested + tree.patterns_tested,
     )
 
 
-def _sc_k35(env: ScenarioEnv) -> ScenarioResult:
+def _sc_k35(seed: int) -> tuple[str, str, int]:
+    """K_{3,5}: all 8 qualifying top coefficients vanish; the all-minus pattern fails."""
     g = gr.complete_bipartite(3, 5)
     fld = make_field(3)
     poly = pl.from_graph(g, fld)
-    targets = [t for t in _targets_sum(8, 2, 15)]
+    # eight exponents of at most 2 summing to 15; a 0 would leave 15 for seven
+    targets = [t for t in product((1, 2), repeat=8) if sum(t) == 15]
     coeffs = sorted({pl.coefficient_at(poly, t, "both") for t in targets})
     sweep = ce.certify_dp3(g, use_spanning_tree=True, collect_certificates=False)
     allneg = tuple([-1] * len(g.edges))
     has = (not sweep.passed) and allneg in sweep.failure.failing_patterns
-    return _result(
-        "k35-zero",
+    return (
         "targets=8 coeffs=[0] all-minus-fails=True",
         f"targets={len(targets)} coeffs={coeffs} all-minus-fails={has}",
         sweep.patterns_tested + len(targets),
     )
 
 
-def _targets_sum(n: int, cap: int, total: int):
-    def rec(pos, left, acc):
-        if pos == n:
-            if left == 0:
-                yield tuple(acc)
-            return
-        for v in range(min(cap, left), -1, -1):
-            if left - v <= cap * (n - pos - 1):
-                yield from rec(pos + 1, left - v, acc + [v])
-
-    yield from rec(0, total, [])
-
-
-def _sc_c6sq(env: ScenarioEnv) -> ScenarioResult:
+def _sc_c6sq(seed: int) -> tuple[str, str, int]:
+    """C_6^2 over F_3: the plain polynomial tops out at 0, the two-plus-signs one at 1."""
     g = gr.cycle_power(6, 2)
     fld = make_field(3)
     f1 = pl.from_graph(g, fld)
     signs = {e: (1 if e in {(1, 2), (1, 3)} else -1) for e in g.edges}
     f2 = pl.from_graph(g, fld, signs=signs)
     vals = [pl.coefficient_at(f1, (2,) * 6, "both"), pl.coefficient_at(f2, (2,) * 6, "both")]
-    return _result(
-        "c6sq-coeffs",
+    return (
         "[0, 1]",
         str(vals),
         2 * 3**6,
     )
 
 
-def _sc_c3k_bad_cover(env: ScenarioEnv) -> ScenarioResult:
+def _sc_c3k_bad_cover(seed: int) -> tuple[str, str, int]:
+    """The shifted covers of C_6^2 and C_9^2 are valid, all-good and uncolorable."""
     outcomes = []
     for k in (2, 3):
         cov = cv.uncolorable_cover_c3k_square(k)
@@ -486,29 +448,29 @@ def _sc_c3k_bad_cover(env: ScenarioEnv) -> ScenarioResult:
         good = all(cv.classify_saturation(cov, e).is_good for e in cov.graph.edges)
         uncolorable = cv.h_coloring_search(cov) is None
         outcomes.append(ok and good and uncolorable)
-    return _result(
-        "c3k-bad-cover",
+    return (
         "[True, True]",
         str(outcomes),
         2,
     )
 
 
-def _sc_cycle_squares(env: ScenarioEnv) -> ScenarioResult:
+def _sc_cycle_squares(seed: int) -> tuple[str, str, int]:
+    """chi_DP of squares of cycles, n = 3..12."""
     table = []
     for n in range(3, 13):
         b = ce.dp_chromatic_bounds(gr.cycle_power(n, 2))
         table.append(b.exact if b.exact is not None else f"[{b.lower},{b.upper}]")
-    return _result(
-        "cycle-squares",
+    return (
         "[3, 4, 5, 4, 4, 4, 4, 4, 4, 4]",
         str(table),
         len(table),
     )
 
 
-def _sc_expand_grid_random(env: ScenarioEnv) -> ScenarioResult:
-    rng = random.Random(env.seed)
+def _sc_expand_grid_random(seed: int) -> tuple[str, str, int]:
+    """Sparse expansion equals the grid sum on seeded random polynomials."""
+    rng = random.Random(seed)
     fld = make_field(3)
     agree = 0
     total = 200
@@ -525,8 +487,7 @@ def _sc_expand_grid_random(env: ScenarioEnv) -> ScenarioResult:
         a = pl.coefficient_at(poly, target, "expand")
         b = pl.coefficient_at(poly, target, "grid")
         agree += a == b
-    return _result(
-        "expand-grid-random",
+    return (
         f"{total}/{total} agree",
         f"{agree}/{total} agree",
         total,
@@ -550,45 +511,20 @@ def _random_target(rng, n, cap, total):
         # too small: retry
 
 
-def scenario_registry() -> list[Scenario]:
-    return [
-        Scenario("tree-dp2",
-                 "every tree with an edge has DP-chromatic number 2",
-                 _sc_tree_dp2),
-        Scenario("at-even-cycle",
-                 "cyclic even-cycle orientations have diff 2, yet the F_2 top coefficient is 0",
-                 _sc_at_even_cycle),
-        Scenario("cone-bipartite",
-                 "cones of even cycles: top coefficient 2*(-1)^m over F_3",
-                 _sc_cone_bipartite),
-        Scenario("cone-even-cycle-f",
-                 "the cone of C_4 is f-DP-colorable with two apex labels and three elsewhere",
-                 _sc_cone_even_cycle_f),
-        Scenario("cone-unique3-k2p5",
-                 "the joined 2-independent-set + P_5 graph meets the cone criterion over F_4",
-                 _sc_cone_unique3),
-        Scenario("unique-list-tree",
-                 "a forced unique list coloring certifies every good prime 2-cover of a tree",
-                 _sc_unique_list_tree),
-        Scenario("k44-minus-matching",
-                 "K_{4,4} minus a 2-matching: every sign pattern qualifies, so chi_DP = 3",
-                 _sc_k44),
-        Scenario("k35-zero",
-                 "K_{3,5}: all 8 qualifying top coefficients vanish; the all-minus pattern fails",
-                 _sc_k35),
-        Scenario("c6sq-coeffs",
-                 "C_6^2 over F_3: the plain polynomial tops out at 0, the two-plus-signs one at 1",
-                 _sc_c6sq),
-        Scenario("c3k-bad-cover",
-                 "the shifted covers of C_6^2 and C_9^2 are valid, all-good and uncolorable",
-                 _sc_c3k_bad_cover),
-        Scenario("cycle-squares",
-                 "chi_DP of squares of cycles, n = 3..12",
-                 _sc_cycle_squares),
-        Scenario("expand-grid-random",
-                 "sparse expansion equals the grid sum on seeded random polynomials",
-                 _sc_expand_grid_random),
-    ]
+SCENARIOS = {
+    "tree-dp2": _sc_tree_dp2,
+    "at-even-cycle": _sc_at_even_cycle,
+    "cone-bipartite": _sc_cone_bipartite,
+    "cone-even-cycle-f": _sc_cone_even_cycle_f,
+    "cone-unique3-k2p5": _sc_cone_unique3,
+    "unique-list-tree": _sc_unique_list_tree,
+    "k44-minus-matching": _sc_k44,
+    "k35-zero": _sc_k35,
+    "c6sq-coeffs": _sc_c6sq,
+    "c3k-bad-cover": _sc_c3k_bad_cover,
+    "cycle-squares": _sc_cycle_squares,
+    "expand-grid-random": _sc_expand_grid_random,
+}
 
 
 # ---------------------------------------------------------------------------

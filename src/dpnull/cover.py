@@ -785,7 +785,9 @@ def exact_dp_chromatic(g: Graph, mmax: int, budget: Budget | None = None,
 def _exact_dp_component(g: Graph, mmin: int | None, mmax: int, budget: Budget) -> DpExactResult:
     if not g.edges:
         return DpExactResult("exact", 1, 0, 1)
+    what = budget.what
     start = mmin or chromatic_number(g, mmax, budget)
+    budget.relabel(what)  # the walk below spends under the caller's label
     if start is None:
         return DpExactResult("greater", None, 0, mmax)
     tested = 0

@@ -5,8 +5,9 @@ every factor (x_i - x_j) in the edge-product polynomials, so constructions
 document their numbering (cycles are numbered cyclically, joins put the
 left operand first, bipartite graphs list one part before the other).
 
-Also houses the brute-force chromatic utilities that serve as oracles for
-the certifiers, and a small catalog generator for trees.
+Also houses the one backtracking coloring search, `_partitions`, which
+serves both the chromatic number and the unique partition into k classes,
+and a small catalog generator for trees.
 """
 from __future__ import annotations
 
@@ -367,14 +368,78 @@ def _most_saturated(heap, colors, neighbor_colors):
         heappop(heap)
 
 
+def _partitions(g: Graph, k: int, budget: Budget):
+    """Every partition of V into at most k independent classes, once each,
+    as (vertex -> class, number of classes); the map is the live search
+    state, so a caller that keeps it copies it.
+
+    Depth-first search with an explicit stack of frames [vertex, classes
+    used above it, next class to try, the neighbours its current class was
+    added to]; one budget tick per search node.  Each node colors the
+    uncoloured vertex of the largest saturation (ties by degree, then by
+    index), and classes are numbered by first use along the search path
+    (a vertex opens at most one new class), so no partition is reached
+    twice.  A full coloring is yielded, then the search backtracks.
+
+    The uncoloured vertices wait in a heap of (-saturation, -degree,
+    vertex) entries.  A vertex gets a new entry whenever its saturation
+    changes or it is uncoloured again, so each one has an entry that
+    holds; the others are popped when they reach the top, or dropped all
+    at once when the heap outgrows 4n entries."""
+    adj = g.adjacency
+    colors = {}
+    neighbor_colors = {v: set() for v in range(1, g.n + 1)}
+    heap = [(0, -len(adj[v]), v) for v in range(1, g.n + 1)]
+    heapify(heap)
+    stack = []
+    used = 0
+    while True:
+        # a new search node: every vertex colored, or pick the next one
+        budget.tick()
+        if len(colors) == g.n:
+            yield colors, used
+        else:
+            if len(heap) > 4 * g.n:
+                heap = [(-len(neighbor_colors[u]), -len(adj[u]), u)
+                        for u in range(1, g.n + 1) if u not in colors]
+                heapify(heap)
+            v = _most_saturated(heap, colors, neighbor_colors)
+            stack.append([v, used, 0, None])
+        while stack:
+            frame = stack[-1]
+            v, used, c, touched = frame
+            if touched is not None:  # back from the child: undo the color
+                for w in touched:
+                    neighbor_colors[w].discard(c - 1)
+                    heappush(heap, (-len(neighbor_colors[w]), -len(adj[w]), w))
+                del colors[v]
+            top = used + 1 if used < k else k
+            while c < top and c in neighbor_colors[v]:
+                c += 1
+            if c < top:
+                break
+            stack.pop()
+            if touched is not None:
+                heappush(heap, (-len(neighbor_colors[v]), -len(adj[v]), v))
+        else:
+            return
+        colors[v] = c
+        touched = [w for w in adj[v] if w not in colors and c not in neighbor_colors[w]]
+        for w in touched:
+            neighbor_colors[w].add(c)
+            heappush(heap, (-len(neighbor_colors[w]), -len(adj[w]), w))
+        frame[2] = c + 1
+        frame[3] = touched
+        used = max(used, c + 1)
+
+
 def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int | None:
     """Least k <= kmax with a proper k-coloring, or None when all fail.
 
     The cached BFS forest settles k <= 2 with no search: a graph with no
     edges needs 1 color and a bipartite one 2.  Any other graph has an odd
-    cycle, and backtracking with saturation-degree vertex selection (ties
-    by degree, then by index) and new-color symmetry breaking tries
-    k = 3..kmax, one budget tick per search node.
+    cycle, and the first partition `_partitions` finds into at most k
+    classes settles k = 3..kmax in turn.
     """
     budget = ensure_budget(budget, 50_000_000, "computing the chromatic number")
     if g.n == 0:
@@ -382,64 +447,8 @@ def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int |
     if g.bipartition() is not None:
         least = 2 if g.edges else 1
         return least if least <= kmax else None
-    adj = g.adjacency
-
-    def colorable(k: int) -> bool:
-        """Depth-first search with an explicit stack of frames
-        [vertex, colors used above it, next color to try, the neighbours
-        its current color was added to]; one tick per search node.
-
-        The uncoloured vertices wait in a heap of (-saturation, -degree,
-        vertex) entries.  A vertex gets a new entry whenever its
-        saturation changes or it is uncoloured again, so each one has an
-        entry that holds; the others are popped when they reach the top,
-        or dropped all at once when the heap outgrows 4n entries."""
-        colors = {}
-        neighbor_colors = {v: set() for v in range(1, g.n + 1)}
-        heap = [(0, -len(adj[v]), v) for v in range(1, g.n + 1)]
-        heapify(heap)
-        stack = []
-        used = 0
-        while True:
-            # a new search node: every vertex colored, or pick the next one
-            budget.tick()
-            if len(colors) == g.n:
-                return True
-            if len(heap) > 4 * g.n:
-                heap = [(-len(neighbor_colors[u]), -len(adj[u]), u)
-                        for u in range(1, g.n + 1) if u not in colors]
-                heapify(heap)
-            v = _most_saturated(heap, colors, neighbor_colors)
-            stack.append([v, used, 0, None])
-            while stack:
-                frame = stack[-1]
-                v, used, c, touched = frame
-                if touched is not None:  # back from the child: undo the color
-                    for w in touched:
-                        neighbor_colors[w].discard(c - 1)
-                        heappush(heap, (-len(neighbor_colors[w]), -len(adj[w]), w))
-                    del colors[v]
-                top = used + 1 if used < k else k
-                while c < top and c in neighbor_colors[v]:
-                    c += 1
-                if c < top:
-                    break
-                stack.pop()
-                if touched is not None:
-                    heappush(heap, (-len(neighbor_colors[v]), -len(adj[v]), v))
-            else:
-                return False
-            colors[v] = c
-            touched = [w for w in adj[v] if w not in colors and c not in neighbor_colors[w]]
-            for w in touched:
-                neighbor_colors[w].add(c)
-                heappush(heap, (-len(neighbor_colors[w]), -len(adj[w]), w))
-            frame[2] = c + 1
-            frame[3] = touched
-            used = max(used, c + 1)
-
     for k in range(3, kmax + 1):
-        if colorable(k):
+        if next(_partitions(g, k, budget), None) is not None:
             return k
     return None
 
@@ -461,41 +470,22 @@ class ColorClassStats:
 def unique_k_analysis(g: Graph, k: int) -> ColorClassStats:
     """Stats for the unique partition of V into exactly k independent classes.
 
-    Raises NotUniquelyColorable when there are zero or several such
-    partitions (unordered; enumerated via restricted-growth assignments).
+    Raises NotUniquelyColorable when `_partitions` finds zero or several
+    such partitions (it stops at the second), and BudgetExceeded when the
+    search runs out of its 50,000,000 steps first.
     """
     if k < 1:
         raise GraphError("k must be positive")
-    n = g.n
-    earlier = [()] + [tuple(u for u in g.adjacency[v] if u < v) for v in range(1, n + 1)]
+    budget = Budget(50_000_000, what=f"enumerating partitions into {k} classes")
     partitions = []
-    color = [0] * (n + 1)
-    # used[v]: classes opened by the vertices before v; nxt[v]: next class to try
-    used = [0] * (n + 2)
-    nxt = [0] * (n + 2)
-    v = 1
-    while v >= 1 and len(partitions) < 2:
-        if v > n:
-            if used[v] == k:
-                classes = [[] for _ in range(k)]
-                for u in range(1, n + 1):
-                    classes[color[u]].append(u)
-                partitions.append(tuple(map(tuple, classes)))
-            v -= 1
-            continue
-        c = nxt[v]
-        # no class to try when the vertices left cannot open the missing classes
-        top = min(used[v] + 1, k) if used[v] + (n - v + 1) >= k else 0
-        while c < top and any(color[w] == c for w in earlier[v]):
-            c += 1
-        if c >= top:
-            nxt[v] = 0
-            v -= 1
-            continue
-        color[v] = c
-        nxt[v] = c + 1
-        used[v + 1] = max(used[v], c + 1)
-        v += 1
+    for colors, used in _partitions(g, k, budget):
+        if used == k:
+            classes = [[] for _ in range(k)]
+            for v in range(1, g.n + 1):
+                classes[colors[v]].append(v)
+            partitions.append(tuple(sorted(map(tuple, classes))))
+            if len(partitions) == 2:
+                break
     if len(partitions) != 1:
         raise NotUniquelyColorable(k, len(partitions))
     classes = partitions[0]

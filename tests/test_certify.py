@@ -948,14 +948,14 @@ def test_cone_unique3_example():
     assert cert.t == 4
 
 
-def test_cone_unique3_rejects_forced_wrong_class_order():
-    g = G.join(G.empty_graph(2), G.path(5))
-    good = X.certify_cone_unique3(g).work["class_order"]
-    wrong = next(
-        p for p in permutations(range(3)) if p != tuple(good)
-    )
-    with pytest.raises(PreconditionError, match="congruence"):
-        X.certify_cone_unique3(g, class_order=wrong)
+def test_cone_unique3_rejects_graph_failing_every_class_order():
+    # uniquely 3-colorable with 2|V| = |E|, but no ordering of its classes
+    # meets the congruences
+    g = G.join(G.empty_graph(4), G.path(3))
+    assert 2 * g.n == len(g.edges)
+    assert G.unique_k_analysis(g, 3).sizes == (4, 2, 1)
+    with pytest.raises(PreconditionError, match="class congruences fail for every ordering"):
+        X.certify_cone_unique3(g)
 
 
 def test_cone_unique3_rejects_non_unique():

@@ -342,6 +342,7 @@ def test_dead_terms_do_not_spend_the_budget(capsys):
 
 SRC = Path(cli.__file__).resolve().parents[1]
 PATTERN_CLUES = SRC.parent / "scripts" / "pattern_clues.py"
+CYCLE_SQUARE_TABLE = SRC.parent / "scripts" / "cycle_square_table.py"
 
 
 def _env(**extra):
@@ -398,6 +399,16 @@ def test_pattern_clues_closed_stdout_pipe_exits_quietly():
     assert err == b""
 
 
+def test_cycle_square_table_closed_stdout_pipe_exits_quietly():
+    # the header comes first; the rows follow after the pipe is closed
+    code, first, err = _first_line_then_close(
+        [sys.executable, str(CYCLE_SQUARE_TABLE)], _env(PYTHONUNBUFFERED="1"),
+    )
+    assert code == 141
+    assert first == b"  n  chi  chi_DP  derivation\n"
+    assert err == b""
+
+
 def test_expansion_limit_is_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(pl, "DEFAULT_MAX_TERMS", 5)
     code, out, err = run_cli(
@@ -444,12 +455,12 @@ def test_reproduce_all_output_is_pinned(capsys):
 
 
 def test_scenario_registry_contains_required_names():
-    names = {s.name for s in cli.scenario_registry()}
     assert {
         "tree-dp2", "at-even-cycle", "cone-bipartite", "cone-even-cycle-f",
         "cone-unique3-k2p5", "unique-list-tree", "k44-minus-matching",
         "k35-zero", "c6sq-coeffs", "c3k-bad-cover", "cycle-squares",
-    } <= names
+    } <= set(cli.SCENARIOS)
+    assert all(run.__doc__ for run in cli.SCENARIOS.values())
 
 
 def test_sign_spec_parser_round_trip():

@@ -366,6 +366,18 @@ def test_exact_dp_chromatic_budget_returns_unknown():
     assert res.status == "unknown"
 
 
+def test_exact_dp_chromatic_budget_names_the_phase_that_spent_it():
+    # nearly all of these steps are cover-walk nodes, spent after the
+    # chromatic number is known
+    budget = Budget(2000)
+    res = C.exact_dp_chromatic(G.cycle_power(7, 2), 4, budget)
+    assert res.status == "unknown"
+    assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 14_095)
+    budget = Budget(3)
+    assert C.exact_dp_chromatic(G.cycle_power(7, 2), 4, budget).status == "unknown"
+    assert budget.what == "computing the chromatic number"
+
+
 @pytest.mark.parametrize("mmin", (0, -1))
 def test_exact_dp_chromatic_rejects_mmin_below_one(mmin):
     with pytest.raises(PreconditionError, match="mmin"):

@@ -522,6 +522,45 @@ def test_unique_k_analysis_handles_long_paths():
     assert stats.cross == {(1, 2): 1499}
 
 
+def set_partitions(n):
+    """Every partition of 1..n, each vertex joining an earlier block or
+    opening a new one."""
+    parts = [[]]
+    for v in range(1, n + 1):
+        parts = [p[:i] + [p[i] | {v}] + p[i + 1:] for p in parts for i in range(len(p))] \
+            + [p + [frozenset({v})] for p in parts]
+    return parts
+
+
+def test_partitions_yield_each_independent_partition_once():
+    checked = 0
+    for g in _random_graphs(59, 60, 7) + [G.empty_graph(5), G.complete(4), G.cycle(7)]:
+        for k in range(1, 5):
+            want = {frozenset(p) for p in set_partitions(g.n)
+                    if len(p) <= k
+                    and all(not any(g.adjacency[v] & b for v in b) for b in p)}
+            got = []
+            for colors, used in G._partitions(g, k, Budget(10**6)):
+                blocks = [frozenset(v for v in colors if colors[v] == c) for c in range(used)]
+                assert all(blocks)
+                got.append(frozenset(blocks))
+            assert len(got) == len(set(got))
+            assert set(got) == want
+            checked += len(want)
+    assert checked > 1000
+
+
+def test_unique_k_analysis_skips_isolated_vertices_quickly():
+    # K_4 on vertices 31..34 has no 3-colouring; a search in vertex order
+    # walks the 3^30 or so partitions of the isolated vertices first
+    g = G.from_edges(34, combinations(range(31, 35), 2))
+    start = time.perf_counter()
+    with pytest.raises(NotUniquelyColorable) as err:
+        G.unique_k_analysis(g, 3)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.found == 0
+
+
 def test_graph_text_round_trip():
     g = G.complete_bipartite_minus_matching(4, 4, 2)
     text = G.write_graph(g)
