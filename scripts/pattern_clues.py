@@ -23,7 +23,7 @@ import sys
 from itertools import product
 
 from dpnull import certify, cover, graphs
-from dpnull.cli import exit_code, format_pattern, load_graph
+from dpnull.cli import exit_code, load_graph, pattern_formatter
 
 
 def main():
@@ -47,16 +47,17 @@ def main():
     failing = result.failure.failing_patterns
     print(f"{len(failing)} failing patterns of {result.patterns_tested}")
     found = 0
+    fmt = pattern_formatter(g.edges)
     for pattern in failing[: args.limit]:
         signs = dict(zip(g.edges, pattern))
         plus_edges = [e for e in g.edges if signs[e] == 1][: args.offsets]
         vary = plus_edges if plus_edges else list(g.edges)[: args.offsets]
+        tag = fmt(pattern)
         for betas in product(range(3), repeat=len(vary)):
             offsets = {e: 0 for e in g.edges}
             offsets.update(dict(zip(vary, betas)))
             cov = cover.cover_from_pattern(g, 3, signs, offsets)
             coloring = cover.h_coloring_search(cov)
-            tag = format_pattern(g.edges, pattern)
             if coloring is None:
                 print(f"  UNCOLORABLE cover found for {tag} with offsets {betas}")
                 found += 1

@@ -38,7 +38,6 @@ from .poly import (
     Grid,
     alon_tarsi_diff,
     coefficient_at,
-    expand_coefficients,
     find_qualifying_monomial,
     from_graph,
 )

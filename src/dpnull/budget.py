@@ -29,8 +29,13 @@ class Budget:
     what: str = "searching"
 
     def tick(self, steps: int = 1) -> None:
+        """Charge `steps` steps, exactly as `steps` calls of tick(1) would:
+        a charge that reaches the limit stops `spent` at the limit and
+        raises, so an exhausted budget always reports `limit >= limit`
+        under the label of the phase that was spending it."""
         self.spent += steps
         if self.spent >= self.limit:
+            self.spent = self.limit
             raise BudgetExceeded(self.what, self.spent, self.limit)
 
     def relabel(self, what: str) -> "Budget":

@@ -116,7 +116,9 @@ def _certify_cover(cover: Cover, signs, betas, kind: str, budget: Budget) -> Cer
     fld = cover.field
     poly = from_graph(g, fld, signs=signs, offsets=betas)
     caps = tuple(len(cover.labels_of(v)) - 1 for v in range(1, g.n + 1))
+    what = budget.what
     found = find_qualifying_monomial(poly, caps, budget)
+    budget.relabel(what)  # the witness walk below spends under the certifier's label
     if found is None:
         return None
     monomial, coeff = found
@@ -288,13 +290,13 @@ def _charge(cur, w, below, budget):
     factors above the leaves: one step per key, in one tick.
 
     A map of more than DEFAULT_MAX_TERMS keys raises ExpansionLimitError
-    before it ticks; an empty map charges every node from its level down
-    in one tick, clipped to the budget, so a sweep whose budget cannot
-    cover a dead subtree stops there instead of listing its leaves."""
+    before it ticks; an empty map charges every node from its level down,
+    so a sweep whose budget cannot cover a dead subtree stops there
+    instead of listing its leaves."""
     size = len(cur)
     if size > DEFAULT_MAX_TERMS:
         raise ExpansionLimitError(size, DEFAULT_MAX_TERMS)
-    budget.tick(size or min(w * ((2 << below) - 1), budget.limit - budget.spent))
+    budget.tick(size or w * ((2 << below) - 1))
 
 
 def _dead_masks(n, edges):
@@ -370,9 +372,8 @@ def _sweep_signs(n, order, co, weights, collect, budget):
     in one tick per map: one per factor for each chunk.  A map of more
     than DEFAULT_MAX_TERMS keys raises ExpansionLimitError before its
     tick.  An empty map charges every sign-tree node from its level down
-    in one tick, clipped to the budget, before it lists their leaves as
-    failures, so a sweep that cannot pay for a dead subtree stops there;
-    a budget that runs out stops at the tick of one map.
+    before it lists their leaves as failures, so a sweep that cannot pay
+    for a dead subtree stops there.
 
     A term is dead when a factor still to be multiplied has both ends at
     exponent 2.  Exponents only grow and that factor raises one of its
@@ -722,13 +723,12 @@ def certify_dp3(
     charges the budget one step per key of each map it stores: one map
     per factor for each chunk of the sign tree, a key holding its
     coefficients under all of the chunk level's patterns.  An empty map
-    charges every node from its level down instead, in one tick clipped
-    to the budget.  A term with an edge still to be multiplied whose two
-    ends are both at exponent 2 has no descendant within the cap, so it
-    is dropped without changing any result (see _sweep_signs).  The
-    switch then charges 2^(|V|-c) per representative switched, that is
-    per failing one and, with collect_certificates, per passing one, in
-    one tick that stops where one tick per representative would.
+    charges every node from its level down instead.  A term with an edge
+    still to be multiplied whose two ends are both at exponent 2 has no
+    descendant within the cap, so it is dropped without changing any
+    result (see _sweep_signs).  The switch then charges 2^(|V|-c) per
+    representative switched, that is per failing one and, with
+    collect_certificates, per passing one.
 
     The sweep names each leaf by its representative's index kappa in the
     _PatternSpace of the mode, built before the sweep.  The representative
@@ -738,8 +738,7 @@ def certify_dp3(
     chunks of at most SLICE_DEPTH co-forest levels, each expanded one
     factor at a time for all of a level's nodes at once, each key holding
     its coefficients under all of the level's sign patterns as two bit
-    planes (see _sweep_signs).  A budget that runs out stops at the tick
-    of one stored map: a whole chunk level's.
+    planes (see _sweep_signs).
 
     The sweep multiplies every edge in the order of _factor_order: by
     descending deg(i) + deg(j), ties by descending edge, forest and
@@ -774,13 +773,9 @@ def certify_dp3(
     )
 
     mode = "spanning-tree" if use_spanning_tree else "all-edges"
-    reps = (len(passes) if collect_certificates else 0) + len(failures)
-    if not use_spanning_tree and reps:
-        # one tick that stops where one tick per representative would: at
-        # the first multiple of `switchings` that reaches the limit
-        switchings = 1 << (space.nbits - space.rank)
-        room = budget.limit - budget.spent
-        budget.tick(switchings * min(reps, max(1, -(-room // switchings))))
+    if not use_spanning_tree:
+        reps = (len(passes) if collect_certificates else 0) + len(failures)
+        budget.tick(reps << (space.nbits - space.rank))
 
     lower = 0  # vertex v at bit v - 1: the parity of the edges it is the lower end of
     for i, _ in g.edges:

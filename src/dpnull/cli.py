@@ -111,13 +111,10 @@ def parse_pattern_spec(spec: str, edges) -> tuple[dict, dict]:
 
 
 def pattern_formatter(edges):
-    """format_pattern for one edge list, with its edge tokens built once."""
+    """The sign-spec formatter of patterns over one edge list, its edge
+    tokens built once: a pattern prints as its `+` edges and `default:-`."""
     plus = [f"{i}-{j}:+," for i, j in edges]
     return lambda pattern: "".join([t for t, s in zip(plus, pattern) if s > 0]) + "default:-"
-
-
-def format_pattern(edges, pattern) -> str:
-    return pattern_formatter(edges)(pattern)
 
 
 def format_offsets(edges, offsets) -> str:
@@ -126,12 +123,13 @@ def format_offsets(edges, offsets) -> str:
     return ",".join(toks)
 
 
-def print_certificate(cert: ce.Certificate, edges) -> None:
+def print_certificate(cert: ce.Certificate, edges, fmt) -> None:
+    """Print one certificate over `edges`; fmt is their pattern_formatter."""
     print(f"kind: {cert.kind}")
     print(f"field: {cert.t}")
     print(f"n: {cert.n}")
     if cert.pattern is not None:
-        print(f"pattern: {format_pattern(edges, cert.pattern)}")
+        print(f"pattern: {fmt(cert.pattern)}")
     if cert.offsets is not None:
         print(f"offsets: {format_offsets(edges, cert.offsets)}")
     print(f"monomial: {','.join(str(x) for x in cert.monomial)}")
@@ -171,7 +169,7 @@ def _cmd_certify_cover(args) -> int:
         if cert is None:
             print("not certified: every qualifying coefficient vanishes")
             return 1
-        print_certificate(cert, cov.graph.edges)
+        print_certificate(cert, cov.graph.edges, pattern_formatter(cov.graph.edges))
         return 0
     # mode good: rename first when needed
     renaming = None
@@ -193,7 +191,7 @@ def _cmd_certify_cover(args) -> int:
         )
         print(f"renamed: {';'.join(f'{v}:' + ','.join(f'{a}->{b}' for a, b in sorted(rho.items())) for v, rho in sorted(renaming.items()))}")
         print(f"witness-original-names: {','.join(str(x) for x in original)}")
-    print_certificate(cert, cov.graph.edges)
+    print_certificate(cert, cov.graph.edges, pattern_formatter(cov.graph.edges))
     return 0
 
 
@@ -204,18 +202,18 @@ def _cmd_certify_dp3(args) -> int:
     print(f"graph: n={g.n} m={len(g.edges)}")
     print(f"mode: {result.mode}")
     print(f"patterns-tested: {result.patterns_tested}")
+    fmt = pattern_formatter(g.edges)
     if result.passed:
         print("verdict: chi_DP <= 3")
         print()
         if args.emit_all:
             for cert in result.certificates:
-                print_certificate(cert, g.edges)
+                print_certificate(cert, g.edges, fmt)
         elif result.certificates:
-            print_certificate(result.certificates[0], g.edges)
+            print_certificate(result.certificates[0], g.edges, fmt)
         return 0
     print("verdict: not certified")
     print(f"failing-patterns: {len(result.failure.failing_patterns)}")
-    fmt = pattern_formatter(g.edges)
     sys.stdout.writelines(f"  {fmt(pat)}\n" for pat in result.failure.failing_patterns)
     return 1
 

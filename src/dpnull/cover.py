@@ -479,9 +479,8 @@ def _walk(start: int, levels: list[list[int]], budget: Budget,
     lex-first tuple with an empty set, is the same tuple.
 
     One budget step per node visited, root included.  The leaves below one
-    node are counted in one pass with one batched tick, which stops exactly
-    where a node-by-node walk would have stopped: at the first empty leaf,
-    or at the leaf whose step exhausts the budget.
+    node are counted in one pass and charged in one tick, up to the first
+    empty leaf.
     """
     # the root is the one choice of a level above the first
     levels = [[start], *levels]
@@ -519,9 +518,8 @@ def _walk(start: int, levels: list[list[int]], budget: Budget,
                 alive = len(list(takewhile(bool, map(cur.__and__, masks))))
                 steps = alive + (alive < len(masks))
                 spare = budget.limit - budget.spent
-                if steps >= spare:  # the node-by-node walk stops at leaf `spare`
+                if steps >= spare:  # the budget runs out at leaf `spare`
                     path[top] = index[spare - 1]
-                    tick(spare)
                 tick(steps)
                 if alive < len(masks):
                     path[top] = index[alive]
@@ -785,14 +783,15 @@ def exact_dp_chromatic(g: Graph, mmax: int, budget: Budget | None = None,
 def _exact_dp_component(g: Graph, mmin: int | None, mmax: int, budget: Budget) -> DpExactResult:
     if not g.edges:
         return DpExactResult("exact", 1, 0, 1)
-    what = budget.what
     start = mmin or chromatic_number(g, mmax, budget)
-    budget.relabel(what)  # the walk below spends under the caller's label
     if start is None:
         return DpExactResult("greater", None, 0, mmax)
     tested = 0
     last_bad = None
     for m in range(start, mmax + 1):
+        # the chromatic number, or the re-check of the last m's
+        # counterexample, left its own label on the budget
+        budget.relabel("enumerating covers for exact chi_DP")
         walked, bad, finished = _cover_walk(g, dict.fromkeys(g.forest, m), budget, _orbits(m))
         tested += walked
         if not finished:

@@ -368,10 +368,12 @@ def _most_saturated(heap, colors, neighbor_colors):
         heappop(heap)
 
 
-def _partitions(g: Graph, k: int, budget: Budget):
+def _partitions(g: Graph, k: int, budget: Budget, exact: bool = False):
     """Every partition of V into at most k independent classes, once each,
     as (vertex -> class, number of classes); the map is the live search
-    state, so a caller that keeps it copies it.
+    state, so a caller that keeps it copies it.  With exact, only the
+    partitions into exactly k classes: a node with fewer uncoloured
+    vertices than classes still missing is a leaf.
 
     Depth-first search with an explicit stack of frames [vertex, classes
     used above it, next class to try, the neighbours its current class was
@@ -396,7 +398,9 @@ def _partitions(g: Graph, k: int, budget: Budget):
     while True:
         # a new search node: every vertex colored, or pick the next one
         budget.tick()
-        if len(colors) == g.n:
+        if exact and k - used > g.n - len(colors):
+            pass  # a leaf: too few uncoloured vertices to open the missing classes
+        elif len(colors) == g.n:
             yield colors, used
         else:
             if len(heap) > 4 * g.n:
@@ -478,14 +482,13 @@ def unique_k_analysis(g: Graph, k: int) -> ColorClassStats:
         raise GraphError("k must be positive")
     budget = Budget(50_000_000, what=f"enumerating partitions into {k} classes")
     partitions = []
-    for colors, used in _partitions(g, k, budget):
-        if used == k:
-            classes = [[] for _ in range(k)]
-            for v in range(1, g.n + 1):
-                classes[colors[v]].append(v)
-            partitions.append(tuple(sorted(map(tuple, classes))))
-            if len(partitions) == 2:
-                break
+    for colors, _ in _partitions(g, k, budget, exact=True):
+        classes = [[] for _ in range(k)]
+        for v in range(1, g.n + 1):
+            classes[colors[v]].append(v)
+        partitions.append(tuple(sorted(map(tuple, classes))))
+        if len(partitions) == 2:
+            break
     if len(partitions) != 1:
         raise NotUniquelyColorable(k, len(partitions))
     classes = partitions[0]

@@ -202,16 +202,6 @@ def expand_packed(
     return cur
 
 
-def expand_coefficients(
-    poly: EdgeProductPolynomial,
-    caps,
-    budget: Budget | None = None,
-) -> dict[tuple[int, ...], int]:
-    """All monomials with nonzero coefficient and exponents within caps."""
-    packed = expand_packed(poly, caps, budget)
-    return {unpack_exponents(k, poly.n): v for k, v in packed.items()}
-
-
 def find_qualifying_monomial(
     poly: EdgeProductPolynomial,
     caps,
@@ -334,8 +324,7 @@ def _grid_terms(grid: Grid, poly: EdgeProductPolynomial, budget: Budget):
 
     One budget step per grid point, visited or skipped, charged in
     batches: before each yield, at the end of the walk, and at once when
-    the batch would exhaust the budget, which then stops at spent == limit
-    as a point-by-point charge would.
+    the batch would exhaust the budget.
     """
     sets = grid.point_sets
     n = len(sets)
@@ -398,7 +387,7 @@ def _grid_terms(grid: Grid, poly: EdgeProductPolynomial, budget: Budget):
         index[j] = k + 1
         pending += block[j]  # a block of zeros, or one point of the last level
         if pending >= spare:
-            budget.tick(max(spare, 1))  # raises where a point-by-point charge would
+            budget.tick(pending)  # exhausts the budget
         if v:
             budget.tick(pending)
             pending = 0

@@ -103,6 +103,19 @@ def test_order3_certifies_c6sq_pattern_cover():
     assert C.is_valid_transversal(cov, cert.witness)
 
 
+@pytest.mark.parametrize("limit", (195, 335))
+def test_order3_budget_spent_in_the_witness_walk_names_the_certifier(limit):
+    # the offset-free expansion spends 194 steps, the witness walk 141 more
+    g = G.cycle_power(6, 2)
+    signs = {e: (1 if e in {(1, 2), (1, 3)} else -1) for e in g.edges}
+    cov = C.cover_from_pattern(g, 3, signs, {e: 0 for e in g.edges})
+    budget = Budget(limit)
+    with pytest.raises(BudgetExceeded,
+                       match=f"while certifying an order-3 cover: {limit} >= {limit} steps"):
+        X.certify_order3_cover(cov, budget)
+    assert budget.spent == limit
+
+
 def test_order3_all_good_c6sq_cover_not_certifiable():
     assert X.certify_order3_cover(C.cover_from_pattern(G.cycle_power(6, 2), 3)) is None
 

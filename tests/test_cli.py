@@ -469,7 +469,7 @@ def test_sign_spec_parser_round_trip():
     assert signs[(1, 2)] == 1 and signs[(1, 3)] == 1
     assert all(signs[e] == -1 for e in g.edges if e not in {(1, 2), (1, 3)})
     pattern = tuple(signs[e] for e in g.edges)
-    assert cli.parse_sign_spec(cli.format_pattern(g.edges, pattern), g.edges) == signs
+    assert cli.parse_sign_spec(cli.pattern_formatter(g.edges)(pattern), g.edges) == signs
 
 
 def test_pattern_spec_with_offsets():

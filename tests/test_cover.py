@@ -367,15 +367,42 @@ def test_exact_dp_chromatic_budget_returns_unknown():
 
 
 def test_exact_dp_chromatic_budget_names_the_phase_that_spent_it():
-    # nearly all of these steps are cover-walk nodes, spent after the
-    # chromatic number is known
+    # the chromatic number takes 15 search nodes; the m = 4 walk's one-tick
+    # mask pre-charge of 14,080 steps then exhausts the budget, which stops
+    # at its limit
     budget = Budget(2000)
     res = C.exact_dp_chromatic(G.cycle_power(7, 2), 4, budget)
     assert res.status == "unknown"
-    assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 14_095)
+    assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 2_000)
     budget = Budget(3)
     assert C.exact_dp_chromatic(G.cycle_power(7, 2), 4, budget).status == "unknown"
     assert budget.what == "computing the chromatic number"
+
+
+def test_exact_dp_chromatic_budget_spent_after_a_counterexample_names_the_walk():
+    # the m = 3 walk ends in an uncolorable cover, re-checked by
+    # h_coloring_search under its own label; the m = 4 walk spends the rest
+    budget = Budget(100_000)
+    res = C.exact_dp_chromatic(G.complete_bipartite(4, 4), 4, budget, mmin=3)
+    assert (res.status, res.m_reached) == ("unknown", 4)
+    assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 100_000)
+
+
+def test_exact_dp_chromatic_over_two_components():
+    # K_{3,3} refutes m = 2 with a re-checked counterexample and settles
+    # m = 3 (463 steps); K_4 then settles m = 4 (827 steps)
+    k33, k4 = G.complete_bipartite(3, 3), G.complete(4)
+    g = G.from_edges(10, k33.edges + tuple((i + 6, j + 6) for i, j in k4.edges))
+    budget = Budget(10**9)
+    res = C.exact_dp_chromatic(g, 4, budget)
+    assert (res.status, res.value, res.m_reached) == ("exact", 4, 4)
+    assert res.covers_tested == sum(C.exact_dp_chromatic(h, 4).covers_tested for h in (k33, k4))
+    assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 463 + 827)
+    # a budget that runs out in K_4's walk names the walk
+    budget = Budget(663)
+    res = C.exact_dp_chromatic(g, 4, budget)
+    assert (res.status, res.m_reached, res.covers_tested) == ("unknown", 4, 1949)
+    assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 663)
 
 
 @pytest.mark.parametrize("mmin", (0, -1))

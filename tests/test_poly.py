@@ -19,6 +19,12 @@ F3 = make_field(3)
 F4 = make_field(4)
 
 
+def expand_coefficients(poly, caps, budget=None):
+    """Every monomial within caps with its nonzero coefficient, unpacked."""
+    packed = P.expand_packed(poly, caps, budget)
+    return {P.unpack_exponents(k, poly.n): v for k, v in packed.items()}
+
+
 def integer_expansion(factors, n):
     """Oracle: expand prod (x_i + sign*x_j - beta) over the integers."""
     cur = {(0,) * n: 1}
@@ -66,7 +72,7 @@ def test_factor_order_follows_edge_order():
 
 def test_expand_single_factor():
     poly = P.from_graph(G.path(2), F3)
-    assert P.expand_coefficients(poly, (1, 1)) == {(1, 0): 1, (0, 1): 2}
+    assert expand_coefficients(poly, (1, 1)) == {(1, 0): 1, (0, 1): 2}
 
 
 def test_expand_c6_top_coefficient_vanishes_mod2():
@@ -96,7 +102,7 @@ def test_cone_bipartite_grid_example():
 
 def test_k35_all_qualifying_coefficients_vanish():
     poly = P.from_graph(G.complete_bipartite(3, 5), F3)
-    expansion = P.expand_coefficients(poly, (2,) * 8)
+    expansion = expand_coefficients(poly, (2,) * 8)
     assert not any(sum(k) == 15 for k in expansion)
 
 
@@ -131,16 +137,16 @@ def test_find_qualifying_monomial_offsets_never_reach_the_top_degree():
     # caps (0, 0) keep only the constant term, which the offsets feed and
     # which is no qualifying monomial
     poly = P.EdgeProductPolynomial(F3, 2, (P.Factor(1, 2, -1, 1),) * 15)
-    assert P.expand_coefficients(poly, (0, 0)) == {(0, 0): 2}
+    assert expand_coefficients(poly, (0, 0)) == {(0, 0): 2}
     assert P.find_qualifying_monomial(poly, (0, 0)) is None
     # with room for full-degree terms, the top degree of the expansion is
     # that of the offset-free product, and its lex-greatest term wins over
     # the lower-degree keys
     offset_free = P.EdgeProductPolynomial(F3, 2, (P.Factor(1, 2, -1),) * 15)
-    expansion = P.expand_coefficients(poly, (15, 15))
+    expansion = expand_coefficients(poly, (15, 15))
     assert expansion[(0, 0)] == 2
     top = {e: c for e, c in expansion.items() if sum(e) == 15}
-    assert top == P.expand_coefficients(offset_free, (15, 15))
+    assert top == expand_coefficients(offset_free, (15, 15))
     budget, ref = Budget(10**9), Budget(10**9)
     assert P.find_qualifying_monomial(poly, (15, 15), budget) == max(top.items()) == ((15, 0), 1)
     P.expand_packed(offset_free, (15, 15), ref)
@@ -160,7 +166,7 @@ def test_find_qualifying_monomial_matches_its_definition():
                                     rng.randrange(field.order)))
         poly = P.EdgeProductPolynomial(field, n, tuple(factors))
         caps = tuple(rng.randint(0, 15) for _ in range(n))
-        want = max(((e, c) for e, c in P.expand_coefficients(poly, caps).items()
+        want = max(((e, c) for e, c in expand_coefficients(poly, caps).items()
                     if sum(e) == m), default=None)
         assert P.find_qualifying_monomial(poly, caps) == want
 
@@ -200,8 +206,8 @@ def test_expansion_caps_are_sound():
     # capping a variable never changes the coefficients that survive
     g = G.cycle(4)
     poly = P.from_graph(g, F3)
-    full = P.expand_coefficients(poly, (4,) * 4)
-    capped = P.expand_coefficients(poly, (2,) * 4)
+    full = expand_coefficients(poly, (4,) * 4)
+    capped = expand_coefficients(poly, (2,) * 4)
     assert capped == {k: v for k, v in full.items() if all(e <= 2 for e in k)}
 
 
@@ -209,12 +215,12 @@ def test_caps_above_the_packed_range_are_rejected():
     # a cap of 16 or more would let x_1's packed exponent carry into x_2's slot
     poly = P.from_graph(G.complete_bipartite(1, 17), F3)
     with pytest.raises(PreconditionError, match="packed"):
-        P.expand_coefficients(poly, (17,) + (1,) * 17)
+        expand_coefficients(poly, (17,) + (1,) * 17)
     with pytest.raises(PreconditionError, match="packed"):
         P.coefficient_at(poly, (17,) + (0,) * 17, method="expand")
     # the largest packed cap still expands exactly
     poly = P.from_graph(G.complete_bipartite(1, 15), F3)
-    coeffs = P.expand_coefficients(poly, (15,) + (1,) * 15)
+    coeffs = expand_coefficients(poly, (15,) + (1,) * 15)
     assert len(coeffs) == 1 << 15
     assert coeffs[(15,) + (0,) * 15] == 1
 
@@ -223,13 +229,13 @@ def test_expansion_limit_error_names_size(monkeypatch):
     poly = P.from_graph(G.complete(5), F3)
     monkeypatch.setattr(P, "DEFAULT_MAX_TERMS", 5)
     with pytest.raises(P.ExpansionLimitError, match="terms"):
-        P.expand_coefficients(poly, (10,) * 5)
+        expand_coefficients(poly, (10,) * 5)
 
 
 def test_expand_budget():
     poly = P.from_graph(G.complete(5), F3)
     with pytest.raises(BudgetExceeded):
-        P.expand_coefficients(poly, (4,) * 5, budget=Budget(10))
+        expand_coefficients(poly, (4,) * 5, budget=Budget(10))
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,7 +246,7 @@ def test_evaluation_consistency(seed):
     field = rng.choice((F2, F3, F4))
     poly = random_poly(rng, field, n_max=4, m_max=5)
     caps = (poly.degree,) * poly.n
-    expansion = P.expand_coefficients(poly, caps)
+    expansion = expand_coefficients(poly, caps)
     for point in product(field.elements, repeat=poly.n):
         direct = poly.evaluate(point)
         total = 0
@@ -508,7 +514,7 @@ def test_field_expansion_matches_integer_oracle_mod_p():
         poly = random_poly(rng, F3, n_max=4, m_max=6)
         raw = [(f.i, f.j, f.sign, f.beta) for f in poly.factors]
         over_z = integer_expansion(raw, poly.n)
-        got = P.expand_coefficients(poly, (poly.degree,) * poly.n)
+        got = expand_coefficients(poly, (poly.degree,) * poly.n)
         want = {}
         for exps, c in over_z.items():
             if c % 3:
