@@ -22,7 +22,7 @@ import argparse
 import sys
 from itertools import product
 
-from dpnull import certify, cover, graphs
+from dpnull import certify, cover
 from dpnull.cli import exit_code, load_graph, pattern_formatter
 
 

@@ -5,9 +5,12 @@ every factor (x_i - x_j) in the edge-product polynomials, so constructions
 document their numbering (cycles are numbered cyclically, joins put the
 left operand first, bipartite graphs list one part before the other).
 
-Also houses the one backtracking coloring search, `_partitions`, which
-serves both the chromatic number and the unique partition into k classes,
-and a small catalog generator for trees.
+Also houses the one breadth-first walk, `bfs`, which serves every
+traversal here (the cached `Graph.forest` and the tree keys), the one
+backtracking coloring search, `_partitions`, which serves both the
+chromatic number and the unique partition into k classes, and a small
+catalog generator for trees, deduplicated by their codes rooted at a
+centre.
 """
 from __future__ import annotations
 
@@ -265,34 +268,27 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
+# family names: a pattern and the constructor of its integer groups
+_FAMILIES = (
+    (r"p(\d+)", path),
+    (r"c(\d+)sq", lambda n: cycle_power(n, 2)),
+    (r"c(\d+)\^(\d+)", cycle_power),
+    (r"c(\d+)", cycle),
+    (r"k(\d+),(\d+)-m(\d+)", complete_bipartite_minus_matching),
+    (r"k(\d+),(\d+)", complete_bipartite),
+    (r"k(\d+)", complete),
+    (r"e(\d+)", empty_graph),
+)
+
+
 def parse_graph_name(text: str) -> Graph | None:
     """Parse compact family names like p5, c6sq, c9^2, k4, k4,4-m2, e2,
     cone(c4), join(e2,p5).  Returns None when the text matches no family."""
     s = text.strip().lower()
-    m = re.fullmatch(r"p(\d+)", s)
-    if m:
-        return path(int(m.group(1)))
-    m = re.fullmatch(r"c(\d+)sq", s)
-    if m:
-        return cycle_power(int(m.group(1)), 2)
-    m = re.fullmatch(r"c(\d+)\^(\d+)", s)
-    if m:
-        return cycle_power(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"c(\d+)", s)
-    if m:
-        return cycle(int(m.group(1)))
-    m = re.fullmatch(r"k(\d+),(\d+)-m(\d+)", s)
-    if m:
-        return complete_bipartite_minus_matching(*(int(x) for x in m.groups()))
-    m = re.fullmatch(r"k(\d+),(\d+)", s)
-    if m:
-        return complete_bipartite(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"k(\d+)", s)
-    if m:
-        return complete(int(m.group(1)))
-    m = re.fullmatch(r"e(\d+)", s)
-    if m:
-        return empty_graph(int(m.group(1)))
+    for pattern, build in _FAMILIES:
+        m = re.fullmatch(pattern, s)
+        if m:
+            return build(*map(int, m.groups()))
     m = re.fullmatch(r"cone\((.+)\)", s)
     if m:
         inner = parse_graph_name(m.group(1))
@@ -555,35 +551,10 @@ def read_graph(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# tree catalog (used by the regression and acceptance suites)
+# tree catalog (used by the `tree-dp2` scenario and the test suites)
 
-def _tree_centers(n: int, edges) -> list[int]:
-    if n == 1:
-        return [1]
-    deg = {v: 0 for v in range(1, n + 1)}
-    adj = {v: set() for v in range(1, n + 1)}
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-        deg[i] += 1
-        deg[j] += 1
-    alive = set(range(1, n + 1))
-    layer = [v for v in alive if deg[v] <= 1]
-    while len(alive) > 2:
-        nxt = []
-        for v in layer:
-            alive.discard(v)
-            for w in adj[v]:
-                if w in alive:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return sorted(alive)
-
-
-def _rooted_key(root: int, n: int, edges) -> str:
-    """The code of the tree rooted at root: a vertex spells "1", its
+def _rooted_key(adj, root: int) -> str:
+    """The code of the tree adj rooted at root: a vertex spells "1", its
     children's codes in sorted order, then "0", built children before
     parents without recursion.
 
@@ -592,10 +563,6 @@ def _rooted_key(root: int, n: int, edges) -> str:
     ): codes compare as those keys do, since a closing bracket sorts
     first and no code is a prefix of another, and a string compares
     without recursing however deep the tree."""
-    adj = {v: [] for v in range(1, n + 1)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
     parent = bfs(adj, root)
     kids = {v: [] for v in parent}  # vertex -> the codes of its children
     for v in reversed(parent):  # children before parents
@@ -607,8 +574,22 @@ def _rooted_key(root: int, n: int, edges) -> str:
 
 def tree_key(n: int, edges) -> str:
     """Isomorphism-invariant canonical key for a tree: the least code of
-    the tree rooted at a centre (see _rooted_key)."""
-    return min(_rooted_key(c, n, edges) for c in _tree_centers(n, edges))
+    the tree rooted at a centre (see _rooted_key).
+
+    The centres are the middle one or two vertices of a longest path: a
+    BFS visits a vertex farthest from its root last, so a BFS from v_1
+    ends at one end of a longest path, and a BFS from that end ends at
+    the other, whose parent chain is the path."""
+    adj = {v: [] for v in range(1, n + 1)}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    parent = bfs(adj, next(reversed(bfs(adj, 1))))
+    chain = [next(reversed(parent))]
+    while parent[chain[-1]]:
+        chain.append(parent[chain[-1]])
+    centres = chain[(len(chain) - 1) // 2:len(chain) // 2 + 1]
+    return min(_rooted_key(adj, c) for c in centres)
 
 
 def tree_catalog(max_n: int) -> list[Graph]:

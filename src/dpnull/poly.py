@@ -18,7 +18,8 @@ are computed by two independent routes:
   visited or skipped.
 
 Exponent maps are keyed by packed base-16 digits (each exponent < 16),
-little-endian in the variable index.
+x_1's the most significant, so keys compare as their exponent vectors do
+in lex order.
 """
 from __future__ import annotations
 
@@ -118,15 +119,15 @@ def from_graph(
 
 def pack_exponents(exps) -> int:
     key = 0
-    for pos, e in enumerate(exps):
+    for e in exps:
         if e < 0 or e > PACK_MASK:
             raise PreconditionError(f"exponent {e} out of the packed range 0..{PACK_MASK}")
-        key |= e << (PACK_BITS * pos)
+        key = key << PACK_BITS | e
     return key
 
 
 def unpack_exponents(key: int, n: int) -> tuple[int, ...]:
-    return tuple((key >> (PACK_BITS * pos)) & PACK_MASK for pos in range(n))
+    return tuple(key >> PACK_BITS * (n - 1 - pos) & PACK_MASK for pos in range(n))
 
 
 def apply_factor_packed(
@@ -141,8 +142,8 @@ def apply_factor_packed(
     t = field.order
     addt = field.add_table
     mult = field.mul_table
-    si = PACK_BITS * (factor.i - 1)
-    sj = PACK_BITS * (factor.j - 1)
+    si = PACK_BITS * (len(caps) - factor.i)
+    sj = PACK_BITS * (len(caps) - factor.j)
     cap_i = caps[factor.i - 1]
     cap_j = caps[factor.j - 1]
     inc_i = 1 << si
@@ -214,21 +215,16 @@ def find_qualifying_monomial(
     The offsets beta only feed lower degrees, so the top-degree
     coefficients of prod (x_i + s*x_j - beta) are those of the offset-free
     prod (x_i + s*x_j).  That product is homogeneous of degree deg(poly),
-    and it alone is expanded: every term it keeps qualifies.  The
-    lex-greatest key is found digit by digit, x_1's first: each pass keeps
-    the keys with the largest digit, and only the winner is unpacked."""
+    and it alone is expanded: every term it keeps qualifies.  Keys
+    compare as exponent vectors do in lex order, so the greatest key is
+    the winner, and only it is unpacked."""
     offset_free = EdgeProductPolynomial(
         poly.field, poly.n, tuple(Factor(f.i, f.j, f.sign) for f in poly.factors))
     terms = expand_packed(offset_free, caps, budget)
-    keys = list(terms)
-    for shift in range(0, PACK_BITS * poly.n, PACK_BITS):
-        if len(keys) < 2:
-            break
-        best = max(key >> shift & PACK_MASK for key in keys)
-        keys = [key for key in keys if key >> shift & PACK_MASK == best]
-    if not keys:
+    if not terms:
         return None
-    return unpack_exponents(keys[0], poly.n), terms[keys[0]]
+    key = max(terms)
+    return unpack_exponents(key, poly.n), terms[key]
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +401,17 @@ def coefficient_at(
 ) -> int:
     """Coefficient of prod x_i^{target_i} by 'expand', 'grid', or 'both'.
 
-    The expand route requires target_i <= PACK_MASK, the grid route
+    A negative target_i is rejected before either route runs.  The
+    expand route requires target_i <= PACK_MASK, the grid route
     sum(target) == deg(poly) and target_i + 1 <= t; 'both' cross-checks
     the two routes and raises on disagreement.
     """
     target = tuple(target)
     if len(target) != poly.n:
         raise PreconditionError(f"target must have length {poly.n}")
+    for pos, e in enumerate(target, start=1):
+        if e < 0:
+            raise PreconditionError(f"target exponent {e} at variable {pos} is negative")
     if method not in ("expand", "grid", "both"):
         raise PreconditionError(f"unknown method {method!r}")
     results = {}

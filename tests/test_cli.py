@@ -47,6 +47,16 @@ def test_coeff_bad_target_is_input_error(capsys):
     assert "expand" in err
 
 
+@pytest.mark.parametrize("method", ["expand", "grid"])
+def test_coeff_negative_target_exponent_is_rejected_before_the_route_runs(method, capsys):
+    # a one-step budget: a route that ran would exhaust it and exit 3
+    code, _, err = run_cli(
+        ["coeff", "k3", "--target=-1,2,2", "--method", method, "--budget", "1"], capsys
+    )
+    assert code == 2
+    assert err == "error: target exponent -1 at variable 1 is negative\n"
+
+
 def test_unknown_graph_name_is_input_error(capsys):
     code, _, err = run_cli(["coeff", "nosuch", "--target", "1"], capsys)
     assert code == 2

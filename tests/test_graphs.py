@@ -1,4 +1,5 @@
 """Graph constructions, oracles, text format, and the tree catalog."""
+import hashlib
 import pickle
 import random
 import time
@@ -82,6 +83,14 @@ def test_parse_graph_name():
     assert G.parse_graph_name("join(e2,p5)").edges == G.join(G.empty_graph(2), G.path(5)).edges
     assert G.parse_graph_name("cone(c4)").edges == G.cone(G.cycle(4)).edges
     assert G.parse_graph_name("frob99") is None
+    assert G.parse_graph_name("p5").edges == G.path(5).edges
+    assert G.parse_graph_name("c6").edges == G.cycle(6).edges
+    assert G.parse_graph_name("k4").edges == G.complete(4).edges
+    assert G.parse_graph_name("k3,5").edges == G.complete_bipartite(3, 5).edges
+    assert G.parse_graph_name("e2") == G.empty_graph(2)
+    for bad in ("p0", "c2", "k0,3"):
+        with pytest.raises(G.GraphError):
+            G.parse_graph_name(bad)
 
 
 def test_join_vertex_order():
@@ -634,6 +643,27 @@ def ref_rooted_key(root, n, edges):
     return key(root, 0)
 
 
+def ref_centres(n, edges):
+    """The vertices of least eccentricity, by distances grown one ring of
+    neighbours at a time from each vertex."""
+    adj = {v: set() for v in range(1, n + 1)}
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+
+    def eccentricity(v):
+        seen, ring, ecc = {v}, {v}, 0
+        while True:
+            ring = {w for u in ring for w in adj[u]} - seen
+            if not ring:
+                return ecc
+            seen |= ring
+            ecc += 1
+
+    ecc = {v: eccentricity(v) for v in adj}
+    return [v for v in adj if ecc[v] == min(ecc.values())]
+
+
 def ref_code(key):
     """The bracket spelling of a recursive key, "1" for ( and "0" for )."""
     return "1" + "".join(ref_code(k) for k in key) + "0"
@@ -648,14 +678,23 @@ def test_rooted_keys_match_the_recursive_definition(monkeypatch):
     for t in cat:
         for r in range(1, t.n + 1):
             key = ref_rooted_key(r, t.n, t.edges)
-            code = G._rooted_key(r, t.n, t.edges)
+            code = G._rooted_key(t.adjacency, r)
             assert code == ref_code(key)
             rooted.append((code, key))
     assert sorted(rooted, key=lambda ck: ck[0]) == sorted(rooted, key=lambda ck: ck[1])
     assert len({code for code, _ in rooted}) == len({key for _, key in rooted})
     monkeypatch.setattr(G, "tree_key", lambda n, edges: min(
-        ref_rooted_key(c, n, edges) for c in G._tree_centers(n, edges)))
+        ref_rooted_key(c, n, edges) for c in ref_centres(n, edges)))
     assert G.tree_catalog(9) == cat
+
+
+def test_tree_catalog_is_pinned():
+    """The 201 trees on up to 10 vertices keep their names, edges and
+    order byte for byte."""
+    cat = G.tree_catalog(10)
+    assert len(cat) == 201
+    digest = hashlib.sha256(repr([(t.name, t.n, t.edges) for t in cat]).encode()).hexdigest()
+    assert digest == "86e8bca36027c40e44cc5597f73e56288ea88f45e484caa3d80b12ca9f4ccd7e"
 
 
 def test_tree_key_of_a_long_path_does_not_recurse():
