@@ -11,11 +11,14 @@ are computed by two independent routes:
 * grid sum: the quantitative form of the Combinatorial Nullstellensatz,
   coefficient = sum over a product grid of N(p)^{-1} * f(p) where N is the
   product of pairwise differences within each coordinate's point set.
-  The grid is walked one coordinate at a time in product order; a factor
-  vanishes as soon as its later variable is fixed to a root of it, and
-  the whole block of completions below that partial point, all zeros of
-  f, is skipped.  The budget is still charged one step per grid point,
-  visited or skipped.
+  The grid is walked one coordinate at a time; a factor vanishes as soon
+  as its later-fixed variable is fixed to a root of it, and the whole
+  block of completions below that partial point, all zeros of f, is
+  skipped.  The sum fixes the variables in maximum-cardinality order, so
+  that most levels close a factor; the witness walk of the whole-cover
+  certifiers keeps product order, since its first nonzero point must be
+  the lex-first one.  The budget is still charged one step per grid
+  point, visited or skipped.
 
 Exponent maps are keyed by packed base-16 digits (each exponent < 16),
 x_1's the most significant, so keys compare as their exponent vectors do
@@ -23,6 +26,7 @@ in lex order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
@@ -261,25 +265,26 @@ class Grid:
             sets.append(tuple(range(ti + 1)))
         return cls(field, tuple(sets))
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(p) - 1 for p in self.point_sets)
-
     def weight_tables(self) -> list[dict[int, int]]:
-        """Per coordinate: point -> prod over other points eps of (point - eps)."""
+        """Per coordinate: point -> prod over other points eps of (point - eps).
+        Coordinates with equal point sets share one table."""
         # the points were checked at construction, so the raw tables serve
         t = self.field.order
         mul = self.field.mul_table
         add = self.field.add_table
         neg = self.field.neg_table
         tables = []
+        seen = {}
         for pts in self.point_sets:
-            tbl = {}
-            for p in pts:
-                w = 1
-                for eps in pts:
-                    if eps != p:
-                        w = mul[w * t + add[p * t + neg[eps]]]
-                tbl[p] = w
+            tbl = seen.get(pts)
+            if tbl is None:
+                tbl = seen[pts] = {}
+                for p in pts:
+                    w = 1
+                    for eps in pts:
+                        if eps != p:
+                            w = mul[w * t + add[p * t + neg[eps]]]
+                    tbl[p] = w
             tables.append(tbl)
         return tables
 
@@ -287,24 +292,161 @@ class Grid:
         """Coefficient of prod x_i^{d_i} (d_i = |P_i| - 1) in poly, which must
         have degree at most sum d_i.
 
-        The sum skips every block of points on which a factor already
-        vanishes (see `_grid_terms`), but charges the budget one step per
-        grid point, visited or skipped, so `Budget.spent` grows by
-        prod |P_i| exactly as in a point-by-point sum."""
+        The sum fixes the variables in maximum-cardinality order (see
+        `_walk_order`), so that most levels close a factor; the witness
+        walk `_grid_terms` keeps product order.  Each factor belongs to
+        whichever of its ends is fixed later: once both are fixed, a
+        factor x_i + s*x_j - beta that is 0 at the partial point makes
+        the whole block of its completions skipped.  The budget is
+        charged prod |P_i|, one step per grid point, in a single charge
+        before the walk, so `Budget.spent` grows exactly as in a
+        point-by-point sum and an exhausted budget stops at its limit."""
         if len(self.point_sets) != poly.n:
             raise PreconditionError("grid and polynomial disagree on variable count")
-        if poly.degree > sum(self.degrees()):
+        n = poly.n
+        room = sum(map(len, self.point_sets)) - n  # sum d_i
+        if poly.degree > room:
             raise PreconditionError(
-                f"polynomial degree {poly.degree} exceeds the grid degree sum "
-                f"{sum(self.degrees())}"
+                f"polynomial degree {poly.degree} exceeds the grid degree sum {room}"
             )
         budget = ensure_budget(budget, 500_000_000, "summing over a coefficient grid")
+        budget.tick(math.prod(map(len, self.point_sets)))
+        if n == 0:
+            return 1
+        levels, flips = _levels(self, poly, _walk_order(poly))
         t = self.field.order
+        mul = self.field.mul_table
         add = self.field.add_table
         total = 0
-        for _, value in _grid_terms(self, poly, budget):
-            total = add[total * t + value]
-        return total
+        leaf = levels[-1]
+        if n == 1:  # no factors: the sum of the inverse weights
+            for _, w, _ in leaf:
+                total = add[total * t + w]
+            return total
+        above = n - 2  # the level whose points the last level completes
+        point = [0] * n
+        value = [1] * n  # value[j]: running value before level j's choice
+        rest = [iter(levels[0])] + [None] * above  # rest[j]: level j's untried points
+        j = 0
+        while j >= 0:
+            for p, w, rows in rest[j]:
+                v = mul[value[j] * t + w]
+                for i, c in rows:
+                    x = add[point[i] * t + c]
+                    if not x:
+                        break
+                    v = mul[v * t + x]
+                else:
+                    point[j] = p
+                    if j < above:
+                        j += 1
+                        value[j] = v
+                        rest[j] = iter(levels[j])
+                        break
+                    # every point of the last level that survives its
+                    # factors is a term of the sum
+                    for _, w, rows in leaf:
+                        u = mul[v * t + w]
+                        for i, c in rows:
+                            x = add[point[i] * t + c]
+                            if not x:
+                                break
+                            u = mul[u * t + x]
+                        else:
+                            total = add[total * t + u]
+            else:
+                j -= 1
+        return self.field.neg_table[total] if flips & 1 else total
+
+
+def _walk_order(poly: EdgeProductPolynomial) -> list[int]:
+    """The variables (0-based) in maximum-cardinality order (Tarjan and
+    Yannakakis, 1984): each next variable has the most factors into the
+    variables already placed, ties going to the lowest index.
+
+    A bucket queue keeps the unplaced variables by that count; each
+    bucket is a bit set, so the lowest index of the top bucket is its
+    lowest set bit.  Placing a variable moves each of its factors' other
+    ends up one bucket, so the walk makes O(n + m) bucket moves, each one
+    operation on an int of at most n bits."""
+    n = poly.n
+    nbrs = [[] for _ in range(n)]
+    for f in poly.factors:
+        i = f.i - 1
+        j = f.j - 1
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    count = [0] * n  # factors into placed variables; -1 once placed
+    buckets = [(1 << n) - 1]
+    top = 0
+    order = []
+    for _ in range(n):
+        b = buckets[top]
+        while not b:
+            top -= 1
+            b = buckets[top]
+        bit = b & -b
+        buckets[top] = b ^ bit
+        v = bit.bit_length() - 1
+        count[v] = -1
+        order.append(v)
+        for u in nbrs[v]:
+            c = count[u]
+            if c >= 0:
+                bit = 1 << u
+                buckets[c] ^= bit
+                c += 1
+                count[u] = c
+                if c < len(buckets):
+                    buckets[c] |= bit
+                else:
+                    buckets.append(bit)
+                if c > top:
+                    top = c
+    return order
+
+
+def _levels(grid: Grid, poly: EdgeProductPolynomial, order) -> tuple[list, int]:
+    """Per-level point tables for a walk that fixes the variables in
+    `order` (0-based), and the number of factors that contribute a -1.
+
+    levels[k][r] is (p, inverse weight of p, ((l, c), ...)) for the r-th
+    point p of the variable fixed at level k, where x + c, with x the
+    point fixed at the earlier level l, is the value of one factor whose
+    later end that variable is.  Fixing the later end x_i of a factor
+    x_i - x_j - beta gives -(x_j + beta - p): that -1 is counted once,
+    not multiplied in per point."""
+    fld = grid.field
+    t = fld.order
+    add = fld.add_table
+    neg = fld.neg_table
+    level_of = [0] * len(order)
+    attached = []
+    for k, v in enumerate(order):
+        level_of[v] = k
+        attached.append([])
+    flips = 0
+    for f in poly.factors:
+        a, b = level_of[f.i - 1], level_of[f.j - 1]
+        if a < b:  # x_j is fixed later, to p: x_i + s*p - beta
+            attached[b].append((a, f.sign, neg[f.beta]))
+        elif f.sign > 0:  # x_i is fixed later: p + x_j - beta
+            attached[a].append((b, 1, neg[f.beta]))
+        else:  # p - x_j - beta = -(x_j - p + beta)
+            attached[a].append((b, -1, f.beta))
+            flips += 1
+    inv = fld.inv_table
+    weights = grid.weight_tables()
+    levels = []
+    for k, v in enumerate(order):
+        row_of = []
+        for p, w in weights[v].items():
+            rows = []
+            for l, s, c in attached[k]:
+                rows.append((l, add[(p if s > 0 else neg[p]) * t + c]))
+            row_of.append((p, inv[w], tuple(rows)))
+        levels.append(row_of)
+    return levels, flips
 
 
 def _grid_terms(grid: Grid, poly: EdgeProductPolynomial, budget: Budget):
@@ -332,22 +474,7 @@ def _grid_terms(grid: Grid, poly: EdgeProductPolynomial, budget: Budget):
     t = fld.order
     mul = fld.mul_table
     add = fld.add_table
-    neg = fld.neg_table
-    attached = [[] for _ in range(n)]
-    for f in poly.factors:
-        attached[f.j - 1].append(f)
-    # levels[j][k]: (p, inverse weight of p, ((i, c), ...)) for the k-th
-    # point p of P_j, where x_i + c is the value of one attached factor
-    levels = []
-    for j, (pts, weights) in enumerate(zip(sets, grid.weight_tables())):
-        row_of = []
-        for p in pts:
-            rows = []
-            for f in attached[j]:
-                c = add[(p if f.sign > 0 else neg[p]) * t + neg[f.beta]]
-                rows.append((f.i - 1, c))
-            row_of.append((p, fld.inv(weights[p]), tuple(rows)))
-        levels.append(row_of)
+    levels, _ = _levels(grid, poly, range(n))
     sizes = [len(pts) for pts in sets]
     block = [1] * n  # block[j]: points below one choice at level j
     for j in range(n - 2, -1, -1):
@@ -401,8 +528,9 @@ def coefficient_at(
 ) -> int:
     """Coefficient of prod x_i^{target_i} by 'expand', 'grid', or 'both'.
 
-    A negative target_i is rejected before either route runs.  The
-    expand route requires target_i <= PACK_MASK, the grid route
+    A target_i outside the packed range 0..PACK_MASK is rejected before
+    either route runs; no field has more than PACK_MASK + 1 elements, so
+    the grid route could not take it either.  The grid route also needs
     sum(target) == deg(poly) and target_i + 1 <= t; 'both' cross-checks
     the two routes and raises on disagreement.
     """
@@ -412,6 +540,11 @@ def coefficient_at(
     for pos, e in enumerate(target, start=1):
         if e < 0:
             raise PreconditionError(f"target exponent {e} at variable {pos} is negative")
+        if e > PACK_MASK:
+            raise PreconditionError(
+                f"target exponent {e} at variable {pos} exceeds the packed "
+                f"exponent range 0..{PACK_MASK}"
+            )
     if method not in ("expand", "grid", "both"):
         raise PreconditionError(f"unknown method {method!r}")
     results = {}

@@ -57,6 +57,17 @@ def test_coeff_negative_target_exponent_is_rejected_before_the_route_runs(method
     assert err == "error: target exponent -1 at variable 1 is negative\n"
 
 
+@pytest.mark.parametrize("method", ["expand", "grid", "both"])
+def test_coeff_target_exponent_above_15_is_rejected_before_the_route_runs(method, capsys):
+    # 16 would carry into the next variable's packed slot; a one-step
+    # budget shows that no route ran
+    code, _, err = run_cli(
+        ["coeff", "p2", "--target=0,16", "--method", method, "--budget", "1"], capsys
+    )
+    assert code == 2
+    assert err == "error: target exponent 16 at variable 2 exceeds the packed exponent range 0..15\n"
+
+
 def test_unknown_graph_name_is_input_error(capsys):
     code, _, err = run_cli(["coeff", "nosuch", "--target", "1"], capsys)
     assert code == 2

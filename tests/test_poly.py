@@ -357,15 +357,43 @@ def _random_grid_instance(rng, field):
     return P.EdgeProductPolynomial(field, n, tuple(factors)), P.Grid(field, sets)
 
 
+def _components_grid_instance(rng, field):
+    """Up to 9 variables in up to three components, some isolated, some
+    with a single grid point, under a random relabelling, with at most
+    1,500 grid points so that the flat sum stays cheap."""
+    t = field.order
+    n = rng.randint(1, 9)
+    sizes, points = [], 1
+    for _ in range(n):
+        size = rng.randint(1, max(1, min(t, 4, 1500 // points)))
+        sizes.append(size)
+        points *= size
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
+    blocks = [range(a, b) for a, b in zip([0] + cuts, cuts + [n]) if b - a > 1]
+    label = rng.sample(range(1, n + 1), n)  # the k-th variable's label
+    factors = []
+    for _ in range(rng.randint(0, sum(sizes) - n) if blocks else 0):
+        a, b = rng.sample(rng.choice(blocks), 2)
+        i, j = sorted((label[a], label[b]))
+        factors.append(P.Factor(i, j, rng.choice((-1, 1)), rng.randrange(t)))
+    sets = [()] * n
+    for k, size in enumerate(sizes):
+        sets[label[k] - 1] = tuple(rng.sample(range(t), size))
+    return P.EdgeProductPolynomial(field, n, tuple(factors)), P.Grid(field, tuple(sets))
+
+
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 7])
 def test_pruned_grid_sum_matches_the_flat_sum(t):
     """Same value and the same spend, one step per grid point, as the
-    point-by-point sum; an exhausted budget stops at the same step."""
+    point-by-point sum, also on relabelled multi-component instances
+    whose maximum-cardinality order is not index order; an exhausted
+    budget stops at the same step."""
     field = make_field(t)
     rng = random.Random(700 + t)
-    nonzero = 0
-    for _ in range(150):
-        poly, grid = _random_grid_instance(rng, field)
+    nonzero = reordered = 0
+    for make in [_random_grid_instance] * 150 + [_components_grid_instance] * 120:
+        poly, grid = make(rng, field)
+        reordered += P._walk_order(poly) != list(range(poly.n))
         budget, ref = Budget(10**9), Budget(10**9)
         value = grid.coefficient(poly, budget)
         assert value == ref_grid_coefficient(grid, poly, ref)
@@ -381,6 +409,7 @@ def test_pruned_grid_sum_matches_the_flat_sum(t):
                 outcomes.append(("exceeded", exc.spent, budget.spent))
         assert outcomes[0] == outcomes[1]
     assert nonzero > 0
+    assert reordered > 0
 
 
 def test_grid_walk_yields_the_nonzero_points_in_product_order():
@@ -412,6 +441,38 @@ def test_grid_walk_on_a_1200_vertex_graph_does_not_recurse():
     assert P.Grid.for_target(F3, target).coefficient(poly, budget) == 1
     assert budget.spent == 8
     assert P.coefficient_at(poly, target, "both") == 1
+
+
+def ref_walk_order(poly):
+    """Maximum-cardinality order by a scan of every unplaced variable."""
+    count = [0] * poly.n
+    left = set(range(poly.n))
+    order = []
+    while left:
+        v = min(left, key=lambda u: (-count[u], u))
+        left.remove(v)
+        order.append(v)
+        for f in poly.factors:
+            for a, b in ((f.i - 1, f.j - 1), (f.j - 1, f.i - 1)):
+                if a == v and b in left:
+                    count[b] += 1
+    return order
+
+
+def test_walk_order_is_the_maximum_cardinality_permutation():
+    rng = random.Random(31)
+    for _ in range(300):
+        poly = random_poly(rng, make_field(rng.choice((3, 5))), n_max=12, m_max=20)
+        order = P._walk_order(poly)
+        assert sorted(order) == list(range(poly.n))
+        assert order == ref_walk_order(poly)
+    assert P._walk_order(P.from_graph(G.complete_bipartite(3, 5), F3)) == [0, 3, 1, 4, 2, 5, 6, 7]
+
+
+def test_walk_order_is_index_order_on_cycle_squares_and_cones_over_cycles():
+    for n in range(3, 25):
+        for g in (G.cycle_power(n, 2), G.cone(G.cycle(n))):
+            assert P._walk_order(P.from_graph(g, F3)) == list(range(g.n))
 
 
 @settings(max_examples=40, deadline=None)
