@@ -7,7 +7,11 @@ are computed by two independent routes:
 
 * sparse expansion: distribute factors over a map from exponent vectors to
   coefficients, discarding exponents that exceed per-variable caps (sound,
-  exponents only grow);
+  exponents only grow), and stopping once the map is empty.  A read of
+  one coefficient, of x^T, also drops every term that can no longer reach
+  T: a term whose exponent e_v, plus one for each factor still to come at
+  v, falls short of T_v (the counting side of Alon and Tarsi's
+  orientation view).  Its map ends as {T: c} or empty;
 * grid sum: the quantitative form of the Combinatorial Nullstellensatz,
   coefficient = sum over a product grid of N(p)^{-1} * f(p) where N is the
   product of pairwise differences within each coordinate's point set.
@@ -139,10 +143,16 @@ def apply_factor_packed(
     factor: Factor,
     caps,
     field: FieldSpec,
+    floor_i: int = 0,
+    floor_j: int = 0,
 ) -> dict[int, int]:
     """Distribute one factor over a packed exponent map, dropping exponents
-    that exceed caps.  Stored coefficients are always nonzero; a map of
-    more than DEFAULT_MAX_TERMS terms raises ExpansionLimitError."""
+    that exceed caps.  A child is also dropped when an end of the factor
+    that it did not raise has an exponent below that end's floor: the x_i
+    child checks x_j against floor_j, the x_j child x_i against floor_i,
+    and the offset child both.  Floors of 0 keep every child within caps.
+    Stored coefficients are always nonzero; a map of more than
+    DEFAULT_MAX_TERMS terms raises ExpansionLimitError."""
     t = field.order
     addt = field.add_table
     mult = field.mul_table
@@ -157,7 +167,9 @@ def apply_factor_packed(
     out: dict[int, int] = {}
     get = out.get
     for key, c in cur.items():
-        if (key >> si) & PACK_MASK < cap_i:
+        ei = (key >> si) & PACK_MASK
+        ej = (key >> sj) & PACK_MASK
+        if ei < cap_i and ej >= floor_j:
             k = key + inc_i
             v = get(k, 0)
             s = addt[v * t + c]
@@ -165,7 +177,7 @@ def apply_factor_packed(
                 out[k] = s
             elif v:
                 del out[k]
-        if (key >> sj) & PACK_MASK < cap_j:
+        if ej < cap_j and ei >= floor_i:
             cj = mult[sign_elt * t + c]
             k = key + inc_j
             v = get(k, 0)
@@ -174,7 +186,7 @@ def apply_factor_packed(
                 out[k] = s
             elif v:
                 del out[k]
-        if neg_beta:
+        if neg_beta and ei >= floor_i and ej >= floor_j:
             cb = mult[neg_beta * t + c]
             v = get(key, 0)
             s = addt[v * t + cb]
@@ -191,7 +203,26 @@ def expand_packed(
     poly: EdgeProductPolynomial,
     caps,
     budget: Budget | None = None,
+    *,
+    exact: bool = False,
 ) -> dict[int, int]:
+    """Packed exponent map of poly, factor by factor in product order.
+
+    By default the map holds every term of poly within caps, each with
+    its nonzero coefficient.  With exact=True the caps are a target T,
+    and the map is {T: c} with c the coefficient of x^T, or empty when
+    c = 0.  The exact read keeps only terms that can still reach T: with
+    r_v the number of factors still to come at v, a term survives a
+    factor only if e_v >= T_v - r_v at both of the factor's ends.  Each
+    factor raises e_v by at most one, so a term that fails this never
+    reaches T; the offsets only lower degrees, so the cut holds for any
+    beta.  When some T_v exceeds the degree of v, the map is empty from
+    the start.
+
+    The budget is charged one step per key of each map a factor is
+    applied to.  Once the map is empty, the remaining factors are charged
+    one step each in a single charge and the expansion stops, so an empty
+    map spends what applying those factors to it one by one would."""
     if len(caps) != poly.n:
         raise PreconditionError(f"caps must have length {poly.n}")
     if max(caps, default=0) > PACK_MASK:
@@ -200,10 +231,25 @@ def expand_packed(
             f"cap {max(caps)} exceeds the packed exponent range 0..{PACK_MASK}"
         )
     budget = ensure_budget(budget, 500_000_000, "expanding an edge-product polynomial")
+    factors = poly.factors
+    floors = [(0, 0)] * len(factors)
     cur = {0: 1}
-    for f in poly.factors:
-        budget.tick(max(len(cur), 1))
-        cur = apply_factor_packed(cur, f, caps, poly.field)
+    if exact:
+        rest = [0] * poly.n  # factors after the k-th at each variable
+        for k in range(len(factors) - 1, -1, -1):
+            i = factors[k].i - 1
+            j = factors[k].j - 1
+            floors[k] = caps[i] - rest[i], caps[j] - rest[j]
+            rest[i] += 1
+            rest[j] += 1
+        if any(c > r for c, r in zip(caps, rest)):
+            cur = {}
+    for k, f in enumerate(factors):
+        if not cur:
+            budget.tick(len(factors) - k)
+            break
+        budget.tick(len(cur))
+        cur = apply_factor_packed(cur, f, caps, poly.field, *floors[k])
     return cur
 
 
@@ -530,9 +576,11 @@ def coefficient_at(
 
     A target_i outside the packed range 0..PACK_MASK is rejected before
     either route runs; no field has more than PACK_MASK + 1 elements, so
-    the grid route could not take it either.  The grid route also needs
-    sum(target) == deg(poly) and target_i + 1 <= t; 'both' cross-checks
-    the two routes and raises on disagreement.
+    the grid route could not take it either.  The expand route is the
+    exact read of `expand_packed`, which keeps only the terms that can
+    still reach the target.  The grid route also needs sum(target) ==
+    deg(poly) and target_i + 1 <= t; 'both' cross-checks the two routes
+    and raises on disagreement.
     """
     target = tuple(target)
     if len(target) != poly.n:
@@ -549,7 +597,7 @@ def coefficient_at(
         raise PreconditionError(f"unknown method {method!r}")
     results = {}
     if method in ("expand", "both"):
-        packed = expand_packed(poly, target, budget)
+        packed = expand_packed(poly, target, budget, exact=True)
         results["expand"] = packed.get(pack_exponents(target), 0)
     if method in ("grid", "both"):
         if sum(target) != poly.degree:

@@ -228,16 +228,19 @@ def test_budget_exit_code(capsys):
 
 
 def test_coeff_routes_share_one_budget(capsys):
-    # c6sq over F_3: the expansion spends 184 steps, the grid 3^6 = 729
+    # c6sq over F_3: the exact read of the expansion spends 62 steps (184
+    # for the full map within caps), the grid 3^6 = 729
     argv = ["coeff", "c6sq", "--target", "2,2,2,2,2,2", "--field", "3", "--budget"]
-    code, out, _ = run_cli(argv + ["914"], capsys)
+    code, out, _ = run_cli(argv + ["792"], capsys)
     assert code == 0 and "coefficient: 0" in out
-    code, out, err = run_cli(argv + ["913"], capsys)
+    code, out, err = run_cli(argv + ["791"], capsys)
     assert code == 3 and out == ""
-    assert err == "error: budget exceeded while summing over a coefficient grid: 913 >= 913 steps\n"
+    assert err == "error: budget exceeded while summing over a coefficient grid: 791 >= 791 steps\n"
     code, out, _ = run_cli(argv + ["730", "--method", "grid"], capsys)
     assert code == 0 and "coefficient: 0" in out
-    code, _, err = run_cli(argv + ["184", "--method", "expand"], capsys)
+    code, out, _ = run_cli(argv + ["63", "--method", "expand"], capsys)
+    assert code == 0 and "coefficient: 0" in out
+    code, _, err = run_cli(argv + ["62", "--method", "expand"], capsys)
     assert code == 3 and "expanding" in err
 
 
@@ -247,14 +250,14 @@ def test_repeated_runs_in_one_process_match_a_fresh_parser(capsys):
     # call cannot leak into the next
     coeff = ["coeff", "c6sq", "--target", "2,2,2,2,2,2", "--field", "3", "--budget"]
     calls = [
-        coeff + ["914"],
+        coeff + ["792"],
         ["chi-dp", "cone(c4)"],
-        coeff + ["913"],
+        coeff + ["791"],
         ["coeff", "nosuch", "--target", "1"],
         ["certify-dp3", "c7sq", "--spanning-tree"],
         ["certify-dp3", "k4,4", "--budget", "1000"],
         ["chi-dp", "c4", "--budget", "0"],
-        coeff + ["914"],
+        coeff + ["792"],
         ["chi-dp", "k4", "--max-m", "3"],
         ["reproduce", "c6sq-coeffs"],
     ]

@@ -577,6 +577,100 @@ def test_field_expansion_matches_integer_oracle_mod_p():
         assert got == want
 
 
+def _offset_poly(rng, field, n, m_max, betas):
+    """m <= m_max factors on n variables with random signs and offsets
+    drawn from `betas`."""
+    factors = []
+    for _ in range(rng.randint(0, m_max) if n > 1 else 0):
+        i = rng.randint(1, n - 1)
+        factors.append(P.Factor(i, rng.randint(i + 1, n), rng.choice((-1, 1)),
+                                rng.choice(betas)))
+    return P.EdgeProductPolynomial(field, n, tuple(factors))
+
+
+def _reference_expansion(poly, caps):
+    """The full map and its spend, one apply_factor_packed call per
+    factor and one step per key of each map (at least one), with no
+    early stop."""
+    cur, spent = {0: 1}, 0
+    for f in poly.factors:
+        spent += max(len(cur), 1)
+        cur = P.apply_factor_packed(cur, f, caps, poly.field)
+    return cur, spent
+
+
+@pytest.mark.parametrize("t", (2, 3, 4, 5, 7))
+def test_exact_read_is_the_full_maps_coefficient(t):
+    """The exact read keeps at most the target's key, with the coefficient
+    the full map within the same caps has there, on targets with zeros,
+    with sum(T) != degree, with T_v > deg(v), and with n = 0 or 1."""
+    field = make_field(t)
+    rng = random.Random(2400 + t)
+    nonzero = 0
+    for _ in range(60):
+        n = rng.choice((0, 1, 2, 3, 4, 5, 6))
+        poly = _offset_poly(rng, field, n, 10, range(t))
+        degree = [0] * n
+        for f in poly.factors:
+            degree[f.i - 1] += 1
+            degree[f.j - 1] += 1
+        full_caps = tuple(min(d, P.PACK_MASK) for d in degree)
+        targets = [P.unpack_exponents(k, n) for k in P.expand_packed(poly, full_caps)]
+        targets = rng.sample(targets, min(3, len(targets)))
+        targets += [tuple(rng.randint(0, d + 1) for d in degree) for _ in range(3)]
+        for target in targets:
+            key = P.pack_exponents(target)
+            full = P.expand_packed(poly, target)
+            exact = P.expand_packed(poly, target, exact=True)
+            assert set(exact) <= {key}
+            assert exact.get(key, 0) == full.get(key, 0)
+            assert P.coefficient_at(poly, target, "expand") == full.get(key, 0)
+            nonzero += bool(exact)
+    assert nonzero > 20
+    # the empty product: coefficient 1 at x^0 only
+    for n in (0, 1):
+        poly = P.EdgeProductPolynomial(field, n, ())
+        assert P.expand_packed(poly, (0,) * n, exact=True) == {0: 1}
+        assert P.coefficient_at(poly, (0,) * n, "both") == 1
+    assert P.expand_packed(P.EdgeProductPolynomial(field, 1, ()), (1,), exact=True) == {}
+
+
+@pytest.mark.parametrize("t", (2, 3, 4, 5, 7))
+def test_full_map_and_its_spend_are_unchanged(t):
+    """The default expansion against the integer oracle reduced mod the
+    characteristic (F_4's offsets stay in its prime subfield F_2), and its
+    spend against one step per key of each map with no early stop."""
+    field = make_field(t)
+    p = 2 if t == 4 else t
+    rng = random.Random(2500 + t)
+    for _ in range(40):
+        poly = _offset_poly(rng, field, rng.randint(2, 5), 7, range(p))
+        caps = tuple(rng.randint(0, 4) for _ in range(poly.n))
+        raw = [(f.i, f.j, f.sign, f.beta) for f in poly.factors]
+        want = {P.pack_exponents(e): c % p
+                for e, c in integer_expansion(raw, poly.n).items()
+                if c % p and all(x <= cap for x, cap in zip(e, caps))}
+        budget = Budget(10**9)
+        got = P.expand_packed(poly, caps, budget)
+        assert got == want
+        assert (got, budget.spent) == _reference_expansion(poly, caps)
+
+
+def test_exact_read_charges_every_factor_after_the_map_empties():
+    """On K_{3,5} and target (1, 2, ..., 2) the exact map empties after
+    10 of 15 factors: 80 steps for the keys, then 5 in one charge."""
+    poly = P.from_graph(G.complete_bipartite(3, 5), F3)
+    target = (1,) + (2,) * 7
+    budget = Budget(10**9)
+    assert P.expand_packed(poly, target, budget, exact=True) == {}
+    assert budget.spent == 85
+    assert _reference_expansion(poly, target)[1] == 375
+    # an empty map from the start: T_1 = 6 exceeds deg(v_1) = 5
+    budget = Budget(10**9)
+    assert P.expand_packed(poly, (6,) + (0,) * 7, budget, exact=True) == {}
+    assert budget.spent == 15
+
+
 def test_schauz_line_graph_of_k4_top_coefficient_vanishes():
     # line graph of K_4 = the octahedron on 6 vertices; over F_3 the
     # all-squares coefficient vanishes
