@@ -51,9 +51,6 @@ def order3_cover(tmp_path):
     # one tick per factor of the sparse expansion
     (["coeff", "k3,3", "--target", "2,2,2,1,1,1", "--method", "expand", "--budget", "20"],
      "error: budget exceeded while expanding an edge-product polynomial: 20 >= 20 steps\n"),
-    # the exact read's one charge for the factors left once its map empties
-    (["coeff", "k3,5", "--target", "1,2,2,2,2,2,2,2", "--method", "expand", "--budget", "83"],
-     "error: budget exceeded while expanding an edge-product polynomial: 83 >= 83 steps\n"),
     # the grid walk's batched skipped blocks
     (["coeff", "c6sq", "--target", "2,2,2,2,2,2", "--field", "3", "--method", "grid",
       "--budget", "500"],
@@ -65,6 +62,9 @@ def order3_cover(tmp_path):
     # bounds, which print how far the walk got
     (["chi-dp", "k4,4", "--max-m", "3", "--budget", "500"], ""),
     (["chi-dp", "k4,4", "--max-m", "3", "--budget", "20000"], ""),
+    # the exact read's one charge for the factors left once its map empties
+    (["coeff", "k3,5", "--target", "1,2,2,2,2,2,2,2", "--method", "expand", "--budget", "83"],
+     "error: budget exceeded while expanding an edge-product polynomial: 83 >= 83 steps\n"),
 ])
 def test_every_batched_charge_stops_where_unit_charges_would(
         argv, err, order3_cover, monkeypatch, capsys):
