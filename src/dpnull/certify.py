@@ -48,7 +48,6 @@ from .poly import (
     DEFAULT_MAX_TERMS,
     ExpansionLimitError,
     Grid,
-    _grid_terms,
     coefficient_at,
     find_qualifying_monomial,
     from_graph,
@@ -59,6 +58,7 @@ from .cover import (
     Cover,
     classify_saturation,
     cover_from_lists,
+    cover_from_pattern,
     h_coloring_search,
     is_valid_transversal,
     transversals,
@@ -113,26 +113,37 @@ class Dp3Result:
 
 def _certify_cover(cover: Cover, signs, betas, kind: str, budget: Budget) -> Certificate | None:
     g = cover.graph
-    fld = cover.field
-    poly = from_graph(g, fld, signs=signs, offsets=betas)
-    caps = tuple(len(cover.labels_of(v)) - 1 for v in range(1, g.n + 1))
+    poly = from_graph(g, cover.field, signs=signs, offsets=betas)
+    caps = tuple(len(labels) - 1 for labels in cover.labels)
     what = budget.what
     found = find_qualifying_monomial(poly, caps, budget)
-    budget.relabel(what)  # the witness walk below spends under the certifier's label
+    budget.relabel(what)  # the witness below is charged under the certifier's label
     if found is None:
         return None
     monomial, coeff = found
-    # the lex-first nonzero point of the label grid; the walk charges one
-    # step per grid point up to it, so the spend is its rank + 1
-    label_grid = Grid(fld, tuple(cover.labels_of(v) for v in range(1, g.n + 1)))
-    before = budget.spent
-    first = next(_grid_terms(label_grid, poly, budget), None)
-    if first is None:
-        raise AssertionError(
-            "no nonzero point on the label grid despite a qualifying monomial"
-        )
-    witness = first[0]
-    points = budget.spent - before
+    # the witness is the lex-first transversal of the cover whose matchings
+    # are the factors' zero sets: the first point of the label grid, in
+    # product order, where poly is nonzero.  It is charged its rank + 1 in
+    # that order, one step per grid point up to it.  The search tries at
+    # most n labels per grid point it passes, so one that outruns n * room
+    # labels has passed more than room points.
+    room = budget.limit - budget.spent
+    zeros = Cover(g, cover.t, cover.labels,
+                  cover_from_pattern(g, cover.t, signs, betas).matchings)
+    try:
+        witness = next(transversals(zeros, Budget(g.n * room + 1)), None)
+    except BudgetExceeded:
+        points = room  # charging it stops the budget at its limit
+    else:
+        if witness is None:
+            raise AssertionError(
+                "no nonzero point on the label grid despite a qualifying monomial"
+            )
+        rank = 0
+        for labels, a in zip(cover.labels, witness):
+            rank = rank * len(labels) + labels.index(a)
+        points = rank + 1
+    budget.tick(points)
     if not is_valid_transversal(cover, witness):
         raise AssertionError("extracted witness is not a valid transversal")
     edge_order = g.edges

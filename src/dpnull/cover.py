@@ -236,41 +236,36 @@ def cover_from_pattern(
     offsets = offsets or {e: 0 for e in g.edges}
     if set(signs) != set(g.edges) or set(offsets) != set(g.edges):
         raise PreconditionError("signs and offsets must cover exactly the edge set")
-    labels = tuple(tuple(range(t)) for _ in range(g.n))
+    add = fld.add_table
+    neg = fld.neg_table
     matchings = {}
     for e in g.edges:
         s = signs[e]
         beta = fld.check(offsets[e])
-        if s == -1:
-            matchings[e] = {a: fld.sub(a, beta) for a in range(t)}
+        if s == -1:  # a - beta, read down column -beta of the add table
+            matchings[e] = dict(enumerate(add[neg[beta]::t]))
         elif s == 1:
             if t != 3:
                 raise PreconditionError(
                     f"sign +1 (sum-constant) matchings require order 3, got t={t}"
                 )
-            matchings[e] = {a: fld.sub(beta, a) for a in range(t)}
+            matchings[e] = {a: add[beta * t + neg[a]] for a in range(t)}
         else:
             raise PreconditionError(f"edge {e}: sign must be +/-1, got {s}")
-    return Cover(g, t, labels, matchings)
+    return Cover(g, t, (tuple(range(t)),) * g.n, matchings)
 
 
 def uncolorable_cover_c3k_square(k: int) -> Cover:
     """3-fold cover of the square of C_{3k} with no H-coloring: identity
-    matchings except the two edges into v_{3k}, which shift labels by one.
-    Every saturation function is good, yet no transversal exists."""
+    matchings except the two edges into v_{3k}, which shift labels by one
+    (offset 2 = -1).  Every saturation function is good, yet no
+    transversal exists."""
     if k < 2:
         raise PreconditionError("the construction needs k >= 2")
     n = 3 * k
     g = cycle_power(n, 2)
-    labels = tuple(tuple(range(3)) for _ in range(n))
-    special = {(n - 2, n), (n - 1, n)}
-    matchings = {}
-    for e in g.edges:
-        if e in special:
-            matchings[e] = {a: (a + 1) % 3 for a in range(3)}
-        else:
-            matchings[e] = {a: a for a in range(3)}
-    return Cover(g, 3, labels, matchings)
+    offsets = {e: 2 if e in {(n - 2, n), (n - 1, n)} else 0 for e in g.edges}
+    return cover_from_pattern(g, 3, offsets=offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,8 @@ are computed by two independent routes:
   as its later-fixed variable is fixed to a root of it, and the whole
   block of completions below that partial point, all zeros of f, is
   skipped.  The sum fixes the variables in maximum-cardinality order, so
-  that most levels close a factor; the witness walk of the whole-cover
-  certifiers keeps product order, since its first nonzero point must be
-  the lex-first one.  The budget is still charged one step per grid
-  point, visited or skipped.
+  that most levels close a factor.  The budget is still charged one step
+  per grid point, visited or skipped.
 
 Exponent maps are keyed by packed base-16 digits (each exponent < 16),
 x_1's the most significant, so keys compare as their exponent vectors do
@@ -339,11 +337,10 @@ class Grid:
         have degree at most sum d_i.
 
         The sum fixes the variables in maximum-cardinality order (see
-        `_walk_order`), so that most levels close a factor; the witness
-        walk `_grid_terms` keeps product order.  Each factor belongs to
-        whichever of its ends is fixed later: once both are fixed, a
-        factor x_i + s*x_j - beta that is 0 at the partial point makes
-        the whole block of its completions skipped.  The budget is
+        `_walk_order`), so that most levels close a factor.  Each factor
+        belongs to whichever of its ends is fixed later: once both are
+        fixed, a factor x_i + s*x_j - beta that is 0 at the partial point
+        makes the whole block of its completions skipped.  The budget is
         charged prod |P_i|, one step per grid point, in a single charge
         before the walk, so `Budget.spent` grows exactly as in a
         point-by-point sum and an exhausted budget stops at its limit."""
@@ -493,77 +490,6 @@ def _levels(grid: Grid, poly: EdgeProductPolynomial, order) -> tuple[list, int]:
             row_of.append((p, inv[w], tuple(rows)))
         levels.append(row_of)
     return levels, flips
-
-
-def _grid_terms(grid: Grid, poly: EdgeProductPolynomial, budget: Budget):
-    """Yield (point, N(point)^{-1} * poly(point)) for every point of the grid
-    at which poly is nonzero, in the product order of the point sets.
-
-    The walk fixes x_1, x_2, ... in turn, without recursion.  Each factor
-    x_i + s*x_j - beta belongs to its later variable x_j: fixing x_j
-    multiplies the running value by x_j's inverse weight and by those
-    factors, whose other end is already fixed.  When one of them is 0,
-    poly vanishes on every completion of the partial point, and the walk
-    skips that block of prod |P_{j+1}| ... |P_n| points.
-
-    One budget step per grid point, visited or skipped, charged in
-    batches: before each yield, at the end of the walk, and at once when
-    the batch would exhaust the budget.
-    """
-    sets = grid.point_sets
-    n = len(sets)
-    if n == 0:
-        budget.tick()
-        yield (), 1
-        return
-    fld = grid.field
-    t = fld.order
-    mul = fld.mul_table
-    add = fld.add_table
-    levels, _ = _levels(grid, poly, range(n))
-    sizes = [len(pts) for pts in sets]
-    block = [1] * n  # block[j]: points below one choice at level j
-    for j in range(n - 2, -1, -1):
-        block[j] = block[j + 1] * sizes[j + 1]
-    last = n - 1
-    point = [0] * n
-    value = [1] * n  # value[j]: running value before level j's choice
-    index = [0] * n
-    spare = budget.limit - budget.spent
-    pending = 0
-    j = 0
-    while True:
-        k = index[j]
-        if k == sizes[j]:
-            if not j:
-                break
-            j -= 1
-            index[j] += 1
-            continue
-        point[j], w, rows = levels[j][k]
-        v = mul[value[j] * t + w]
-        for i, c in rows:
-            x = add[point[i] * t + c]
-            if not x:
-                v = 0
-                break
-            v = mul[v * t + x]
-        if v and j < last:
-            j += 1
-            value[j] = v
-            index[j] = 0
-            continue
-        index[j] = k + 1
-        pending += block[j]  # a block of zeros, or one point of the last level
-        if pending >= spare:
-            budget.tick(pending)  # exhausts the budget
-        if v:
-            budget.tick(pending)
-            pending = 0
-            yield tuple(point), v
-            spare = budget.limit - budget.spent
-    if pending:
-        budget.tick(pending)
 
 
 def coefficient_at(

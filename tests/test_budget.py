@@ -51,11 +51,11 @@ def order3_cover(tmp_path):
     # one tick per factor of the sparse expansion
     (["coeff", "k3,3", "--target", "2,2,2,1,1,1", "--method", "expand", "--budget", "20"],
      "error: budget exceeded while expanding an edge-product polynomial: 20 >= 20 steps\n"),
-    # the grid walk's batched skipped blocks
+    # the grid sum's one charge of prod |P_i| grid points, before its walk
     (["coeff", "c6sq", "--target", "2,2,2,2,2,2", "--field", "3", "--method", "grid",
       "--budget", "500"],
      "error: budget exceeded while summing over a coefficient grid: 500 >= 500 steps\n"),
-    # the witness walk on the label grid, after the expansion
+    # the witness's rank + 1 label-grid points, after the expansion
     (["certify-cover", "COVER", "--mode", "order3", "--budget", "200"],
      "error: budget exceeded while certifying an order-3 cover: 200 >= 200 steps\n"),
     # the exact search's mask pre-charge and batched leaves, caught by the

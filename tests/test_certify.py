@@ -105,7 +105,8 @@ def test_order3_certifies_c6sq_pattern_cover():
 
 @pytest.mark.parametrize("limit", (195, 335))
 def test_order3_budget_spent_in_the_witness_walk_names_the_certifier(limit):
-    # the offset-free expansion spends 194 steps, the witness walk 141 more
+    # the offset-free expansion spends 194 steps, the witness's rank + 1
+    # grid points 141 more
     g = G.cycle_power(6, 2)
     signs = {e: (1 if e in {(1, 2), (1, 3)} else -1) for e in g.edges}
     cov = C.cover_from_pattern(g, 3, signs, {e: 0 for e in g.edges})
@@ -176,6 +177,58 @@ def test_witness_is_the_first_nonzero_point_of_the_label_grid():
             assert budget.spent == expand.spent + rank + 1
             checked += 1
     assert checked >= 100
+
+
+def ref_certify_cover(cov, cert, what, limit):
+    """(witness, grid points, spent) or (message, spent) that a certifier
+    with Budget(limit) should give: the offset-free expansion, then one
+    step per point of the label grid, in product order, up to the first
+    point where the certificate's polynomial is nonzero."""
+    g = cov.graph
+    signs = dict(zip(g.edges, cert.pattern))
+    poly = P.from_graph(g, cov.field, signs=signs, offsets=dict(zip(g.edges, cert.offsets)))
+    budget = Budget(limit)
+    try:
+        P.find_qualifying_monomial(poly, tuple(len(l) - 1 for l in cov.labels), budget)
+        budget.relabel(what)
+        for rank, p in enumerate(product(*cov.labels)):
+            budget.tick()
+            if poly.evaluate(p):
+                return p, rank + 1, budget.spent
+    except BudgetExceeded as exc:
+        return str(exc), budget.spent
+    raise AssertionError("no nonzero point on the label grid")
+
+
+def test_witness_spend_matches_a_point_by_point_walk_at_every_limit():
+    """Near the end of the spend, where the witness search runs under a
+    limit of its own, every outcome is the one a point-by-point walk of
+    the label grid gives: the same witness and grid points, or the same
+    message, and the same spend."""
+    rng = random.Random(2025)
+    checked = 0
+    for _ in range(25):
+        g = G.from_edges(5, sorted(rng.sample(
+            [(i, j) for i in range(1, 6) for j in range(i + 1, 6)], rng.randint(4, 8))))
+        for cov, certify, what in (
+                (random_cover(rng, g, 3), X.certify_order3_cover,
+                 "certifying an order-3 cover"),
+                (_random_good_cover(rng, g, rng.choice((3, 4, 5))), X.certify_good_cover,
+                 "certifying a good cover")):
+            full = Budget(10**9)
+            cert = certify(cov, full)
+            if cert is None:
+                continue
+            checked += 1
+            for limit in range(full.spent - cert.work["grid_points"] + 1, full.spent + 3):
+                budget = Budget(limit)
+                try:
+                    got = certify(cov, budget)
+                    outcome = got.witness, got.work["grid_points"], budget.spent
+                except BudgetExceeded as exc:
+                    outcome = str(exc), budget.spent
+                assert outcome == ref_certify_cover(cov, cert, what, limit)
+    assert checked >= 30
 
 
 def test_good_certifier_with_offsets_over_f4():

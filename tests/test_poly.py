@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dpnull.budget import Budget, BudgetExceeded
 from dpnull.errors import PreconditionError
 from dpnull.ff import make_field
+from dpnull import cover as C
 from dpnull import graphs as G
 from dpnull import poly as P
 
@@ -412,18 +413,36 @@ def test_pruned_grid_sum_matches_the_flat_sum(t):
     assert reordered > 0
 
 
-def test_grid_walk_yields_the_nonzero_points_in_product_order():
+def test_zero_set_cover_yields_the_nonzero_grid_points_in_product_order():
+    """The whole-cover certifiers take their witness from this: the
+    transversals of the cover whose matchings are the factors' zero sets
+    are the points of the grid where the polynomial is nonzero, in
+    product order, and the search reaches each after trying at most n
+    labels per grid point up to it."""
     rng = random.Random(99)
     for t in (3, 4, 5):
         field = make_field(t)
         for _ in range(40):
             poly, grid = _random_grid_instance(rng, field)
+            # one factor per edge, sign -1 outside F_3, as cover_from_pattern
+            # realizes them
+            first = {}
+            for f in poly.factors:
+                first.setdefault((f.i, f.j), f)
+            g = G.from_edges(poly.n, sorted(first))
+            signs = {e: f.sign if t == 3 else -1 for e, f in first.items()}
+            offsets = {e: f.beta for e, f in first.items()}
+            poly = P.from_graph(g, field, signs, offsets)
+            zeros = C.Cover(g, t, grid.point_sets,
+                            C.cover_from_pattern(g, t, signs, offsets).matchings)
+            points = list(product(*grid.point_sets))
+            rank = {p: r for r, p in enumerate(points)}
             budget = Budget(10**9)
-            walked = list(P._grid_terms(grid, poly, budget))
-            points = [p for p in product(*grid.point_sets) if poly.evaluate(p)]
-            assert [p for p, _ in walked] == points
-            assert all(v for _, v in walked)
-            assert budget.spent == math.prod(len(pts) for pts in grid.point_sets)
+            walked = []
+            for p in C.transversals(zeros, budget):
+                walked.append(p)
+                assert budget.spent <= g.n * (rank[p] + 1)
+            assert walked == [p for p in points if poly.evaluate(p)]
     # no variables: the one empty point, where the empty product is 1
     budget = Budget(10)
     assert P.Grid(F3, ()).coefficient(P.EdgeProductPolynomial(F3, 0, ()), budget) == 1
