@@ -91,9 +91,7 @@ class Certificate:
 class FailureReport:
     """Sign patterns for which every qualifying coefficient vanishes."""
 
-    mode: str
     failing_patterns: Sequence[tuple[int, ...]]
-    patterns_tested: int
 
 
 @dataclass(frozen=True)
@@ -111,8 +109,26 @@ class Dp3Result:
 # ---------------------------------------------------------------------------
 # whole-cover certificates
 
-def _certify_cover(cover: Cover, signs, betas, kind: str, budget: Budget) -> Certificate | None:
+def _certify_cover(cover: Cover, kind: str, budget: Budget) -> Certificate | None:
+    """Read the cover's signed offset polynomial: sign -1 and beta on each
+    good-diff edge, +1 and beta on each bad-sum edge, the latter refused
+    for a "good-cover" certificate."""
+    bad = validate(cover)
+    if bad:
+        raise PreconditionError("; ".join(bad))
     g = cover.graph
+    signs = {}
+    betas = {}
+    for e in g.edges:
+        sat = classify_saturation(cover, e)
+        if sat.kind != GOOD_DIFF and kind == "good-cover":
+            raise PreconditionError(
+                f"edge {e} classifies {sat.kind}, not good-diff; rename with "
+                "is_good_cover or use certify_order3_cover"
+            )
+        assert sat.kind != BAD  # impossible over F_3
+        signs[e] = -1 if sat.kind == GOOD_DIFF else 1
+        betas[e] = sat.beta
     poly = from_graph(g, cover.field, signs=signs, offsets=betas)
     caps = tuple(len(labels) - 1 for labels in cover.labels)
     what = budget.what
@@ -167,21 +183,7 @@ def certify_good_cover(cover: Cover, budget: Budget | None = None) -> Certificat
     needed).  None means no qualifying monomial exists; the cover may still
     be colorable."""
     budget = ensure_budget(budget, 200_000_000, "certifying a good cover")
-    bad = validate(cover)
-    if bad:
-        raise PreconditionError("; ".join(bad))
-    signs = {}
-    betas = {}
-    for e in cover.graph.edges:
-        sat = classify_saturation(cover, e)
-        if sat.kind != GOOD_DIFF:
-            raise PreconditionError(
-                f"edge {e} classifies {sat.kind}, not good-diff; rename with "
-                "is_good_cover or use certify_order3_cover"
-            )
-        signs[e] = -1
-        betas[e] = sat.beta
-    return _certify_cover(cover, signs, betas, "good-cover", budget)
+    return _certify_cover(cover, "good-cover", budget)
 
 
 def certify_order3_cover(cover: Cover, budget: Budget | None = None) -> Certificate | None:
@@ -191,17 +193,7 @@ def certify_order3_cover(cover: Cover, budget: Budget | None = None) -> Certific
     budget = ensure_budget(budget, 200_000_000, "certifying an order-3 cover")
     if cover.t != 3:
         raise PreconditionError(f"the signed certifier needs order 3, got t={cover.t}")
-    bad = validate(cover)
-    if bad:
-        raise PreconditionError("; ".join(bad))
-    signs = {}
-    betas = {}
-    for e in cover.graph.edges:
-        sat = classify_saturation(cover, e)
-        assert sat.kind != BAD  # impossible over F_3
-        signs[e] = -1 if sat.kind == GOOD_DIFF else 1
-        betas[e] = sat.beta
-    return _certify_cover(cover, signs, betas, "order3-cover", budget)
+    return _certify_cover(cover, "order3-cover", budget)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +800,7 @@ def certify_dp3(
     patterns_tested = 1 << space.nbits
     failure = None
     if failures:
-        failure = FailureReport(mode, PatternSequence(space, fails, _bare), patterns_tested)
+        failure = FailureReport(PatternSequence(space, fails, _bare))
     certificates = PatternSequence(space, certs, partial(_certificate, g.n))
     return Dp3Result(mode, patterns_tested, certificates, failure)
 
@@ -867,6 +859,17 @@ def certify_unique_list(g: Graph, lists: dict[int, tuple[int, ...]], t: int) -> 
     )
 
 
+def _cone_certificate(g: Graph, t: int, expected: int, kind: str, work: dict) -> Certificate:
+    """The cone K_1 + g over F_t, read at exponent 0 on the apex and t - 1
+    elsewhere by both routes, checked against its closed form."""
+    gp = cone(g)
+    target = (0,) + (t - 1,) * g.n
+    coeff = coefficient_at(from_graph(gp, make_field(t)), target, method="both")
+    if coeff != expected:
+        raise AssertionError(f"coefficient {coeff} != closed form {expected}")
+    return Certificate(kind=kind, t=t, n=gp.n, monomial=target, coefficient=coeff, work=work)
+
+
 def certify_cone_bipartite(g: Graph) -> Certificate:
     """For connected bipartite g with |V| = |E|: the cone K_1 + g (parts
     listed X then Y, X holding g's lowest vertex) has top coefficient
@@ -887,24 +890,10 @@ def certify_cone_bipartite(g: Graph) -> Certificate:
             f"need |V| = |E|, got |V|={g.n}, |E|={len(g.edges)}"
         )
     xs, ys = parts
-    sorted_g = relabel(g, xs + ys)
-    gp = cone(sorted_g)
-    fld = make_field(3)
-    poly = from_graph(gp, fld)
-    target = (0,) + (2,) * sorted_g.n
-    coeff = coefficient_at(poly, target, method="both")
     m = len(xs)
     expected = 2 if m % 2 == 0 else 1  # 2 * (-1)^m in F_3
-    if coeff != expected:
-        raise AssertionError(f"coefficient {coeff} != closed form {expected}")
-    return Certificate(
-        kind="cone-bipartite",
-        t=3,
-        n=gp.n,
-        monomial=target,
-        coefficient=coeff,
-        work={"part_size": m},
-    )
+    return _cone_certificate(relabel(g, xs + ys), 3, expected, "cone-bipartite",
+                             {"part_size": m})
 
 
 _CONGRUENCES = ((2, (1, 3), 0), (3, (1, 2), 1), (1, (2, 3), 2))
@@ -950,21 +939,7 @@ def certify_cone_unique3(g: Graph) -> Certificate:
             "class congruences fail for every ordering; last tried: "
             + "; ".join(last_failures)
         )
-    fld = make_field(4)
-    gp = cone(g)
-    poly = from_graph(gp, fld)
-    target = (0,) + (3,) * g.n
-    coeff = coefficient_at(poly, target, method="both")
-    if coeff != 1:
-        raise AssertionError(f"coefficient {coeff} != closed form 1")
-    return Certificate(
-        kind="cone-unique3",
-        t=4,
-        n=gp.n,
-        monomial=target,
-        coefficient=coeff,
-        work={"class_order": chosen},
-    )
+    return _cone_certificate(g, 4, 1, "cone-unique3", {"class_order": chosen})
 
 
 # ---------------------------------------------------------------------------
@@ -1006,6 +981,8 @@ def dp_chromatic_bounds(g: Graph, budget: Budget | None = None,
     """
     if g.n == 0:
         raise PreconditionError("the graph must have at least one vertex")
+    if max_m is not None and max_m < 1:
+        raise PreconditionError(f"max_m must be at least 1, got {max_m}")
     budget = ensure_budget(budget, 100_000_000, "bounding chi_DP")
     lower = 1
     upper = 1

@@ -164,22 +164,18 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_certify_cover(args) -> int:
     cov = cv.read_cover(Path(args.cover).read_text())
-    if args.mode == "order3":
-        cert = ce.certify_order3_cover(cov, args.budget)
-        if cert is None:
-            print("not certified: every qualifying coefficient vanishes")
-            return 1
-        print_certificate(cert, cov.graph.edges, pattern_formatter(cov.graph.edges))
-        return 0
-    # mode good: rename first when needed
     renaming = None
-    if not all(cv.classify_saturation(cov, e).is_good for e in cov.graph.edges):
-        renaming = cv.is_good_cover(cov, args.budget)
-        if renaming is None:
-            print("not certified: the cover is not good under any naming")
-            return 1
-        cov = cv.apply_relabeling(cov, renaming)
-    cert = ce.certify_good_cover(cov, args.budget)
+    if args.mode == "order3":
+        certify = ce.certify_order3_cover
+    else:  # good mode renames first when needed
+        certify = ce.certify_good_cover
+        if not all(cv.classify_saturation(cov, e).is_good for e in cov.graph.edges):
+            renaming = cv.is_good_cover(cov, args.budget)
+            if renaming is None:
+                print("not certified: the cover is not good under any naming")
+                return 1
+            cov = cv.apply_relabeling(cov, renaming)
+    cert = certify(cov, args.budget)
     if cert is None:
         print("not certified: every qualifying coefficient vanishes")
         return 1
@@ -233,10 +229,14 @@ def _cmd_chi_dp(args) -> int:
 
 def _cmd_make_cover(args) -> int:
     g = load_graph(args.graph)
-    if args.bad_c3k:
+    if args.bad_c3k is not None:
         cov = cv.uncolorable_cover_c3k_square(args.bad_c3k)
+        if g != cov.graph:
+            raise PreconditionError(
+                f"--bad-c3k {args.bad_c3k} needs the graph C_{cov.graph.n}^2, got {args.graph!r}"
+            )
     elif args.pattern:
-        t = args.field or 3
+        t = 3 if args.field is None else args.field
         signs, offsets = parse_pattern_spec(args.pattern, g.edges)
         cov = cv.cover_from_pattern(g, t, signs, offsets)
     elif args.lists:

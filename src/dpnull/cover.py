@@ -232,8 +232,8 @@ def cover_from_pattern(
     gets sigma(a) = a - beta (good-diff) and a sign +1 edge gets
     sigma(a) = beta - a (bad-sum; only meaningful over F_3)."""
     fld = make_field(t)
-    signs = signs or {e: -1 for e in g.edges}
-    offsets = offsets or {e: 0 for e in g.edges}
+    signs = {e: -1 for e in g.edges} if signs is None else signs
+    offsets = {e: 0 for e in g.edges} if offsets is None else offsets
     if set(signs) != set(g.edges) or set(offsets) != set(g.edges):
         raise PreconditionError("signs and offsets must cover exactly the edge set")
     add = fld.add_table
@@ -261,7 +261,7 @@ def uncolorable_cover_c3k_square(k: int) -> Cover:
     (offset 2 = -1).  Every saturation function is good, yet no
     transversal exists."""
     if k < 2:
-        raise PreconditionError("the construction needs k >= 2")
+        raise PreconditionError(f"the construction needs k >= 2, got k={k}")
     n = 3 * k
     g = cycle_power(n, 2)
     offsets = {e: 2 if e in {(n - 2, n), (n - 1, n)} else 0 for e in g.edges}

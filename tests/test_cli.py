@@ -162,6 +162,20 @@ def test_certify_cover_good_mode_sound_negative(tmp_path, capsys):
     assert "not good" in out
 
 
+@pytest.mark.parametrize("mode", ["good", "order3"])
+def test_certify_cover_exits_1_when_every_qualifying_coefficient_vanishes(mode, tmp_path, capsys):
+    # the identity cover of K_{3,5} is good as named, and chi_DP(K_{3,5})
+    # <= 3, but the all-minus pattern fails the sign sweep
+    cov_path = tmp_path / "k35.cover"
+    code, _, _ = run_cli(
+        ["make-cover", "k3,5", "--pattern", "default:-0", "--out", str(cov_path)], capsys
+    )
+    assert code == 0
+    code, out, err = run_cli(["certify-cover", str(cov_path), "--mode", mode], capsys)
+    assert code == 1 and err == ""
+    assert out == "not certified: every qualifying coefficient vanishes\n"
+
+
 def test_certify_dp3_cli(capsys):
     code, out, _ = run_cli(["certify-dp3", "k4,4-m2", "--spanning-tree"], capsys)
     assert code == 0
@@ -292,6 +306,22 @@ def test_make_cover_bad_offset_is_input_error(capsys):
     code, _, err = run_cli(["make-cover", "c4", "--pattern", "1-2:+x"], capsys)
     assert code == 2
     assert "offset" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # --bad-c3k builds C_{3K}^2's cover, so the graph argument must be C_{3K}^2
+    (["make-cover", "k3", "--bad-c3k", "2"], "--bad-c3k 2 needs the graph C_6^2, got 'k3'"),
+    # K = 0 is a value given, not a missing option
+    (["make-cover", "c6sq", "--bad-c3k", "0"], "the construction needs k >= 2, got k=0"),
+    # --field 0 is a field order given, not the default 3
+    (["make-cover", "c4", "--pattern", "default:-0", "--field", "0"],
+     "field order must be at least 2, got 0"),
+    (["chi-dp", "k4,4", "--max-m", "-5"], "max_m must be at least 1, got -5"),
+], ids=["bad-c3k-graph", "bad-c3k-0", "field-0", "max-m-negative"])
+def test_out_of_range_values_are_input_errors(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_check_cover_on_a_long_path(tmp_path, capsys):

@@ -151,6 +151,14 @@ def test_cover_from_pattern_examples():
         C.cover_from_pattern(g, 3, {(1, 2): 2}, {(1, 2): 0})
 
 
+@pytest.mark.parametrize("signs, offsets", [({}, {}), ({}, None), (None, {})])
+def test_cover_from_pattern_takes_an_empty_dict_as_given(signs, offsets):
+    # only None means "every edge -1" / "every offset 0"; an empty dict
+    # misses every edge of C_4, as it does in poly.from_graph
+    with pytest.raises(PreconditionError, match="must cover exactly the edge set"):
+        C.cover_from_pattern(G.cycle(4), 3, signs=signs, offsets=offsets)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_pattern_round_trips_through_classification(data):

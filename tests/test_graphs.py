@@ -82,6 +82,11 @@ def test_parse_graph_name():
     assert G.parse_graph_name("k4,4-m2").edges == G.complete_bipartite_minus_matching(4, 4, 2).edges
     assert G.parse_graph_name("join(e2,p5)").edges == G.join(G.empty_graph(2), G.path(5)).edges
     assert G.parse_graph_name("cone(c4)").edges == G.cone(G.cycle(4)).edges
+    # join splits only at its top-level comma, not inside cone(...):
+    # cone(C_4) has 5 vertices and 8 edges, P_2 2 and 1, the join 5 * 2 more
+    nested = G.parse_graph_name("join(cone(c4),p2)")
+    assert (nested.n, len(nested.edges)) == (7, 19)
+    assert nested == G.join(G.cone(G.cycle(4)), G.path(2))
     assert G.parse_graph_name("frob99") is None
     assert G.parse_graph_name("p5").edges == G.path(5).edges
     assert G.parse_graph_name("c6").edges == G.cycle(6).edges
