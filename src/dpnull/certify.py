@@ -946,11 +946,43 @@ def certify_cone_unique3(g: Graph) -> Certificate:
 # bounds report
 
 # without max_m, dp_chromatic_bounds runs the exact search on a component
-# when it would walk at most this many covers (sum of m!^cotree over the open
-# range of m).  The search walks only about one cover per conjugation orbit,
-# but the estimate still counts every cover, so the components it settles,
-# and their notes, stay the same.
+# when it would walk at most this many covers: the search walks about one
+# cover per conjugation orbit, so the estimate counts orbits (see
+# `_cover_orbits`), summed over the open range of m.
 EXACT_SEARCH_COVERS = 20_000
+
+
+def _centralizers(m: int, k: int):
+    """The centralizer order prod_j j^a_j a_j! in S_m of each cycle type
+    with a_j cycles of length j <= k."""
+    if m == 0:
+        yield 1
+        return
+    for a in range(m // k + 1) if k > 1 else (m,):
+        for z in _centralizers(m - a * k, k - 1):
+            yield z * k ** a * math.factorial(a)
+
+
+def _cover_orbits(m: int, cotree: int, limit: int) -> int:
+    """The number of orbits of S_m acting by simultaneous conjugation on
+    `cotree`-tuples of permutations, the m-fold covers the exact search
+    walks, or some number above `limit` when there are more.
+
+    By Burnside the count is (1/m!) sum over sigma of |C(sigma)|^c, and the
+    m!/z sigma of one cycle type share the centralizer order z, so it is
+    the sum over cycle types of z^(c - 1).  The identity's term m!^(c - 1)
+    alone can pass the limit, and the sum stops once it does."""
+    if cotree == 0:
+        return 1
+    total = math.factorial(m) ** (cotree - 1)
+    if total > limit:
+        return total
+    total = 0
+    for z in _centralizers(m, m):
+        total += z ** (cotree - 1)
+        if total > limit:
+            break
+    return total
 
 
 @dataclass(frozen=True)
@@ -977,7 +1009,8 @@ def dp_chromatic_bounds(g: Graph, budget: Budget | None = None,
     all colorable is the exact value; an uncolorable cover at every m up to
     up - 1 makes up exact; a search that runs out of budget still raises lo
     past every m it refuted.  Without max_m the search runs only when it
-    would walk at most EXACT_SEARCH_COVERS covers.
+    would walk at most EXACT_SEARCH_COVERS covers, one per conjugation
+    orbit.
     """
     if g.n == 0:
         raise PreconditionError("the graph must have at least one vertex")
@@ -1034,7 +1067,7 @@ def dp_chromatic_bounds(g: Graph, budget: Budget | None = None,
                     notes.append(f"{tag}: lower bound {lo} already gives chi_DP > {max_m}")
             else:
                 cotree = len(sub.edges) - sub.n + 1
-                estimate = sum(math.factorial(m) ** cotree for m in range(lo, up))
+                estimate = sum(_cover_orbits(m, cotree, EXACT_SEARCH_COVERS) for m in range(lo, up))
                 hi = up - 1 if estimate <= EXACT_SEARCH_COVERS else 0
             if lo <= hi:
                 res = exact_dp_chromatic(sub, hi, budget, mmin=lo)

@@ -228,6 +228,11 @@ def _cmd_chi_dp(args) -> int:
 
 
 def _cmd_make_cover(args) -> int:
+    given = [name for name, value in (("--bad-c3k", args.bad_c3k), ("--pattern", args.pattern),
+                                      ("--lists", args.lists)) if value is not None]
+    if len(given) != 1:
+        got = f", got {', '.join(given)}" if given else ""
+        raise FormatError(f"make-cover needs exactly one of --pattern, --bad-c3k and --lists{got}")
     g = load_graph(args.graph)
     if args.bad_c3k is not None:
         cov = cv.uncolorable_cover_c3k_square(args.bad_c3k)
@@ -235,18 +240,16 @@ def _cmd_make_cover(args) -> int:
             raise PreconditionError(
                 f"--bad-c3k {args.bad_c3k} needs the graph C_{cov.graph.n}^2, got {args.graph!r}"
             )
-    elif args.pattern:
+    elif args.pattern is not None:
         t = 3 if args.field is None else args.field
         signs, offsets = parse_pattern_spec(args.pattern, g.edges)
         cov = cv.cover_from_pattern(g, t, signs, offsets)
-    elif args.lists:
+    else:
         lists = _read_lists(Path(args.lists).read_text())
         missing = [v for v in range(1, g.n + 1) if v not in lists]
         if missing:
             raise FormatError(f"lists file misses vertices {missing}")
         cov = cv.cover_from_lists(g, lists, args.field)
-    else:
-        raise FormatError("make-cover needs --pattern, --bad-c3k or --lists")
     text = cv.write_cover(cov)
     if args.out:
         Path(args.out).write_text(text)

@@ -714,10 +714,11 @@ class DpExactResult:
     failed, when one was found.
 
     covers_tested counts covers in `product` order, every m-fold cover
-    alike, although the search walks one per conjugation orbit: per m, all
-    m!^c covers (c cotree edges) when every one is colorable, the rank of
-    the lex-first uncolorable one plus one otherwise, and, where the budget
-    ran out, the rank of the first cover not settled.
+    alike, although the search walks one per conjugation orbit, and none at
+    an m that the coloring number settles: per m, all m!^c covers (c cotree
+    edges) when every one is colorable, the rank of the lex-first
+    uncolorable one plus one otherwise, and, where the budget ran out, the
+    rank of the first cover not settled.
     """
 
     status: str
@@ -749,6 +750,14 @@ def exact_dp_chromatic(g: Graph, mmax: int, budget: Budget | None = None,
     lex-least in its orbit, so the walk finds the same counterexample as a
     walk over every cover, and covers_tested still counts every cover
     before it, plus that one, for each m (see `DpExactResult`).
+
+    No m at or above the component's coloring number (1 + degeneracy,
+    `Graph.coloring_number`) is walked.  Coloring the vertices in the
+    reverse of a minimum-degree peel, each vertex has fewer than m colored
+    neighbours and each of them blocks at most one of its m labels, so
+    every m-fold cover is colorable (Dvorak and Postle, 2018).  The first
+    such m is the exact value: covers_tested adds the m!^c covers a
+    completed walk would count, and no walk step is charged.
     """
     if mmin is not None and mmin < 1:
         raise PreconditionError(f"the lower bound mmin must be >= 1, got {mmin}")
@@ -783,7 +792,13 @@ def _exact_dp_component(g: Graph, mmin: int | None, mmax: int, budget: Budget) -
         return DpExactResult("greater", None, 0, mmax)
     tested = 0
     last_bad = None
+    colorable_from = g.coloring_number()
     for m in range(start, mmax + 1):
+        if m >= colorable_from:
+            # greedy coloring settles every m-fold cover: the walk would
+            # find each of the m!^c covers colorable
+            cotree = len(g.edges) - g.n + 1
+            return DpExactResult("exact", m, tested + math.factorial(m) ** cotree, m, last_bad)
         # the chromatic number, or the re-check of the last m's
         # counterexample, left its own label on the budget
         budget.relabel("enumerating covers for exact chi_DP")

@@ -1098,6 +1098,46 @@ def test_a_connected_graph_gives_what_its_copy_gives(name):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+@pytest.mark.parametrize("c", (0, 1, 2, 3))
+def test_cover_orbits_match_brute_force(m, c):
+    # the orbits of S_m acting by simultaneous conjugation on c-tuples of
+    # permutations, each named by its least member
+    perms = list(permutations(range(m)))
+
+    def conjugate(sigma, pi):
+        # sigma pi sigma^-1 maps sigma(a) to sigma(pi(a))
+        image = [0] * m
+        for a, b in enumerate(pi):
+            image[sigma[a]] = sigma[b]
+        return tuple(image)
+
+    orbits = {min(tuple(conjugate(s, pi) for pi in t) for s in perms)
+              for t in product(perms, repeat=c)}
+    assert X._cover_orbits(m, c, 10**9) == len(orbits)
+    # a limit below the count gives a count above the limit
+    assert X._cover_orbits(m, c, len(orbits) - 1) > len(orbits) - 1
+
+
+def test_cover_orbits_stop_past_the_limit():
+    # S_3: 6^(c-1) + 2^(c-1) + 3^(c-1) orbits, the identity's term first
+    assert [X._cover_orbits(3, c, 10**9) for c in (4, 5, 6)] == [251, 1393, 8051]
+    assert X._cover_orbits(3, 6, 8050) == 7776 + 32 + 243
+    assert X._cover_orbits(3, 6, 7800) == 7776 + 32
+    assert X._cover_orbits(3, 6, 7775) == 7776
+    assert X._cover_orbits(3, 7, 20_000) == 6 ** 6
+
+
+def test_bounds_gate_the_exact_search_on_orbits():
+    # K_{3,4} has 6^6 = 46,656 covers at m = 3 but 8,051 orbits, so the
+    # search runs; K_{3,5} has 6^7 / 6 + ... > 20,000 orbits and stays open
+    b = X.dp_chromatic_bounds(G.complete_bipartite(3, 4))
+    assert (b.lower, b.upper, b.exact) == (3, 3, 3)
+    assert b.notes[-1] == "component 1 (7 vertices): exact search over 46656 covers gives 3"
+    b = X.dp_chromatic_bounds(G.complete_bipartite(3, 5))
+    assert (b.lower, b.upper, b.exact) == (3, 4, None)
+
+
 def test_bounds_k44_without_sweep_stays_open():
     b = X.dp_chromatic_bounds(G.complete_bipartite_minus_matching(4, 4, 2))
     assert (b.lower, b.upper) == (3, 4)

@@ -196,6 +196,15 @@ def test_chi_dp_report(capsys):
     assert "exact: 4" in out
 
 
+def test_chi_dp_settles_k34_by_the_orbit_gate(capsys):
+    # 46,656 covers at m = 3, but the walk visits one per conjugation
+    # orbit, 8,051 of them, within the gate of 20,000
+    code, out, err = run_cli(["chi-dp", "k3,4"], capsys)
+    assert code == 0 and err == ""
+    assert "exact: 3" in out.splitlines()
+    assert "note: component 1 (7 vertices): exact search over 46656 covers gives 3" in out
+
+
 def test_chi_dp_max_m_reports_greater(capsys):
     code, out, _ = run_cli(["chi-dp", "k4,4-m2", "--max-m", "2"], capsys)
     assert code == 0
@@ -322,6 +331,26 @@ def test_out_of_range_values_are_input_errors(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("options, named", [
+    (["--bad-c3k", "2", "--pattern", "1-2:+0"], ", got --bad-c3k, --pattern"),
+    (["--pattern", "default:-0", "--lists", "lists.txt"], ", got --pattern, --lists"),
+    (["--bad-c3k", "2", "--pattern", "", "--lists", "lists.txt"],
+     ", got --bad-c3k, --pattern, --lists"),
+    ([], ""),
+], ids=["bad-c3k-and-pattern", "pattern-and-lists", "all-three", "none"])
+def test_make_cover_takes_exactly_one_mode(options, named, capsys):
+    code, out, err = run_cli(["make-cover", "c6sq", *options], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: make-cover needs exactly one of --pattern, --bad-c3k and --lists{named}\n"
+
+
+def test_make_cover_empty_pattern_is_the_all_default_pattern(capsys):
+    # an empty spec is a spec given: every edge takes the default -0
+    code, out, err = run_cli(["make-cover", "c4", "--pattern", ""], capsys)
+    assert code == 0 and err == ""
+    assert out == C.write_cover(C.cover_from_pattern(G.cycle(4), 3))
 
 
 def test_check_cover_on_a_long_path(tmp_path, capsys):

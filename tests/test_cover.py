@@ -396,20 +396,26 @@ def test_exact_dp_chromatic_budget_spent_after_a_counterexample_names_the_walk()
     assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 100_000)
 
 
+PRISM = G.from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (1, 4), (2, 5), (3, 6)])
+
+
 def test_exact_dp_chromatic_over_two_components():
     # K_{3,3} refutes m = 2 with a re-checked counterexample and settles
-    # m = 3 (463 steps); K_4 then settles m = 4 (827 steps)
-    k33, k4 = G.complete_bipartite(3, 3), G.complete(4)
-    g = G.from_edges(10, k33.edges + tuple((i + 6, j + 6) for i, j in k4.edges))
+    # m = 3 (463 steps); the prism (chi 3, coloring number 4) then settles
+    # m = 3 by a walk (490 steps), its value no greater than K_{3,3}'s, so
+    # the witness stays K_{3,3}'s m = 2 counterexample
+    k33 = G.complete_bipartite(3, 3)
+    g = G.from_edges(12, k33.edges + tuple((i + 6, j + 6) for i, j in PRISM.edges))
     budget = Budget(10**9)
     res = C.exact_dp_chromatic(g, 4, budget)
-    assert (res.status, res.value, res.m_reached) == ("exact", 4, 4)
-    assert res.covers_tested == sum(C.exact_dp_chromatic(h, 4).covers_tested for h in (k33, k4))
-    assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 463 + 827)
-    # a budget that runs out in K_4's walk names the walk
+    assert (res.status, res.value, res.m_reached) == ("exact", 3, 3)
+    assert res.covers_tested == sum(C.exact_dp_chromatic(h, 4).covers_tested for h in (k33, PRISM))
+    assert res.counterexample.t == 2
+    assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 463 + 490)
+    # a budget that runs out in the prism's walk names the walk
     budget = Budget(663)
     res = C.exact_dp_chromatic(g, 4, budget)
-    assert (res.status, res.m_reached, res.covers_tested) == ("unknown", 4, 1949)
+    assert (res.status, res.m_reached, res.covers_tested) == ("unknown", 3, 1340)
     assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 663)
 
 
@@ -450,7 +456,25 @@ def test_exact_walk_visits_one_cover_per_conjugation_orbit(name, g, c, orbits, m
     monkeypatch.setattr(C, "_walk", counted)
     res = C.exact_dp_chromatic(g, 3, mmin=3)
     assert (res.status, res.value, res.covers_tested) == ("exact", 3, 6 ** c)
+    if g.coloring_number() <= 3:
+        # greedy coloring settles m = 3 without a walk, so walk it here
+        assert leaves == []
+        walked = C._cover_walk(g, dict.fromkeys(g.forest, 3), Budget(10**9), C._orbits(3))
+        assert walked == (6 ** c, None, True)
     assert leaves == [conjugation_orbits_s3(c)] == [orbits]
+
+
+def test_exact_dp_chromatic_at_the_coloring_number_charges_no_walk():
+    # K_{2,6} has coloring number 3: m = 3 is settled with no walk, counting
+    # the 6^5 covers a walk would, and cone(P_40) spends its 42 steps on the
+    # chromatic number alone
+    budget = Budget(10**7)
+    assert C.exact_dp_chromatic(G.complete_bipartite(2, 6), 3, budget, mmin=3) == (
+        C.DpExactResult("exact", 3, 6 ** 5, 3))
+    assert budget.spent == 0
+    res = C.exact_dp_chromatic(G.cone(G.path(40)), 3, budget)
+    assert (res.status, res.value, res.covers_tested, res.m_reached) == ("exact", 3, 6 ** 39, 3)
+    assert (budget.what, budget.spent) == ("computing the chromatic number", 42)
 
 
 @pytest.mark.parametrize("m,c", [(3, 1), (3, 2), (3, 3), (3, 4), (4, 2)])
@@ -659,6 +683,43 @@ def test_exact_dp_chromatic_matches_per_cover_enumeration_on_random_graphs():
         with_counterexample += C.exact_dp_chromatic(g, mmax).counterexample is not None
         checked += 1
     assert with_counterexample >= 10
+
+
+def test_exact_dp_chromatic_never_walks_at_the_coloring_number(monkeypatch):
+    # every walk is at some m below the walked component's coloring number,
+    # and the results match one oracle call per cover wherever that is small
+    walk, seen = C._cover_walk, []
+
+    def checked(g, f, budget, orbits=None):
+        m = f[1]
+        assert m < g.coloring_number(), (g, m)
+        seen.append(m)
+        return walk(g, f, budget, orbits)
+
+    monkeypatch.setattr(C, "_cover_walk", checked)
+    rng = random.Random(7)
+    graphs = [t for t in G.tree_catalog(7) if t.n > 1]
+    for _ in range(40):
+        n = rng.randint(4, 7)
+        graphs.append(random_graph(rng, n, rng.choice((0.3, 0.5, 0.7, 0.9))))
+        # bipartite graphs with a cycle walk from m = 2
+        k = rng.randint(2, n - 2)
+        graphs.append(G.from_edges(n, [(i, j) for i in range(1, k + 1)
+                                       for j in range(k + 1, n + 1) if rng.random() < 0.7]))
+    compared = settled = 0
+    for g in graphs:
+        c = len(g.edges) - g.n + len(g.components())
+        # keep the m = 4 walks small
+        mmax = 4 if c <= 3 else 3
+        got = C.exact_dp_chromatic(g, mmax, Budget(10**9))
+        assert got.status in ("exact", "greater")
+        top = max(g.subgraph(comp).coloring_number() for comp in g.components())
+        settled += got.value == top
+        # the reference walks every cover up to the value, at most `top`
+        if sum(math.factorial(m) ** c for m in range(2, min(mmax, top) + 1)) <= 3000:
+            assert_exact_matches_reference(g, mmax)
+            compared += 1
+    assert len(seen) > 10 and settled > 50 and compared > 60
 
 
 @pytest.mark.parametrize("g", [G.path(3), G.cycle(3), G.cycle(4), G.cycle(5)],
