@@ -814,20 +814,12 @@ def certify_unique_list(g: Graph, lists: dict[int, tuple[int, ...]], t: int) -> 
     the list grid is nonzero, so every good prime cover of order t with the
     same size function is colorable."""
     fld = make_field(t)
-    sets = {}
-    for v in range(1, g.n + 1):
-        if v not in lists or not lists[v]:
-            raise PreconditionError(f"missing or empty list at vertex {v}")
-        pts = tuple(sorted(set(lists[v])))
-        for c in pts:
-            fld.check(c)
-        sets[v] = pts
-    total = sum(len(sets[v]) for v in sets)
+    cov = cover_from_lists(g, lists, t)
+    total = sum(map(len, cov.labels))
     if total != g.n + len(g.edges):
         raise PreconditionError(
             f"list sizes sum to {total}, need |V| + |E| = {g.n + len(g.edges)}"
         )
-    cov = cover_from_lists(g, sets, t)
     colorings = list(islice(transversals(cov), 2))
     if len(colorings) != 1:
         raise PreconditionError(
@@ -836,7 +828,7 @@ def certify_unique_list(g: Graph, lists: dict[int, tuple[int, ...]], t: int) -> 
         )
     point = colorings[0]
     poly = from_graph(g, fld)
-    grid = Grid(fld, tuple(sets[v] for v in range(1, g.n + 1)))
+    grid = Grid(fld, cov.labels)
     coeff = grid.coefficient(poly)
     # the grid sum collapses to the unique coloring's term
     n_inv = 1
@@ -846,7 +838,7 @@ def certify_unique_list(g: Graph, lists: dict[int, tuple[int, ...]], t: int) -> 
     if coeff != single:
         raise MethodDisagreement(f"grid sum {coeff} != single-point value {single}")
     assert coeff != 0
-    monomial = tuple(len(sets[v]) - 1 for v in range(1, g.n + 1))
+    monomial = tuple(len(pts) - 1 for pts in cov.labels)
     return Certificate(
         kind="unique-list",
         t=t,
@@ -855,7 +847,7 @@ def certify_unique_list(g: Graph, lists: dict[int, tuple[int, ...]], t: int) -> 
         coefficient=coeff,
         witness=point,
         verified=is_valid_transversal(cov, point),
-        work={"grid_points": math.prod(len(sets[v]) for v in sets)},
+        work={"grid_points": math.prod(map(len, cov.labels))},
     )
 
 

@@ -19,7 +19,7 @@ from itertools import product
 from pathlib import Path
 
 from .budget import Budget, BudgetExceeded
-from .errors import FormatError, MethodDisagreement, PreconditionError
+from .errors import FormatError, PreconditionError
 from .ff import FieldError, make_field
 from . import certify as ce
 from . import cover as cv
@@ -245,11 +245,9 @@ def _cmd_make_cover(args) -> int:
         signs, offsets = parse_pattern_spec(args.pattern, g.edges)
         cov = cv.cover_from_pattern(g, t, signs, offsets)
     else:
-        lists = _read_lists(Path(args.lists).read_text())
-        missing = [v for v in range(1, g.n + 1) if v not in lists]
-        if missing:
-            raise FormatError(f"lists file misses vertices {missing}")
-        cov = cv.cover_from_lists(g, lists, args.field)
+        if not args.lists:
+            raise FormatError(f"--lists needs a file name, got {args.lists!r}")
+        cov = cv.cover_from_lists(g, _read_lists(Path(args.lists).read_text()), args.field)
     text = cv.write_cover(cov)
     if args.out:
         Path(args.out).write_text(text)
@@ -259,24 +257,18 @@ def _cmd_make_cover(args) -> int:
 
 
 def _read_lists(text: str) -> dict[int, tuple[int, ...]]:
+    """Parse a lists file: one '[L] <v> <c1> <c2> ...' record per vertex.
+    Which vertices it must cover is `cover_from_lists`' check."""
     lists = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for ln, parts in gr.read_records(text):
         if parts[0] == "L":
             parts = parts[1:]
-        try:
-            v = int(parts[0])
-            colors = tuple(int(x) for x in parts[1:])
-        except (ValueError, IndexError):
-            raise FormatError("list record must be '[L] <v> <c1> <c2> ...'", ln) from None
+        v, *colors = gr.record_ints(parts, ln, "list record must be '[L] <v> <c1> <c2> ...'", 1)
         if not colors:
             raise FormatError(f"vertex {v} has an empty list", ln)
         if v in lists:
             raise FormatError(f"duplicate list for vertex {v}", ln)
-        lists[v] = colors
+        lists[v] = tuple(colors)
     return lists
 
 
@@ -607,8 +599,8 @@ def exit_code(fn, *args) -> int:
     """Call fn(*args), flush stdout and return fn's exit code, or map the
     toolkit's errors to the documented codes, each with a one-line message
     on stderr: 2 for an input error, 3 for an exhausted budget or
-    expansion limit, and 141, silently, for a stdout closed by the
-    reader."""
+    expansion limit, 2 for a failed internal check (an AssertionError),
+    and 141, silently, for a stdout closed by the reader."""
     try:
         code = fn(*args)
         sys.stdout.flush()
@@ -625,7 +617,7 @@ def exit_code(fn, *args) -> int:
     except (BudgetExceeded, pl.ExpansionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except MethodDisagreement as exc:
+    except AssertionError as exc:  # a failed internal check, MethodDisagreement among them
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import combinations, permutations, takewhile
+from itertools import combinations, islice, permutations, takewhile
 from operator import or_
 
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .errors import FormatError, PreconditionError
 from .ff import FieldSpec, make_field
-from .graphs import Edge, Graph, chromatic_number, cycle_power, from_edges, spanning_tree
+from .graphs import (Edge, Graph, chromatic_number, cycle_power, from_edges, read_records,
+                     record_ints, spanning_tree)
 
 GOOD_DIFF = "good-diff"
 BAD_SUM = "bad-sum"
@@ -205,7 +206,14 @@ def count_transversals(cover: Cover) -> int:
 def cover_from_lists(g: Graph, lists: dict[int, tuple[int, ...]], t: int | None = None) -> Cover:
     """Cover encoding a list-coloring instance: labels are the lists and each
     edge matches equal colors, so H-colorings are exactly proper list
-    colorings."""
+    colorings.  The one check of a list assignment: a list for exactly the
+    vertices 1..n, none empty, its colours in F_t."""
+    missing = [v for v in range(1, g.n + 1) if v not in lists]
+    extra = sorted(v for v in lists if not 1 <= v <= g.n)
+    if missing or extra:
+        raise PreconditionError(
+            f"need a list for exactly the vertices 1..{g.n}: missing {missing}, extra {extra}"
+        )
     top = max((c for l in lists.values() for c in l), default=0)
     size = max((len(l) for l in lists.values()), default=1)
     if t is None:
@@ -879,55 +887,41 @@ def write_cover(cover: Cover) -> str:
 
 
 def read_cover(text: str) -> Cover:
-    """Parse a cover file.  The base graph is inferred from the M records, so
-    edges carrying an empty matching are not represented (they constrain
-    nothing)."""
+    """Parse a cover file on vertices 1..n, n the highest vertex named.  The
+    base graph is inferred from the M records, so edges carrying an empty
+    matching are not represented (they constrain nothing)."""
     t = None
     labels: dict[int, tuple[int, ...]] = {}
     matchings: dict[Edge, dict[int, int]] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for ln, parts in read_records(text):
         if parts[0] == "cover":
             if t is not None:
                 raise FormatError("duplicate cover header", ln)
             if len(parts) != 2 or not parts[1].startswith("t="):
                 raise FormatError("header must be 'cover t=<t>'", ln)
-            try:
-                t = int(parts[1][2:])
-            except ValueError:
-                raise FormatError("order t must be an integer", ln) from None
+            (t,) = record_ints([parts[1][2:]], ln, "order t must be an integer")
         elif parts[0] == "L":
             if t is None:
                 raise FormatError("label record before header", ln)
-            try:
-                v = int(parts[1])
-                ls = tuple(int(x) for x in parts[2:])
-            except (ValueError, IndexError):
-                raise FormatError("label record must be 'L <v> <a1> <a2> ...'", ln) from None
+            v, *ls = record_ints(parts[1:], ln, "label record must be 'L <v> <a1> <a2> ...'", 1)
+            if v < 1:
+                raise FormatError(f"label record for vertex {v}, vertices start at 1", ln)
             if v in labels:
                 raise FormatError(f"duplicate label record for vertex {v}", ln)
             labels[v] = tuple(sorted(ls))
         elif parts[0] == "M":
             if t is None:
                 raise FormatError("matching record before header", ln)
-            try:
-                i, j = int(parts[1]), int(parts[2])
-            except (ValueError, IndexError):
-                raise FormatError("matching record must be 'M <i> <j> <a>-><b> ...'", ln) from None
-            if not i < j:
-                raise FormatError(f"matching endpoints must satisfy i < j, got {i}, {j}", ln)
+            i, j = record_ints(parts[1:3], ln,
+                               "matching record must be 'M <i> <j> <a>-><b> ...'", 2)
+            if not 1 <= i < j:
+                raise FormatError(f"matching endpoints must satisfy 1 <= i < j, got {i}, {j}", ln)
             sigma = {}
             for tok in parts[3:]:
                 if "->" not in tok:
                     raise FormatError(f"bad pair {tok!r}, expected '<a>-><b>'", ln)
-                a_s, b_s = tok.split("->", 1)
-                try:
-                    a, b = int(a_s), int(b_s)
-                except ValueError:
-                    raise FormatError(f"bad pair {tok!r}, labels must be integers", ln) from None
+                a, b = record_ints(tok.split("->", 1), ln,
+                                   f"bad pair {tok!r}, labels must be integers")
                 if a in sigma:
                     raise FormatError(f"label {a} matched twice on edge ({i}, {j})", ln)
                 sigma[a] = b
@@ -936,13 +930,15 @@ def read_cover(text: str) -> Cover:
             if (i, j) in matchings:
                 raise FormatError(f"duplicate matching record for edge ({i}, {j})", ln)
             matchings[(i, j)] = sigma
+        else:
+            raise FormatError(f"unknown record {parts[0]!r}", ln)
     if t is None:
         raise FormatError("missing 'cover t=<t>' header")
     if not labels:
         raise FormatError("cover has no label records")
-    n = max(labels)
-    missing = [v for v in range(1, n + 1) if v not in labels]
-    if missing:
+    n = max([*labels, *(j for _, j in matchings)])
+    missing = list(islice((v for v in range(1, n + 1) if v not in labels), 10))
+    if missing:  # the first ten: L 1000000000 ... alone misses nearly every vertex
         raise FormatError(f"missing label records for vertices {missing}")
     g = from_edges(n, sorted(matchings))
     cov = Cover(g, t, tuple(labels[v] for v in range(1, n + 1)), matchings)

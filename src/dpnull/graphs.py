@@ -124,10 +124,14 @@ class Graph:
         return xs, ys
 
     def coloring_number(self) -> int:
-        """1 + degeneracy, via repeated minimum-degree removal.  A bucket
-        queue by degree serves the minimum; the degeneracy does not depend
-        on how ties are broken.  Entries go stale when a degree drops and
-        are skipped when popped."""
+        return self._coloring_number
+
+    @cached_property
+    def _coloring_number(self) -> int:
+        """1 + degeneracy, via repeated minimum-degree removal, peeled once
+        per graph.  A bucket queue by degree serves the minimum; the
+        degeneracy does not depend on how ties are broken.  Entries go stale
+        when a degree drops and are skipped when popped."""
         if self.n == 0:
             return 0
         adj = self.adjacency
@@ -502,6 +506,28 @@ def unique_k_analysis(g: Graph, k: int) -> ColorClassStats:
 # ---------------------------------------------------------------------------
 # text format: '#' comments, "p <n> <m>" header, "e <i> <j>" lines, i < j
 
+def read_records(text: str):
+    """The record syntax of the graph, cover and list formats: yield
+    (line number, fields) for every line that is neither blank nor a '#'
+    comment, lines numbered from 1."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields and not fields[0].startswith("#"):
+            yield ln, fields
+
+
+def record_ints(fields, line: int, message: str, least: int = 0) -> list[int]:
+    """The fields of one record as integers, at least `least` of them, or
+    FormatError(message, line)."""
+    try:
+        ints = [int(x) for x in fields]
+    except ValueError:
+        raise FormatError(message, line) from None
+    if len(ints) < least:
+        raise FormatError(message, line)
+    return ints
+
+
 def write_graph(g: Graph) -> str:
     lines = [f"p {g.n} {len(g.edges)}"]
     lines.extend(f"e {i} {j}" for i, j in g.edges)
@@ -512,29 +538,19 @@ def read_graph(text: str) -> Graph:
     n = None
     m = None
     edges = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for ln, parts in read_records(text):
         if parts[0] == "p":
             if n is not None:
                 raise FormatError("duplicate header", ln)
             if len(parts) != 3:
                 raise FormatError("header must be 'p <n> <m>'", ln)
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FormatError("header counts must be integers", ln) from None
+            n, m = record_ints(parts[1:], ln, "header counts must be integers")
         elif parts[0] == "e":
             if n is None:
                 raise FormatError("edge before header", ln)
             if len(parts) != 3:
                 raise FormatError("edge must be 'e <i> <j>'", ln)
-            try:
-                i, j = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FormatError("edge endpoints must be integers", ln) from None
+            i, j = record_ints(parts[1:], ln, "edge endpoints must be integers")
             if not (1 <= i < j <= n):
                 raise FormatError(f"edge ({i}, {j}) violates 1 <= i < j <= {n}", ln)
             edges.append((i, j))

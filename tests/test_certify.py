@@ -1138,6 +1138,17 @@ def test_bounds_gate_the_exact_search_on_orbits():
     assert (b.lower, b.upper, b.exact) == (3, 4, None)
 
 
+def test_bounds_peel_a_searched_component_once(monkeypatch):
+    # K_{3,4}'s gap [3, 4] is searched: the bounds and the search read one
+    # cached coloring number
+    prop = vars(G.Graph)["_coloring_number"]
+    peels = []
+    monkeypatch.setattr(prop, "func", lambda g, peel=prop.func: peels.append(g) or peel(g))
+    bounds = X.dp_chromatic_bounds(G.complete_bipartite(3, 4))
+    assert bounds.exact == 3 and any("exact search" in note for note in bounds.notes)
+    assert len(peels) == 1
+
+
 def test_bounds_k44_without_sweep_stays_open():
     b = X.dp_chromatic_bounds(G.complete_bipartite_minus_matching(4, 4, 2))
     assert (b.lower, b.upper) == (3, 4)

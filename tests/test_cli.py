@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpnull import certify as ce
 from dpnull import cli
 from dpnull import cover as C
 from dpnull import graphs as G
@@ -326,11 +327,42 @@ def test_make_cover_bad_offset_is_input_error(capsys):
     (["make-cover", "c4", "--pattern", "default:-0", "--field", "0"],
      "field order must be at least 2, got 0"),
     (["chi-dp", "k4,4", "--max-m", "-5"], "max_m must be at least 1, got -5"),
-], ids=["bad-c3k-graph", "bad-c3k-0", "field-0", "max-m-negative"])
+    # an empty file name is a value given, not the current directory
+    (["make-cover", "c4", "--lists", ""], "--lists needs a file name, got ''"),
+], ids=["bad-c3k-graph", "bad-c3k-0", "field-0", "max-m-negative", "lists-empty"])
 def test_out_of_range_values_are_input_errors(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    # vertex numbers lie in 1..n: neither file may drop or add a vertex
+    ("l0.cover", "cover t=3\nL 0 0 1 2\nL 1 0 1 2\n", ["check-cover", "l0.cover"],
+     "line 2: label record for vertex 0, vertices start at 1"),
+    ("lists.txt", "1 0 1\n2 0 1\n3 0 1\n4 0 1\n9 5 6\n",
+     ["make-cover", "c4", "--lists", "lists.txt"],
+     "need a list for exactly the vertices 1..4: missing [], extra [9]"),
+], ids=["cover-vertex-0", "list-for-a-non-vertex"])
+def test_malformed_input_files_are_input_errors(name, text, argv, message, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_failed_internal_check_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys):
+    # exit 1 is a sound negative, so a failed check must not escape `run`
+    cov_path = tmp_path / "c6sq.cover"
+    code, _, _ = run_cli(["make-cover", "c6sq", "--pattern", "1-2:+0,1-3:+0,default:-0",
+                          "--out", str(cov_path)], capsys)
+    assert code == 0
+    monkeypatch.setattr(ce, "is_valid_transversal", lambda cover, choice: False)
+    code, out, err = run_cli(["certify-cover", str(cov_path), "--mode", "order3"], capsys)
+    assert code == 2 and out == ""
+    assert err == "internal consistency failure: extracted witness is not a valid transversal\n"
 
 
 @pytest.mark.parametrize("options, named", [

@@ -139,6 +139,15 @@ def test_cover_from_lists_examples():
     assert C.h_coloring_search(c3) is None
 
 
+def test_cover_from_lists_needs_a_list_for_exactly_the_vertices():
+    with pytest.raises(PreconditionError, match=r"missing \[3\], extra \[\]"):
+        C.cover_from_lists(G.path(3), {1: (0,), 2: (0, 1)})
+    with pytest.raises(PreconditionError, match=r"missing \[\], extra \[0, 9\]"):
+        C.cover_from_lists(G.path(2), {0: (1,), 1: (0,), 2: (0, 1), 9: (5, 6)})
+    with pytest.raises(PreconditionError, match="vertex 2: empty label set"):
+        C.cover_from_lists(G.path(2), {1: (0,), 2: ()})
+
+
 def test_cover_from_pattern_examples():
     g = G.path(2)
     ident = C.cover_from_pattern(G.cycle(3), 3)
@@ -1197,8 +1206,60 @@ def test_cover_read_accepts_comments_and_validates():
         ("cover t=3\nL 1 0\nL 2 0\nM 1 2 0->0 0->1\n", "matched twice"),
         ("cover t=3\nL 1 5\nL 2 0\nM 1 2 5->0\n", "outside"),
         ("cover t=3\n", "no label records"),
+        ("cover t=3\nL 0 0 1 2\nL 1 0 1 2\n", "line 2: label record for vertex 0"),
+        ("cover t=3\nL -1 0\nL 1 0\n", "line 2: label record for vertex -1"),
+        ("cover t=3\nL 1 0 1\nM 1 2 0->0\n", r"missing label records for vertices \[2\]"),
+        ("cover t=3\nL 1 0 1\nM 0 1 0->0\n", "line 3: matching endpoints must satisfy 1 <= i < j"),
+        ("cover t=3\nL 1 0\nm 1 2 0->0\n", "line 3: unknown record 'm'"),
+        # a far-out vertex names the first ten vertices without a record
+        ("cover t=3\nL 100000 0\n", r"vertices \[1, 2, 3, 4, 5, 6, 7, 8, 9, 10\]$"),
     ],
 )
 def test_cover_read_rejects_malformed(text, fragment):
     with pytest.raises(FormatError, match=fragment):
         C.read_cover(text)
+
+
+@st.composite
+def edited(draw, texts, tokens):
+    """One of `texts` with up to three edits, each dropping or repeating a
+    line or putting one of the format's tokens in place of a field, or
+    after the last."""
+    lines = [line.split() for line in draw(st.sampled_from(texts)).splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("drop", "repeat", "field")))
+        if edit == "drop":
+            del lines[k]
+        elif edit == "repeat":
+            lines.insert(k, lines[k])
+        else:
+            i = draw(st.integers(0, len(lines[k])))
+            lines[k] = lines[k][:i] + [draw(st.sampled_from(tokens))] + lines[k][i + 1:]
+    return "\n".join(map(" ".join, lines))
+
+
+NUMBERS = tuple(map(str, range(-1, 6)))
+GRAPH_TEXT = edited(
+    [G.write_graph(g) for g in (G.cycle(4), G.complete(4), G.path(3), G.empty_graph(2))],
+    ("p", "e", "q", "#", "x", *NUMBERS))
+COVER_TEXT = edited(
+    [C.write_cover(c) for c in (C.cover_from_pattern(G.cycle(4), 3),
+                                C.uncolorable_cover_c3k_square(2),
+                                C.cover_from_lists(G.path(3), {1: (0,), 2: (0, 1), 3: (1, 2)}))],
+    ("cover", "t=3", "t=x", "L", "M", "m", "#", "x", "->", "0->1", "x->1", *NUMBERS))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(GRAPH_TEXT.map(lambda text: (G.read_graph, G.write_graph, text)),
+                 COVER_TEXT.map(lambda text: (C.read_cover, C.write_cover, text))))
+def test_readers_return_or_raise_format_errors(case):
+    read, write, text = case
+    try:
+        got = read(text)
+    except FormatError:
+        return
+    again = read(write(got))
+    assert write(again) == write(got)

@@ -423,6 +423,13 @@ def test_bfs_callers_match_queue_walks():
         assert g.contains_cycle() == (len(g.edges) > len(tree))
 
 
+def test_coloring_number_is_cached_and_pickles():
+    g = G.cone(G.path(6))
+    assert g.coloring_number() == 3 and vars(g)["_coloring_number"] == 3
+    again = pickle.loads(pickle.dumps(g))
+    assert again == g and again.coloring_number() == 3 and again.forest == g.forest
+
+
 def count_colorings_oracle(g, lists):
     total = 0
     for assign in product(*(lists[v] for v in range(1, g.n + 1))):
