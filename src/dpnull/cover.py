@@ -214,11 +214,11 @@ def cover_from_lists(g: Graph, lists: dict[int, tuple[int, ...]], t: int | None 
         raise PreconditionError(
             f"need a list for exactly the vertices 1..{g.n}: missing {missing}, extra {extra}"
         )
-    top = max((c for l in lists.values() for c in l), default=0)
-    size = max((len(l) for l in lists.values()), default=1)
-    if t is None:
-        t = smallest_prime_power(max(top + 1, size, 2))
     labels = tuple(tuple(sorted(set(lists[v]))) for v in range(1, g.n + 1))
+    if t is None:
+        # a label set of distinct colours in 0..top has at most top + 1 of them
+        top = max((c for l in labels for c in l), default=0)
+        t = smallest_prime_power(max(top + 1, 2))
     matchings = {}
     for i, j in g.edges:
         shared = set(labels[i - 1]) & set(labels[j - 1])

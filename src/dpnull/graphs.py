@@ -442,8 +442,11 @@ def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int |
 
     The cached BFS forest settles k <= 2 with no search: a graph with no
     edges needs 1 color and a bipartite one 2.  Any other graph has an odd
-    cycle, and the first partition `_partitions` finds into at most k
-    classes settles k = 3..kmax in turn.
+    cycle and needs at least 3; greedy coloring in smallest-last order
+    needs at most its coloring number (Szekeres-Wilf), so the cached peel
+    settles every k from the coloring number up with no search.  Below it,
+    the first partition `_partitions` finds into at most k classes settles
+    k = 3, 4, ... in turn.
     """
     budget = ensure_budget(budget, 50_000_000, "computing the chromatic number")
     if g.n == 0:
@@ -451,8 +454,9 @@ def chromatic_number(g: Graph, kmax: int, budget: Budget | None = None) -> int |
     if g.bipartition() is not None:
         least = 2 if g.edges else 1
         return least if least <= kmax else None
+    bound = g.coloring_number()
     for k in range(3, kmax + 1):
-        if next(_partitions(g, k, budget), None) is not None:
+        if k >= bound or next(_partitions(g, k, budget), None) is not None:
             return k
     return None
 

@@ -2,6 +2,7 @@
 pattern sweeps count and verdict correctly, and the family certifiers
 enforce their hypotheses."""
 import random
+import re
 import tracemalloc
 from functools import partial
 from itertools import permutations, product
@@ -1177,3 +1178,41 @@ def test_bounds_do_not_report_an_unresolved_chromatic_number():
         "component 1 (5 vertices): complete, upper bound 5",
     )
     assert (bounds.lower, bounds.upper, bounds.exact) == (3, 5, None)
+
+
+def _brute_chromatic(g):
+    return next(k for k in range(1, g.n + 1)
+                if any(all(a[i - 1] != a[j - 1] for i, j in g.edges)
+                       for a in product(range(k), repeat=g.n)))
+
+
+def _random_connected(rng, n, m):
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+    rest = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in edges]
+    return G.from_edges(n, sorted(edges | set(rng.sample(rest, m - n + 1))))
+
+
+def test_bounds_stay_sound_at_every_budget():
+    # every budget from 1 to the unbudgeted spend + 1: wherever it runs out
+    # (the chromatic number, the C_3k^2 cover or the exact walk), the bounds
+    # hold the true chi_DP, an exact value is the true one, and a reported
+    # chromatic number is the true one
+    prism = G.from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (1, 4), (2, 5), (3, 6)])
+    graphs = [G.cycle(5), G.cycle(7), G.complete(4), G.complete(5), G.cycle_power(6, 2),
+              G.cycle_power(7, 2), G.cycle_power(9, 2), G.cone(G.cycle(4)), prism,
+              G.complete_bipartite(3, 3)]
+    rng = random.Random(2029)
+    graphs += [_random_connected(rng, n, n - 1 + cotree)
+               for n in (5, 6, 7) for cotree in (2, 3) for _ in range(4)]
+    for g in graphs:
+        budget = Budget(10**9)
+        full = X.dp_chromatic_bounds(g, budget)
+        assert full.exact is not None, g
+        chi = _brute_chromatic(g)
+        for limit in range(1, budget.spent + 2):
+            b = X.dp_chromatic_bounds(g, Budget(limit))
+            assert b.lower <= full.exact <= b.upper, (g, limit)
+            assert b.exact in (None, full.exact), (g, limit)
+            named = {int(m[1]) for note in b.notes if (m := re.search(r": chromatic number (\d+)$", note))}
+            assert named <= {chi}, (g, limit)
+        assert b == full, g

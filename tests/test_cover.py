@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dpnull.budget import Budget, BudgetExceeded
 from dpnull.errors import FormatError, PreconditionError
 from dpnull.ff import make_field
+from dpnull import cli
 from dpnull import cover as C
 from dpnull import graphs as G
 
@@ -137,6 +138,18 @@ def test_cover_from_lists_examples():
     assert C.h_coloring_search(c4) is not None
     c3 = C.cover_from_lists(G.cycle(3), {v: (0, 1) for v in range(1, 4)}, 2)
     assert C.h_coloring_search(c3) is None
+
+
+def test_cover_from_lists_sizes_its_field_from_the_label_sets(tmp_path, capsys):
+    # repeated colours are one label: {0} and {1} fit F_2, though the first
+    # list has three entries; an explicit t is kept
+    lists = {1: (0, 0, 0), 2: (1,)}
+    assert C.cover_from_lists(G.path(2), lists).t == 2
+    assert C.cover_from_lists(G.path(2), lists, 3).t == 3
+    lists_path = tmp_path / "lists.txt"
+    lists_path.write_text("1 0 0 0\n2 1\n")
+    assert cli.run(["make-cover", "p2", "--lists", str(lists_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "cover t=2"
 
 
 def test_cover_from_lists_needs_a_list_for_exactly_the_vertices():
@@ -475,15 +488,15 @@ def test_exact_walk_visits_one_cover_per_conjugation_orbit(name, g, c, orbits, m
 
 def test_exact_dp_chromatic_at_the_coloring_number_charges_no_walk():
     # K_{2,6} has coloring number 3: m = 3 is settled with no walk, counting
-    # the 6^5 covers a walk would, and cone(P_40) spends its 42 steps on the
-    # chromatic number alone
+    # the 6^5 covers a walk would, and cone(P_40), of coloring number 3 too,
+    # spends no step at all: the peel settles its chromatic number as well
     budget = Budget(10**7)
     assert C.exact_dp_chromatic(G.complete_bipartite(2, 6), 3, budget, mmin=3) == (
         C.DpExactResult("exact", 3, 6 ** 5, 3))
     assert budget.spent == 0
     res = C.exact_dp_chromatic(G.cone(G.path(40)), 3, budget)
     assert (res.status, res.value, res.covers_tested, res.m_reached) == ("exact", 3, 6 ** 39, 3)
-    assert (budget.what, budget.spent) == ("computing the chromatic number", 42)
+    assert (budget.what, budget.spent) == ("computing the chromatic number", 0)
 
 
 @pytest.mark.parametrize("m,c", [(3, 1), (3, 2), (3, 3), (3, 4), (4, 2)])

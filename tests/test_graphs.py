@@ -248,20 +248,29 @@ def mycielskian(g):
 
 def test_chromatic_number_matches_recursive_search_and_ticks():
     exhausted = 0
-    hard = [mycielskian(G.cycle(5)), mycielskian(G.cycle(7)), G.cycle_power(11, 3),
-            G.cycle_power(13, 4)]
+    hard = [mycielskian(G.cycle(5)), mycielskian(G.cycle(7)), mycielskian(G.cycle(9)),
+            G.cycle_power(11, 3), G.cycle_power(13, 4), G.cycle_power(15, 4)]
     for g in _random_graphs(31, 80, 9) + hard + [G.cycle_power(7, 2), G.complete(6), G.path(12)]:
         for kmax in (2, 3, g.n):
+            # greedy coloring settles every k from the coloring number up,
+            # so the reference search's spend counts only the k below it
+            searched = min(kmax, ref_coloring_number(g) - 1)
             new, old = Budget(10**9), Budget(10**9)
-            assert G.chromatic_number(g, kmax, new) == ref_chromatic_number(g, kmax, old)
+            want = ref_chromatic_number(g, kmax, Budget(10**9))
+            assert G.chromatic_number(g, kmax, new) == want
+            ref_chromatic_number(g, searched, old)
             assert new.spent == old.spent
             limit = max(1, old.spent // 2)
             outcomes = []
-            for search in (G.chromatic_number, ref_chromatic_number):
-                try:
-                    outcomes.append(search(g, kmax, Budget(limit)))
-                except BudgetExceeded as exc:
-                    outcomes.append(("exhausted", exc.spent))
+            try:
+                outcomes.append(G.chromatic_number(g, kmax, Budget(limit)))
+            except BudgetExceeded as exc:
+                outcomes.append(("exhausted", exc.spent))
+            try:
+                ref_chromatic_number(g, searched, Budget(limit))
+                outcomes.append(want)
+            except BudgetExceeded as exc:
+                outcomes.append(("exhausted", exc.spent))
             assert outcomes[0] == outcomes[1]
             exhausted += outcomes[0] == ("exhausted", limit)
     assert exhausted > 50
@@ -284,14 +293,17 @@ def test_chromatic_number_picks_the_vertices_the_scan_picks(monkeypatch):
 
     monkeypatch.setattr(G, "_most_saturated", spy)
     hard = [mycielskian(mycielskian(G.cycle(5))), mycielskian(G.cycle(9)),
-            mycielskian(G.cycle(11)), G.cycle_power(13, 4), G.cycle_power(17, 5), G.path(40)]
+            mycielskian(G.cycle(11)), mycielskian(G.cycle(13)), G.cycle_power(13, 4),
+            G.cycle_power(17, 5), G.path(40)]
     nodes = 0
     for g in _random_graphs(47, 120, 14) + hard:
         for kmax in (2, 3, 4, g.n):
             picks.clear()
             want = []
             new, old = Budget(10**9), Budget(10**9)
-            assert G.chromatic_number(g, kmax, new) == ref_chromatic_number(g, kmax, old, want)
+            value = ref_chromatic_number(g, kmax, Budget(10**9))
+            assert G.chromatic_number(g, kmax, new) == value
+            ref_chromatic_number(g, min(kmax, ref_coloring_number(g) - 1), old, want)
             assert picks == want and new.spent == old.spent, (g, kmax)
             nodes += new.spent
     assert nodes > 12_000
@@ -308,12 +320,15 @@ def test_chromatic_number_on_a_30000_vertex_path_takes_linear_time():
 
 
 def test_chromatic_number_on_a_30001_vertex_odd_cycle_takes_linear_time():
-    # the scan took 2.5 s at n = 3,000 and grew as n^2; the heap's search
-    # at k = 3 never backtracks here
+    # an odd cycle has coloring number 3, so the peel settles it with no
+    # search; the scan took 2.5 s at n = 3,000 and grew as n^2, and the
+    # heap's search at k = 3 never backtracks here
     g = G.cycle(30_001)
     budget = Budget(10**9)
-    start = time.perf_counter()
     assert G.chromatic_number(g, 3, budget) == 3
+    assert budget.spent == 0
+    start = time.perf_counter()
+    assert next(G._partitions(g, 3, budget)) is not None
     assert time.perf_counter() - start < 5.0
     assert budget.spent == 30_001 + 1  # one node per vertex, one at the leaf
 
