@@ -273,9 +273,10 @@ def _times(cur, i, j, n, dead_i, dead_j):
 
 def _kappas(weights, kappa=0):
     """The kappas of the leaves below a node of kappa whose co-forest edges
-    still to come have these weights, in sign-tree order."""
+    still to come have these weights, by pattern index: bit b of the index
+    is the sign of weights[b] (+1 = 1)."""
     block = [kappa]
-    for w in reversed(weights):  # weights[0] varies slowest
+    for w in weights:
         block += [k ^ w for k in block]
     return block
 
@@ -285,7 +286,7 @@ def _tree_order(levels):
     """The pattern indices of a chunk of this many co-forest levels in
     sign-tree order: the chunk's first factor signs bit 0 and varies
     slowest."""
-    return _kappas([1 << b for b in range(levels)])
+    return _kappas([1 << b for b in reversed(range(levels))])
 
 
 def _charge(cur, w, below, budget):
@@ -327,7 +328,7 @@ def _factor_order(g: Graph) -> tuple[Edge, ...]:
     ))
 
 
-def _sweep_signs(n, order, co, weights, collect, budget):
+def _sweep_signs(n, order, co, weights, lower, budget):
     """Sweep over sign assignments for the co-forest factors, sharing the
     expansion of the factors that the patterns have in common.
 
@@ -337,11 +338,14 @@ def _sweep_signs(n, order, co, weights, collect, budget):
     named by the index kappa of its pattern's representative (see
     _PatternSpace): weights[d] is the kappa of the d-th co-forest factor
     at +1 alone, so a leaf's kappa is the XOR of the weights of its +1
-    edges.  Returns (passes, failures) where passes are (kappa, top,
-    coefficient) triples, top the packed key of the leaf's lex-greatest
-    monomial (top and coefficient are None without collect), and failures
-    are bare kappas, both in the sign-tree order of the co-forest factors
-    (the sign of the first varies slowest, -1 before +1).
+    edges.  Returns the kappa-keyed payloads (certs, fails): fails[kappa]
+    is True for each failing leaf, and certs[kappa] is (monomial,
+    coefficient, flip) for each passing one, its lex-greatest monomial
+    with exponents <= 2, that monomial's coefficient and the flip mask
+    that certify_dp3's switching reads.  lower marks (vertex v at bit
+    v - 1) the vertices that are the lower end of an odd number of edges,
+    and flip is lower XOR the vertices at an odd exponent; with lower
+    None, certs stays empty.
 
     The sweep only ever expands prod (x_i + s x_j) over F_3 with every
     exponent capped at 2.  An exponent takes a 2-bit digit of a packed
@@ -364,19 +368,24 @@ def _sweep_signs(n, order, co, weights, collect, budget):
     map per factor holds every node of its level, so a factor costs one
     pass over its keys, not one per node, and no plane is wider than
     2^SLICE_DEPTH bits; the b-th co-forest factor of the chunk signs bit
-    b of the pattern index.  At a chunk's end above the leaves, one pass
-    over the last map's keys splits it into its one-pattern child roots.
-    At the leaves, a pattern passes iff some key has its bit set, its top
-    is the largest such key and its coefficient the plane that bit is in.
-    The depth is bounded neither by the recursion limit nor, beyond one
-    chunk's child roots per chunk level, by memory.
+    b of the pattern index, and _kappas maps each index to its kappa.  At
+    a chunk's end above the leaves, one pass over the last map's keys
+    splits it into its one-pattern child roots, pushed so that they pop
+    in sign-tree order (the sign of the chunk's first factor varies
+    slowest, -1 before +1).  At the leaves, a pattern fails iff no key has
+    its bit set; otherwise its top is the largest key that has, and its
+    coefficient the plane that bit is in.  The keys are scanned by
+    descending value, each taking the patterns that no larger key has,
+    so each distinct top is unpacked once per chunk.  The depth is
+    bounded neither by the recursion limit nor, beyond one chunk's child
+    roots per chunk level, by memory.
 
     The budget is charged one step per key of each map the sweep builds,
     in one tick per map: one per factor for each chunk.  A map of more
     than DEFAULT_MAX_TERMS keys raises ExpansionLimitError before its
     tick.  An empty map charges every sign-tree node from its level down
-    before it lists their leaves as failures, so a sweep that cannot pay
-    for a dead subtree stops there.
+    before it records their leaves as failures, so a sweep that cannot
+    pay for a dead subtree stops there.
 
     A term is dead when a factor still to be multiplied has both ends at
     exponent 2.  Exponents only grow and that factor raises one of its
@@ -394,8 +403,9 @@ def _sweep_signs(n, order, co, weights, collect, budget):
     """
     dead = _dead_masks(n, order)
     depth = len(weights)
-    passes = []
-    failures = []
+    shifts = range(2 * (n - 1), -1, -2)
+    certs = {}
+    fails = {}
     # chunk roots: (next factor, co-forest factors before it, kappa, map)
     stack = [(0, 0, 0, {0: (1, 0)})]
     while stack:
@@ -417,10 +427,9 @@ def _sweep_signs(n, order, co, weights, collect, budget):
             if not cur:
                 break
         if not cur:  # every leaf below the chunk root fails
-            failures.extend(_kappas(weights[start:], kappa))
+            fails.update(dict.fromkeys(_kappas(weights[start:], kappa), True))
             continue
-        # the chunk's patterns in sign-tree order, with their kappas
-        patterns = zip(_tree_order(d - start), _kappas(weights[start:d], kappa))
+        kappas = _kappas(weights[start:d], kappa)  # by pattern index
         if d < depth:
             roots = [{} for _ in range(w)]
             for key, (a, b) in cur.items():
@@ -430,31 +439,32 @@ def _sweep_signs(n, order, co, weights, collect, budget):
                     roots[bit.bit_length() - 1][key] = (1, 0) if a & bit else (0, 1)
                     hit ^= bit
             # pushed last to first, so they pop in sign-tree order
-            stack.extend((k, d, x, roots[p]) for p, x in reversed(list(patterns)))
+            stack.extend((k, d, kappas[p], roots[p]) for p in reversed(_tree_order(d - start)))
             continue
-        tops = [(None, None)] * w
-        union = reduce(or_, chain.from_iterable(cur.values()))
-        if collect:
-            # each pattern's largest key: keys by descending value,
-            # each taking the patterns no larger key has
-            left = union
-            for key in sorted(cur, reverse=True):
-                a, b = cur[key]
-                hit = (a | b) & left
-                if hit:
-                    left ^= hit
-                    while hit:
-                        bit = hit & -hit
-                        tops[bit.bit_length() - 1] = (key, 1 if a & bit else 2)
-                        hit ^= bit
-                    if not left:
-                        break
-        for p, x in patterns:
-            if union >> p & 1:
-                passes.append((x, *tops[p]))
-            else:
-                failures.append(x)
-    return passes, failures
+        left = reduce(or_, chain.from_iterable(cur.values()))
+        miss = ~left & ((1 << w) - 1)
+        while miss:
+            bit = miss & -miss
+            fails[kappas[bit.bit_length() - 1]] = True
+            miss ^= bit
+        if lower is None:
+            continue
+        for key in sorted(cur, reverse=True):
+            a, b = cur[key]
+            hit = (a | b) & left
+            if hit:
+                left ^= hit
+                mono = tuple(key >> shift & 3 for shift in shifts)
+                flip = lower ^ sum(1 << v for v, e in enumerate(mono) if e & 1)
+                one = (mono, 1, flip)
+                two = (mono, 2, flip)
+                while hit:
+                    bit = hit & -hit
+                    certs[kappas[bit.bit_length() - 1]] = one if a & bit else two
+                    hit ^= bit
+                if not left:
+                    break
+    return certs, fails
 
 
 class _PatternSpace:
@@ -573,19 +583,18 @@ class PatternSequence(Sequence):
     """The sign patterns (or their certificates) whose representative is
     a member, in pattern-lex order, built on demand.
 
-    payload[kappa] is None for a representative that is not a member;
+    payload is keyed by the kappas of the member representatives;
     make(pattern, S, payload[kappa]) builds the item of a member pattern.
     len is O(1) and `in` O(|E|); indexing and slicing walk down to the
     wanted block, and iteration streams block by block.  A sequence
     compares equal to the tuple of its items.
     """
 
-    def __init__(self, space: _PatternSpace, payload: list, make):
+    def __init__(self, space: _PatternSpace, payload: dict, make):
         self._space = space
         self._payload = payload
         self._make = make
-        members = len(payload) - payload.count(None)
-        self._len = members << (space.nbits - space.rank)
+        self._len = len(payload) << (space.nbits - space.rank)
 
     def __len__(self) -> int:
         return self._len
@@ -593,7 +602,7 @@ class PatternSequence(Sequence):
     @cached_property
     def _counts(self):
         """counts[d][h]: the members whose kappa >> d is h."""
-        counts = [[p is not None for p in self._payload]]
+        counts = [list(map(self._payload.__contains__, range(1 << self._space.rank)))]
         while len(counts[-1]) > 1:
             c = counts[-1]
             counts.append(list(map(add, c[::2], c[1::2])))
@@ -601,7 +610,7 @@ class PatternSequence(Sequence):
 
     def _items(self, skip: int):
         """The items from position `skip` on."""
-        space, payload, counts, make = self._space, self._payload, self._counts, self._make
+        space, get, counts, make = self._space, self._payload.get, self._counts, self._make
         dims, kap, sig = space.dims, space.kap, space.sig
         # (t, y, kappa(y), S(y)): the block of indices that agree with y
         # above its low t bits, which are 0 in y
@@ -619,7 +628,7 @@ class PatternSequence(Sequence):
             else:
                 head = space.signs(y)[:space.split]
                 for tail, k, s in space.tails():
-                    data = payload[kappa ^ k]
+                    data = get(kappa ^ k)
                     if data is None:
                         continue
                     if skip:
@@ -649,7 +658,7 @@ class PatternSequence(Sequence):
         if found is None:
             return False
         kappa, mask = found
-        data = self._payload[kappa]
+        data = self._payload.get(kappa)
         return data is not None and self._make(pattern, mask, data) == item
 
     def __eq__(self, other):
@@ -771,35 +780,20 @@ def certify_dp3(
     slot = {e: k for k, e in enumerate(g.edges)}
     weights = [space.slot_kap[slot[e]] for e, c in zip(order, co) if c]
 
-    passes, failures = _sweep_signs(
-        g.n, order, co, weights, collect_certificates, budget
+    lower = 0  # vertex v at bit v - 1: the parity of the edges it is the lower end of
+    for i, _ in g.edges:
+        lower ^= 1 << (i - 1)
+    certs, fails = _sweep_signs(
+        g.n, order, co, weights, lower if collect_certificates else None, budget
     )
 
     mode = "spanning-tree" if use_spanning_tree else "all-edges"
     if not use_spanning_tree:
-        reps = (len(passes) if collect_certificates else 0) + len(failures)
-        budget.tick(reps << (space.nbits - space.rank))
-
-    lower = 0  # vertex v at bit v - 1: the parity of the edges it is the lower end of
-    for i, _ in g.edges:
-        lower ^= 1 << (i - 1)
-    certs = [None] * (1 << space.rank)
-    fails = [None] * (1 << space.rank)
-    shifts = range(2 * (g.n - 1), -1, -2)
-    unpacked = {}  # top key -> (monomial, flip)
-    for kappa, top, coeff in passes if collect_certificates else ():
-        found = unpacked.get(top)
-        if found is None:
-            mono = tuple(top >> shift & 3 for shift in shifts)
-            odd = sum(1 << v for v, a in enumerate(mono) if a & 1)
-            found = unpacked[top] = (mono, lower ^ odd)
-        certs[kappa] = (found[0], coeff, found[1])
-    for kappa in failures:
-        fails[kappa] = True
+        budget.tick((len(certs) + len(fails)) << (space.nbits - space.rank))
 
     patterns_tested = 1 << space.nbits
     failure = None
-    if failures:
+    if fails:
         failure = FailureReport(PatternSequence(space, fails, _bare))
     certificates = PatternSequence(space, certs, partial(_certificate, g.n))
     return Dp3Result(mode, patterns_tested, certificates, failure)

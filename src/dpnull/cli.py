@@ -467,6 +467,7 @@ def _sc_expand_grid_random(seed: int) -> tuple[str, str, int]:
     fld = make_field(3)
     agree = 0
     total = 200
+    draws = {}  # (n, m) -> the vectors in {0, 1, 2}^n that sum to at least m
     for _ in range(total):
         n = rng.randint(2, 5)
         m = rng.randint(1, min(8, 2 * n))
@@ -476,7 +477,9 @@ def _sc_expand_grid_random(seed: int) -> tuple[str, str, int]:
             j = rng.randint(i + 1, n)
             factors.append(pl.Factor(i, j, rng.choice((-1, 1)), rng.randrange(3)))
         poly = pl.EdgeProductPolynomial(fld, n, tuple(factors))
-        target = _random_target(rng, n, 2, m)
+        if (n, m) not in draws:
+            draws[n, m] = [v for v in product(range(3), repeat=n) if sum(v) >= m]
+        target = _random_target(rng, draws[n, m], m)
         a = pl.coefficient_at(poly, target, "expand")
         b = pl.coefficient_at(poly, target, "grid")
         agree += a == b
@@ -487,21 +490,17 @@ def _sc_expand_grid_random(seed: int) -> tuple[str, str, int]:
     )
 
 
-def _random_target(rng, n, cap, total):
-    while True:
-        cuts = [rng.randint(0, cap) for _ in range(n)]
-        s = sum(cuts)
-        if s == total:
-            return tuple(cuts)
-        if s > total:
-            over = s - total
-            for pos in rng.sample(range(n), n):
-                take = min(over, cuts[pos])
-                cuts[pos] -= take
-                over -= take
-                if over == 0:
-                    return tuple(cuts)
-        # too small: retry
+def _random_target(rng, draws, total):
+    """A uniform draw from `draws`, vectors that sum to at least total, cut
+    down to sum to total: each position in a random order gives up what is
+    still over, down to 0."""
+    cuts = list(rng.choice(draws))
+    over = sum(cuts) - total
+    for pos in rng.sample(range(len(cuts)), len(cuts)):
+        take = min(over, cuts[pos])
+        cuts[pos] -= take
+        over -= take
+    return tuple(cuts)
 
 
 SCENARIOS = {

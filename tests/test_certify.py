@@ -4,9 +4,9 @@ enforce their hypotheses."""
 import random
 import re
 import tracemalloc
-from functools import partial
+from functools import partial, reduce
 from itertools import permutations, product
-from operator import mul
+from operator import mul, xor
 
 import pytest
 
@@ -472,7 +472,8 @@ def _sweep_args(g, switched=True):
     """The arguments certify_dp3 passes _sweep_signs (every edge in the
     sweep's factor order, which of them are co-forest edges, and the kappa
     weights of those) and the _PatternSpace that names the leaves:
-    all-edges mode, or spanning-tree mode when switched is False."""
+    all-edges mode, or spanning-tree mode when switched is False.  The
+    lower argument comes from _lower."""
     forest = set(G.spanning_tree(g))
     order = X._factor_order(g)
     co = [e not in forest for e in order]
@@ -485,20 +486,34 @@ def _weights(g, space, order, co):
     return [space.slot_kap[g.edges.index(e)] for e, c in zip(order, co) if c]
 
 
-def _located(space, swept):
-    """A reference sweep's (passes, failures) with each pattern replaced
-    by the kappa of its representative."""
-    passes, failures = swept
-    return ([(space.locate(p)[0], mono, c) for p, mono, c in passes],
-            [space.locate(p)[0] for p in failures])
+def _lower(g, collect=True):
+    """The lower argument certify_dp3 passes _sweep_signs: the vertices
+    (vertex v at bit v - 1) that are the lower end of an odd number of
+    edges, or None without certificates."""
+    if not collect:
+        return None
+    return reduce(xor, (1 << (i - 1) for i, _ in g.edges), 0)
 
 
-def _unpacked(n, swept):
-    """The kernel's (passes, failures) with each packed top key unpacked
-    into its exponent vector."""
+def _keyed(space, swept, lower):
+    """A reference sweep's (passes, failures) as the kernel's kappa-keyed
+    payloads (certs, fails): each pattern replaced by the kappa of its
+    representative, each pass by (monomial, coefficient, flip), flip the
+    lower vertices XOR the vertices at an odd exponent, and certs empty
+    when lower is None.  The passes and failures name every kappa
+    exactly once between them."""
     passes, failures = swept
-    return ([(k, None if top is None else _digits(top, n), c) for k, top, c in passes],
-            failures)
+    fails = {space.locate(p)[0]: True for p in failures}
+    passing = {space.locate(p)[0] for p, _, _ in passes}
+    assert passing.isdisjoint(fails)
+    assert len(passing) + len(fails) == len(passes) + len(failures) == 1 << space.rank
+    if lower is None:
+        return {}, fails
+    certs = {}
+    for p, mono, c in passes:
+        odd = sum(1 << v for v, a in enumerate(mono) if a & 1)
+        certs[space.locate(p)[0]] = (mono, c, lower ^ odd)
+    return certs, fails
 
 
 def _digits(key, n):
@@ -561,11 +576,12 @@ def test_sweep_kernel_matches_per_pattern_expansion(monkeypatch):
             for switched, depth in product((True, False) if var else (True,), SLICE_DEPTHS):
                 monkeypatch.setattr(X, "SLICE_DEPTH", depth)
                 _, _, _, weights, space = _sweep_args(g, switched)
+                lower = _lower(g, collect)
                 budget = Budget(10**9)
-                got = _unpacked(n, X._sweep_signs(n, order, co, weights, collect, budget))
-                assert got == _located(space, (want, failing))
+                got = X._sweep_signs(n, order, co, weights, lower, budget)
+                assert got == _keyed(space, (want, failing), lower)
                 ref = Budget(10**9)
-                assert _located(space, ref_sweep_signs(n, edges, order, co, collect, ref)) == got
+                assert _keyed(space, ref_sweep_signs(n, edges, order, co, collect, ref), lower) == got
                 assert budget.spent == ref.spent
             if g.is_connected() and g.contains_cycle():
                 tree_mode += 1
@@ -594,11 +610,11 @@ def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion(monk
     for g in graphs:
         n, order, co, weights, space = _sweep_args(g)
         total = Budget(10**9)
-        X._sweep_signs(n, order, co, weights, False, total)
+        X._sweep_signs(n, order, co, weights, None, total)
         limits = sorted({1, 2, total.spent, total.spent + 1,
                          *rng.sample(range(1, total.spent), 40)})
-        kernel = lambda b: _unpacked(n, X._sweep_signs(n, order, co, weights, False, b))
-        reference = lambda b: _located(space, ref_sweep_signs(n, g.edges, order, co, False, b))
+        kernel = lambda b: X._sweep_signs(n, order, co, weights, None, b)
+        reference = lambda b: _keyed(space, ref_sweep_signs(n, g.edges, order, co, False, b), None)
         for limit, depth in product(limits, SLICE_DEPTHS):
             monkeypatch.setattr(X, "SLICE_DEPTH", depth)
             outcomes = []
@@ -620,9 +636,9 @@ def test_sweep_kernel_raises_the_expansion_limit_where_the_dict_sweep_does(monke
         monkeypatch.setattr(X, "SLICE_DEPTH", depth)
         outcomes = []
         for sweep in (
-            lambda b: _unpacked(n, X._sweep_signs(n, order, co, weights, True, b)),
-            lambda b: _located(space, ref_sweep_signs(n, g.edges, order, co, True, b,
-                                                      max_terms=limit)),
+            lambda b: X._sweep_signs(n, order, co, weights, _lower(g), b),
+            lambda b: _keyed(space, ref_sweep_signs(n, g.edges, order, co, True, b,
+                                                    max_terms=limit), _lower(g)),
         ):
             budget = Budget(10**9)
             try:
@@ -781,7 +797,7 @@ def test_switch_charge_stops_where_one_tick_per_representative_does():
         n, order, co, weights, _ = _sweep_args(g)
         for collect in (True, False):
             swept, total = Budget(10**9), Budget(10**9)
-            X._sweep_signs(n, order, co, weights, collect, swept)
+            X._sweep_signs(n, order, co, weights, _lower(g, collect), swept)
             X.certify_dp3(g, budget=total, collect_certificates=collect)
             inside = range(swept.spent + 1, total.spent + 1)
             limits = {*inside[:3], *inside[-2:], total.spent + 1,
@@ -828,12 +844,13 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
         modes = [False] + ([True] if g.is_connected() and g.contains_cycle() else [])
         for tree, collect in product(modes, (True, False)):
             _, _, _, weights, space = _sweep_args(g, switched=not tree)
+            lower = _lower(g, collect)
             stored.clear()
             ref = Budget(10**9)
-            want = _located(space, unpruned(n, g.edges, order, co, collect, ref))
+            want = _keyed(space, unpruned(n, g.edges, order, co, collect, ref), lower)
             budget = Budget(10**9)
-            got = X._sweep_signs(n, order, co, weights, collect, budget)
-            assert _unpacked(n, got) == want
+            got = X._sweep_signs(n, order, co, weights, lower, budget)
+            assert got == want
             assert budget.spent <= ref.spent
             saved += budget.spent < ref.spent
             ref = Budget(10**9)
@@ -856,8 +873,8 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
 def test_sweep_results_do_not_depend_on_the_factor_order():
     """The factor order moves only the steps: edge order, the sweep's
     degree order, the forest edges first and two seeded shuffles of the
-    whole order, forest edges interleaved, give the same passes and
-    failures once both are sorted by kappa."""
+    whole order, forest edges interleaved, give the same kappa-keyed
+    certificates and failures."""
     rng = random.Random(6006)
     reordered = interleaved = 0
     for g in _kernel_graphs() + _random_sweep_graphs():
@@ -870,9 +887,8 @@ def test_sweep_results_do_not_depend_on_the_factor_order():
         for edges in orders:
             flags = [e not in forest for e in edges]
             interleaved += flags != sorted(flags)
-            passes, failures = X._sweep_signs(n, edges, flags, _weights(g, space, edges, flags),
-                                              True, Budget(10**9))
-            results.append((sorted(passes), sorted(failures)))
+            results.append(X._sweep_signs(n, edges, flags, _weights(g, space, edges, flags),
+                                          _lower(g), Budget(10**9)))
         for edges, got in zip(orders, results):
             assert got == results[0], (g, edges)
     assert reordered >= 30 and interleaved >= 100
@@ -893,7 +909,7 @@ def test_factor_order_pins_the_c13sq_steps():
     for edges in (first, g.edges):
         flags = [co[order.index(e)] for e in edges]
         other = Budget(10**9)
-        X._sweep_signs(n, edges, flags, _weights(g, space, edges, flags), False, other)
+        X._sweep_signs(n, edges, flags, _weights(g, space, edges, flags), None, other)
         spent.append(other.spent)
     assert spent == [60_884, 39_261]
 

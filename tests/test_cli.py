@@ -5,6 +5,9 @@ import io
 import os
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,9 @@ from dpnull import cli
 from dpnull import cover as C
 from dpnull import graphs as G
 from dpnull import poly as pl
+from dpnull.budget import Budget
+from dpnull.errors import PreconditionError
+from test_certify import ref_certify_dp3
 
 
 def run_cli(argv, capsys):
@@ -569,6 +575,97 @@ def test_reproduce_all_output_is_pinned(capsys):
     )
 
 
+def ref_random_target(rng, n, cap, total):
+    """The rejection sampler expand-grid-random drew its targets with: a
+    uniform vector of {0..cap}^n, drawn again until it sums to at least
+    total, cut down as _random_target cuts."""
+    while True:
+        cuts = [rng.randint(0, cap) for _ in range(n)]
+        s = sum(cuts)
+        if s == total:
+            return tuple(cuts)
+        if s > total:
+            over = s - total
+            for pos in rng.sample(range(n), n):
+                take = min(over, cuts[pos])
+                cuts[pos] -= take
+                over -= take
+                if over == 0:
+                    return tuple(cuts)
+
+
+class _Fork(Exception):
+    def __init__(self, options):
+        self.options = options
+
+
+class _Retry(Exception):
+    pass
+
+
+class _Replay:
+    """A stand-in for random.Random that returns the outcomes `path` names,
+    one per call, and raises _Fork with the number of outcomes of the
+    first call past the path.  A call of randint past the first `rounds`
+    raises _Retry: the sampler has started its draw again."""
+
+    def __init__(self, path, rounds):
+        self.path = iter(path)
+        self.rounds = rounds
+
+    def _pick(self, options):
+        options = list(options)
+        i = next(self.path, None)
+        if i is None:
+            raise _Fork(len(options))
+        return options[i]
+
+    def randint(self, a, b):
+        self.rounds -= 1
+        if self.rounds < 0:
+            raise _Retry
+        return self._pick(range(a, b + 1))
+
+    def choice(self, seq):
+        return self._pick(seq)
+
+    def sample(self, population, k):
+        assert k == len(population)
+        return list(self._pick(permutations(population)))
+
+
+def _exact_distribution(sample, rounds):
+    """{output: probability} of sample(rng) over every run of outcomes,
+    each uniform among its call's options; the mass of the runs that start
+    their draw again is spread in proportion, as a retry does."""
+    dist = Counter()
+    retried = Fraction(0)
+    stack = [((), Fraction(1))]
+    while stack:
+        path, p = stack.pop()
+        try:
+            out = sample(_Replay(path, rounds))
+        except _Fork as fork:
+            stack += [(path + (i,), p / fork.options) for i in range(fork.options)]
+        except _Retry:
+            retried += p
+        else:
+            dist[out] += p
+    return {out: p / (1 - retried) for out, p in dist.items()}
+
+
+def test_random_target_draws_what_the_rejection_sampler_drew():
+    """expand-grid-random's direct draw has the exact output distribution
+    of the rejection sampler it replaced, for n <= 4 and every total."""
+    for n in range(1, 5):
+        for total in range(2 * n + 1):
+            draws = [v for v in product(range(3), repeat=n) if sum(v) >= total]
+            want = _exact_distribution(lambda rng: ref_random_target(rng, n, 2, total), n)
+            got = _exact_distribution(lambda rng: cli._random_target(rng, draws, total), n)
+            assert got == want, (n, total)
+            assert sum(got.values()) == 1 and all(sum(t) == total for t in got)
+
+
 def test_scenario_registry_contains_required_names():
     assert {
         "tree-dp2", "at-even-cycle", "cone-bipartite", "cone-even-cycle-f",
@@ -658,3 +755,72 @@ def test_malformed_spec_values_are_input_errors(argv):
     assert code == 2, (argv, out.getvalue())
     assert err.getvalue().startswith("error:")
     assert "Traceback" not in err.getvalue()
+
+
+def _at_most_12_edges(name):
+    g = G.parse_graph_name(name)
+    return g is None or len(g.edges) <= 12
+
+
+# graph names for the certify-dp3 contract: small families, nested in cones
+# and joins, kept to at most 12 edges so every all-edges sweep stays small;
+# a join with a k{a},{b} part does not parse, since its comma splits the join
+sweep_leaf_names = st.one_of(
+    st.integers(1, 5).map("p{}".format),
+    st.integers(3, 6).map("c{}".format),
+    st.integers(4, 6).map("c{}sq".format),
+    st.integers(1, 4).map("k{}".format),
+    st.tuples(st.integers(1, 3), st.integers(1, 4)).map(lambda t: "k{},{}".format(*t)),
+    st.just("k3,3-m1"),
+    st.integers(1, 3).map("e{}".format),
+)
+sweep_graph_names = st.recursive(
+    sweep_leaf_names,
+    lambda inner: st.one_of(inner.map("cone({})".format),
+                            st.tuples(inner, inner).map(lambda t: "join({},{})".format(*t))),
+    max_leaves=3,
+).filter(_at_most_12_edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sweep_graph_names, st.booleans(), st.booleans(), st.data())
+def test_certify_dp3_keeps_the_exit_code_contract(name, tree, emit_all, data):
+    """certify-dp3 on family names with either mode, with or without
+    --emit-all, and with no budget or one from 1 to the sweep's spend + 1:
+    the exit code is 0, 1, 2 or 3; on 2 or 3 stderr is one error: line and
+    stdout is empty; a budget runs out exactly when it does not exceed the
+    spend; and on graphs with n <= 6 the verdict, the failing-pattern
+    count and the emitted certificates agree with ref_certify_dp3."""
+    g = G.parse_graph_name(name)
+    spend = None  # the sweep's spend, None where the input is refused
+    if g is not None:
+        used = Budget(10**9)
+        with contextlib.suppress(PreconditionError):
+            ce.certify_dp3(g, use_spanning_tree=tree, budget=used)
+            spend = used.spent
+    argv = ["certify-dp3", name] + ["--spanning-tree"] * tree + ["--emit-all"] * emit_all
+    limit = data.draw(st.one_of(st.none(), st.integers(1, (spend or 1) + 1)), label="budget")
+    if limit is not None:
+        argv.append(f"--budget={limit}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    if spend is None:
+        assert code == 2, argv
+    elif limit is not None and limit <= spend:
+        assert code == 3, argv
+    else:
+        assert code in (0, 1), argv
+    if code in (0, 1) and g.n <= 6:
+        certs, failing = ref_certify_dp3(g, tree, True, Budget(10**9))
+        assert code == (1 if failing else 0), argv
+        if failing:
+            assert f"failing-patterns: {len(failing)}\n" in out
+        else:
+            emitted = out.count("kind: dp3-pattern\n")
+            assert emitted == (len(certs) if emit_all else min(1, len(certs))), argv
