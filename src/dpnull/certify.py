@@ -204,25 +204,19 @@ def certify_order3_cover(cover: Cover, budget: Budget | None = None) -> Certific
 SLICE_DEPTH = 10
 
 
-def _level(cur, w, i, j, n, dead_i, dead_j):
+def _level(cur, w, inc_i, two_i, dead_i, inc_j, two_j, dead_j):
     """The map cur of w sign patterns times x_i + s x_j for both signs s:
     pattern p of cur gives pattern p (s = -1) and p + w (s = +1) of the
-    result, without the terms that dead_i and dead_j mark as dead (see
-    _dead_masks).
+    result, without dead terms.  The masks are the factor's (see
+    _factor_masks).
 
     A map takes each packed key to its planes (ones, twos): bit p of
     ones is set when the key's coefficient under pattern p is 1, bit p of
-    twos when it is 2.  Multiplying by x_v adds 1 << 2(n - v) to every key
-    whose x_v digit is below 2; the x_i shift adds to both halves as it
-    is, the x_j shift adds to the +1 half as it is and to the -1 half
-    negated, that is with its planes swapped.  A key is dead when it meets
-    the dead mask of the end whose digit the shift takes from 1 to 2."""
-    si = 2 * (n - i)
-    sj = 2 * (n - j)
-    two_i = 2 << si  # digits are 0, 1 or 2, so this bit marks a 2
-    inc_i = 1 << si  # on a key without the 2-bit, this bit marks a 1
-    two_j = 2 << sj
-    inc_j = 1 << sj
+    twos when it is 2.  Multiplying by x_v adds inc_v to every key
+    without two_v; the x_i shift adds to both halves as it is, the x_j
+    shift adds to the +1 half as it is and to the -1 half negated, that
+    is with its planes swapped.  A key is dead when it meets the dead
+    mask of the end whose digit the shift takes from 1 to 2."""
     p = {k + inc_i: (a | a << w, b | b << w) for k, (a, b) in cur.items()
          if not (k & two_i or k & inc_i and k & dead_i)}
     q = {k + inc_j: (b | a << w, a | b << w) for k, (a, b) in cur.items()
@@ -239,17 +233,11 @@ def _level(cur, w, i, j, n, dead_i, dead_j):
     return out
 
 
-def _times(cur, i, j, n, dead_i, dead_j):
+def _times(cur, inc_i, two_i, dead_i, inc_j, two_j, dead_j):
     """The map cur times the forest factor x_i - x_j under each of its
     patterns, without dead terms: the x_i shift of each key as it is, the
     x_j shift with its planes swapped, as in _level.  A key whose two
     shifts cancel under every pattern is dropped."""
-    si = 2 * (n - i)
-    sj = 2 * (n - j)
-    two_i = 2 << si
-    inc_i = 1 << si
-    two_j = 2 << sj
-    inc_j = 1 << sj
     out = {k + inc_i: ab for k, ab in cur.items()
            if not (k & two_i or k & inc_i and k & dead_i)}
     get = out.get
@@ -303,17 +291,22 @@ def _charge(cur, w, below, budget):
     budget.tick(size or w * ((2 << below) - 1))
 
 
-def _dead_masks(n, edges):
-    """For each factor (i, j) of `edges`, in order, the pair (dead_i,
-    dead_j): dead_i ORs the "digit is 2" bits of i's neighbours along the
-    later factors, so a key whose x_i digit is 2 and that meets dead_i has
-    a remaining edge with both ends at 2.  One backward pass."""
-    later = [0] * (n + 1)  # vertex -> the 2-bits of its neighbours in later factors
+def _factor_masks(n, order):
+    """For each factor (i, j) of order, in order, the masks (inc_i, two_i,
+    dead_i, inc_j, two_j, dead_j) that _level and _times test keys with.
+    The packed layout and the cap are made here and nowhere else: x_v's
+    digit sits at bit 2(n - v), inc_v is its low bit and two_v its high
+    bit, set exactly when the digit is at the cap of 2.  dead_i ORs the
+    two_v of i's neighbours v along the later factors, so a key whose x_i
+    digit is 2 and that meets dead_i has a remaining edge with both ends
+    at the cap.  One backward pass."""
+    inc = [0] + [1 << 2 * (n - v) for v in range(1, n + 1)]
+    later = [0] * (n + 1)  # vertex -> the two_v of its neighbours in later factors
     masks = []
-    for i, j in reversed(edges):
-        masks.append((later[i], later[j]))
-        later[i] |= 2 << 2 * (n - j)
-        later[j] |= 2 << 2 * (n - i)
+    for i, j in reversed(order):
+        masks.append((inc[i], inc[i] << 1, later[i], inc[j], inc[j] << 1, later[j]))
+        later[i] |= inc[j] << 1
+        later[j] |= inc[i] << 1
     masks.reverse()
     return masks
 
@@ -334,32 +327,33 @@ def _sweep_signs(n, order, co, weights, lower, budget):
 
     order lists every factor (i, j) in the order they are multiplied, and
     co[k] tells whether order[k] is a co-forest factor, whose sign is
-    swept; the others are forest factors, pinned to -1.  Each leaf is
-    named by the index kappa of its pattern's representative (see
-    _PatternSpace): weights[d] is the kappa of the d-th co-forest factor
-    at +1 alone, so a leaf's kappa is the XOR of the weights of its +1
-    edges.  Returns the kappa-keyed payloads (certs, fails): fails[kappa]
-    is True for each failing leaf, and certs[kappa] is (monomial,
-    coefficient, flip) for each passing one, its lex-greatest monomial
-    with exponents <= 2, that monomial's coefficient and the flip mask
-    that certify_dp3's switching reads.  lower marks (vertex v at bit
-    v - 1) the vertices that are the lower end of an odd number of edges,
-    and flip is lower XOR the vertices at an odd exponent; with lower
-    None, certs stays empty.
+    swept; the others are forest factors, pinned to -1.  The order changes
+    only the steps and the time: each leaf map is the whole product capped
+    at 2 whatever the order, and a leaf's kappa follows its edges' signs,
+    not their places in order.  Each leaf is named by the index kappa of
+    its pattern's representative (see _PatternSpace): weights[d] is the
+    kappa of the d-th co-forest factor at +1 alone, so a leaf's kappa is
+    the XOR of the weights of its +1 edges.  Returns the kappa-keyed
+    payloads (certs, fails): fails[kappa] is True for each failing leaf,
+    and certs[kappa] is (monomial, coefficient, flip) for each passing
+    one, its lex-greatest monomial with exponents <= 2, that monomial's
+    coefficient and the flip mask that certify_dp3's switching
+    reads.  lower marks (vertex v at bit v - 1) the vertices that are the
+    lower end of an odd number of edges, and flip is lower XOR the
+    vertices at an odd exponent; with lower None, certs stays empty.
 
     The sweep only ever expands prod (x_i + s x_j) over F_3 with every
-    exponent capped at 2.  An exponent takes a 2-bit digit of a packed
-    key, variable 1 the most significant one (variable v is shifted by
-    2(n - v)), so numeric order on keys is lexicographic order on
-    exponent vectors and a leaf's lex-greatest monomial is its largest
-    key.  A map holds the products of w sign patterns at once: it takes
-    each key to its two bit planes (ones, twos), bit p set in ones when
-    the key's coefficient under pattern p is 1 and in twos when it is 2,
-    and a key stays only while some pattern gives it a nonzero
-    coefficient.  A forest factor keeps the map's width (_times).  A
-    co-forest factor doubles it (_level): one pass over the keys
-    multiplies every pattern by both signs and puts the +1 children above
-    the -1 ones.
+    exponent capped at 2.  An exponent takes a 2-bit digit of a packed key,
+    variable 1 the most significant one (see _factor_masks), so numeric
+    order on keys is lexicographic order on exponent vectors and a leaf's
+    lex-greatest monomial is its largest key.  A map holds the products of
+    w sign patterns at once: it takes each key to its two bit planes
+    (ones, twos), bit p set in ones when the key's coefficient under
+    pattern p is 1 and in twos when it is 2, and a key stays only while
+    some pattern gives it a nonzero coefficient.  A forest factor keeps the
+    map's width (_times).  A co-forest factor doubles it (_level): one pass
+    over the keys multiplies every pattern by both signs and puts the +1
+    children above the -1 ones.
 
     The sign tree is walked in chunks of at most SLICE_DEPTH co-forest
     levels, depth first with an explicit stack of chunk roots, each a
@@ -396,12 +390,13 @@ def _sweep_signs(n, order, co, weights, lower, budget):
     factor still to come orients its edge into one end, whose exponent
     must have room.)  No stored map holds a dead term, so a new term can
     only die at the end whose digit a shift takes from 1 to 2, along a
-    later factor at that end; _dead_masks gives, per factor and end, the
-    2-bits of the neighbours along the later factors, and _level and
-    _times drop a key that meets them.  Whether a key is dead does not
-    depend on the signs, so the test runs once per key per map.
+    later factor at that end.  _factor_masks makes the layout, the cap
+    bits and, per factor and end, the cap bits of the neighbours along
+    the later factors, all in one place; _level and _times only test a
+    key's bits against them.  Whether a key is dead does not depend on
+    the signs, so the test runs once per key per map.
     """
-    dead = _dead_masks(n, order)
+    masks = _factor_masks(n, order)
     depth = len(weights)
     shifts = range(2 * (n - 1), -1, -2)
     certs = {}
@@ -414,13 +409,12 @@ def _sweep_signs(n, order, co, weights, lower, budget):
         d = start
         w = 1
         for k in range(k, len(order)):
-            i, j = order[k]
             if not co[k]:
-                cur = _times(cur, i, j, n, *dead[k])
+                cur = _times(cur, *masks[k])
             elif d == end:
                 break  # the chunk's end, above the leaves
             else:
-                cur = _level(cur, w, i, j, n, *dead[k])
+                cur = _level(cur, w, *masks[k])
                 w <<= 1
                 d += 1
             _charge(cur, w, depth - d, budget)
@@ -717,51 +711,23 @@ def certify_dp3(
     by exactly one such sigma: the 2^(|V|-c) switchings of the
     2^(|E|-|V|+c) representatives are the 2^|E| patterns.
 
-    Nothing is materialised per pattern.  With edge 0 as the most
-    significant bit and +1 as 1, a pattern's lex index x names its
-    switching set S = {v : sigma_v = -1} by walking each tree from its
-    root: v is in S iff (v's parent is in S) XOR (x's bit on the edge to
-    the parent).  x XOR cut(S), cut(S) the edges with exactly one end in
-    S, is its representative, whose forest bits are all zero.  By the
-    rule above, x's coefficient at a is the representative's, negated
-    when the edges whose lower end is in S and the v in S with a_v odd
-    are odd in number together.
+    A pattern's coefficient at a is therefore its representative's,
+    negated when the edges whose lower end is in its switching set
+    S = {v : sigma_v = -1} and the v in S with a_v odd are odd in number
+    together.  _PatternSpace holds the index arithmetic that takes a
+    pattern to its representative and S; _sweep_signs expands the
+    representatives, multiplying the edges in the order of _factor_order,
+    and its docstring gives the chunks of the sign tree and the dead terms.
 
     The result's `certificates` and `failure.failing_patterns` are lazy
     PatternSequence views in pattern-lex order over the representatives'
     verdicts: items are built when read, iteration streams them, len and
-    `in` use the arithmetic above, and each view compares equal to the
-    tuple of its items.  Memory does not grow with 2^|E|.  The sweep
-    charges the budget one step per key of each map it stores: one map
-    per factor for each chunk of the sign tree, a key holding its
-    coefficients under all of the chunk level's patterns.  An empty map
-    charges every node from its level down instead.  A term with an edge
-    still to be multiplied whose two ends are both at exponent 2 has no
-    descendant within the cap, so it is dropped without changing any
-    result (see _sweep_signs).  The switch then charges 2^(|V|-c) per
-    representative switched, that is per failing one and, with
+    `in` use that arithmetic, and each view compares equal to the tuple
+    of its items.  Memory does not grow with 2^|E|.  The budget is
+    charged one step per key of each map the sweep stores (see
+    _sweep_signs); in all-edges mode the switch then charges 2^(|V|-c)
+    per representative switched, that is per failing one and, with
     collect_certificates, per passing one.
-
-    The sweep names each leaf by its representative's index kappa in the
-    _PatternSpace of the mode, built before the sweep.  The representative
-    fixes the forest edges at -1 in both modes, so its kappa is the XOR
-    of slot_kap over its co-forest edges at +1, and the result is stored
-    at certs[kappa] or fails[kappa] directly.  The sign tree is walked in
-    chunks of at most SLICE_DEPTH co-forest levels, each expanded one
-    factor at a time for all of a level's nodes at once, each key holding
-    its coefficients under all of the level's sign patterns as two bit
-    planes (see _sweep_signs).
-
-    The sweep multiplies every edge in the order of _factor_order: by
-    descending deg(i) + deg(j), ties by descending edge, forest and
-    co-forest edges alike.  A forest edge keeps the width of the map it
-    multiplies and a co-forest edge doubles it.  The order cannot change
-    a result, only the steps and the time: each leaf map is the whole
-    product with its exponents capped at 2, whatever order the factors
-    come in; each representative's verdict is stored at its kappa, which
-    follows its edges' signs, not its place in the sweep; and the
-    dead-term masks are built from the factors in the order they are
-    multiplied.
 
     With use_spanning_tree (connected graphs containing a cycle only),
     the result lists the representatives alone; the verdict is the same.

@@ -43,7 +43,7 @@ def _budget_arg(text: str) -> Budget:
 
 def load_graph(arg: str) -> gr.Graph:
     p = Path(arg)
-    if p.exists():
+    if arg and p.exists():  # Path("") is the current directory
         return gr.read_graph(p.read_text())
     g = gr.parse_graph_name(arg)
     if g is None:
@@ -522,6 +522,13 @@ SCENARIOS = {
 # ---------------------------------------------------------------------------
 # entry point
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one `error:` line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 # Building the parser costs about 1.6 ms, more than many whole subcommands.
 # It is built on the first `run` (not at import, which stays cheap) and kept:
 # in-process callers that call `run` many times, such as the test suite and
@@ -529,7 +536,7 @@ SCENARIOS = {
 # default is immutable, and `--budget` makes a fresh Budget per parse.
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="dpnull",
         description="DP-coloring certification via polynomial coefficients over F_t",
     )

@@ -257,13 +257,15 @@ def relabel(g: Graph, order: tuple[int, ...]) -> Graph:
 
 
 def _split_top_level(text: str) -> list[str]:
+    """The parts of a join(...) argument: split at top-level commas, but
+    not at one followed by a digit, the comma inside a k<a>,<b> name."""
     parts, depth, cur = [], 0, []
-    for ch in text:
+    for k, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "," and depth == 0:
+        if ch == "," and depth == 0 and not text[k + 1:k + 2].isdigit():
             parts.append("".join(cur))
             cur = []
         else:

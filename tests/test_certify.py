@@ -830,8 +830,8 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
     def spy(build):
         def wrapped(cur, *args):
             out = build(cur, *args)
-            i, j, _, _, _ = args[-5:]
-            stored.append(((i, j), out))
+            inc_i, _, _, inc_j, _, _ = args[-6:]
+            stored.append(((inc_i, inc_j), out))
             return out
         return wrapped
 
@@ -861,7 +861,9 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
             assert res.certificates == certs
             assert (res.failure.failing_patterns if res.failure else ()) == failing
             assert budget.spent <= ref.spent
-            for edge, out in stored:
+            for incs, out in stored:
+                # x_v's digit is at bit 2(n - v), so inc_v decodes to v
+                edge = tuple(n - (inc.bit_length() - 1) // 2 for inc in incs)
                 k = order.index(edge)
                 forest_maps += not co[k]
                 for key in out:

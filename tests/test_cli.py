@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -19,8 +20,9 @@ from dpnull import cover as C
 from dpnull import graphs as G
 from dpnull import poly as pl
 from dpnull.budget import Budget
-from dpnull.errors import PreconditionError
+from dpnull.errors import FormatError, PreconditionError
 from test_certify import ref_certify_dp3
+from test_cover import COVER_TEXT, GRAPH_TEXT
 
 
 def run_cli(argv, capsys):
@@ -249,6 +251,41 @@ def test_budget_below_one_is_an_input_error(command, value, capsys):
     code, out, err = run_cli(command + ["--budget", value], capsys)
     assert code == 2
     assert out == "" and "--budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chi-dp", "k4", "--max-m", "x"], "argument --max-m: invalid int value: 'x'"),
+    (["certify-dp3", "k4", "--budget", "0"], "argument --budget: must be at least 1, got 0"),
+    (["certify-dp3"], "the following arguments are required: graph"),
+    (["frob"], None),
+    (["coeff", "p3", "--target", "-1,2,1"], "argument --target: expected one argument"),
+    ([], "the following arguments are required: command"),
+], ids=["max-m-not-int", "budget-0", "no-graph", "unknown-subcommand", "dash-target", "no-command"])
+def test_argument_errors_are_one_error_line(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if message is not None:
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["certify-dp3", "-h"]])
+def test_help_still_exits_0(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and out.startswith("usage: dpnull") and err == ""
+
+
+def test_empty_graph_argument_is_named(capsys):
+    # "" is not the current directory
+    code, out, err = run_cli(["coeff", "", "--target=0"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: '' is neither a readable file nor a known family name\n"
+
+
+def test_join_with_a_complete_bipartite_part_is_swept(capsys):
+    code, out, err = run_cli(["certify-dp3", "join(k2,3,p2)"], capsys)
+    assert code == 1 and err == ""  # a sound negative, not an input error
+    assert out.startswith("kind: dp3-sweep\ngraph: n=7 m=17\n")
 
 
 def test_budget_exit_code(capsys):
@@ -763,8 +800,8 @@ def _at_most_12_edges(name):
 
 
 # graph names for the certify-dp3 contract: small families, nested in cones
-# and joins, kept to at most 12 edges so every all-edges sweep stays small;
-# a join with a k{a},{b} part does not parse, since its comma splits the join
+# and joins, k{a},{b} parts included, kept to at most 12 edges so every
+# all-edges sweep stays small
 sweep_leaf_names = st.one_of(
     st.integers(1, 5).map("p{}".format),
     st.integers(3, 6).map("c{}".format),
@@ -824,3 +861,150 @@ def test_certify_dp3_keeps_the_exit_code_contract(name, tree, emit_all, data):
         else:
             emitted = out.count("kind: dp3-pattern\n")
             assert emitted == (len(certs) if emit_all else min(1, len(certs))), argv
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract of the other subcommands
+
+def _colorable_by_brute_force(cov):
+    """Whether some choice of one label per vertex avoids every matched
+    pair, trying every choice."""
+    return any(
+        all(sigma.get(choice[i - 1]) != choice[j - 1] for (i, j), sigma in cov.matchings.items())
+        for choice in product(*cov.labels))
+
+
+def _at_most_7_vertices(name):
+    g = G.parse_graph_name(name)
+    return g is None or g.n <= 7
+
+
+small_graph_names = sweep_graph_names.filter(_at_most_7_vertices)
+bad_graph_names = st.sampled_from(
+    ("", "k0", "e0", "c2", "q5", "join(p2)", "join(e2,3)", "cone()", "k2,3-m5"))
+flag_values = st.sampled_from(("", "x", "1.5", "3,3", *map(str, range(-2, 21))))
+budgets = (st.integers(1, 20_000) | st.sampled_from((None, None, None, "0", "x"))).map(
+    lambda b: [] if b is None else [f"--budget={b}"])
+
+
+def _graph_arg(draw, tmp):
+    """A family name, a malformed one, or a graph file edited as in the
+    reader property."""
+    kind = draw(st.integers(0, 5))
+    if kind:
+        return draw(small_graph_names if kind > 1 else bad_graph_names)
+    path = tmp / "g.graph"
+    path.write_text(draw(GRAPH_TEXT))
+    return str(path)
+
+
+def _cover_file(draw, tmp):
+    """A cover of a small graph under a drawn pattern and field, C_6^2's
+    uncolorable one, or a cover file edited as in the reader property."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        text = draw(COVER_TEXT)
+    elif kind == 1:
+        text = C.write_cover(C.uncolorable_cover_c3k_square(2))
+    else:
+        g = G.parse_graph_name(draw(small_graph_names))
+        t = draw(st.sampled_from((2, 3, 4, 5)))
+        # a +1 sign (a sum-constant matching) needs order 3
+        signs = {e: draw(st.sampled_from((-1, 1) if t == 3 else (-1,))) for e in g.edges}
+        offsets = {e: draw(st.integers(0, t - 1)) for e in g.edges}
+        text = C.write_cover(C.cover_from_pattern(g, t, signs, offsets))
+    path = tmp / "c.cover"
+    path.write_text(text)
+    return str(path)
+
+
+def _orientation_target(draw, g):
+    """The outdegrees of a drawn orientation of g: they sum to |E|, the
+    grid route's degree."""
+    bits = draw(st.lists(st.booleans(), min_size=len(g.edges), max_size=len(g.edges)))
+    return ",".join(map(str, G.Orientation(g, tuple(bits)).outdegrees()))
+
+
+def _coeff_argv(draw, tmp):
+    if draw(st.booleans()):  # a well-formed call: both routes run and must agree
+        name = draw(small_graph_names)
+        target = _orientation_target(draw, G.parse_graph_name(name))
+        return ["coeff", name, f"--target={target}", f"--field={draw(st.sampled_from((3, 5, 7)))}"]
+    name = _graph_arg(draw, tmp)
+    try:
+        g = cli.load_graph(name)
+    except (FormatError, G.GraphError, OSError):
+        g = G.path(3)  # the run exits 2 whatever the target
+    target = draw(st.one_of(
+        st.just(_orientation_target(draw, g)),
+        st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n).map(lambda t: ",".join(map(str, t))),
+        bad_targets))
+    argv = ["coeff", name, f"--target={target}"]
+    argv += draw(st.lists(st.one_of(
+        st.sampled_from((2, 3, 4, 5, 7, 0, 20, "x")).map("--field={}".format),
+        st.sampled_from(("expand", "grid", "both", "x")).map("--method={}".format),
+        st.sampled_from(("default:+", "1-2:+,default:-", "", "x")).map("--signs={}".format),
+    ), max_size=2))
+    return argv + draw(budgets)
+
+
+def _make_cover_argv(draw, tmp):
+    argv = ["make-cover", _graph_arg(draw, tmp)]
+    # mostly one mode, as make-cover needs, sometimes none or two
+    modes = draw(st.sampled_from(("p", "b", "l", "p", "b", "l", "", "pb", "pl", "bl")))
+    if "p" in modes:
+        argv.append(f"--pattern={draw(st.sampled_from(('default:-0', '1-2:+1', '', '1-2:x')))}")
+    if "b" in modes:
+        argv.append(f"--bad-c3k={draw(flag_values)}")
+    if "l" in modes:
+        lists = tmp / "lists.txt"
+        lists.write_text("".join(
+            f"{v} {' '.join(map(str, draw(st.lists(st.integers(0, 5), max_size=3))))}\n"
+            for v in range(1, draw(st.integers(0, 8)) + 1)))
+        argv.append(f"--lists={lists}")
+    if draw(st.booleans()):
+        argv.append(f"--field={draw(flag_values)}")
+    return argv
+
+
+CONTRACT_ARGV = {
+    "coeff": _coeff_argv,
+    "certify-cover": lambda draw, tmp: (
+        ["certify-cover", _cover_file(draw, tmp)]
+        + draw(st.sampled_from(([], ["--mode=good"], ["--mode=order3"], ["--mode=x"])))
+        + draw(budgets)),
+    "chi-dp": lambda draw, tmp: (
+        ["chi-dp", _graph_arg(draw, tmp)]
+        + draw(st.one_of(st.just([]), flag_values.map(lambda m: [f"--max-m={m}"])))
+        + draw(budgets)),
+    "make-cover": _make_cover_argv,
+    "check-cover": lambda draw, tmp: ["check-cover", _cover_file(draw, tmp)] + draw(budgets),
+    "reproduce": lambda draw, tmp: (
+        ["reproduce", draw(st.sampled_from(("all", "x", "", *cli.SCENARIOS)))]
+        + draw(st.one_of(st.just([]), flag_values.map(lambda s: [f"--seed={s}"])))),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(CONTRACT_ARGV)), st.data())
+def test_every_subcommand_keeps_the_exit_code_contract(command, data):
+    """coeff, certify-cover, chi-dp, make-cover, check-cover and
+    reproduce on family names, malformed names, edited graph and cover
+    files, malformed flag values and budgets: the exit code is 0, 1, 2
+    or 3; on 2 or 3 stderr is one error: line and stdout is empty, so
+    coeff's two routes never disagree; and on covers of graphs with
+    n <= 7, check-cover's verdict agrees with a brute-force search."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = CONTRACT_ARGV[command](data.draw, Path(tmp))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code in (2, 3):
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if command == "check-cover" and code in (0, 1):
+            cov = C.read_cover(Path(argv[1]).read_text())
+            if cov.graph.n <= 7:
+                assert code == (0 if _colorable_by_brute_force(cov) else 1), argv

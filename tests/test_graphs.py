@@ -88,6 +88,7 @@ def test_parse_graph_name():
     assert (nested.n, len(nested.edges)) == (7, 19)
     assert nested == G.join(G.cone(G.cycle(4)), G.path(2))
     assert G.parse_graph_name("frob99") is None
+    assert G.parse_graph_name("join(e2,3)") is None  # one part, and "3" names no family
     assert G.parse_graph_name("p5").edges == G.path(5).edges
     assert G.parse_graph_name("c6").edges == G.cycle(6).edges
     assert G.parse_graph_name("k4").edges == G.complete(4).edges
@@ -96,6 +97,20 @@ def test_parse_graph_name():
     for bad in ("p0", "c2", "k0,3"):
         with pytest.raises(G.GraphError):
             G.parse_graph_name(bad)
+
+
+@pytest.mark.parametrize("name, parts, size", [
+    ("join(k2,3,p2)", ((G.complete_bipartite, 2, 3), (G.path, 2)), (7, 17)),
+    ("join(p2,k2,3)", ((G.path, 2), (G.complete_bipartite, 2, 3)), (7, 17)),
+    ("join(k3,3-m1,k3,3-m1)", ((G.complete_bipartite_minus_matching, 3, 3, 1),) * 2, (12, 52)),
+    ("join(k2,2,e1)", ((G.complete_bipartite, 2, 2), (G.empty_graph, 1)), (5, 8)),
+])
+def test_join_names_with_a_complete_bipartite_part(name, parts, size):
+    # a k<a>,<b> name holds the only comma followed by a digit, so join
+    # does not split there
+    g = G.join(*(build(*args) for build, *args in parts))
+    assert G.parse_graph_name(name) == g and (g.n, len(g.edges)) == size
+    assert G.parse_graph_name(f"cone({name})") == G.cone(g)
 
 
 def test_join_vertex_order():
