@@ -314,9 +314,10 @@ def _factor_masks(n, order):
 def _factor_order(g: Graph) -> tuple[Edge, ...]:
     """The edges of g in the order the sweep multiplies them: by
     descending deg(i) + deg(j), ties by descending edge."""
+    nbrs = g._neighbours
     return tuple(sorted(
         g.edges,
-        key=lambda e: (g.degree(e[0]) + g.degree(e[1]), e),
+        key=lambda e: (len(nbrs[e[0]]) + len(nbrs[e[1]]), e),
         reverse=True,
     ))
 
@@ -975,7 +976,7 @@ def dp_chromatic_bounds(g: Graph, budget: Budget | None = None,
     comps = g.components()
     for ci, comp in enumerate(comps, start=1):
         # a connected graph is its own component: no copy, and its cached
-        # adjacency and forest are reused
+        # neighbour lists and forest are reused
         sub = g if len(comps) == 1 else g.subgraph(comp)
         tag = f"component {ci} ({sub.n} vertices)"
         try:

@@ -234,6 +234,8 @@ def _cmd_make_cover(args) -> int:
         got = f", got {', '.join(given)}" if given else ""
         raise FormatError(f"make-cover needs exactly one of --pattern, --bad-c3k and --lists{got}")
     g = load_graph(args.graph)
+    if g.n == 0:
+        raise PreconditionError("the graph must have at least one vertex")
     if args.bad_c3k is not None:
         cov = cv.uncolorable_cover_c3k_square(args.bad_c3k)
         if g != cov.graph:

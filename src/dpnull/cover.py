@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import combinations, islice, permutations, takewhile
+from itertools import combinations, islice, permutations
 from operator import or_
 
 from .budget import Budget, BudgetExceeded, ensure_budget
@@ -372,7 +372,7 @@ def is_good_cover(cover: Cover, budget: Budget | None = None) -> dict[int, dict[
     # earlier[v]: (u, pairs of uv) per matched edge to an earlier u, in order
     earlier: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {v: [] for v in order}
     for u in order:
-        for v in cover.graph.adjacency[u]:
+        for v in cover.graph._neighbours[u]:
             if pos[v] > pos[u] and (pairs := _pairs(cover, u, v)):
                 earlier[v].append((u, pairs))
     maps: dict[int, dict[int, int]] = {}
@@ -513,12 +513,17 @@ def _walk(start: int, levels: list[list[int]], budget: Budget,
         d = 0
         while d >= 0:
             if d == top:
-                if states[top] not in leaves:
+                entry = leaves.get(states[top])
+                if entry is None:
                     index = [k for k in range(sizes[top]) if rows[top][k] >= 0]
-                    leaves[states[top]] = index, [levels[top][k] for k in index]
-                index, masks = leaves[states[top]]
+                    entry = leaves[states[top]] = index, [levels[top][k] for k in index]
+                index, masks = entry
                 cur = valid[top]
-                alive = len(list(takewhile(bool, map(cur.__and__, masks))))
+                alive = 0
+                for mask in masks:
+                    if not cur & mask:
+                        break
+                    alive += 1
                 steps = alive + (alive < len(masks))
                 spare = budget.limit - budget.spent
                 if steps >= spare:  # the budget runs out at leaf `spare`

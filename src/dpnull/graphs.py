@@ -5,12 +5,13 @@ every factor (x_i - x_j) in the edge-product polynomials, so constructions
 document their numbering (cycles are numbered cyclically, joins put the
 left operand first, bipartite graphs list one part before the other).
 
-Also houses the one breadth-first walk, `bfs`, which serves every
-traversal here (the cached `Graph.forest` and the tree keys), the one
-backtracking coloring search, `_partitions`, which serves both the
-chromatic number and the unique partition into k classes, and a small
-catalog generator for trees, deduplicated by their codes rooted at a
-centre.
+Every invariant of a graph reads one cached map, `Graph._neighbours`,
+each vertex's neighbours in ascending order.  Also houses the one
+breadth-first walk, `bfs`, which serves every traversal here (the cached
+`Graph.forest` and the tree keys), the one backtracking coloring search,
+`_partitions`, which serves both the chromatic number and the unique
+partition into k classes, and a small catalog generator for trees,
+deduplicated by their codes rooted at a centre.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import countOf
 from types import MappingProxyType
 
 from .budget import Budget, ensure_budget
@@ -55,12 +57,19 @@ class Graph:
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
     @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        adj = {v: set() for v in range(1, self.n + 1)}
+    def _neighbours(self) -> dict[int, list[int]]:
+        """Vertex -> its neighbours in ascending order, the one adjacency
+        every invariant reads.  One pass over the sorted edges builds it: v
+        meets its lower neighbours (edges (i, v)) before its higher ones."""
+        nbrs: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
         for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return {v: frozenset(s) for v, s in adj.items()}
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        return nbrs
+
+    @cached_property
+    def adjacency(self) -> dict[int, frozenset[int]]:
+        return {v: frozenset(ns) for v, ns in self._neighbours.items()}
 
     @cached_property
     def forest(self) -> Mapping[int, int]:
@@ -70,11 +79,17 @@ class Graph:
         neighbours taken in sorted order, so parents precede children.
         Components, spanning_tree, bipartition, the cover searches and the
         sign sweep's switchings all derive from it."""
+        nbrs = self._neighbours
         parent: dict[int, int] = {}
-        for v in range(1, self.n + 1):
+        for v in nbrs:
             if v not in parent:
-                parent.update(bfs(self.adjacency, v))
+                parent.update(bfs(nbrs, v))
         return MappingProxyType(parent)
+
+    @cached_property
+    def _roots(self) -> int:
+        """The number of components: the roots of the forest."""
+        return countOf(self.forest.values(), 0)
 
     def __getstate__(self):
         # a mappingproxy does not pickle; the forest is rebuilt on demand
@@ -83,12 +98,14 @@ class Graph:
         return state
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self._neighbours[v])
 
     def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(1, self.n + 1)), default=0)
+        return max(map(len, self._neighbours.values()), default=0)
 
     def components(self) -> list[tuple[int, ...]]:
+        if self._roots == 1:
+            return [tuple(range(1, self.n + 1))]
         comps = []
         for v, parent in self.forest.items():
             if not parent:
@@ -97,16 +114,16 @@ class Graph:
         return [tuple(sorted(comp)) for comp in comps]
 
     def is_connected(self) -> bool:
-        return list(self.forest.values()).count(0) <= 1
+        return self._roots <= 1
 
     def contains_cycle(self) -> bool:
-        return len(self.edges) > self.n - list(self.forest.values()).count(0)
+        return len(self.edges) > self.n - self._roots
 
     def is_cycle_graph(self) -> bool:
         return (
-            self.n >= 3
-            and self.is_connected()
-            and all(self.degree(v) == 2 for v in range(1, self.n + 1))
+            len(self.edges) == self.n >= 3
+            and self._roots == 1
+            and all(len(ns) == 2 for ns in self._neighbours.values())
         )
 
     def is_complete(self) -> bool:
@@ -117,8 +134,9 @@ class Graph:
         side = {}
         for v, parent in self.forest.items():
             side[v] = 1 - side[parent] if parent else 0
-        if any(side[i] == side[j] for i, j in self.edges):
-            return None
+        for i, j in self.edges:
+            if side[i] == side[j]:
+                return None
         xs = tuple(v for v in range(1, self.n + 1) if side[v] == 0)
         ys = tuple(v for v in range(1, self.n + 1) if side[v] == 1)
         return xs, ys
@@ -134,8 +152,8 @@ class Graph:
         when a degree drops and are skipped when popped."""
         if self.n == 0:
             return 0
-        adj = self.adjacency
-        deg = [0, *(len(adj[v]) for v in range(1, self.n + 1))]  # -1: removed
+        adj = self._neighbours
+        deg = [0, *map(len, adj.values())]  # -1: removed
         buckets = [[] for _ in range(max(deg) + 1)]
         for v in range(1, self.n + 1):
             buckets[deg[v]].append(v)
@@ -147,14 +165,15 @@ class Graph:
                 v = buckets[d].pop()
                 if deg[v] == d:
                     break
-            best = max(best, d)
+            if d > best:
+                best = d
             deg[v] = -1
             for w in adj[v]:
                 if deg[w] >= 0:
                     deg[w] -= 1
                     buckets[deg[w]].append(w)
             # removing v lowers a degree by one at most
-            d = max(d - 1, 0)
+            d = d - 1 if d else 0
         return best + 1
 
     def subgraph(self, vertices: tuple[int, ...]) -> "Graph":
@@ -339,12 +358,12 @@ class Orientation:
 
 def bfs(adj, root: int) -> dict[int, int]:
     """Breadth-first visit from root: vertex -> parent in visit order, the
-    root's parent 0.  adj maps a vertex to its neighbours, visited in
-    sorted order."""
+    root's parent 0.  adj maps a vertex to its neighbours, visited in the
+    order listed (ascending in `Graph._neighbours`)."""
     parent = {root: 0}
     queue = [root]
     for v in queue:  # the queue grows while it is walked
-        for w in sorted(adj[v]):
+        for w in adj[v]:
             if w not in parent:
                 parent[w] = v
                 queue.append(w)
@@ -390,7 +409,7 @@ def _partitions(g: Graph, k: int, budget: Budget, exact: bool = False):
     changes or it is uncoloured again, so each one has an entry that
     holds; the others are popped when they reach the top, or dropped all
     at once when the heap outgrows 4n entries."""
-    adj = g.adjacency
+    adj = g._neighbours
     colors = {}
     neighbor_colors = {v: set() for v in range(1, g.n + 1)}
     heap = [(0, -len(adj[v]), v) for v in range(1, g.n + 1)]

@@ -428,6 +428,21 @@ def test_make_cover_empty_pattern_is_the_all_default_pattern(capsys):
     assert out == C.write_cover(C.cover_from_pattern(G.cycle(4), 3))
 
 
+@pytest.mark.parametrize("graph", ["k0", "e0"])
+@pytest.mark.parametrize("mode", [["--pattern="], ["--bad-c3k=2"], ["--lists=lists.txt"]],
+                         ids=["pattern", "bad-c3k", "lists"])
+def test_make_cover_refuses_a_graph_with_no_vertices(graph, mode, tmp_path, capsys, monkeypatch):
+    # a cover with no label records is one check-cover refuses, so the
+    # graph is refused as chi-dp refuses it, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lists.txt").write_text("1 0 1\n")
+    code, out, err = run_cli(["make-cover", graph, *mode, "--out=out.cover"], capsys)
+    assert (code, out, err) == (2, "", "error: the graph must have at least one vertex\n")
+    assert not (tmp_path / "out.cover").exists()
+    code, out, err = run_cli(["make-cover", graph, *mode], capsys)
+    assert (code, out, err) == (2, "", "error: the graph must have at least one vertex\n")
+
+
 def test_check_cover_on_a_long_path(tmp_path, capsys):
     graph_path = tmp_path / "p1500.graph"
     graph_path.write_text(G.write_graph(G.path(1500)))
@@ -1008,3 +1023,17 @@ def test_every_subcommand_keeps_the_exit_code_contract(command, data):
             cov = C.read_cover(Path(argv[1]).read_text())
             if cov.graph.n <= 7:
                 assert code == (0 if _colorable_by_brute_force(cov) else 1), argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_cover_make_cover_writes_is_one_check_cover_reads(data):
+    """Whenever make-cover exits 0, check-cover reads the file it wrote
+    and gives a verdict (exit 0 or 1), not an input error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cov_path = Path(tmp) / "out.cover"
+        argv = _make_cover_argv(data.draw, Path(tmp)) + [f"--out={cov_path}"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            made = cli.run(argv)
+            checked = cli.run(["check-cover", str(cov_path)]) if made == 0 else None
+        assert made != 0 or checked in (0, 1), argv

@@ -548,6 +548,26 @@ def test_exact_dp_chromatic_under_every_budget(name, g):
     assert got.status == want.status
 
 
+@pytest.mark.parametrize("name,g,tested,spent", [
+    ("K34", G.complete_bipartite(3, 4), 46_658, 10_063),
+    ("K33", G.complete_bipartite(3, 3), 1_298, 463),
+    ("prism", PRISM, 1_296, 490),
+])
+def test_exact_walk_spend_is_pinned(name, g, tested, spent):
+    # the leaf scan charges each run of colorable leaves in one tick, so
+    # a change to how it counts them must keep these spends
+    budget = Budget(10**9)
+    res = C.exact_dp_chromatic(g, 4, budget)
+    assert (res.status, res.value, res.covers_tested, budget.spent) == ("exact", 3, tested, spent)
+
+
+def test_f_walk_spend_is_pinned():
+    g = G.cone(G.cycle(4))
+    budget = Budget(10**9)
+    res = C.f_dp_exhaustive(g, {v: 2 if v == 1 else 3 for v in range(1, g.n + 1)}, budget)
+    assert (res.status, res.covers_tested, budget.spent) == ("all_colorable", 1_296, 1_631)
+
+
 def test_f_dp_exhaustive_examples():
     assert C.f_dp_exhaustive(G.path(2), {1: 1, 2: 1}).status == "counterexample"
     assert C.f_dp_exhaustive(G.path(4), {1: 1, 2: 2, 3: 2, 4: 2}).status == "all_colorable"

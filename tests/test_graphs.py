@@ -436,7 +436,7 @@ def test_bfs_callers_match_queue_walks():
             if start in seen:
                 continue
             visit = ref_bfs(g.adjacency, start, seen)
-            assert list(G.bfs(g.adjacency, start).items()) == visit
+            assert list(G.bfs(g._neighbours, start).items()) == visit
             comps.append(tuple(sorted(v for v, _ in visit)))
             tree += [tuple(sorted((v, p))) for v, p in visit if p]
             forest += visit
@@ -458,6 +458,103 @@ def test_coloring_number_is_cached_and_pickles():
     assert g.coloring_number() == 3 and vars(g)["_coloring_number"] == 3
     again = pickle.loads(pickle.dumps(g))
     assert again == g and again.coloring_number() == 3 and again.forest == g.forest
+
+
+def _reach(v, edges):
+    """The vertices joined to v by a path of these edges, by growing the
+    set until no edge leaves it."""
+    seen, grew = {v}, True
+    while grew:
+        grew = False
+        for i, j in edges:
+            if (i in seen) != (j in seen):
+                seen |= {i, j}
+                grew = True
+    return seen
+
+
+def test_graph_core_matches_brute_force_on_random_graphs():
+    """Every invariant read from the sorted neighbour lists against a
+    reference built from the edge list alone, on seeded graphs with
+    n = 0..9 of every density: edgeless ones, sparse ones with isolated
+    vertices and several components, dense ones."""
+    rng = random.Random(32)
+    cases = []
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        density = rng.random()
+        # a third of them keep only edges across a random split: bipartite
+        side = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+        across = rng.random() < 0.3
+        edges = [(i, j) for i, j in combinations(range(1, n + 1), 2)
+                 if rng.random() < density and not (across and side[i] == side[j])]
+        rng.shuffle(edges)
+        cases.append((n, edges))
+    # K_3 + K_2 and C_4 + K_2: several components, a cycle, no isolated
+    # vertex; C_3 + C_4: every degree 2 and n edges, yet not a cycle; P_9
+    # plus the chord (7, 9): the only odd cycle closes at the last edge
+    cases += [(5, [(4, 5), (1, 2), (2, 3), (1, 3)]), (6, [(5, 6), (1, 2), (2, 3), (3, 4), (1, 4)]),
+              (7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)]),
+              (9, [*G.path(9).edges, (7, 9)])]
+    shapes = set()
+    for n, edges in cases:
+        g = G.from_edges(n, edges)
+        nbrs = {v: [] for v in range(1, n + 1)}
+        for i, j in edges:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        nbrs = {v: sorted(ns) for v, ns in nbrs.items()}
+        assert g._neighbours == nbrs
+        assert g.adjacency == {v: frozenset(ns) for v, ns in nbrs.items()}
+        assert all(type(ns) is frozenset for ns in g.adjacency.values())
+        assert [g.degree(v) for v in range(1, n + 1)] == [len(nbrs[v]) for v in range(1, n + 1)]
+        assert g.max_degree() == max(map(len, nbrs.values()), default=0)
+        comps = []
+        for v in range(1, n + 1):
+            if not any(v in comp for comp in comps):
+                comps.append(tuple(sorted(_reach(v, edges))))
+        assert g.components() == comps
+        assert g.is_connected() == (len(comps) <= 1)
+        # an edge lies on a cycle when its ends stay joined without it
+        assert g.contains_cycle() == any(
+            j in _reach(i, [e for e in g.edges if e != (i, j)]) for i, j in g.edges)
+        assert g.is_cycle_graph() == (n >= 3 and len(comps) == 1
+                                      and all(len(ns) == 2 for ns in nbrs.values()))
+        # the one proper 2-colouring, if any, with each component's lowest
+        # vertex on side 0, from every assignment of the other vertices
+        lowest = {comp[0] for comp in comps}
+        rest = [v for v in range(1, n + 1) if v not in lowest]
+        sides = []
+        for bits in product((0, 1), repeat=len(rest)):
+            side = dict.fromkeys(lowest, 0) | dict(zip(rest, bits))
+            if all(side[i] != side[j] for i, j in edges):
+                sides.append(side)
+        assert len(sides) <= 1
+        want = None
+        if sides:
+            want = tuple(tuple(v for v in range(1, n + 1) if sides[0][v] == x) for x in (0, 1))
+        assert g.bipartition() == want
+        # repeated minimum-degree removal
+        alive = {v: set(ns) for v, ns in nbrs.items()}
+        best = 0
+        while alive:
+            v = min(alive, key=lambda u: len(alive[u]))
+            best = max(best, len(alive[v]))
+            for w in alive.pop(v):
+                alive[w].discard(v)
+        assert g.coloring_number() == (best + 1 if n else 0)
+        forest, seen = [], set()
+        for root in range(1, n + 1):
+            if root not in seen:
+                forest += ref_bfs(nbrs, root, seen)
+        assert list(g.forest.items()) == forest
+        shapes.add((len(comps) > 1, g.contains_cycle(), want is not None,
+                    any(not ns for ns in nbrs.values())))
+    # disconnected and connected, cyclic and acyclic, bipartite and not,
+    # with and without isolated vertices: all ten combinations a graph
+    # can have (connected with an isolated vertex is K_1; acyclic is
+    # bipartite)
+    assert len(shapes) == 10
 
 
 def count_colorings_oracle(g, lists):
