@@ -20,7 +20,7 @@ Example:
 """
 import argparse
 import sys
-from itertools import product
+from itertools import islice, product
 
 from dpnull import certify, cover
 from dpnull.cli import exit_code, load_graph, pattern_formatter
@@ -48,7 +48,7 @@ def main():
     print(f"{len(failing)} failing patterns of {result.patterns_tested}")
     found = 0
     fmt = pattern_formatter(g.edges)
-    for pattern in failing[: args.limit]:
+    for pattern in islice(failing, args.limit):
         signs = dict(zip(g.edges, pattern))
         plus_edges = [e for e in g.edges if signs[e] == 1][: args.offsets]
         vary = plus_edges if plus_edges else list(g.edges)[: args.offsets]

@@ -28,8 +28,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial, reduce
-from itertools import chain, islice, permutations, product
-from operator import add, eq, index, or_
+from itertools import chain, islice, permutations
+from operator import eq, or_
 
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .errors import MethodDisagreement, PreconditionError
@@ -464,8 +464,8 @@ def _sweep_signs(n, order, co, weights, lower, budget):
 
 class _PatternSpace:
     """The sign patterns a sweep reports on, in pattern-lex order, and the
-    index arithmetic that takes each one to its forest-pinned
-    representative and its switching (see certify_dp3).
+    arithmetic that takes each one to its forest-pinned representative and
+    its switching (see certify_dp3).
 
     The signs are pinned to -1 on the forest edges that are not switched
     and free on the others.  A pattern's domain index y reads its free
@@ -481,9 +481,10 @@ class _PatternSpace:
     elimination over bits 0, 1, ...: kap[t] is the kappa of bit t alone,
     and dims[t] the rank of the bits below t.  The representatives of the
     y that agree above bit t are then exactly those whose kappa agree
-    from bit dims[t] up, so a count of members per value of kappa >> d
-    sizes any such block of y, which lets a sequence skip blocks and find
-    its i-th member.
+    from bit dims[t] up, so a walk down the bits of y can drop every block
+    whose kappa >> dims[t] no member has.  The low `block` bits are not
+    walked: their signs, kappas and switchings are tabulated once, in
+    `tails`.
     """
 
     BLOCK = 10  # free bits scanned per block when streaming
@@ -506,7 +507,6 @@ class _PatternSpace:
                     cuts[p] ^= cuts[v]
         self.m = m
         self.free = [k for k, e in enumerate(g.edges) if switched or e not in forest]
-        self.is_free = [switched or e not in forest for e in g.edges]
         self.nbits = len(self.free)
         self.kap, self.sig, self.dims = [], [], [0]
         reduced = []  # (pivot bit, vector, its kappa), by descending pivot
@@ -527,29 +527,11 @@ class _PatternSpace:
             self.sig.append(mask)
             self.dims.append(self.dims[-1] + bool(rep))
         self.rank = self.dims[-1]
-        # the same per edge slot, 0 on pinned slots
-        self.slot_kap = [0] * m
-        self.slot_sig = [0] * m
-        for k, kappa, s in zip(reversed(self.free), self.kap, self.sig):
+        self.slot_kap = [0] * m  # the kappa per edge slot, 0 on pinned slots
+        for k, kappa in zip(reversed(self.free), self.kap):
             self.slot_kap[k] = kappa
-            self.slot_sig[k] = s
         self.block = min(self.nbits, self.BLOCK)
         self.split = self.free[self.nbits - self.block]
-        self._tails = None
-
-    def locate(self, pattern) -> tuple[int, int] | None:
-        """(kappa of the representative, switching set S) of a sign tuple,
-        None outside the domain."""
-        if not isinstance(pattern, tuple) or len(pattern) != self.m:
-            return None
-        kappa = mask = 0
-        for s, free, k, sg in zip(pattern, self.is_free, self.slot_kap, self.slot_sig):
-            if free and s == 1:
-                kappa ^= k
-                mask ^= sg
-            elif s != -1:
-                return None
-        return kappa, mask
 
     def signs(self, y: int) -> tuple[int, ...]:
         """The sign pattern of index y."""
@@ -559,19 +541,18 @@ class _PatternSpace:
                 out[k] = 1
         return tuple(out)
 
+    @cached_property
     def tails(self):
         """(signs from edge `split` on, kappa, S) of each of the low
-        `block` bits' values, in order."""
-        if self._tails is None:
-            low = self.free[self.nbits - self.block:]
-            self._tails = []
-            for bits in product((-1, 1), repeat=self.block):
-                tail = [-1] * (self.m - self.split)
-                for k, s in zip(low, bits):
-                    tail[k - self.split] = s
-                tail = tuple(tail)
-                self._tails.append((tail, *self.locate((-1,) * self.split + tail)))
-        return self._tails
+        `block` bits' values, in order: each bit doubles the list, its
+        +1 half after its -1 half."""
+        tails = [((-1,) * (self.m - self.split), 0, 0)]
+        for t in range(self.block):
+            at = self.free[-1 - t] - self.split
+            kap, sig = self.kap[t], self.sig[t]
+            tails += [(tail[:at] + (1,) + tail[at + 1:], k ^ kap, s ^ sig)
+                      for tail, k, s in tails]
+        return tails
 
 
 class PatternSequence(Sequence):
@@ -580,9 +561,11 @@ class PatternSequence(Sequence):
 
     payload is keyed by the kappas of the member representatives;
     make(pattern, S, payload[kappa]) builds the item of a member pattern.
-    len is O(1) and `in` O(|E|); indexing and slicing walk down to the
-    wanted block, and iteration streams block by block.  A sequence
-    compares equal to the tuple of its items.
+    len is O(1).  Iteration streams the items block by block and skips
+    every block that holds no member; indexing reads the i-th item off
+    that stream, so it is O(i), `in` scans it, and a slice or reversed()
+    builds the whole tuple first.  A sequence compares equal to the tuple
+    of its items.
     """
 
     def __init__(self, space: _PatternSpace, payload: dict, make):
@@ -595,17 +578,16 @@ class PatternSequence(Sequence):
         return self._len
 
     @cached_property
-    def _counts(self):
-        """counts[d][h]: the members whose kappa >> d is h."""
-        counts = [list(map(self._payload.__contains__, range(1 << self._space.rank)))]
-        while len(counts[-1]) > 1:
-            c = counts[-1]
-            counts.append(list(map(add, c[::2], c[1::2])))
-        return counts
+    def _live(self):
+        """live[d]: the kappa >> d of the members, d = 0..rank (the
+        payload itself at d = 0)."""
+        live = [self._payload]
+        for _ in range(self._space.rank):
+            live.append({h >> 1 for h in live[-1]})
+        return live
 
-    def _items(self, skip: int):
-        """The items from position `skip` on."""
-        space, get, counts, make = self._space, self._payload.get, self._counts, self._make
+    def __iter__(self):
+        space, get, live, make = self._space, self._payload.get, self._live, self._make
         dims, kap, sig = space.dims, space.kap, space.sig
         # (t, y, kappa(y), S(y)): the block of indices that agree with y
         # above its low t bits, which are 0 in y
@@ -613,48 +595,26 @@ class PatternSequence(Sequence):
         while stack:
             t, y, kappa, mask = stack.pop()
             d = dims[t]
-            size = counts[d][kappa >> d] << (t - d)
-            if size <= skip:
-                skip -= size
-            elif t > space.block:
+            if kappa >> d not in live[d]:
+                continue
+            if t > space.block:
                 t -= 1
                 stack.append((t, y | 1 << t, kappa ^ kap[t], mask ^ sig[t]))
                 stack.append((t, y, kappa, mask))
             else:
                 head = space.signs(y)[:space.split]
-                for tail, k, s in space.tails():
+                for tail, k, s in space.tails:
                     data = get(kappa ^ k)
-                    if data is None:
-                        continue
-                    if skip:
-                        skip -= 1
-                    else:
+                    if data is not None:
                         yield make(head + tail, mask ^ s, data)
-
-    def __iter__(self):
-        return self._items(0)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            r = range(*i.indices(self._len))
-            if r.step < 0:  # the same items, read forwards
-                return self[r[-1]:r[0] + 1:-r.step][::-1] if r else ()
-            return tuple(islice(self._items(r.start), 0, len(r) * r.step, r.step))
-        i = index(i)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("pattern index out of range")
-        return next(self._items(i))
+            return tuple(self)[i]
+        return next(islice(self, range(self._len)[i], None))
 
-    def __contains__(self, item) -> bool:
-        pattern = getattr(item, "pattern", item)
-        found = self._space.locate(pattern)
-        if found is None:
-            return False
-        kappa, mask = found
-        data = self._payload.get(kappa)
-        return data is not None and self._make(pattern, mask, data) == item
+    def __reversed__(self):  # not Sequence's, which indexes each item
+        return reversed(tuple(self))
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, PatternSequence)):
@@ -715,17 +675,18 @@ def certify_dp3(
     A pattern's coefficient at a is therefore its representative's,
     negated when the edges whose lower end is in its switching set
     S = {v : sigma_v = -1} and the v in S with a_v odd are odd in number
-    together.  _PatternSpace holds the index arithmetic that takes a
-    pattern to its representative and S; _sweep_signs expands the
-    representatives, multiplying the edges in the order of _factor_order,
-    and its docstring gives the chunks of the sign tree and the dead terms.
+    together.  _PatternSpace holds the arithmetic that takes a pattern to
+    its representative and S; _sweep_signs expands the representatives,
+    multiplying the edges in the order of _factor_order, and its docstring
+    gives the chunks of the sign tree and the dead terms.
 
     The result's `certificates` and `failure.failing_patterns` are lazy
     PatternSequence views in pattern-lex order over the representatives'
-    verdicts: items are built when read, iteration streams them, len and
-    `in` use that arithmetic, and each view compares equal to the tuple
-    of its items.  Memory does not grow with 2^|E|.  The budget is
-    charged one step per key of each map the sweep stores (see
+    verdicts: len is O(1), iteration streams the items, building each
+    when it is reached, indexing item i is O(i), and each view compares
+    equal to the tuple of its items.  Iterating needs memory that does
+    not grow with 2^|E|; a slice, like tuple(), holds every item.  The
+    budget is charged one step per key of each map the sweep stores (see
     _sweep_signs); in all-edges mode the switch then charges 2^(|V|-c)
     per representative switched, that is per failing one and, with
     collect_certificates, per passing one.

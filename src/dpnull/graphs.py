@@ -68,10 +68,6 @@ class Graph:
         return nbrs
 
     @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        return {v: frozenset(ns) for v, ns in self._neighbours.items()}
-
-    @cached_property
     def forest(self) -> Mapping[int, int]:
         """The one spanning forest of the toolkit, read-only: vertex -> BFS
         parent, 0 at the lowest vertex of each component.  Components come

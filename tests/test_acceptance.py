@@ -32,7 +32,7 @@ def bfs_relabel(tree):
     while queue:
         v = queue.pop(0)
         order.append(v)
-        for w in sorted(tree.adjacency[v]):
+        for w in tree._neighbours[v]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)

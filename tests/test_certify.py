@@ -486,6 +486,12 @@ def _weights(g, space, order, co):
     return [space.slot_kap[g.edges.index(e)] for e, c in zip(order, co) if c]
 
 
+def _kappa(space, pattern):
+    """The kappa of a pattern's representative: the XOR of the kappas of
+    its + slots."""
+    return reduce(xor, (k for s, k in zip(pattern, space.slot_kap) if s == 1), 0)
+
+
 def _lower(g, collect=True):
     """The lower argument certify_dp3 passes _sweep_signs: the vertices
     (vertex v at bit v - 1) that are the lower end of an odd number of
@@ -503,8 +509,8 @@ def _keyed(space, swept, lower):
     when lower is None.  The passes and failures name every kappa
     exactly once between them."""
     passes, failures = swept
-    fails = {space.locate(p)[0]: True for p in failures}
-    passing = {space.locate(p)[0] for p, _, _ in passes}
+    fails = {_kappa(space, p): True for p in failures}
+    passing = {_kappa(space, p) for p, _, _ in passes}
     assert passing.isdisjoint(fails)
     assert len(passing) + len(fails) == len(passes) + len(failures) == 1 << space.rank
     if lower is None:
@@ -512,7 +518,7 @@ def _keyed(space, swept, lower):
     certs = {}
     for p, mono, c in passes:
         odd = sum(1 << v for v, a in enumerate(mono) if a & 1)
-        certs[space.locate(p)[0]] = (mono, c, lower ^ odd)
+        certs[_kappa(space, p)] = (mono, c, lower ^ odd)
     return certs, fails
 
 
@@ -772,6 +778,7 @@ def test_lazy_sequences_match_the_materialised_switch():
             absent += [(0,) * len(g.edges), list(failing[0]) if failing else None]
             if tree:
                 absent.append((1,) * len(g.edges))
+            assert list(reversed(res.certificates)) == list(reversed(certs))
             _check_sequence(res.certificates, certs,
                             absent + list(failing[:5]) + [
                                 X.Certificate(**{**c.__dict__, "coefficient": 3 - c.coefficient})
@@ -784,6 +791,37 @@ def test_lazy_sequences_match_the_materialised_switch():
                 assert res.failure is None
             checked += 1
     assert checked >= 200
+
+
+def test_streaming_skips_blocks_without_a_member():
+    """K_{3,4} with a 30-edge pendant path has 42 free bits in all-edges
+    mode and 64 representatives.  With one member, the sequence reaches
+    its first item, the pattern-lex first one of that representative,
+    after at most one block of payload lookups, whichever member it is."""
+
+    class Lookups(dict):
+        calls = 0
+
+        def get(self, key, default=None):
+            self.calls += 1
+            assert self.calls <= 2 ** X._PatternSpace.BLOCK, "read a block with no member"
+            return super().get(key, default)
+
+    k34 = G.complete_bipartite(3, 4)
+    g = G.from_edges(37, k34.edges + tuple((v, v + 1) for v in range(7, 37)))
+    space = X._PatternSpace(g, set(G.spanning_tree(g)), switched=True)
+    assert (space.nbits, space.rank) == (42, 6)
+    # the path's signs leave kappa alone, so each member's first pattern
+    # has them all -1
+    first = {}
+    for head in product((-1, 1), repeat=12):
+        first.setdefault(_kappa(space, head), head + (-1,) * 30)
+    assert len(first) == 64
+    for member, want in first.items():
+        payload = Lookups({member: True})
+        seq = X.PatternSequence(space, payload, X._bare)
+        assert len(seq) == 1 << 36
+        assert next(iter(seq)) == want
 
 
 def test_switch_charge_stops_where_one_tick_per_representative_does():
@@ -976,7 +1014,7 @@ def test_unique_list_tree_shapes():
         while queue:
             v = queue.pop(0)
             order.append(v)
-            for w in sorted(tree.adjacency[v]):
+            for w in tree._neighbours[v]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)

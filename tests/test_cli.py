@@ -573,9 +573,12 @@ def test_pattern_clues_closed_stdout_pipe_exits_quietly():
 
 
 def test_cycle_square_table_closed_stdout_pipe_exits_quietly():
-    # the header comes first; the rows follow after the pipe is closed
+    # the header comes first; the rows follow after the pipe is closed.
+    # Up to n = 900 the table is 75,634 bytes, more than the reader's
+    # buffer and a 64 KiB pipe hold, so some row is written after the close
     code, first, err = _first_line_then_close(
-        [sys.executable, str(CYCLE_SQUARE_TABLE)], _env(PYTHONUNBUFFERED="1"),
+        [sys.executable, str(CYCLE_SQUARE_TABLE), "--max-n", "900"],
+        _env(PYTHONUNBUFFERED="1"),
     )
     assert code == 141
     assert first == b"  n  chi  chi_DP  derivation\n"

@@ -801,7 +801,7 @@ def tree_pinned_edges(g, f):
         queue = [root]
         while queue:
             v = queue.pop(0)
-            for w in sorted(g.adjacency[v]):
+            for w in g._neighbours[v]:
                 if w not in parent:
                     parent[w] = v
                     queue.append(w)
@@ -1029,7 +1029,7 @@ def ref_is_good_cover(cover, budget, undone=None, shifts=1):
     g = cover.graph
     t = cover.t
     fld = cover.field
-    order = [v for comp in g.components() for v in G.bfs(g.adjacency, comp[0])]
+    order = [v for comp in g.components() for v in G.bfs(g._neighbours, comp[0])]
     pos = {v: k for k, v in enumerate(order)}
 
     def renamed_good(sigma, rho_i, rho_j):

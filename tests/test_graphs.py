@@ -187,7 +187,7 @@ def ref_two_colorable(g):
         queue = [s]
         while queue:
             v = queue.pop()
-            for w in g.adjacency[v]:
+            for w in g._neighbours[v]:
                 if w not in side:
                     side[w] = 1 - side[v]
                     queue.append(w)
@@ -204,7 +204,7 @@ def ref_chromatic_number(g, kmax, budget, picks=None):
     start = 1 if not g.edges else 2 if ref_two_colorable(g) else 3
     if start < 3:
         return start if start <= kmax else None
-    adj = g.adjacency
+    adj = g._neighbours
 
     def colorable(k):
         colors = {}
@@ -374,7 +374,7 @@ def ref_coloring_number(g):
     while deg:
         v = min(deg, key=lambda u: (deg[u], u))
         best = max(best, deg.pop(v))
-        for w in g.adjacency[v]:
+        for w in g._neighbours[v]:
             if w in deg:
                 deg[w] -= 1
     return best + 1
@@ -415,7 +415,7 @@ def ref_bipartition(g):
         queue = [comp[0]]
         while queue:
             v = queue.pop(0)
-            for w in sorted(g.adjacency[v]):
+            for w in g._neighbours[v]:
                 if w not in side:
                     side[w] = 1 - side[v]
                     queue.append(w)
@@ -435,7 +435,7 @@ def test_bfs_callers_match_queue_walks():
         for start in range(1, g.n + 1):
             if start in seen:
                 continue
-            visit = ref_bfs(g.adjacency, start, seen)
+            visit = ref_bfs(g._neighbours, start, seen)
             assert list(G.bfs(g._neighbours, start).items()) == visit
             comps.append(tuple(sorted(v for v, _ in visit)))
             tree += [tuple(sorted((v, p))) for v, p in visit if p]
@@ -505,8 +505,6 @@ def test_graph_core_matches_brute_force_on_random_graphs():
             nbrs[j].append(i)
         nbrs = {v: sorted(ns) for v, ns in nbrs.items()}
         assert g._neighbours == nbrs
-        assert g.adjacency == {v: frozenset(ns) for v, ns in nbrs.items()}
-        assert all(type(ns) is frozenset for ns in g.adjacency.values())
         assert [g.degree(v) for v in range(1, n + 1)] == [len(nbrs[v]) for v in range(1, n + 1)]
         assert g.max_degree() == max(map(len, nbrs.values()), default=0)
         comps = []
@@ -635,7 +633,7 @@ def ref_unique_k_partitions(g, k):
         if used + (g.n - v + 1) < k:
             return
         for c in range(min(used + 1, k)):
-            if any(w in assign and assign[w] == c for w in g.adjacency[v]):
+            if any(w in assign and assign[w] == c for w in g._neighbours[v]):
                 continue
             assign[v] = c
             backtrack(v + 1, max(used, c + 1))
@@ -701,7 +699,7 @@ def test_partitions_yield_each_independent_partition_once():
         for k in range(1, 5):
             want = {frozenset(p) for p in set_partitions(g.n)
                     if len(p) <= k
-                    and all(not any(g.adjacency[v] & b for v in b) for b in p)}
+                    and all(b.isdisjoint(w for v in b for w in g._neighbours[v]) for b in p)}
             got = []
             for colors, used in G._partitions(g, k, Budget(10**6)):
                 blocks = [frozenset(v for v in colors if colors[v] == c) for c in range(used)]
@@ -817,7 +815,7 @@ def test_rooted_keys_match_the_recursive_definition(monkeypatch):
     for t in cat:
         for r in range(1, t.n + 1):
             key = ref_rooted_key(r, t.n, t.edges)
-            code = G._rooted_key(t.adjacency, r)
+            code = G._rooted_key(t._neighbours, r)
             assert code == ref_code(key)
             rooted.append((code, key))
     assert sorted(rooted, key=lambda ck: ck[0]) == sorted(rooted, key=lambda ck: ck[1])
