@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial, reduce
+from functools import cache, partial, reduce
 from itertools import chain, islice, permutations
 from operator import eq, or_
 
@@ -37,6 +37,7 @@ from .ff import make_field
 from .graphs import (
     Edge,
     Graph,
+    cached_attribute,
     chromatic_number,
     cone,
     cycle_power,
@@ -541,7 +542,7 @@ class _PatternSpace:
                 out[k] = 1
         return tuple(out)
 
-    @cached_property
+    @cached_attribute
     def tails(self):
         """(signs from edge `split` on, kappa, S) of each of the low
         `block` bits' values, in order: each bit doubles the list, its
@@ -577,7 +578,7 @@ class PatternSequence(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    @cached_property
+    @cached_attribute
     def _live(self):
         """live[d]: the kappa >> d of the members, d = 0..rank (the
         payload itself at d = 0)."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import countOf
@@ -26,6 +25,26 @@ from types import MappingProxyType
 
 from .budget import Budget, ensure_budget
 from .errors import FormatError, NotUniquelyColorable
+
+
+class cached_attribute:
+    """An attribute computed on its first read.  The value is stored in
+    the instance's `__dict__` under the attribute's name, where it shadows
+    this (non-data) descriptor, so later reads are plain attribute
+    lookups.  Unlike `functools.cached_property` on Python 3.10 and 3.11,
+    it takes no lock: two threads that race on a first read may both
+    compute the value, and one of the equal values is kept."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class GraphError(ValueError):
@@ -56,7 +75,7 @@ class Graph:
             seen.add(e)
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
-    @cached_property
+    @cached_attribute
     def _neighbours(self) -> dict[int, list[int]]:
         """Vertex -> its neighbours in ascending order, the one adjacency
         every invariant reads.  One pass over the sorted edges builds it: v
@@ -67,7 +86,7 @@ class Graph:
             nbrs[j].append(i)
         return nbrs
 
-    @cached_property
+    @cached_attribute
     def forest(self) -> Mapping[int, int]:
         """The one spanning forest of the toolkit, read-only: vertex -> BFS
         parent, 0 at the lowest vertex of each component.  Components come
@@ -82,7 +101,7 @@ class Graph:
                 parent.update(bfs(nbrs, v))
         return MappingProxyType(parent)
 
-    @cached_property
+    @cached_attribute
     def _roots(self) -> int:
         """The number of components: the roots of the forest."""
         return countOf(self.forest.values(), 0)
@@ -140,7 +159,7 @@ class Graph:
     def coloring_number(self) -> int:
         return self._coloring_number
 
-    @cached_property
+    @cached_attribute
     def _coloring_number(self) -> int:
         """1 + degeneracy, via repeated minimum-degree removal, peeled once
         per graph.  A bucket queue by degree serves the minimum; the

@@ -1,12 +1,14 @@
 """Certifier soundness: every certificate is honored by the oracle, the
 pattern sweeps count and verdict correctly, and the family certifiers
 enforce their hypotheses."""
+import ast
 import random
 import re
 import tracemalloc
 from functools import partial, reduce
 from itertools import permutations, product
 from operator import mul, xor
+from pathlib import Path
 
 import pytest
 
@@ -1204,6 +1206,46 @@ def test_bounds_peel_a_searched_component_once(monkeypatch):
     bounds = X.dp_chromatic_bounds(G.complete_bipartite(3, 4))
     assert bounds.exact == 3 and any("exact search" in note for note in bounds.notes)
     assert len(peels) == 1
+
+
+CACHED_ATTRIBUTES = [(G.Graph, "_neighbours"), (G.Graph, "forest"), (G.Graph, "_roots"),
+                     (G.Graph, "_coloring_number"), (X._PatternSpace, "tails"),
+                     (X.PatternSequence, "_live")]
+
+
+@pytest.mark.parametrize("owner, name", CACHED_ATTRIBUTES)
+def test_cached_attributes_compute_once_per_instance(owner, name, monkeypatch):
+    # the value lands in the instance's __dict__, where it shadows the
+    # descriptor, so the second read computes nothing
+    attr = vars(owner)[name]
+    assert isinstance(attr, G.cached_attribute)
+    calls = []
+    monkeypatch.setattr(attr, "func", lambda obj, f=attr.func: calls.append(obj) or f(obj))
+
+    def make():
+        g = G.cone(G.cycle(5))
+        if owner is G.Graph:
+            return g
+        space = X._PatternSpace(g, set(G.spanning_tree(g)), switched=True)
+        return space if owner is X._PatternSpace else X.PatternSequence(space, {0: 1}, X._bare)
+
+    first, second = make(), make()
+    assert name not in vars(first)
+    value = getattr(first, name)
+    assert getattr(first, name) is value and vars(first)[name] is value
+    assert getattr(second, name) == value
+    assert [id(obj) for obj in calls] == [id(first), id(second)]
+
+
+def test_no_module_imports_functools_cached_property():
+    # on Python 3.10 and 3.11 its first read takes a lock
+    src = Path(X.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert "cached_property" not in [a.name for a in node.names], path.name
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "cached_property", path.name
 
 
 def test_bounds_k44_without_sweep_stays_open():

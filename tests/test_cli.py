@@ -21,6 +21,7 @@ from dpnull import graphs as G
 from dpnull import poly as pl
 from dpnull.budget import Budget
 from dpnull.errors import FormatError, PreconditionError
+from dpnull.ff import make_field
 from test_certify import ref_certify_dp3
 from test_cover import COVER_TEXT, GRAPH_TEXT
 
@@ -1026,6 +1027,64 @@ def test_every_subcommand_keeps_the_exit_code_contract(command, data):
             cov = C.read_cover(Path(argv[1]).read_text())
             if cov.graph.n <= 7:
                 assert code == (0 if _colorable_by_brute_force(cov) else 1), argv
+
+
+def _brute_coefficient(g, signs, target, char):
+    """The coefficient of x^target in prod (x_i + s*x_j) over the edges:
+    over every choice of one end per factor whose degrees are target, the
+    product of the signs taken, summed as an integer and reduced into the
+    prime field."""
+    total = 0
+    for ends in product((0, 1), repeat=len(g.edges)):
+        degrees = [0] * g.n
+        sign = 1
+        for (i, j), s, end in zip(g.edges, signs, ends):
+            degrees[(j if end else i) - 1] += 1
+            sign *= s if end else 1
+        total += sign if tuple(degrees) == target else 0
+    return total % char
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_graph_names, st.sampled_from(("expand", "grid", "both")),
+       st.sampled_from((2, 3, 4, 5, 7)), st.data())
+def test_coeff_agrees_with_a_brute_force_and_runs_out_at_its_spend(name, method, t, data):
+    """coeff on graphs with n <= 7, random signs and targets that fit the
+    grid or not, by each method: with no budget or one above the run's
+    spend it prints the brute-force coefficient and exits 0; a budget
+    from 1 up to the spend exits 3; a target the route refuses exits 2."""
+    g = G.parse_graph_name(name)
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(g.edges),
+                               max_size=len(g.edges)), label="signs")
+    if data.draw(st.integers(0, 3), label="orientation"):  # sums to |E|, as the grid needs
+        target = tuple(map(int, _orientation_target(data.draw, g).split(",")))
+    else:
+        target = tuple(data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n)))
+    poly = pl.from_graph(g, make_field(t), signs=dict(zip(g.edges, signs)))
+    used = Budget(10**9)
+    try:
+        pl.coefficient_at(poly, target, method, used)
+    except PreconditionError:
+        spend = None
+    else:
+        spend = used.spent
+    limit = data.draw(st.one_of(st.none(), st.integers(1, (spend or 1) + 1)), label="budget")
+    argv = ["coeff", name, f"--target={','.join(map(str, target))}", f"--field={t}",
+            f"--method={method}", f"--signs={cli.pattern_formatter(g.edges)(signs)}"]
+    argv += [] if limit is None else [f"--budget={limit}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if spend is None:
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+    elif limit is not None and limit <= spend:
+        assert code == 3 and out == "", argv
+        assert err.startswith("error: budget exceeded while "), (argv, err)
+        assert err.endswith(f": {limit} >= {limit} steps\n"), (argv, err)
+    else:
+        want = _brute_coefficient(g, signs, target, make_field(t).char)
+        assert code == 0 and out.endswith(f"coefficient: {want}\n"), (argv, out, err)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

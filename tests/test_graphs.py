@@ -456,8 +456,13 @@ def test_bfs_callers_match_queue_walks():
 def test_coloring_number_is_cached_and_pickles():
     g = G.cone(G.path(6))
     assert g.coloring_number() == 3 and vars(g)["_coloring_number"] == 3
+    assert g.is_connected() and "forest" in vars(g)
     again = pickle.loads(pickle.dumps(g))
+    # the forest, a mappingproxy, is left out and rebuilt on first read;
+    # the other cached values travel
+    assert "forest" not in vars(again) and vars(again)["_coloring_number"] == 3
     assert again == g and again.coloring_number() == 3 and again.forest == g.forest
+    assert "forest" in vars(again) and again.components() == g.components()
 
 
 def _reach(v, edges):

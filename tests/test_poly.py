@@ -114,6 +114,15 @@ def test_grid_requires_full_degree_and_small_exponents():
     with pytest.raises(PreconditionError, match="expand"):
         P.coefficient_at(poly, (3, 0, 0), "grid")  # needs 4 points in F_3
     assert P.coefficient_at(poly, (3, 0, 0), "expand") == 0
+    # the default grid skips the point check, but not the empty-set one
+    with pytest.raises(PreconditionError, match="grid point set 2 is empty"):
+        P.Grid.for_target(F3, (1, -1, 2))
+    # 'both' refuses a target the grid cannot take before the expansion
+    # spends anything
+    budget = Budget(10)
+    with pytest.raises(PreconditionError):
+        P.coefficient_at(poly, (1, 1, 0), "both", budget)
+    assert budget.spent == 0
 
 
 def test_find_qualifying_monomial_examples():
@@ -383,6 +392,27 @@ def _components_grid_instance(rng, field):
     return P.EdgeProductPolynomial(field, n, tuple(factors)), P.Grid(field, tuple(sets))
 
 
+def _matches_the_flat_sum(grid, poly, rng):
+    """Grid.coefficient against ref_grid_coefficient: the same value, the
+    same spend of one step per grid point, and the same outcome, value or
+    exhaustion at the same step, under a random limit up to that spend.
+    Returns the value."""
+    budget, ref = Budget(10**9), Budget(10**9)
+    value = grid.coefficient(poly, budget)
+    assert value == ref_grid_coefficient(grid, poly, ref)
+    assert budget.spent == ref.spent == math.prod(len(pts) for pts in grid.point_sets)
+    limit = rng.randint(1, ref.spent)
+    outcomes = []
+    for run in (grid.coefficient, partial(ref_grid_coefficient, grid)):
+        budget = Budget(limit)
+        try:
+            outcomes.append((run(poly, budget), budget.spent))
+        except BudgetExceeded as exc:
+            outcomes.append(("exceeded", exc.spent, budget.spent))
+    assert outcomes[0] == outcomes[1]
+    return value
+
+
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 7])
 def test_pruned_grid_sum_matches_the_flat_sum(t):
     """Same value and the same spend, one step per grid point, as the
@@ -395,22 +425,64 @@ def test_pruned_grid_sum_matches_the_flat_sum(t):
     for make in [_random_grid_instance] * 150 + [_components_grid_instance] * 120:
         poly, grid = make(rng, field)
         reordered += P._walk_order(poly) != list(range(poly.n))
-        budget, ref = Budget(10**9), Budget(10**9)
-        value = grid.coefficient(poly, budget)
-        assert value == ref_grid_coefficient(grid, poly, ref)
-        assert budget.spent == ref.spent == math.prod(len(pts) for pts in grid.point_sets)
-        nonzero += value != 0
-        limit = rng.randint(1, ref.spent)
-        outcomes = []
-        for run in (grid.coefficient, partial(ref_grid_coefficient, grid)):
-            budget = Budget(limit)
-            try:
-                outcomes.append((run(poly, budget), budget.spent))
-            except BudgetExceeded as exc:
-                outcomes.append(("exceeded", exc.spent, budget.spent))
-        assert outcomes[0] == outcomes[1]
+        nonzero += _matches_the_flat_sum(grid, poly, rng) != 0
     assert nonzero > 0
     assert reordered > 0
+
+
+def _single_point_grid_instance(rng, field, walked):
+    """Up to 7 variables of which `walked` have at least two grid points
+    and the rest one, often a nonzero one, with random factors, signs and
+    offsets within the grid's degree."""
+    t = field.order
+    n = rng.randint(walked, 7)
+    many = set(rng.sample(range(n), walked))
+    sets = tuple(tuple(rng.sample(range(t), rng.randint(2, min(t, 3)) if v in many else 1))
+                 for v in range(n))
+    factors = []
+    for _ in range(rng.randint(0, sum(len(pts) - 1 for pts in sets)) if n > 1 else 0):
+        i = rng.randint(1, n - 1)
+        factors.append(P.Factor(i, rng.randint(i + 1, n), rng.choice((-1, 1)),
+                                rng.randrange(t)))
+    return P.EdgeProductPolynomial(field, n, tuple(factors)), P.Grid(field, sets)
+
+
+def test_single_point_coordinates_are_substituted_as_the_flat_sum_reads_them():
+    """Single-point coordinates are substituted before the walk: the
+    value, the spend and an exhausted budget's step still match the
+    point-by-point sum, on grids where no, one, or several coordinates are
+    walked, with single points at nonzero elements, with factors between
+    two single points (a constant on the grid, vanishing or not, which
+    makes the sum 0), and with no or one variable."""
+    F5 = make_field(5)
+    rng = random.Random(3401)
+    # x_1 = 3 and x_4 = 2 are single points: x_1 scales x_2's and x_3's
+    # points and drops x_3's point 4, where 3 + 4 - 2 = 0; x_1 - x_4 - 1
+    # and x_1 - x_4 are constants, 0 and 1, and either makes the sum 0
+    grid = P.Grid(F5, ((3,), (0, 2, 1), (1, 4), (2,)))
+    scaled = (P.Factor(1, 2, -1, 0), P.Factor(1, 3, 1, 2), P.Factor(2, 3, -1, 0))
+    assert _matches_the_flat_sum(grid, P.EdgeProductPolynomial(F5, 4, scaled), rng) != 0
+    for beta in (1, 0):
+        constant = P.EdgeProductPolynomial(F5, 4, scaled[:2] + (P.Factor(1, 4, -1, beta),))
+        assert _matches_the_flat_sum(grid, constant, rng) == 0
+    # no variable: the empty point; one variable: the sum of the inverse
+    # weights, 0 unless the set has one point
+    assert _matches_the_flat_sum(P.Grid(F5, ()), P.EdgeProductPolynomial(F5, 0, ()), rng) == 1
+    for pts in ((4,), (0, 3), (1, 2, 4)):
+        value = _matches_the_flat_sum(P.Grid(F5, (pts,)), P.EdgeProductPolynomial(F5, 1, ()), rng)
+        assert value == (len(pts) == 1)
+    seen = {"zero": 0, "nonzero": 0, "constant factor": 0}
+    for t in (2, 3, 4, 5, 7, 8, 9):
+        field = make_field(t)
+        for walked in [0] * 40 + [1] * 40 + [2, 3, 4] * 20:
+            poly, grid = _single_point_grid_instance(rng, field, walked)
+            value = _matches_the_flat_sum(grid, poly, rng)
+            seen["nonzero" if value else "zero"] += 1
+            single = [len(pts) == 1 for pts in grid.point_sets]
+            if any(single[f.i - 1] and single[f.j - 1] for f in poly.factors):
+                seen["constant factor"] += 1
+                assert value == 0
+    assert min(seen.values()) >= 20, seen
 
 
 def test_zero_set_cover_yields_the_nonzero_grid_points_in_product_order():
@@ -450,8 +522,9 @@ def test_zero_set_cover_yields_the_nonzero_grid_points_in_product_order():
 
 
 def test_grid_walk_on_a_1200_vertex_graph_does_not_recurse():
-    # three edges: every other coordinate has the single point 0, and the
-    # walk still goes 1,200 coordinates deep
+    # three edges: every other coordinate has the single point 0 and is
+    # substituted, so the walk is 3 levels deep; the spend still counts
+    # every grid point
     g = G.from_edges(1200, [(1, 2), (600, 601), (1199, 1200)])
     poly = P.from_graph(g, F3)
     target = [0] * 1200
