@@ -32,12 +32,12 @@ from itertools import chain, islice, permutations
 from operator import eq, or_
 
 from .budget import Budget, BudgetExceeded, ensure_budget
+from .caching import cached_attribute
 from .errors import MethodDisagreement, PreconditionError
 from .ff import make_field
 from .graphs import (
     Edge,
     Graph,
-    cached_attribute,
     chromatic_number,
     cone,
     cycle_power,

@@ -15,15 +15,12 @@ are computed by two independent routes:
 * grid sum: the quantitative form of the Combinatorial Nullstellensatz,
   coefficient = sum over a product grid of N(p)^{-1} * f(p) where N is the
   product of pairwise differences within each coordinate's point set.
-  A coordinate with a single point is substituted first: a factor with
-  one such end scales the other end's points, and a factor between two
-  makes the sum 0.  The other coordinates are walked one at a time; a
-  factor vanishes as soon as its later-fixed variable is fixed to a root
-  of it, and the whole block of completions below that partial point,
-  all zeros of f, is skipped.  The sum fixes the variables in
-  maximum-cardinality order, so that most levels close a factor.  The
-  budget is still charged one step per grid point, visited, skipped or
-  substituted.
+  The grid is walked one coordinate at a time; a factor vanishes as soon
+  as its later-fixed variable is fixed to a root of it, and the whole
+  block of completions below that partial point, all zeros of f, is
+  skipped.  The sum fixes the variables in maximum-cardinality order, so
+  that most levels close a factor.  The budget is still charged one step
+  per grid point, visited or skipped.
 
 Exponent maps are keyed by packed base-16 digits (each exponent < 16),
 x_1's the most significant, so keys compare as their exponent vectors do
@@ -33,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .budget import Budget, ensure_budget
 from .errors import MethodDisagreement, PreconditionError
@@ -301,9 +297,7 @@ class Grid:
 
     @classmethod
     def for_target(cls, field: FieldSpec, target) -> "Grid":
-        """Default grid: the first target_i + 1 field elements per variable.
-        Once target_i + 1 <= t, those are distinct elements of F_t by
-        construction, so the grid skips the point-by-point check."""
+        """Default grid: the first target_i + 1 field elements per variable."""
         sets = []
         for pos, ti in enumerate(target):
             if ti + 1 > field.order:
@@ -313,22 +307,28 @@ class Grid:
                     "use the expand method instead"
                 )
             sets.append(tuple(range(ti + 1)))
-        if () in sets:  # a negative exponent
-            raise PreconditionError(f"grid point set {sets.index(()) + 1} is empty")
-        grid = object.__new__(cls)
-        object.__setattr__(grid, "field", field)
-        object.__setattr__(grid, "point_sets", tuple(sets))
-        return grid
+        return cls(field, tuple(sets))
 
     def weight_tables(self) -> list[dict[int, int]]:
         """Per coordinate: point -> prod over other points eps of (point - eps).
         Coordinates with equal point sets share one table."""
+        # the points were checked at construction, so the raw tables serve
+        t = self.field.order
+        mul = self.field.mul_table
+        add = self.field.add_table
+        neg = self.field.neg_table
         tables = []
         seen = {}
         for pts in self.point_sets:
             tbl = seen.get(pts)
             if tbl is None:
-                tbl = seen[pts] = dict(zip(pts, _weights(self.field, pts)))
+                tbl = seen[pts] = {}
+                for p in pts:
+                    w = 1
+                    for eps in pts:
+                        if eps != p:
+                            w = mul[w * t + add[p * t + neg[eps]]]
+                    tbl[p] = w
             tables.append(tbl)
         return tables
 
@@ -336,45 +336,39 @@ class Grid:
         """Coefficient of prod x_i^{d_i} (d_i = |P_i| - 1) in poly, which must
         have degree at most sum d_i.
 
-        The coordinates with a single point are substituted, not walked
-        (see `_levels`).  The sum fixes the others in maximum-cardinality
-        order (see `_walk_order`), so that most levels close a factor.
-        Each factor belongs to whichever of its ends is fixed later: once
-        both are fixed, a factor x_i + s*x_j - beta that is 0 at the
-        partial point makes the whole block of its completions skipped.
-        The budget is charged prod |P_i|, one step per grid point, in a
-        single charge before the walk, so `Budget.spent` grows exactly as
-        in a point-by-point sum and an exhausted budget stops at its
-        limit."""
-        sets = self.point_sets
-        n = poly.n
-        if len(sets) != n:
+        The sum fixes the variables in maximum-cardinality order (see
+        `_walk_order`), so that most levels close a factor.  Each factor
+        belongs to whichever of its ends is fixed later: once both are
+        fixed, a factor x_i + s*x_j - beta that is 0 at the partial point
+        makes the whole block of its completions skipped.  The budget is
+        charged prod |P_i|, one step per grid point, in a single charge
+        before the walk, so `Budget.spent` grows exactly as in a
+        point-by-point sum and an exhausted budget stops at its limit."""
+        if len(self.point_sets) != poly.n:
             raise PreconditionError("grid and polynomial disagree on variable count")
-        room = sum(map(len, sets)) - n  # sum d_i
+        n = poly.n
+        room = sum(map(len, self.point_sets)) - n  # sum d_i
         if poly.degree > room:
             raise PreconditionError(
                 f"polynomial degree {poly.degree} exceeds the grid degree sum {room}"
             )
         budget = ensure_budget(budget, 500_000_000, "summing over a coefficient grid")
-        budget.tick(math.prod(map(len, sets)))
-        folded = _levels(self, poly)
-        if folded is None:
-            return 0
-        levels, flips = folded
-        if not levels:  # every point set is a single point, so f has no factor
+        budget.tick(math.prod(map(len, self.point_sets)))
+        if n == 0:
             return 1
+        levels, flips = _levels(self, poly, _walk_order(poly))
         t = self.field.order
         mul = self.field.mul_table
         add = self.field.add_table
         total = 0
         leaf = levels[-1]
-        if len(levels) == 1:  # no factor is left: the sum of the weights
+        if n == 1:  # no factors: the sum of the inverse weights
             for _, w, _ in leaf:
                 total = add[total * t + w]
             return total
-        above = len(levels) - 2  # the level whose points the last level completes
-        point = [0] * len(levels)
-        value = [1] * len(levels)  # value[j]: running value before level j's choice
+        above = n - 2  # the level whose points the last level completes
+        point = [0] * n
+        value = [1] * n  # value[j]: running value before level j's choice
         rest = [iter(levels[0])] + [None] * above  # rest[j]: level j's untried points
         j = 0
         while j >= 0:
@@ -406,33 +400,6 @@ class Grid:
             else:
                 j -= 1
         return self.field.neg_table[total] if flips & 1 else total
-
-
-def _weights(field: FieldSpec, pts) -> list[int]:
-    """N(p) = prod over the other points eps of (p - eps), for each point p
-    of pts in order.  A grid's points are checked when it is built, so the
-    raw tables serve."""
-    t = field.order
-    mul = field.mul_table
-    add = field.add_table
-    neg = field.neg_table
-    out = []
-    for p in pts:
-        w = 1
-        for eps in pts:
-            if eps != p:
-                w = mul[w * t + add[p * t + neg[eps]]]
-        out.append(w)
-    return out
-
-
-@lru_cache(maxsize=1024)
-def _inverse_weights(field: FieldSpec, pts: tuple[int, ...]) -> tuple[int, ...]:
-    """N(p)^{-1} for each point p of pts, in order, cached per field and
-    point set; the bound keeps the cache small when many distinct point
-    sets pass through."""
-    inv = field.inv_table
-    return tuple(inv[w] for w in _weights(field, pts))
 
 
 def _walk_order(poly: EdgeProductPolynomial) -> list[int]:
@@ -482,73 +449,45 @@ def _walk_order(poly: EdgeProductPolynomial) -> list[int]:
     return order
 
 
-def _levels(grid: Grid, poly: EdgeProductPolynomial) -> tuple[list, int] | None:
-    """Per-level point tables for the walk of `Grid.coefficient` and the
-    number of factors that contribute a -1, or None when the sum is 0.
+def _levels(grid: Grid, poly: EdgeProductPolynomial, order) -> tuple[list, int]:
+    """Per-level point tables for a walk that fixes the variables in
+    `order` (0-based), and the number of factors that contribute a -1.
 
-    A coordinate with a single point is substituted, not walked.  A
-    factor with one such end scales the other end's point weights, and a
-    point where it vanishes is dropped.  A factor between two such
-    coordinates makes the sum 0: it is a constant c on the grid, so the
-    sum is c times the grid sum of the other factors, whose degree is
-    below the grid's, and that sum is their coefficient of prod x_i^{d_i},
-    0.  The walk fixes the other variables in `_walk_order`'s order.
-    levels[k][r] is (p, w, [(l, c), ...]) for the r-th kept point p of
-    the variable fixed at level k: w is the inverse weight of p times the
-    scaling factors at p, and x + c, with x the point fixed at the earlier
-    level l, is the value of one factor whose later end that variable is.
-    Fixing the later end x_i of a factor x_i - x_j - beta gives
-    -(x_j + beta - p): that -1 is counted once, not multiplied in per
-    point."""
+    levels[k][r] is (p, inverse weight of p, ((l, c), ...)) for the r-th
+    point p of the variable fixed at level k, where x + c, with x the
+    point fixed at the earlier level l, is the value of one factor whose
+    later end that variable is.  Fixing the later end x_i of a factor
+    x_i - x_j - beta gives -(x_j + beta - p): that -1 is counted once,
+    not multiplied in per point."""
     fld = grid.field
     t = fld.order
     add = fld.add_table
-    mul = fld.mul_table
     neg = fld.neg_table
-    sets = grid.point_sets
-    order = [v for v in _walk_order(poly) if len(sets[v]) > 1]
-    level_of = [-1] * len(sets)  # -1 at a single-point coordinate
+    level_of = [0] * len(order)
+    attached = []
     for k, v in enumerate(order):
         level_of[v] = k
-    attached = [[] for _ in order]  # (l, s, c): the factor s*p + x_l + c
-    scaling = [[] for _ in order]  # (s, c): the factor s*p + c
+        attached.append([])
     flips = 0
     for f in poly.factors:
-        i, j = f.i - 1, f.j - 1
-        a, b = level_of[i], level_of[j]
-        if a < 0:
-            if b < 0:
-                return None
-            # x_i + s*p - beta
-            scaling[b].append((f.sign, add[sets[i][0] * t + neg[f.beta]]))
-        elif b < 0:  # p + s*x_j - beta
-            xj = sets[j][0]
-            scaling[a].append((1, add[(xj if f.sign > 0 else neg[xj]) * t + neg[f.beta]]))
-        elif a < b:  # x_j is fixed later, to p: x_i + s*p - beta
+        a, b = level_of[f.i - 1], level_of[f.j - 1]
+        if a < b:  # x_j is fixed later, to p: x_i + s*p - beta
             attached[b].append((a, f.sign, neg[f.beta]))
         elif f.sign > 0:  # x_i is fixed later: p + x_j - beta
             attached[a].append((b, 1, neg[f.beta]))
         else:  # p - x_j - beta = -(x_j - p + beta)
             attached[a].append((b, -1, f.beta))
             flips += 1
-    inverse = {}  # point set -> its inverse weights, once per grid
+    inv = fld.inv_table
+    weights = grid.weight_tables()
     levels = []
     for k, v in enumerate(order):
-        pts = sets[v]
-        ws = inverse.get(pts)
-        if ws is None:
-            ws = inverse[pts] = _inverse_weights(fld, pts)
-        closes, scales = attached[k], scaling[k]
         row_of = []
-        for p, w in zip(pts, ws):
-            q = neg[p]
-            for s, c in scales:
-                x = add[(p if s > 0 else q) * t + c]
-                if not x:
-                    break
-                w = mul[w * t + x]
-            else:
-                row_of.append((p, w, [(l, add[(p if s > 0 else q) * t + c]) for l, s, c in closes]))
+        for p, w in weights[v].items():
+            rows = []
+            for l, s, c in attached[k]:
+                rows.append((l, add[(p if s > 0 else neg[p]) * t + c]))
+            row_of.append((p, inv[w], tuple(rows)))
         levels.append(row_of)
     return levels, flips
 

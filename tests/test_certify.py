@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from dpnull.budget import Budget, BudgetExceeded
+from dpnull.caching import cached_attribute
 from dpnull.errors import PreconditionError
 from dpnull.ff import make_field
 from dpnull import certify as X
@@ -1218,7 +1219,7 @@ def test_cached_attributes_compute_once_per_instance(owner, name, monkeypatch):
     # the value lands in the instance's __dict__, where it shadows the
     # descriptor, so the second read computes nothing
     attr = vars(owner)[name]
-    assert isinstance(attr, G.cached_attribute)
+    assert isinstance(attr, cached_attribute)
     calls = []
     monkeypatch.setattr(attr, "func", lambda obj, f=attr.func: calls.append(obj) or f(obj))
 

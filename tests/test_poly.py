@@ -114,9 +114,6 @@ def test_grid_requires_full_degree_and_small_exponents():
     with pytest.raises(PreconditionError, match="expand"):
         P.coefficient_at(poly, (3, 0, 0), "grid")  # needs 4 points in F_3
     assert P.coefficient_at(poly, (3, 0, 0), "expand") == 0
-    # the default grid skips the point check, but not the empty-set one
-    with pytest.raises(PreconditionError, match="grid point set 2 is empty"):
-        P.Grid.for_target(F3, (1, -1, 2))
     # 'both' refuses a target the grid cannot take before the expansion
     # spends anything
     budget = Budget(10)
@@ -447,18 +444,19 @@ def _single_point_grid_instance(rng, field, walked):
     return P.EdgeProductPolynomial(field, n, tuple(factors)), P.Grid(field, sets)
 
 
-def test_single_point_coordinates_are_substituted_as_the_flat_sum_reads_them():
-    """Single-point coordinates are substituted before the walk: the
-    value, the spend and an exhausted budget's step still match the
-    point-by-point sum, on grids where no, one, or several coordinates are
-    walked, with single points at nonzero elements, with factors between
-    two single points (a constant on the grid, vanishing or not, which
-    makes the sum 0), and with no or one variable."""
+def test_grid_sum_with_single_point_coordinates_matches_the_flat_sum():
+    """The value, the spend and an exhausted budget's step match the
+    point-by-point sum on grids where no, one, or several coordinates have
+    more than one point, with single points at nonzero elements, with
+    factors between two single points (a constant on the grid, vanishing
+    or not, and either way the sum is 0: the other factors' grid sum is
+    their coefficient of a monomial above their degree), and with no or
+    one variable."""
     F5 = make_field(5)
     rng = random.Random(3401)
-    # x_1 = 3 and x_4 = 2 are single points: x_1 scales x_2's and x_3's
-    # points and drops x_3's point 4, where 3 + 4 - 2 = 0; x_1 - x_4 - 1
-    # and x_1 - x_4 are constants, 0 and 1, and either makes the sum 0
+    # x_1 = 3 and x_4 = 2 are single points: x_1 + x_3 - 2 vanishes at
+    # x_3's point 4; x_1 - x_4 - 1 and x_1 - x_4 are constants, 0 and 1,
+    # and either makes the sum 0
     grid = P.Grid(F5, ((3,), (0, 2, 1), (1, 4), (2,)))
     scaled = (P.Factor(1, 2, -1, 0), P.Factor(1, 3, 1, 2), P.Factor(2, 3, -1, 0))
     assert _matches_the_flat_sum(grid, P.EdgeProductPolynomial(F5, 4, scaled), rng) != 0
@@ -522,9 +520,8 @@ def test_zero_set_cover_yields_the_nonzero_grid_points_in_product_order():
 
 
 def test_grid_walk_on_a_1200_vertex_graph_does_not_recurse():
-    # three edges: every other coordinate has the single point 0 and is
-    # substituted, so the walk is 3 levels deep; the spend still counts
-    # every grid point
+    # three edges: every other coordinate has the single point 0, and the
+    # walk still goes 1,200 coordinates deep
     g = G.from_edges(1200, [(1, 2), (600, 601), (1199, 1200)])
     poly = P.from_graph(g, F3)
     target = [0] * 1200
