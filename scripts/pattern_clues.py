@@ -23,7 +23,7 @@ import sys
 from itertools import islice, product
 
 from dpnull import certify, cover
-from dpnull.cli import exit_code, load_graph, pattern_formatter
+from dpnull.cli import exit_code, load_graph, pattern_spec
 
 
 def main():
@@ -47,12 +47,11 @@ def main():
     failing = result.failure.failing_patterns
     print(f"{len(failing)} failing patterns of {result.patterns_tested}")
     found = 0
-    fmt = pattern_formatter(g.edges)
     for pattern in islice(failing, args.limit):
         signs = dict(zip(g.edges, pattern))
         plus_edges = [e for e in g.edges if signs[e] == 1][: args.offsets]
         vary = plus_edges if plus_edges else list(g.edges)[: args.offsets]
-        tag = fmt(pattern)
+        tag = pattern_spec(g.edges, pattern)
         for betas in product(range(3), repeat=len(vary)):
             offsets = {e: 0 for e in g.edges}
             offsets.update(dict(zip(vary, betas)))

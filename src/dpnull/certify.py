@@ -587,8 +587,11 @@ class PatternSequence(Sequence):
             live.append({h >> 1 for h in live[-1]})
         return live
 
-    def __iter__(self):
-        space, get, live, make = self._space, self._payload.get, self._live, self._make
+    def _heads(self):
+        """(head, kappa(y), S(y)) per block of patterns that holds a
+        member, in order: the block of the y whose low `block` bits are 0,
+        and head the signs before edge `split` that the block shares."""
+        space, live = self._space, self._live
         dims, kap, sig = space.dims, space.kap, space.sig
         # (t, y, kappa(y), S(y)): the block of indices that agree with y
         # above its low t bits, which are 0 in y
@@ -603,11 +606,38 @@ class PatternSequence(Sequence):
                 stack.append((t, y | 1 << t, kappa ^ kap[t], mask ^ sig[t]))
                 stack.append((t, y, kappa, mask))
             else:
-                head = space.signs(y)[:space.split]
-                for tail, k, s in space.tails:
-                    data = get(kappa ^ k)
-                    if data is not None:
-                        yield make(head + tail, mask ^ s, data)
+                yield space.signs(y)[:space.split], kappa, mask
+
+    def __iter__(self):
+        get, make, tails = self._payload.get, self._make, self._space.tails
+        for head, kappa, mask in self._heads():
+            for tail, k, s in tails:
+                data = get(kappa ^ k)
+                if data is not None:
+                    yield make(head + tail, mask ^ s, data)
+
+    @property
+    def tails(self) -> list[tuple[int, ...]]:
+        """The signs from edge `split` on that every block runs through,
+        in order."""
+        return [tail for tail, _, _ in self._space.tails]
+
+    def blocks(self):
+        """The members block by block, for a writer that formats each
+        block's shared signs once: (head, members) per block that holds a
+        member, in order.  head is the signs before edge len(head) that the
+        block shares; members lists (i, S, payload) per member, in order,
+        where tails[i] are its signs from there on.  item(head, member)
+        builds the member's item."""
+        get, tails = self._payload.get, self._space.tails
+        for head, kappa, mask in self._heads():
+            yield head, [(i, mask ^ s, data) for i, (_, k, s) in enumerate(tails)
+                         if (data := get(kappa ^ k)) is not None]
+
+    def item(self, head, member):
+        """The item of a member of the block with signs `head`."""
+        i, mask, data = member
+        return self._make(head + self._space.tails[i][0], mask, data)
 
     def __getitem__(self, i):
         if isinstance(i, slice):

@@ -110,11 +110,27 @@ def parse_pattern_spec(spec: str, edges) -> tuple[dict, dict]:
     return {e: s for e, (s, _) in values.items()}, {e: b for e, (_, b) in values.items()}
 
 
-def pattern_formatter(edges):
-    """The sign-spec formatter of patterns over one edge list, its edge
-    tokens built once: a pattern prints as its `+` edges and `default:-`."""
-    plus = [f"{i}-{j}:+," for i, j in edges]
-    return lambda pattern: "".join([t for t, s in zip(plus, pattern) if s > 0]) + "default:-"
+def plus_tokens(edges) -> list[str]:
+    """The `i-j:+,` token of each edge, in order."""
+    return [f"{i}-{j}:+," for i, j in edges]
+
+
+def plus_spec(plus, signs) -> str:
+    """The tokens of the +1 signs, in order: a pattern prints as the
+    plus_spec of its signs and `default:-`."""
+    return "".join([t for t, s in zip(plus, signs) if s > 0])
+
+
+def pattern_spec(edges, pattern) -> str:
+    """The sign spec of one pattern over `edges`."""
+    return plus_spec(plus_tokens(edges), pattern) + "default:-"
+
+
+def _tail_specs(seq: ce.PatternSequence, plus, end: str) -> list[str]:
+    """plus_spec of each of seq's tails, over the edges they sign, and `end`."""
+    tails = seq.tails
+    plus = plus[len(plus) - len(tails[0]):]
+    return [plus_spec(plus, tail) + end for tail in tails]
 
 
 def format_offsets(edges, offsets) -> str:
@@ -123,22 +139,44 @@ def format_offsets(edges, offsets) -> str:
     return ",".join(toks)
 
 
-def print_certificate(cert: ce.Certificate, edges, fmt) -> None:
-    """Print one certificate over `edges`; fmt is their pattern_formatter."""
-    print(f"kind: {cert.kind}")
-    print(f"field: {cert.t}")
-    print(f"n: {cert.n}")
+def certificate_text(cert: ce.Certificate, edges, pattern: str | None = None) -> str:
+    """One certificate over `edges` as printed, blank line included;
+    `pattern` is its pattern's spec when the caller has it already."""
+    lines = [f"kind: {cert.kind}\nfield: {cert.t}\nn: {cert.n}\n"]
     if cert.pattern is not None:
-        print(f"pattern: {fmt(cert.pattern)}")
+        pattern = pattern or pattern_spec(edges, cert.pattern)
+        lines.append(f"pattern: {pattern}\n")
     if cert.offsets is not None:
-        print(f"offsets: {format_offsets(edges, cert.offsets)}")
-    print(f"monomial: {','.join(str(x) for x in cert.monomial)}")
-    print(f"coefficient: {cert.coefficient}")
+        lines.append(f"offsets: {format_offsets(edges, cert.offsets)}\n")
+    lines.append(f"monomial: {','.join(map(str, cert.monomial))}\ncoefficient: {cert.coefficient}\n")
     if cert.witness is not None:
-        print(f"witness: {','.join(str(x) for x in cert.witness)}")
+        lines.append(f"witness: {','.join(map(str, cert.witness))}\n")
     if cert.verified is not None:
-        print(f"verified: {'true' if cert.verified else 'false'}")
-    print()
+        lines.append(f"verified: {'true' if cert.verified else 'false'}\n")
+    lines.append("\n")
+    return "".join(lines)
+
+
+def write_certificates(certs: ce.PatternSequence, edges) -> None:
+    """Write every certificate of an all-edges sweep block by block: each
+    tail's `+` tokens formatted once per run, each head's once per block,
+    and one writelines per block."""
+    plus = plus_tokens(edges)
+    tails = _tail_specs(certs, plus, "default:-")
+    for head, members in certs.blocks():
+        front = plus_spec(plus, head)
+        sys.stdout.writelines([certificate_text(certs.item(head, m), edges, front + tails[m[0]])
+                               for m in members])
+
+
+def write_patterns(patterns: ce.PatternSequence, edges) -> None:
+    """Write every failing pattern, indented, one line each, block by block
+    as write_certificates does."""
+    plus = plus_tokens(edges)
+    tails = _tail_specs(patterns, plus, "default:-\n")
+    for head, members in patterns.blocks():
+        front = "  " + plus_spec(plus, head)
+        sys.stdout.writelines([front + tails[i] for i, _, _ in members])
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +225,7 @@ def _cmd_certify_cover(args) -> int:
         )
         print(f"renamed: {';'.join(f'{v}:' + ','.join(f'{a}->{b}' for a, b in sorted(rho.items())) for v, rho in sorted(renaming.items()))}")
         print(f"witness-original-names: {','.join(str(x) for x in original)}")
-    print_certificate(cert, cov.graph.edges, pattern_formatter(cov.graph.edges))
+    sys.stdout.write(certificate_text(cert, cov.graph.edges))
     return 0
 
 
@@ -198,19 +236,17 @@ def _cmd_certify_dp3(args) -> int:
     print(f"graph: n={g.n} m={len(g.edges)}")
     print(f"mode: {result.mode}")
     print(f"patterns-tested: {result.patterns_tested}")
-    fmt = pattern_formatter(g.edges)
     if result.passed:
         print("verdict: chi_DP <= 3")
         print()
         if args.emit_all:
-            for cert in result.certificates:
-                print_certificate(cert, g.edges, fmt)
+            write_certificates(result.certificates, g.edges)
         elif result.certificates:
-            print_certificate(result.certificates[0], g.edges, fmt)
+            sys.stdout.write(certificate_text(result.certificates[0], g.edges))
         return 0
     print("verdict: not certified")
     print(f"failing-patterns: {len(result.failure.failing_patterns)}")
-    sys.stdout.writelines(f"  {fmt(pat)}\n" for pat in result.failure.failing_patterns)
+    write_patterns(result.failure.failing_patterns, g.edges)
     return 1
 
 

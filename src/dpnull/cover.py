@@ -135,47 +135,76 @@ def classify_saturation(cover: Cover, edge: Edge) -> Saturation:
 
 def transversals(cover: Cover, budget: Budget | None = None):
     """Every H-coloring of the cover as a label-per-vertex tuple, in
-    lexicographic order.  This iterative backtracking search is the
-    ground-truth oracle behind every certifier and every count; it charges
-    one budget step per label tried."""
+    lexicographic order.  This search is the ground-truth oracle behind
+    every certifier and every count.
+
+    It is backtracking in index order with forward checking (Haralick and
+    Elliott, 1980).  Each vertex keeps its live labels as an int whose bit
+    k stands for the k-th label of `labels_of(v)`, so labels are tried in
+    the cover's own tuple order.  Choosing a at v clears sigma_vw(a) from
+    the live labels of each later neighbour w; a choice that empties one
+    is rejected at once.  One budget step is one label taken from a live
+    domain: a label forward checking cleared is never tried or charged.
+    So the search tries a subset of the labels plain backtracking tries,
+    and never charges more."""
     if budget is None:
         budget = Budget(100_000_000, what="enumerating H-colorings")
-    g = cover.graph
-    n = g.n
-    # per vertex: list of (earlier vertex index, forbidden-label map)
-    constraints: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(n + 1)]
+    labels = cover.labels
+    n = len(labels)
+    # out[v]: (w, sigma, L(w)) per later neighbour w of v, 0-based
+    out: list[list] = [[] for _ in range(n)]
     for (i, j), sigma in cover.matchings.items():
         if sigma:
-            constraints[j].append((i, sigma))
-    chosen = [0] * (n + 1)
-    # nxt[v]: index in L(v) of the next label to try at vertex v
-    nxt = [0] * (n + 2)
-    v = 1
-    while v >= 1:
-        if v > n:
-            yield tuple(chosen[1:])
+            out[i - 1].append((j - 1, sigma, labels[j - 1]))
+    # clears[v][k]: (w, bit) per later neighbour w whose live label `bit`
+    # the k-th label of v clears, built the first time it is tried
+    clears = [[None] * len(ls) for ls in labels]
+    live = [(1 << len(ls)) - 1 for ls in labels]
+    untried = [0] * (n + 1)  # untried[v]: v's live labels not yet tried
+    untried[0] = live[0] if n else 0
+    undo: list[list] = [[] for _ in range(n)]  # undo[v]: (w, live[w]) v's choice narrowed
+    chosen = [0] * n
+    v = 0
+    while v >= 0:
+        if v == n:
+            yield tuple(chosen)
             v -= 1
             continue
-        labels = cover.labels_of(v)
-        k = nxt[v]
-        while k < len(labels):
-            a = labels[k]
-            k += 1
-            budget.tick()
-            if all(sigma.get(chosen[u]) != a for u, sigma in constraints[v]):
-                break
+        # take back v's last choice, or its rejected try, before the next
+        restore = undo[v]
+        for w, before in restore:
+            live[w] = before
+        restore.clear()
+        rest = untried[v]
+        if not rest:
+            v -= 1
+            continue
+        bit = rest & -rest
+        untried[v] = rest ^ bit
+        budget.tick()
+        k = bit.bit_length() - 1
+        row = clears[v][k]
+        if row is None:
+            a = labels[v][k]
+            row = clears[v][k] = [(w, 1 << lw.index(b)) for w, sigma, lw in out[v]
+                                  if (b := sigma.get(a)) is not None and b in lw]
+        for w, hit in row:
+            now = live[w]
+            if now & hit:
+                if now == hit:  # w has no label left
+                    break
+                restore.append((w, now))
+                live[w] = now ^ hit
         else:
-            nxt[v] = 0
-            v -= 1
-            continue
-        chosen[v] = a
-        nxt[v] = k
-        v += 1
+            chosen[v] = labels[v][k]
+            v += 1
+            untried[v] = live[v] if v < n else 0
 
 
 def h_coloring_search(cover: Cover, budget: Budget | None = None) -> tuple[int, ...] | None:
     """Lexicographically least H-coloring as a label-per-vertex tuple, or
-    None when the cover admits no transversal."""
+    None when the cover admits no transversal: the first item of
+    `transversals`, charged one step per label it tries."""
     budget = ensure_budget(budget, 100_000_000, "searching for an H-coloring")
     return next(transversals(cover, budget), None)
 
@@ -482,8 +511,11 @@ def _walk(start: int, levels: list[list[int]], budget: Budget,
     lex-first tuple with an empty set, is the same tuple.
 
     One budget step per node visited, root included.  The leaves below one
-    node are counted in one pass and charged in one tick, up to the first
-    empty leaf.
+    node are counted in one pass, up to the first empty leaf.  The walk
+    counts its steps locally against the room the budget had on entry and
+    ticks once where the count reaches that room, which raises, and once
+    before each return, so the spend, the frontier rank and the point of
+    exhaustion are those of one tick per node.
     """
     # the root is the one choice of a level above the first
     levels = [[start], *levels]
@@ -501,7 +533,10 @@ def _walk(start: int, levels: list[list[int]], budget: Budget,
     states = [state] * (top + 1)
     rows = [row_of(state)] * (top + 1)
     leaves: dict[int, tuple[list[int], list[int]]] = {}  # state -> its leaves
-    tick = budget.tick
+    # steps taken so far, charged to the budget only when they reach
+    # `room`, where the budget runs out, and before each return
+    steps = 0
+    room = budget.limit - budget.spent
 
     def rank() -> int:
         r = 0
@@ -524,13 +559,14 @@ def _walk(start: int, levels: list[list[int]], budget: Budget,
                     if not cur & mask:
                         break
                     alive += 1
-                steps = alive + (alive < len(masks))
-                spare = budget.limit - budget.spent
-                if steps >= spare:  # the budget runs out at leaf `spare`
-                    path[top] = index[spare - 1]
-                tick(steps)
+                after = steps + alive + (alive < len(masks))
+                if after >= room:  # the budget runs out at leaf room - steps
+                    path[top] = index[room - steps - 1]
+                    budget.tick(after)
+                steps = after
                 if alive < len(masks):
                     path[top] = index[alive]
+                    budget.tick(steps)
                     return rank(), path[1:], True
             elif path[d] < sizes[d]:
                 k = path[d]
@@ -538,9 +574,12 @@ def _walk(start: int, levels: list[list[int]], budget: Budget,
                 if child < 0:
                     path[d] = k + 1
                     continue
-                tick()
+                steps += 1
+                if steps >= room:
+                    budget.tick(steps)
                 sub = valid[d] & levels[d][k]
                 if not sub:
+                    budget.tick(steps)
                     return rank(), path[1:], True
                 d += 1
                 valid[d] = sub
@@ -554,6 +593,7 @@ def _walk(start: int, levels: list[list[int]], budget: Budget,
                 path[d] += 1
     except BudgetExceeded:
         return rank(), None, False
+    budget.tick(steps)
     return math.prod(sizes), None, True
 
 

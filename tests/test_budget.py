@@ -41,6 +41,13 @@ def order3_cover(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def bad_c9sq_cover(tmp_path):
+    path = tmp_path / "c9sq-bad.cover"
+    assert cli.run(["make-cover", "c9sq", "--bad-c3k", "3", "--out", str(path)]) == 0
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, err", [
     # the sign sweep's one-tick maps
     (["certify-dp3", "k4,4", "--budget", "50"],
@@ -65,10 +72,15 @@ def order3_cover(tmp_path):
     # the exact read's one charge for the factors left once its map empties
     (["coeff", "k3,5", "--target", "1,2,2,2,2,2,2,2", "--method", "expand", "--budget", "83"],
      "error: budget exceeded while expanding an edge-product polynomial: 83 >= 83 steps\n"),
+    # the H-coloring oracle, inside its 42-label proof that the C_9^2 cover
+    # of the C_{3k}^2 construction has no transversal
+    (["check-cover", "BAD", "--budget", "30"],
+     "error: budget exceeded while searching for an H-coloring: 30 >= 30 steps\n"),
 ])
 def test_every_batched_charge_stops_where_unit_charges_would(
-        argv, err, order3_cover, monkeypatch, capsys):
-    argv = [order3_cover if a == "COVER" else a for a in argv]
+        argv, err, order3_cover, bad_c9sq_cover, monkeypatch, capsys):
+    files = {"COVER": order3_cover, "BAD": bad_c9sq_cover}
+    argv = [files.get(a, a) for a in argv]
     batched = cli.run(argv), capsys.readouterr()
     tick = Budget.tick
 

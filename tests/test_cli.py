@@ -737,7 +737,7 @@ def test_sign_spec_parser_round_trip():
     assert signs[(1, 2)] == 1 and signs[(1, 3)] == 1
     assert all(signs[e] == -1 for e in g.edges if e not in {(1, 2), (1, 3)})
     pattern = tuple(signs[e] for e in g.edges)
-    assert cli.parse_sign_spec(cli.pattern_formatter(g.edges)(pattern), g.edges) == signs
+    assert cli.parse_sign_spec(cli.pattern_spec(g.edges, pattern), g.edges) == signs
 
 
 def test_pattern_spec_with_offsets():
@@ -992,16 +992,30 @@ CONTRACT_ARGV = {
         ["certify-cover", _cover_file(draw, tmp)]
         + draw(st.sampled_from(([], ["--mode=good"], ["--mode=order3"], ["--mode=x"])))
         + draw(budgets)),
+    # chi-dp and check-cover draw their budget in the test, from the spend
     "chi-dp": lambda draw, tmp: (
         ["chi-dp", _graph_arg(draw, tmp)]
-        + draw(st.one_of(st.just([]), flag_values.map(lambda m: [f"--max-m={m}"])))
-        + draw(budgets)),
+        + draw(st.one_of(st.just([]), flag_values.map(lambda m: [f"--max-m={m}"])))),
     "make-cover": _make_cover_argv,
-    "check-cover": lambda draw, tmp: ["check-cover", _cover_file(draw, tmp)] + draw(budgets),
+    "check-cover": lambda draw, tmp: ["check-cover", _cover_file(draw, tmp)],
     "reproduce": lambda draw, tmp: (
         ["reproduce", draw(st.sampled_from(("all", "x", "", *cli.SCENARIOS)))]
         + draw(st.one_of(st.just([]), flag_values.map(lambda s: [f"--seed={s}"])))),
 }
+
+
+def _ample_run(argv):
+    """(exit code, stdout, spend) of argv under a budget it cannot exhaust,
+    or None when the parser refuses argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = cli._build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+        args.budget = Budget(10**12)
+        code = cli.exit_code(args.fn, args)
+    return code, out.getvalue(), args.budget.spent
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1012,9 +1026,22 @@ def test_every_subcommand_keeps_the_exit_code_contract(command, data):
     files, malformed flag values and budgets: the exit code is 0, 1, 2
     or 3; on 2 or 3 stderr is one error: line and stdout is empty, so
     coeff's two routes never disagree; and on covers of graphs with
-    n <= 7, check-cover's verdict agrees with a brute-force search."""
+    n <= 7, check-cover's verdict agrees with a brute-force search.
+
+    check-cover and chi-dp draw no budget or one from 1 to the run's full
+    spend + 1.  A budget above the spend prints the full run's output; one
+    that does not exceed it makes check-cover exit 3, while chi-dp, whose
+    bounds catch an exhausted budget, exits 0 with a note that differs
+    from the full run's."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = CONTRACT_ARGV[command](data.draw, Path(tmp))
+        full = limit = None
+        if command in ("check-cover", "chi-dp"):
+            full = _ample_run(argv)
+            spend = full[2] if full is not None and full[0] in (0, 1) else 0
+            limit = data.draw(st.one_of(st.none(), st.integers(1, spend + 1),
+                                        st.sampled_from(("0", "x"))), label="budget")
+            argv += [] if limit is None else [f"--budget={limit}"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv)
@@ -1027,6 +1054,13 @@ def test_every_subcommand_keeps_the_exit_code_contract(command, data):
             cov = C.read_cover(Path(argv[1]).read_text())
             if cov.graph.n <= 7:
                 assert code == (0 if _colorable_by_brute_force(cov) else 1), argv
+        if full is not None and full[0] in (0, 1) and isinstance(limit, int):
+            if limit > full[2]:
+                assert (code, out) == full[:2], argv
+            elif command == "check-cover":
+                assert code == 3, argv
+            else:
+                assert code == 0 and out != full[1], argv
 
 
 def _brute_coefficient(g, signs, target, char):
@@ -1070,7 +1104,7 @@ def test_coeff_agrees_with_a_brute_force_and_runs_out_at_its_spend(name, method,
         spend = used.spent
     limit = data.draw(st.one_of(st.none(), st.integers(1, (spend or 1) + 1)), label="budget")
     argv = ["coeff", name, f"--target={','.join(map(str, target))}", f"--field={t}",
-            f"--method={method}", f"--signs={cli.pattern_formatter(g.edges)(signs)}"]
+            f"--method={method}", f"--signs={cli.pattern_spec(g.edges, signs)}"]
     argv += [] if limit is None else [f"--budget={limit}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,6 +1,7 @@
 """Covers: validation, classification, the transversal oracle, renaming,
 explicit constructions, and the exhaustive cover-space searches."""
 import collections
+import itertools
 import math
 import random
 import time
@@ -423,7 +424,7 @@ PRISM = G.from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (1, 4),
 
 def test_exact_dp_chromatic_over_two_components():
     # K_{3,3} refutes m = 2 with a re-checked counterexample and settles
-    # m = 3 (463 steps); the prism (chi 3, coloring number 4) then settles
+    # m = 3 (435 steps); the prism (chi 3, coloring number 4) then settles
     # m = 3 by a walk (490 steps), its value no greater than K_{3,3}'s, so
     # the witness stays K_{3,3}'s m = 2 counterexample
     k33 = G.complete_bipartite(3, 3)
@@ -433,12 +434,12 @@ def test_exact_dp_chromatic_over_two_components():
     assert (res.status, res.value, res.m_reached) == ("exact", 3, 3)
     assert res.covers_tested == sum(C.exact_dp_chromatic(h, 4).covers_tested for h in (k33, PRISM))
     assert res.counterexample.t == 2
-    assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 463 + 490)
-    # a budget that runs out in the prism's walk names the walk
-    budget = Budget(663)
+    assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 435 + 490)
+    # a budget that runs out 200 steps into the prism's walk names the walk
+    budget = Budget(635)
     res = C.exact_dp_chromatic(g, 4, budget)
     assert (res.status, res.m_reached, res.covers_tested) == ("unknown", 3, 1340)
-    assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 663)
+    assert (budget.what, budget.spent) == ("enumerating covers for exact chi_DP", 635)
 
 
 @pytest.mark.parametrize("mmin", (0, -1))
@@ -549,13 +550,14 @@ def test_exact_dp_chromatic_under_every_budget(name, g):
 
 
 @pytest.mark.parametrize("name,g,tested,spent", [
-    ("K34", G.complete_bipartite(3, 4), 46_658, 10_063),
-    ("K33", G.complete_bipartite(3, 3), 1_298, 463),
+    ("K34", G.complete_bipartite(3, 4), 46_658, 10_031),
+    ("K33", G.complete_bipartite(3, 3), 1_298, 435),
     ("prism", PRISM, 1_296, 490),
 ])
 def test_exact_walk_spend_is_pinned(name, g, tested, spent):
-    # the leaf scan charges each run of colorable leaves in one tick, so
-    # a change to how it counts them must keep these spends
+    # the walk counts its steps locally and charges them in one tick, so a
+    # change to how it counts them must keep these spends; they include
+    # the m = 2 counterexample's re-check by the forward-checking oracle
     budget = Budget(10**9)
     res = C.exact_dp_chromatic(g, 4, budget)
     assert (res.status, res.value, res.covers_tested, budget.spent) == ("exact", 3, tested, spent)
@@ -598,7 +600,8 @@ def test_f_dp_quotient_never_flips_the_verdict():
 # the searches against the algorithms the bitmask walk replaced
 
 def ref_h_coloring_search(cover, budget):
-    """The recursive oracle: same label order, one tick per label tried."""
+    """The plain recursive oracle: same label order, one tick per label
+    tried, no look-ahead."""
     n = cover.graph.n
     constraints = [[] for _ in range(n + 1)]
     for (i, j), sigma in cover.matchings.items():
@@ -618,6 +621,45 @@ def ref_h_coloring_search(cover, budget):
         return False
 
     return tuple(chosen[1:]) if backtrack(1) else None
+
+
+def ref_fc_transversals(cover, budget):
+    """The recursive forward-checking oracle: each vertex's live labels are
+    a list in label-tuple order, choosing a at v removes sigma_vw(a) from
+    the list of each later neighbour w, a choice that removes the last
+    label of one is rejected, and each live label tried costs one tick."""
+    n = cover.graph.n
+    later = collections.defaultdict(list)
+    for (i, j), sigma in cover.matchings.items():
+        later[i].append((j, sigma))
+    chosen = []
+
+    def search(v, live):
+        if v > n:
+            yield tuple(chosen)
+            return
+        for a in live[v]:
+            budget.tick()
+            narrowed = dict(live)
+            for w, sigma in later[v]:
+                narrowed[w] = [b for b in live[w] if b != sigma.get(a)]
+            if any(live[w] and not narrowed[w] for w, _ in later[v]):
+                continue
+            chosen.append(a)
+            yield from search(v + 1, narrowed)
+            chosen.pop()
+
+    return search(1, {v: list(cover.labels_of(v)) for v in range(1, n + 1)})
+
+
+def ref_fc_h_coloring_search(cover, budget):
+    return next(ref_fc_transversals(cover, budget), None)
+
+
+def shuffled_labels(rng, cov):
+    """The same cover with each label tuple in a random order."""
+    return C.Cover(cov.graph, cov.t, tuple(tuple(rng.sample(ls, len(ls))) for ls in cov.labels),
+                   cov.matchings)
 
 
 def ref_exact_component(g, mmax, budget):
@@ -823,8 +865,8 @@ def tree_pinned_edges(g, f):
 def ref_f_dp_exhaustive(g, f, budget):
     """The list-of-tuples walk over the reduced f-covers: the grid charge of
     the bitmask walk, then one tick per node, a list comprehension filtering
-    the valid transversals at each walked edge, and the oracle re-check of
-    the counterexample on the same budget."""
+    the valid transversals at each walked edge, and the forward-checking
+    oracle's re-check of the counterexample on the same budget."""
     pinned, walked, _ = tree_pinned_edges(g, f)
     labels = tuple(tuple(range(f[v])) for v in range(1, g.n + 1))
     grid = {v for e, _ in walked for v in e}
@@ -860,7 +902,7 @@ def ref_f_dp_exhaustive(g, f, budget):
         matchings = {(i, j): {a: a for a in range(min(f[i], f[j]))} for i, j in pinned}
         matchings.update((e, sig) for (e, _), sig in zip(walked, picks))
         t = C.smallest_prime_power(max([2, *f.values()]))
-        assert ref_h_coloring_search(C.Cover(g, t, labels, matchings), budget) is None
+        assert ref_fc_h_coloring_search(C.Cover(g, t, labels, matchings), budget) is None
     except BudgetExceeded:
         return "unknown", tested, None
     return "counterexample", tested, matchings
@@ -962,7 +1004,10 @@ def test_f_dp_exhaustive_pins_a_long_path():
 
 
 def test_h_coloring_search_matches_recursive_search_and_ticks():
+    # the forward-checking reference spends exactly as much; the plain one,
+    # which tries every label, never less
     rng = random.Random(31)
+    fewer = 0
     for _ in range(80):
         n = rng.randint(1, 7)
         g = random_graph(rng, n, 0.5)
@@ -974,9 +1019,16 @@ def test_h_coloring_search_matches_recursive_search_and_ticks():
             img = rng.sample(labels[j - 1], min(len(labels[i - 1]), len(labels[j - 1])))
             matchings[(i, j)] = dict(zip(labels[i - 1], img))
         cov = C.Cover(g, t, labels, matchings)
-        got_budget, want_budget = Budget(10**9), Budget(10**9)
-        assert C.h_coloring_search(cov, got_budget) == ref_h_coloring_search(cov, want_budget)
+        if rng.random() < 0.5:
+            cov = shuffled_labels(rng, cov)
+        got_budget, want_budget, plain = Budget(10**9), Budget(10**9), Budget(10**9)
+        got = C.h_coloring_search(cov, got_budget)
+        assert got == ref_fc_h_coloring_search(cov, want_budget)
         assert got_budget.spent == want_budget.spent
+        assert got == ref_h_coloring_search(cov, plain)
+        assert got_budget.spent <= plain.spent
+        fewer += got_budget.spent < plain.spent
+    assert fewer >= 20
 
 
 def test_h_coloring_search_handles_long_paths():
@@ -1018,6 +1070,68 @@ def test_transversals_charge_the_budget():
     spent = Budget(10**6)
     assert len(list(C.transversals(cov, spent))) == 30
     assert spent.spent > 30
+
+
+def until_exhausted(items):
+    """The items drawn before the budget ran out, and whether it did."""
+    drawn = []
+    try:
+        for x in items:
+            drawn.append(x)
+    except BudgetExceeded:
+        return drawn, True
+    return drawn, False
+
+
+def test_transversals_match_the_forward_checking_reference():
+    # label tuples out of value order too: a label's bit is its position
+    rng = random.Random(35)
+    partial = shuffled = 0
+    for _ in range(200):
+        cov = random_partial_cover(rng, rng.randint(1, 7))
+        if rng.random() < 0.5:
+            cov = shuffled_labels(rng, cov)
+            shuffled += cov.labels != tuple(map(tuple, map(sorted, cov.labels)))
+        got_budget, want_budget = Budget(10**9), Budget(10**9)
+        got = list(C.transversals(cov, got_budget))
+        assert got == list(ref_fc_transversals(cov, want_budget))
+        assert got == [p for p in product(*cov.labels) if C.is_valid_transversal(cov, p)]
+        assert got_budget.spent == want_budget.spent
+        # a budget up to the spend runs out at the same label, after the
+        # same items
+        limit = rng.randint(1, want_budget.spent)
+        got_budget, want_budget = Budget(limit), Budget(limit)
+        cut = until_exhausted(C.transversals(cov, got_budget))
+        assert cut == until_exhausted(ref_fc_transversals(cov, want_budget))
+        assert cut[1] and got_budget.spent == want_budget.spent == limit
+        partial += bool(cut[0])
+    assert shuffled >= 40 and partial >= 20
+
+
+def random_three_fold_cover(seed, n, m):
+    """m random edges on n vertices, each carrying one of the six perfect
+    matchings a -> beta - a and a -> a - beta of F_3."""
+    rng = random.Random(seed)
+    g = G.from_edges(n, sorted(rng.sample(list(itertools.combinations(range(1, n + 1), 2)), m)))
+    signs = {e: rng.choice((-1, 1)) for e in g.edges}
+    offsets = {e: rng.randrange(3) for e in g.edges}
+    return C.cover_from_pattern(g, 3, signs, offsets)
+
+
+def test_forward_checking_settles_a_45_vertex_random_cover():
+    # plain backtracking runs out of 2,000,000 labels on this cover; forward
+    # checking colors it after 58,087
+    cov = random_three_fold_cover(5, 45, 104)
+    with pytest.raises(BudgetExceeded):
+        ref_h_coloring_search(cov, Budget(2_000_000))
+    budget = Budget(2_000_000)
+    begin = time.perf_counter()
+    found = C.h_coloring_search(cov, budget)
+    assert time.perf_counter() - begin < 1.0
+    assert C.is_valid_transversal(cov, found)
+    assert budget.spent == 58_087
+    assert found == (0, 2, 1, 1, 2, 2, 2, 1, 2, 0, 1, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 2, 0,
+                     0, 1, 1, 0, 1, 2, 2, 2, 1, 0, 0, 2, 0, 2, 2, 1, 1, 0, 0, 0, 0, 1)
 
 
 def ref_is_good_cover(cover, budget, undone=None, shifts=1):
