@@ -1,11 +1,10 @@
 """Covers: validation, classification, the transversal oracle, renaming,
 explicit constructions, and the exhaustive cover-space searches."""
 import collections
-import itertools
 import math
 import random
 import time
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1112,7 +1111,7 @@ def random_three_fold_cover(seed, n, m):
     """m random edges on n vertices, each carrying one of the six perfect
     matchings a -> beta - a and a -> a - beta of F_3."""
     rng = random.Random(seed)
-    g = G.from_edges(n, sorted(rng.sample(list(itertools.combinations(range(1, n + 1), 2)), m)))
+    g = G.from_edges(n, sorted(rng.sample(list(combinations(range(1, n + 1), 2)), m)))
     signs = {e: rng.choice((-1, 1)) for e in g.edges}
     offsets = {e: rng.randrange(3) for e in g.edges}
     return C.cover_from_pattern(g, 3, signs, offsets)
