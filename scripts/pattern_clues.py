@@ -38,8 +38,7 @@ def main():
     args = ap.parse_args()
 
     g = load_graph(args.graph)
-    result = certify.certify_dp3(g, use_spanning_tree=args.spanning_tree,
-                                 collect_certificates=False)
+    result = certify.certify_dp3(g, use_spanning_tree=args.spanning_tree)
     if result.passed:
         print(f"every one of the {result.patterns_tested} patterns qualifies: "
               f"chi_DP <= 3, nothing to hunt")

@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, partial, reduce
 from itertools import chain, islice, permutations
-from operator import eq, or_
+from operator import eq, or_, xor
 
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .caching import cached_attribute
@@ -323,7 +323,7 @@ def _factor_order(g: Graph) -> tuple[Edge, ...]:
     ))
 
 
-def _sweep_signs(n, order, co, weights, lower, budget):
+def _sweep_signs(n, order, co, weights, budget):
     """Sweep over sign assignments for the co-forest factors, sharing the
     expansion of the factors that the patterns have in common.
 
@@ -336,13 +336,13 @@ def _sweep_signs(n, order, co, weights, lower, budget):
     its pattern's representative (see _PatternSpace): weights[d] is the
     kappa of the d-th co-forest factor at +1 alone, so a leaf's kappa is
     the XOR of the weights of its +1 edges.  Returns the kappa-keyed
-    payloads (certs, fails): fails[kappa] is True for each failing leaf,
-    and certs[kappa] is (monomial, coefficient, flip) for each passing
-    one, its lex-greatest monomial with exponents <= 2, that monomial's
-    coefficient and the flip mask that certify_dp3's switching
-    reads.  lower marks (vertex v at bit v - 1) the vertices that are the
-    lower end of an odd number of edges, and flip is lower XOR the
-    vertices at an odd exponent; with lower None, certs stays empty.
+    payloads (certs, fails), which name every leaf once between them:
+    fails[kappa] is True for each failing leaf, and certs[kappa] is
+    (monomial, coefficient, flip) for each passing one, its lex-greatest
+    monomial with exponents <= 2, that monomial's coefficient and the flip
+    mask that certify_dp3's switching reads: the vertices at an odd
+    exponent XOR the lower ends of an odd number of the edges in order
+    (vertex v at bit v - 1).
 
     The sweep only ever expands prod (x_i + s x_j) over F_3 with every
     exponent capped at 2.  An exponent takes a 2-bit digit of a packed key,
@@ -381,7 +381,9 @@ def _sweep_signs(n, order, co, weights, lower, budget):
     than DEFAULT_MAX_TERMS keys raises ExpansionLimitError before its
     tick.  An empty map charges every sign-tree node from its level down
     before it records their leaves as failures, so a sweep that cannot
-    pay for a dead subtree stops there.
+    pay for a dead subtree stops there.  Every passing leaf's payload is
+    built, read off the leaf map the sweep has already paid for, so it
+    costs no step of its own.
 
     A term is dead when a factor still to be multiplied has both ends at
     exponent 2.  Exponents only grow and that factor raises one of its
@@ -399,6 +401,7 @@ def _sweep_signs(n, order, co, weights, lower, budget):
     the signs, so the test runs once per key per map.
     """
     masks = _factor_masks(n, order)
+    lower = reduce(xor, (1 << (i - 1) for i, _ in order), 0)
     depth = len(weights)
     shifts = range(2 * (n - 1), -1, -2)
     certs = {}
@@ -443,8 +446,6 @@ def _sweep_signs(n, order, co, weights, lower, budget):
             bit = miss & -miss
             fails[kappas[bit.bit_length() - 1]] = True
             miss ^= bit
-        if lower is None:
-            continue
         for key in sorted(cur, reverse=True):
             a, b = cur[key]
             hit = (a | b) & left
@@ -587,10 +588,26 @@ class PatternSequence(Sequence):
             live.append({h >> 1 for h in live[-1]})
         return live
 
-    def _heads(self):
-        """(head, kappa(y), S(y)) per block of patterns that holds a
-        member, in order: the block of the y whose low `block` bits are 0,
-        and head the signs before edge `split` that the block shares."""
+    def __iter__(self):
+        item = self.item
+        for head, members in self.blocks():
+            for member in members:
+                yield item(head, member)
+
+    @property
+    def tails(self) -> list[tuple[int, ...]]:
+        """The signs from edge `split` on that every block runs through,
+        in order."""
+        return [tail for tail, _, _ in self._space.tails]
+
+    def blocks(self):
+        """The members block by block, for a writer that formats each
+        block's shared signs once: (head, members) per block of patterns
+        that holds a member, in order.  The block is that of the y whose
+        low `block` bits are 0, and head the signs before edge `split`
+        that it shares; members iterates (i, S, payload) per member, in
+        order, where tails[i] are its signs from there on.  item(head,
+        member) builds the member's item."""
         space, live = self._space, self._live
         dims, kap, sig = space.dims, space.kap, space.sig
         # (t, y, kappa(y), S(y)): the block of indices that agree with y
@@ -606,33 +623,16 @@ class PatternSequence(Sequence):
                 stack.append((t, y | 1 << t, kappa ^ kap[t], mask ^ sig[t]))
                 stack.append((t, y, kappa, mask))
             else:
-                yield space.signs(y)[:space.split], kappa, mask
+                yield space.signs(y)[:space.split], self._members(kappa, mask)
 
-    def __iter__(self):
-        get, make, tails = self._payload.get, self._make, self._space.tails
-        for head, kappa, mask in self._heads():
-            for tail, k, s in tails:
-                data = get(kappa ^ k)
-                if data is not None:
-                    yield make(head + tail, mask ^ s, data)
-
-    @property
-    def tails(self) -> list[tuple[int, ...]]:
-        """The signs from edge `split` on that every block runs through,
-        in order."""
-        return [tail for tail, _, _ in self._space.tails]
-
-    def blocks(self):
-        """The members block by block, for a writer that formats each
-        block's shared signs once: (head, members) per block that holds a
-        member, in order.  head is the signs before edge len(head) that the
-        block shares; members lists (i, S, payload) per member, in order,
-        where tails[i] are its signs from there on.  item(head, member)
-        builds the member's item."""
-        get, tails = self._payload.get, self._space.tails
-        for head, kappa, mask in self._heads():
-            yield head, [(i, mask ^ s, data) for i, (_, k, s) in enumerate(tails)
-                         if (data := get(kappa ^ k)) is not None]
+    def _members(self, kappa, mask):
+        """(i, S, payload) per member of the block of the y with
+        kappa(y) = kappa and S(y) = mask, in order, built as it is read."""
+        get = self._payload.get
+        for i, (_, k, s) in enumerate(self._space.tails):
+            data = get(kappa ^ k)
+            if data is not None:
+                yield i, mask ^ s, data
 
     def item(self, head, member):
         """The item of a member of the block with signs `head`."""
@@ -679,7 +679,6 @@ def certify_dp3(
     g: Graph,
     use_spanning_tree: bool = False,
     budget: Budget | None = None,
-    collect_certificates: bool = True,
 ) -> Dp3Result:
     """Sweep sign patterns over F_3; if every pattern's polynomial has a
     monomial with exponents <= 2 and nonzero coefficient, chi_DP(G) <= 3.
@@ -716,11 +715,12 @@ def certify_dp3(
     verdicts: len is O(1), iteration streams the items, building each
     when it is reached, indexing item i is O(i), and each view compares
     equal to the tuple of its items.  Iterating needs memory that does
-    not grow with 2^|E|; a slice, like tuple(), holds every item.  The
-    budget is charged one step per key of each map the sweep stores (see
-    _sweep_signs); in all-edges mode the switch then charges 2^(|V|-c)
-    per representative switched, that is per failing one and, with
-    collect_certificates, per passing one.
+    not grow with 2^|E|; a slice, like tuple(), holds every item.  Both
+    views are always built, so len(certificates) plus the number of
+    failing patterns is patterns_tested.  The budget is charged one step
+    per key of each map the sweep stores (see _sweep_signs); an all-edges
+    run then charges one step per pattern it reports, 2^|E| in one tick,
+    which is 2^(|V|-c) per representative switched.
 
     With use_spanning_tree (connected graphs containing a cycle only),
     the result lists the representatives alone; the verdict is the same.
@@ -738,19 +738,12 @@ def certify_dp3(
     space = _PatternSpace(g, forest, switched=not use_spanning_tree)
     slot = {e: k for k, e in enumerate(g.edges)}
     weights = [space.slot_kap[slot[e]] for e, c in zip(order, co) if c]
-
-    lower = 0  # vertex v at bit v - 1: the parity of the edges it is the lower end of
-    for i, _ in g.edges:
-        lower ^= 1 << (i - 1)
-    certs, fails = _sweep_signs(
-        g.n, order, co, weights, lower if collect_certificates else None, budget
-    )
+    certs, fails = _sweep_signs(g.n, order, co, weights, budget)
 
     mode = "spanning-tree" if use_spanning_tree else "all-edges"
-    if not use_spanning_tree:
-        budget.tick((len(certs) + len(fails)) << (space.nbits - space.rank))
-
     patterns_tested = 1 << space.nbits
+    if not use_spanning_tree:
+        budget.tick(patterns_tested)
     failure = None
     if fails:
         failure = FailureReport(PatternSequence(space, fails, _bare))

@@ -273,10 +273,12 @@ def _cmd_make_cover(args) -> int:
     if g.n == 0:
         raise PreconditionError("the graph must have at least one vertex")
     if args.bad_c3k is not None:
-        cov = cv.uncolorable_cover_c3k_square(args.bad_c3k)
-        if g != cov.graph:
+        k = args.bad_c3k
+        # refuse a graph of another order before building C_{3k}^2; k < 2 the build refuses
+        cov = cv.uncolorable_cover_c3k_square(k) if k < 2 or 3 * k == g.n else None
+        if cov is None or g != cov.graph:
             raise PreconditionError(
-                f"--bad-c3k {args.bad_c3k} needs the graph C_{cov.graph.n}^2, got {args.graph!r}"
+                f"--bad-c3k {k} needs the graph C_{3 * k}^2, got {args.graph!r}"
             )
     elif args.pattern is not None:
         t = 3 if args.field is None else args.field
@@ -426,8 +428,8 @@ def _sc_unique_list_tree(seed: int) -> tuple[str, str, int]:
 def _sc_k44(seed: int) -> tuple[str, str, int]:
     """K_{4,4} minus a 2-matching: every sign pattern qualifies, so chi_DP = 3."""
     g = gr.complete_bipartite_minus_matching(4, 4, 2)
-    full = ce.certify_dp3(g, collect_certificates=False)
-    tree = ce.certify_dp3(g, use_spanning_tree=True, collect_certificates=False)
+    full = ce.certify_dp3(g)
+    tree = ce.certify_dp3(g, use_spanning_tree=True)
     lower = 3 if g.contains_cycle() else 2
     verdict = "chi_DP=3" if full.passed and tree.passed and lower == 3 else "unresolved"
     return (
@@ -445,7 +447,7 @@ def _sc_k35(seed: int) -> tuple[str, str, int]:
     # eight exponents of at most 2 summing to 15; a 0 would leave 15 for seven
     targets = [t for t in product((1, 2), repeat=8) if sum(t) == 15]
     coeffs = sorted({pl.coefficient_at(poly, t, "both") for t in targets})
-    sweep = ce.certify_dp3(g, use_spanning_tree=True, collect_certificates=False)
+    sweep = ce.certify_dp3(g, use_spanning_tree=True)
     allneg = tuple([-1] * len(g.edges))
     has = (not sweep.passed) and allneg in sweep.failure.failing_patterns
     return (

@@ -42,8 +42,8 @@ def bfs_relabel(tree):
 def test_criterion_1_k44_minus_matching_sweep():
     start = time.monotonic()
     g = G.complete_bipartite_minus_matching(4, 4, 2)
-    full = X.certify_dp3(g, collect_certificates=False)
-    tree = X.certify_dp3(g, use_spanning_tree=True, collect_certificates=False)
+    full = X.certify_dp3(g)
+    tree = X.certify_dp3(g, use_spanning_tree=True)
     assert full.passed and full.patterns_tested == 16384
     assert tree.passed and tree.patterns_tested == 128
     # lower bound: the graph contains a 4-cycle and cycles have chi_DP = 3
@@ -67,7 +67,7 @@ def test_criterion_2_k35_vanishing_coefficients():
     assert len(targets) == 8
     values = [P.coefficient_at(poly, t, "both") for t in targets]
     assert values == [0] * 8
-    sweep = X.certify_dp3(g, use_spanning_tree=True, collect_certificates=False)
+    sweep = X.certify_dp3(g, use_spanning_tree=True)
     assert not sweep.passed
     assert tuple([-1] * 15) in sweep.failure.failing_patterns
     elapsed = time.monotonic() - start

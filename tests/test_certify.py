@@ -305,15 +305,15 @@ def test_dp3_certificates_reverify_by_direct_expansion():
     ids=("C3", "C4", "C5", "C6", "K4", "K23"),
 )
 def test_dp3_tree_mode_agrees_with_full_mode(g):
-    full = X.certify_dp3(g, collect_certificates=False)
-    tree = X.certify_dp3(g, use_spanning_tree=True, collect_certificates=False)
+    full = X.certify_dp3(g)
+    tree = X.certify_dp3(g, use_spanning_tree=True)
     assert full.passed == tree.passed
     assert tree.patterns_tested == 2 ** (len(g.edges) - g.n + 1)
 
 
 def test_dp3_pass_implies_sampled_covers_colorable():
     g = G.complete_bipartite_minus_matching(4, 4, 2)
-    assert X.certify_dp3(g, use_spanning_tree=True, collect_certificates=False).passed
+    assert X.certify_dp3(g, use_spanning_tree=True).passed
     rng = random.Random(1000)
     for _ in range(1000):
         cov = random_cover(rng, g, 3)
@@ -370,9 +370,6 @@ def test_dp3_all_edges_matches_per_pattern_expansion():
         assert res.patterns_tested == 2 ** len(g.edges)
         assert [(c.pattern, c.monomial, c.coefficient) for c in res.certificates] == passes
         assert (res.failure.failing_patterns if res.failure else ()) == tuple(failing)
-        bare = X.certify_dp3(g, collect_certificates=False)
-        assert bare.certificates == ()
-        assert bare.failure == res.failure
 
 
 def test_dp3_budget_exhaustion():
@@ -389,7 +386,7 @@ def _dead(exps, later):
     return any(exps[i - 1] == exps[j - 1] == 2 for i, j in later)
 
 
-def ref_sweep_signs(n, all_edges, order, co, collect, budget,
+def ref_sweep_signs(n, all_edges, order, co, budget,
                     max_terms=P.DEFAULT_MAX_TERMS, prune=True):
     """The sweep as one apply_factor_packed call per sign-tree node per
     factor, unpacking every key of a leaf to find its lex-greatest
@@ -436,11 +433,9 @@ def ref_sweep_signs(n, all_edges, order, co, collect, budget,
         pattern = tuple(signs.get(e, -1) for e in all_edges)
         if not cur:
             failures.append(pattern)
-        elif collect:
+        else:
             best = max(cur, key=lambda k: P.unpack_exponents(k, n))
             passes.append((pattern, P.unpack_exponents(best, n), cur[best]))
-        else:
-            passes.append((pattern, None, None))
 
     def chunk(cur, step, idx, signs):
         """The chunk rooted at the node with map cur, before factor
@@ -475,8 +470,7 @@ def _sweep_args(g, switched=True):
     """The arguments certify_dp3 passes _sweep_signs (every edge in the
     sweep's factor order, which of them are co-forest edges, and the kappa
     weights of those) and the _PatternSpace that names the leaves:
-    all-edges mode, or spanning-tree mode when switched is False.  The
-    lower argument comes from _lower."""
+    all-edges mode, or spanning-tree mode when switched is False."""
     forest = set(G.spanning_tree(g))
     order = X._factor_order(g)
     co = [e not in forest for e in order]
@@ -495,12 +489,9 @@ def _kappa(space, pattern):
     return reduce(xor, (k for s, k in zip(pattern, space.slot_kap) if s == 1), 0)
 
 
-def _lower(g, collect=True):
-    """The lower argument certify_dp3 passes _sweep_signs: the vertices
-    (vertex v at bit v - 1) that are the lower end of an odd number of
-    edges, or None without certificates."""
-    if not collect:
-        return None
+def _lower(g):
+    """The vertices (vertex v at bit v - 1) that are the lower end of an
+    odd number of edges, which _sweep_signs XORs into each flip mask."""
     return reduce(xor, (1 << (i - 1) for i, _ in g.edges), 0)
 
 
@@ -508,16 +499,13 @@ def _keyed(space, swept, lower):
     """A reference sweep's (passes, failures) as the kernel's kappa-keyed
     payloads (certs, fails): each pattern replaced by the kappa of its
     representative, each pass by (monomial, coefficient, flip), flip the
-    lower vertices XOR the vertices at an odd exponent, and certs empty
-    when lower is None.  The passes and failures name every kappa
-    exactly once between them."""
+    lower vertices XOR the vertices at an odd exponent.  The passes and
+    failures name every kappa exactly once between them."""
     passes, failures = swept
     fails = {_kappa(space, p): True for p in failures}
     passing = {_kappa(space, p) for p, _, _ in passes}
     assert passing.isdisjoint(fails)
     assert len(passing) + len(fails) == len(passes) + len(failures) == 1 << space.rank
-    if lower is None:
-        return {}, fails
     certs = {}
     for p, mono, c in passes:
         odd = sum(1 << v for v, a in enumerate(mono) if a & 1)
@@ -578,30 +566,36 @@ def test_sweep_kernel_matches_per_pattern_expansion(monkeypatch):
                 failing.append(key)
             else:
                 passes.append((key, *found))
-        for collect in (True, False):
-            want = passes if collect else [(p, None, None) for p, _, _ in passes]
-            # the leaves named in both modes' kappa coordinates (a forest
-            # has no spanning-tree mode)
-            for switched, depth in product((True, False) if var else (True,), SLICE_DEPTHS):
-                monkeypatch.setattr(X, "SLICE_DEPTH", depth)
-                _, _, _, weights, space = _sweep_args(g, switched)
-                lower = _lower(g, collect)
-                budget = Budget(10**9)
-                got = X._sweep_signs(n, order, co, weights, lower, budget)
-                assert got == _keyed(space, (want, failing), lower)
-                ref = Budget(10**9)
-                assert _keyed(space, ref_sweep_signs(n, edges, order, co, collect, ref), lower) == got
-                assert budget.spent == ref.spent
-            if g.is_connected() and g.contains_cycle():
-                tree_mode += 1
-                res = X.certify_dp3(g, use_spanning_tree=True, collect_certificates=collect)
-                # certify_dp3 lists the representatives in pattern-lex order
-                certs = [(c.pattern, c.monomial, c.coefficient) for c in res.certificates]
-                assert certs == (sorted(passes) if collect else [])
-                assert (res.failure.failing_patterns if res.failure else ()) == tuple(sorted(failing))
-            full = X.certify_dp3(g, collect_certificates=collect)
-            assert full.passed == (not failing)
-    assert tree_mode >= 40  # (graph, collect) pairs in spanning-tree mode
+        # the leaves named in both modes' kappa coordinates (a forest has
+        # no spanning-tree mode)
+        for switched, depth in product((True, False) if var else (True,), SLICE_DEPTHS):
+            monkeypatch.setattr(X, "SLICE_DEPTH", depth)
+            _, _, _, weights, space = _sweep_args(g, switched)
+            budget = Budget(10**9)
+            got = X._sweep_signs(n, order, co, weights, budget)
+            assert got == _keyed(space, (passes, failing), _lower(g))
+            ref = Budget(10**9)
+            assert _keyed(space, ref_sweep_signs(n, edges, order, co, ref), _lower(g)) == got
+            assert budget.spent == ref.spent
+        full_spent = Budget(10**9)
+        full = X.certify_dp3(g, budget=full_spent)
+        assert full.passed == (not failing)
+        if g.is_connected() and g.contains_cycle():
+            tree_mode += 1
+            tree_spent = Budget(10**9)
+            res = X.certify_dp3(g, use_spanning_tree=True, budget=tree_spent)
+            # certify_dp3 lists the representatives in pattern-lex order
+            certs = [(c.pattern, c.monomial, c.coefficient) for c in res.certificates]
+            assert certs == sorted(passes)
+            assert (res.failure.failing_patterns if res.failure else ()) == tuple(sorted(failing))
+            # both modes report every pattern they test, certificate or
+            # failure, and all-edges mode charges one step per pattern on
+            # top of the same sweep
+            for r in (full, res):
+                assert len(r.certificates) + (len(r.failure.failing_patterns) if r.failure else 0) \
+                    == r.patterns_tested
+            assert full_spent.spent == tree_spent.spent + 2 ** len(edges)
+    assert tree_mode >= 20  # graphs swept in spanning-tree mode
 
 
 def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion(monkeypatch):
@@ -619,11 +613,11 @@ def test_sweep_kernel_budget_matches_dict_sweep_per_block_and_on_exhaustion(monk
     for g in graphs:
         n, order, co, weights, space = _sweep_args(g)
         total = Budget(10**9)
-        X._sweep_signs(n, order, co, weights, None, total)
+        X._sweep_signs(n, order, co, weights, total)
         limits = sorted({1, 2, total.spent, total.spent + 1,
                          *rng.sample(range(1, total.spent), 40)})
-        kernel = lambda b: X._sweep_signs(n, order, co, weights, None, b)
-        reference = lambda b: _keyed(space, ref_sweep_signs(n, g.edges, order, co, False, b), None)
+        kernel = lambda b: X._sweep_signs(n, order, co, weights, b)
+        reference = lambda b: _keyed(space, ref_sweep_signs(n, g.edges, order, co, b), _lower(g))
         for limit, depth in product(limits, SLICE_DEPTHS):
             monkeypatch.setattr(X, "SLICE_DEPTH", depth)
             outcomes = []
@@ -645,8 +639,8 @@ def test_sweep_kernel_raises_the_expansion_limit_where_the_dict_sweep_does(monke
         monkeypatch.setattr(X, "SLICE_DEPTH", depth)
         outcomes = []
         for sweep in (
-            lambda b: X._sweep_signs(n, order, co, weights, _lower(g), b),
-            lambda b: _keyed(space, ref_sweep_signs(n, g.edges, order, co, True, b,
+            lambda b: X._sweep_signs(n, order, co, weights, b),
+            lambda b: _keyed(space, ref_sweep_signs(n, g.edges, order, co, b,
                                                     max_terms=limit), _lower(g)),
         ):
             budget = Budget(10**9)
@@ -689,22 +683,20 @@ def ref_switchings(g):
     ]
 
 
-def ref_switch_all(g, passes, failures, collect, budget):
+def ref_switch_all(g, passes, failures, budget):
     """The materialising switch the lazy sequences replaced: every
     pattern's (pattern, monomial, coefficient) pass in pattern-lex order,
     and every failing pattern, built from the representatives."""
     switchings = ref_switchings(g)
-    switched_passes = []
-    if collect:
-        slots = [None] * (1 << len(g.edges))
-        for pattern, mono, coeff in passes:
-            budget.tick(len(switchings))
-            base = sum(1 << (len(pattern) - 1 - k) for k, s in enumerate(pattern) if s > 0)
-            odd = sum(1 << v for v, a in enumerate(mono) if a & 1)
-            for cut, flips, parity, mask in switchings:
-                c = 3 - coeff if (parity + (odd & mask).bit_count()) & 1 else coeff
-                slots[base ^ cut] = (tuple(map(mul, pattern, flips)), mono, c)
-        switched_passes = [s for s in slots if s is not None]
+    slots = [None] * (1 << len(g.edges))
+    for pattern, mono, coeff in passes:
+        budget.tick(len(switchings))
+        base = sum(1 << (len(pattern) - 1 - k) for k, s in enumerate(pattern) if s > 0)
+        odd = sum(1 << v for v, a in enumerate(mono) if a & 1)
+        for cut, flips, parity, mask in switchings:
+            c = 3 - coeff if (parity + (odd & mask).bit_count()) & 1 else coeff
+            slots[base ^ cut] = (tuple(map(mul, pattern, flips)), mono, c)
+    switched_passes = [s for s in slots if s is not None]
     switched_failures = []
     for pattern in failures:
         budget.tick(len(switchings))
@@ -712,22 +704,22 @@ def ref_switch_all(g, passes, failures, collect, budget):
     return switched_passes, sorted(switched_failures)
 
 
-def ref_certify_dp3(g, use_spanning_tree, collect, budget, sweep=ref_sweep_signs):
+def ref_certify_dp3(g, use_spanning_tree, budget, sweep=ref_sweep_signs):
     """(certificates, failing patterns) as tuples, from a reference sweep
     and ref_switch_all."""
     n, order, co, _, _ = _sweep_args(g)
-    passes, failures = sweep(n, g.edges, order, co, collect, budget)
+    passes, failures = sweep(n, g.edges, order, co, budget)
     if use_spanning_tree:
         # the sweep emits them in its sign-tree order; certify_dp3 lists them
         # in pattern-lex order
         passes, failures = sorted(passes), sorted(failures)
     else:
-        passes, failures = ref_switch_all(g, passes, failures, collect, budget)
+        passes, failures = ref_switch_all(g, passes, failures, budget)
     certs = tuple(
         X.Certificate(kind="dp3-pattern", t=3, n=n, monomial=mono, coefficient=coeff,
                       pattern=pattern)
         for pattern, mono, coeff in passes
-    ) if collect else ()
+    )
     return certs, tuple(failures)
 
 
@@ -757,19 +749,18 @@ def _check_sequence(seq, want, absent, rng):
 
 
 def test_lazy_sequences_match_the_materialised_switch():
-    """certificates and failing_patterns, in both modes and with and
-    without certificates, against the materialising reference: len,
-    iteration, indices, slices, `in` and ==, and the budget charged."""
+    """certificates and failing_patterns, in both modes, against the
+    materialising reference: len, iteration, indices, slices, `in` and ==,
+    and the budget charged."""
     rng = random.Random(5005)
     checked = 0
     for g in _random_sweep_graphs() + _kernel_graphs():
         modes = [False] + ([True] if g.is_connected() and g.contains_cycle() else [])
-        for tree, collect in product(modes, (True, False)):
+        for tree in modes:
             ref = Budget(10**9)
-            certs, failing = ref_certify_dp3(g, tree, collect, ref)
+            certs, failing = ref_certify_dp3(g, tree, ref)
             budget = Budget(10**9)
-            res = X.certify_dp3(g, use_spanning_tree=tree, budget=budget,
-                                collect_certificates=collect)
+            res = X.certify_dp3(g, use_spanning_tree=tree, budget=budget)
             assert budget.spent == ref.spent
             assert res.passed == (not failing)
             assert res.certificates == certs
@@ -793,7 +784,7 @@ def test_lazy_sequences_match_the_materialised_switch():
             else:
                 assert res.failure is None
             checked += 1
-    assert checked >= 200
+    assert checked >= 100  # (graph, mode) pairs
 
 
 def test_streaming_skips_blocks_without_a_member():
@@ -836,36 +827,34 @@ def test_switch_charge_stops_where_one_tick_per_representative_does():
     for g in [G.complete_bipartite(3, 3), G.cycle_power(7, 2), G.complete(5),
               *_random_sweep_graphs()[:16]]:
         n, order, co, weights, _ = _sweep_args(g)
-        for collect in (True, False):
-            swept, total = Budget(10**9), Budget(10**9)
-            X._sweep_signs(n, order, co, weights, _lower(g, collect), swept)
-            X.certify_dp3(g, budget=total, collect_certificates=collect)
-            inside = range(swept.spent + 1, total.spent + 1)
-            limits = {*inside[:3], *inside[-2:], total.spent + 1,
-                      *rng.sample(inside, min(len(inside), 8))}
-            for limit in sorted(limits):
-                outcomes = []
-                for run in (
-                    lambda b: X.certify_dp3(g, budget=b, collect_certificates=collect),
-                    lambda b: ref_certify_dp3(g, False, collect, b),
-                ):
-                    budget = Budget(limit)
-                    try:
-                        run(budget)
-                        outcomes.append(("done", budget.spent))
-                    except BudgetExceeded as exc:
-                        outcomes.append(("exhausted", exc.spent, budget.spent))
-                assert outcomes[0] == outcomes[1], (g, collect, limit)
-                exhausted += outcomes[0][0] == "exhausted"
+        swept, total = Budget(10**9), Budget(10**9)
+        X._sweep_signs(n, order, co, weights, swept)
+        X.certify_dp3(g, budget=total)
+        inside = range(swept.spent + 1, total.spent + 1)
+        limits = {*inside[:3], *inside[-2:], total.spent + 1,
+                  *rng.sample(inside, min(len(inside), 8))}
+        for limit in sorted(limits):
+            outcomes = []
+            for run in (
+                lambda b: X.certify_dp3(g, budget=b),
+                lambda b: ref_certify_dp3(g, False, b),
+            ):
+                budget = Budget(limit)
+                try:
+                    run(budget)
+                    outcomes.append(("done", budget.spent))
+                except BudgetExceeded as exc:
+                    outcomes.append(("exhausted", exc.spent, budget.spent))
+            assert outcomes[0] == outcomes[1], (g, limit)
+            exhausted += outcomes[0][0] == "exhausted"
     assert exhausted >= 150
 
 
 def test_pruned_sweep_keeps_every_leaf(monkeypatch):
     """Dropping dead terms changes no result and never costs budget: the
-    sweep and certify_dp3, in both modes and with and without
-    certificates, against the unpruned dict sweep, and every map the
-    kernel stores, forest factors included, checked for a remaining edge
-    with both ends at 2."""
+    sweep and certify_dp3, in both modes, against the unpruned dict sweep,
+    and every map the kernel stores, forest factors included, checked for
+    a remaining edge with both ends at 2."""
     stored = []
 
     def spy(build):
@@ -883,22 +872,20 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
     for g in _kernel_graphs() + _random_sweep_graphs():
         n, order, co, _, _ = _sweep_args(g)
         modes = [False] + ([True] if g.is_connected() and g.contains_cycle() else [])
-        for tree, collect in product(modes, (True, False)):
+        for tree in modes:
             _, _, _, weights, space = _sweep_args(g, switched=not tree)
-            lower = _lower(g, collect)
             stored.clear()
             ref = Budget(10**9)
-            want = _keyed(space, unpruned(n, g.edges, order, co, collect, ref), lower)
+            want = _keyed(space, unpruned(n, g.edges, order, co, ref), _lower(g))
             budget = Budget(10**9)
-            got = X._sweep_signs(n, order, co, weights, lower, budget)
+            got = X._sweep_signs(n, order, co, weights, budget)
             assert got == want
             assert budget.spent <= ref.spent
             saved += budget.spent < ref.spent
             ref = Budget(10**9)
-            certs, failing = ref_certify_dp3(g, tree, collect, ref, unpruned)
+            certs, failing = ref_certify_dp3(g, tree, ref, unpruned)
             budget = Budget(10**9)
-            res = X.certify_dp3(g, use_spanning_tree=tree, budget=budget,
-                                collect_certificates=collect)
+            res = X.certify_dp3(g, use_spanning_tree=tree, budget=budget)
             assert res.certificates == certs
             assert (res.failure.failing_patterns if res.failure else ()) == failing
             assert budget.spent <= ref.spent
@@ -910,7 +897,7 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
                 for key in out:
                     assert not _dead(_digits(key, n), order[k + 1:]), (g, edge, _digits(key, n))
             checked += 1
-    assert checked >= 200 and saved >= 50 and forest_maps >= 1000
+    assert checked >= 100 and saved >= 25 and forest_maps >= 500
 
 
 def test_sweep_results_do_not_depend_on_the_factor_order():
@@ -931,7 +918,7 @@ def test_sweep_results_do_not_depend_on_the_factor_order():
             flags = [e not in forest for e in edges]
             interleaved += flags != sorted(flags)
             results.append(X._sweep_signs(n, edges, flags, _weights(g, space, edges, flags),
-                                          _lower(g), Budget(10**9)))
+                                          Budget(10**9)))
         for edges, got in zip(orders, results):
             assert got == results[0], (g, edges)
     assert reordered >= 30 and interleaved >= 100
@@ -952,7 +939,7 @@ def test_factor_order_pins_the_c13sq_steps():
     for edges in (first, g.edges):
         flags = [co[order.index(e)] for e in edges]
         other = Budget(10**9)
-        X._sweep_signs(n, edges, flags, _weights(g, space, edges, flags), None, other)
+        X._sweep_signs(n, edges, flags, _weights(g, space, edges, flags), other)
         spent.append(other.spent)
     assert spent == [60_884, 39_261]
 
@@ -977,7 +964,7 @@ def test_all_edges_failing_patterns_do_not_grow_with_the_pattern_count():
     g = G.complete(7)
     tracemalloc.start()
     try:
-        res = X.certify_dp3(g, collect_certificates=False)
+        res = X.certify_dp3(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -998,7 +985,7 @@ def test_k35_external_ground_truth_recorded():
     # is exactly the expected converse failure
     g = G.complete_bipartite(3, 5)
     CHI_DP_K35 = 3  # external reference value, not derived here
-    res = X.certify_dp3(g, use_spanning_tree=True, collect_certificates=False)
+    res = X.certify_dp3(g, use_spanning_tree=True)
     assert not res.passed
     assert CHI_DP_K35 == 3
 

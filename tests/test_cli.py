@@ -380,6 +380,20 @@ def test_out_of_range_values_are_input_errors(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("graph, k, built", [("c6sq", 3, 0), ("c6sq", 10**9, 0), ("k6", 2, 1)])
+def test_bad_c3k_builds_no_cover_for_a_graph_of_another_order(graph, k, built, monkeypatch,
+                                                              capsys):
+    # C_{3k}^2 grows with k, so only a graph on 3k vertices is worth
+    # building it for; one of that order but another shape is still refused
+    build = C.uncolorable_cover_c3k_square
+    calls = []
+    monkeypatch.setattr(C, "uncolorable_cover_c3k_square", lambda k: calls.append(k) or build(k))
+    code, out, err = run_cli(["make-cover", graph, "--bad-c3k", str(k)], capsys)
+    assert calls == [k] * built
+    assert code == 2 and out == ""
+    assert err == f"error: --bad-c3k {k} needs the graph C_{3 * k}^2, got '{graph}'\n"
+
+
 @pytest.mark.parametrize("name, text, argv, message", [
     # vertex numbers lie in 1..n: neither file may drop or add a vertex
     ("l0.cover", "cover t=3\nL 0 0 1 2\nL 1 0 1 2\n", ["check-cover", "l0.cover"],
@@ -873,7 +887,7 @@ def test_certify_dp3_keeps_the_exit_code_contract(name, tree, emit_all, data):
     else:
         assert code in (0, 1), argv
     if code in (0, 1) and g.n <= 6:
-        certs, failing = ref_certify_dp3(g, tree, True, Budget(10**9))
+        certs, failing = ref_certify_dp3(g, tree, Budget(10**9))
         assert code == (1 if failing else 0), argv
         if failing:
             assert f"failing-patterns: {len(failing)}\n" in out
