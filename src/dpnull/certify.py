@@ -313,14 +313,57 @@ def _factor_masks(n, order):
 
 
 def _factor_order(g: Graph) -> tuple[Edge, ...]:
-    """The edges of g in the order the sweep multiplies them: by
-    descending deg(i) + deg(j), ties by descending edge."""
+    """The edges of g in the order the sweep multiplies them, an
+    elimination order: the vertices come in reverse smallest-last order
+    (Matula and Beck, "Smallest-last ordering and clustering and graph
+    coloring algorithms", 1983), and when a vertex is reached its edges to
+    the vertices before it are multiplied, farthest first.  So the edges
+    go by their later end's place, then their earlier end's, and each
+    vertex has at most coloring_number() - 1 edges back.
+
+    The peel is Graph._coloring_number's bucket queue with its ties fixed:
+    repeatedly remove a vertex of least degree in what is left, ties to
+    the lower degree in g and then the lower index.  (The coloring number
+    does not depend on the ties, so it keeps its own cheaper loop.)  The
+    core that is left last comes first, so its vertices meet their edges
+    early and reach the cap of 2 sooner, and the sweep drops the terms
+    their later edges make dead.  Each bucket is a bit set over the
+    vertices ranked by (degree, index), so its lowest bit is the vertex
+    the ties pick; a vertex's place is a bit too, so an edge's sort key is
+    the OR of its ends' places."""
     nbrs = g._neighbours
-    return tuple(sorted(
-        g.edges,
-        key=lambda e: (len(nbrs[e[0]]) + len(nbrs[e[1]]), e),
-        reverse=True,
-    ))
+    deg = [0, *map(len, nbrs.values())]  # -1: removed
+    ranked = sorted(nbrs, key=deg.__getitem__)  # by degree, then index
+    bit = [0] * (g.n + 1)
+    buckets = [0] * (deg[ranked[-1]] + 1)  # degree -> its vertices' rank bits
+    r = 1
+    for v in ranked:
+        bit[v] = r
+        buckets[deg[v]] |= r
+        r <<= 1
+    place = [0] * (g.n + 1)  # bit p: the p-th vertex of the order, from 0
+    p = 1 << g.n
+    d = 0
+    for _ in ranked:
+        while not buckets[d]:
+            d += 1
+        b = buckets[d]
+        low = b & -b
+        buckets[d] = b ^ low
+        v = ranked[low.bit_length() - 1]
+        p >>= 1
+        place[v] = p
+        deg[v] = -1
+        for w in nbrs[v]:
+            dw = deg[w]
+            if dw >= 0:
+                buckets[dw] ^= bit[w]
+                buckets[dw - 1] |= bit[w]
+                deg[w] = dw - 1
+        # removing v lowers a degree by one at most
+        if d:
+            d -= 1
+    return tuple(sorted(g.edges, key=lambda e: place[e[0]] | place[e[1]]))
 
 
 def _sweep_signs(n, order, co, weights, budget):
@@ -511,23 +554,28 @@ class _PatternSpace:
         self.free = [k for k, e in enumerate(g.edges) if switched or e not in forest]
         self.nbits = len(self.free)
         self.kap, self.sig, self.dims = [], [], [0]
-        reduced = []  # (pivot bit, vector, its kappa), by descending pivot
+        reduced = {}  # leading bit -> (vector, its kappa)
+        d = 0
         for k in reversed(self.free):
             mask, cut = below.get(g.edges[k], (0, 0))
             rep = 1 << (m - 1 - k) ^ cut
             kappa = 0
-            for pivot, vec, vk in reduced:
-                if rep >> pivot & 1:
-                    rep ^= vec
-                    kappa ^= vk
+            # reduce by the leading bit until it is no vector's: the
+            # vectors' leading bits differ, so rep is in their span iff
+            # this ends at 0
+            while rep:
+                hit = reduced.get(rep.bit_length() - 1)
+                if hit is None:
+                    break
+                rep ^= hit[0]
+                kappa ^= hit[1]
             if rep:  # a new coordinate: this bit's representative itself
-                d = self.dims[-1]
-                reduced.append((rep.bit_length() - 1, rep, kappa ^ 1 << d))
-                reduced.sort(reverse=True)
+                reduced[rep.bit_length() - 1] = (rep, kappa ^ 1 << d)
                 kappa = 1 << d
+                d += 1
             self.kap.append(kappa)
             self.sig.append(mask)
-            self.dims.append(self.dims[-1] + bool(rep))
+            self.dims.append(d)
         self.rank = self.dims[-1]
         self.slot_kap = [0] * m  # the kappa per edge slot, 0 on pinned slots
         for k, kappa in zip(reversed(self.free), self.kap):
@@ -707,8 +755,10 @@ def certify_dp3(
     S = {v : sigma_v = -1} and the v in S with a_v odd are odd in number
     together.  _PatternSpace holds the arithmetic that takes a pattern to
     its representative and S; _sweep_signs expands the representatives,
-    multiplying the edges in the order of _factor_order, and its docstring
-    gives the chunks of the sign tree and the dead terms.
+    multiplying the edges in _factor_order's elimination order (reverse
+    smallest-last, each vertex's edges back farthest first), and its
+    docstring gives the chunks of the sign tree and the dead terms.  The
+    order moves only the budget's spend, never the result.
 
     The result's `certificates` and `failure.failing_patterns` are lazy
     PatternSequence views in pattern-lex order over the representatives'

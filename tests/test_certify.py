@@ -5,8 +5,9 @@ import ast
 import random
 import re
 import tracemalloc
+from collections import Counter
 from functools import partial, reduce
-from itertools import permutations, product
+from itertools import combinations, groupby, permutations, product
 from operator import mul, xor
 from pathlib import Path
 
@@ -787,6 +788,77 @@ def test_lazy_sequences_match_the_materialised_switch():
     assert checked >= 100  # (graph, mode) pairs
 
 
+def ref_pattern_space(g, forest, switched):
+    """(kap, sig, dims, slot_kap) of _PatternSpace by full reduction: each
+    bit's representative is reduced by every pivot vector whose pivot bit
+    it has, highest pivot first, and the pivots are kept sorted.  A
+    switched forest edge's S is the set of vertices whose forest path to
+    the root runs through the edge's end away from the root, found by
+    walking up."""
+    m = len(g.edges)
+
+    def up(v):
+        while v:
+            yield v
+            v = g.forest[v]
+
+    below = {}
+    if switched:
+        for v, parent in g.forest.items():
+            if parent:
+                side = {u for u in range(1, g.n + 1) if v in up(u)}
+                cut = sum(1 << (m - 1 - k) for k, (i, j) in enumerate(g.edges)
+                          if (i in side) != (j in side))
+                below[(min(v, parent), max(v, parent))] = (sum(1 << (u - 1) for u in side), cut)
+    free = [k for k, e in enumerate(g.edges) if switched or e not in forest]
+    kap, sig, dims = [], [], [0]
+    reduced = []  # (pivot bit, vector, its kappa), by descending pivot
+    for k in reversed(free):
+        mask, cut = below.get(g.edges[k], (0, 0))
+        rep = 1 << (m - 1 - k) ^ cut
+        kappa = 0
+        for pivot, vec, vk in reduced:
+            if rep >> pivot & 1:
+                rep ^= vec
+                kappa ^= vk
+        if rep:
+            d = dims[-1]
+            reduced.append((rep.bit_length() - 1, rep, kappa ^ 1 << d))
+            reduced.sort(reverse=True)
+            kappa = 1 << d
+        kap.append(kappa)
+        sig.append(mask)
+        dims.append(dims[-1] + bool(rep))
+    slot_kap = [0] * m
+    for k, kappa in zip(reversed(free), kap):
+        slot_kap[k] = kappa
+    return kap, sig, dims, slot_kap
+
+
+def test_pattern_space_elimination_matches_full_reduction():
+    """_PatternSpace reduces each representative by its leading bit only;
+    on seeded graphs up to 14 vertices, in both modes, its kappas,
+    switching sets, ranks and slot kappas are those of ref_pattern_space's
+    full reduction."""
+    rng = random.Random(9009)
+    graphs = _kernel_graphs() + _random_sweep_graphs() + [
+        G.complete_bipartite(4, 5), G.cone(G.cycle(10)), G.cycle_power(13, 2)]
+    while len(graphs) < 400:
+        n = rng.randint(2, 14)
+        pairs = list(combinations(range(1, n + 1), 2))
+        graphs.append(G.from_edges(n, rng.sample(pairs, rng.randint(1, min(30, len(pairs))))))
+    tree_mode = 0
+    for g in graphs:
+        forest = set(G.spanning_tree(g))
+        for switched in (True, False)[:1 + g.contains_cycle()]:
+            space = X._PatternSpace(g, forest, switched)
+            got = space.kap, space.sig, space.dims, space.slot_kap
+            assert got == ref_pattern_space(g, forest, switched), (g, switched)
+            assert space.rank == space.dims[-1]
+            tree_mode += not switched
+    assert tree_mode >= 200
+
+
 def test_streaming_skips_blocks_without_a_member():
     """K_{3,4} with a 30-edge pendant path has 42 free bits in all-edges
     mode and 64 representatives.  With one member, the sequence reaches
@@ -900,19 +972,76 @@ def test_pruned_sweep_keeps_every_leaf(monkeypatch):
     assert checked >= 100 and saved >= 25 and forest_maps >= 500
 
 
+def degree_sum_order(g):
+    """The edges by descending deg(i) + deg(j), ties by descending edge:
+    one more order for the sweep to agree with."""
+    return tuple(sorted(g.edges, key=lambda e: (g.degree(e[0]) + g.degree(e[1]), e),
+                        reverse=True))
+
+
+def ref_factor_order(g):
+    """The sweep's elimination order by a plain peel, and each vertex's
+    place in it.  The peel removes, by min(), a vertex of least degree in
+    what is left, ties to the lower degree in g and then the lower index;
+    the vertices come in reverse removal order, each bringing its edges
+    to the vertices before it, farthest first."""
+    left = {v: g.degree(v) for v in range(1, g.n + 1)}
+    removed = []
+    while left:
+        v = min(left, key=lambda u: (left[u], g.degree(u), u))
+        del left[v]
+        removed.append(v)
+        for w in g._neighbours[v]:
+            if w in left:
+                left[w] -= 1
+    place = {v: p for p, v in enumerate(reversed(removed))}
+    order = []
+    for v in reversed(removed):
+        back = sorted((w for w in g._neighbours[v] if place[w] < place[v]), key=place.get)
+        order += [(min(v, w), max(v, w)) for w in back]
+    return tuple(order), place
+
+
+def test_factor_order_is_the_reference_elimination_order():
+    """On seeded graphs up to 30 vertices, ties and isolated vertices
+    among them, _factor_order is every edge once, in ref_factor_order's
+    order; each vertex's edges back come together, and the most any
+    vertex has is coloring_number() - 1."""
+    rng = random.Random(7007)
+    graphs = _kernel_graphs() + _random_sweep_graphs() + [
+        G.complete_bipartite(3, 5), G.complete_bipartite_minus_matching(4, 4, 2),
+        G.cone(G.cycle(10)), G.complete_bipartite(4, 5), G.cycle_power(13, 2), G.complete(7),
+        G.path(9), G.cycle(1001)]
+    while len(graphs) < 300:
+        n = rng.randint(2, 30)
+        pairs = list(combinations(range(1, n + 1), 2))
+        graphs.append(G.from_edges(n, rng.sample(pairs, rng.randint(1, min(60, len(pairs))))))
+    for g in graphs:
+        order = X._factor_order(g)
+        want, place = ref_factor_order(g)
+        assert order == want, g
+        assert sorted(order) == list(g.edges)
+        later = [max(e, key=place.get) for e in order]
+        runs = [v for v, _ in groupby(later)]
+        assert len(runs) == len(set(runs)), g
+        assert max(Counter(later).values()) == g.coloring_number() - 1, g
+
+
 def test_sweep_results_do_not_depend_on_the_factor_order():
     """The factor order moves only the steps: edge order, the sweep's
-    degree order, the forest edges first and two seeded shuffles of the
-    whole order, forest edges interleaved, give the same kappa-keyed
-    certificates and failures."""
+    elimination order, the degree-sum order, the forest edges first and
+    two seeded shuffles of the whole order, forest edges interleaved, give
+    the same kappa-keyed certificates and failures."""
     rng = random.Random(6006)
-    reordered = interleaved = 0
+    reordered = interleaved = by_sum = 0
     for g in _kernel_graphs() + _random_sweep_graphs():
         n, order, co, _, space = _sweep_args(g)
         forest = {e for e, c in zip(order, co) if not c}
         first = tuple(sorted(order, key=lambda e: e not in forest))
         reordered += order != tuple(sorted(order))
-        orders = (g.edges, order, first, *(tuple(rng.sample(order, len(order))) for _ in range(2)))
+        by_sum += order != degree_sum_order(g)
+        orders = (g.edges, order, degree_sum_order(g), first,
+                  *(tuple(rng.sample(order, len(order))) for _ in range(2)))
         results = []
         for edges in orders:
             flags = [e not in forest for e in edges]
@@ -921,27 +1050,40 @@ def test_sweep_results_do_not_depend_on_the_factor_order():
                                           Budget(10**9)))
         for edges, got in zip(orders, results):
             assert got == results[0], (g, edges)
-    assert reordered >= 30 and interleaved >= 100
+    assert reordered >= 30 and interleaved >= 100 and by_sum >= 30
+
+
+def _tree_sweep_spend(g, edges):
+    """The keys g's spanning-tree sweep stores when it multiplies edges in
+    this order."""
+    n, order, co, _, space = _sweep_args(g, switched=False)
+    flags = [co[order.index(e)] for e in edges]
+    budget = Budget(10**9)
+    X._sweep_signs(n, edges, flags, _weights(g, space, edges, flags), budget)
+    return budget.spent
 
 
 def test_factor_order_pins_the_c13sq_steps():
-    """C_13^2's spanning-tree sweep stores 36,088 keys in the degree
-    order, and more with the forest edges first (the spanning tree, then
-    the co-forest edges in degree order) or in edge order, so a change of
-    order shows here."""
+    """C_13^2's spanning-tree sweep stores 36,088 keys in the elimination
+    order, which is its degree-sum order too, and more with the forest
+    edges first (the spanning tree, then the co-forest edges in the
+    elimination order) or in edge order, so a change of order shows here.
+    K_{3,5} and K_{4,4} - M_2 store 477 and 623 keys in the elimination
+    order, and 893 and 836 in the degree-sum order."""
     g = G.cycle_power(13, 2)
     budget = Budget(10**9)
     X.certify_dp3(g, use_spanning_tree=True, budget=budget)
     assert budget.spent == 36_088
-    n, order, co, _, space = _sweep_args(g, switched=False)
-    first = (*G.spanning_tree(g), *(e for e, c in zip(order, co) if c))
-    spent = []
-    for edges in (first, g.edges):
-        flags = [co[order.index(e)] for e in edges]
-        other = Budget(10**9)
-        X._sweep_signs(n, edges, flags, _weights(g, space, edges, flags), other)
-        spent.append(other.spent)
-    assert spent == [60_884, 39_261]
+    order = X._factor_order(g)
+    assert order == degree_sum_order(g)
+    tree = G.spanning_tree(g)
+    first = (*tree, *(e for e in order if e not in tree))
+    assert [_tree_sweep_spend(g, edges) for edges in (first, g.edges)] == [60_884, 39_261]
+    for name, want, by_sum in (("k3,5", 477, 893), ("k4,4-m2", 623, 836)):
+        g = G.parse_graph_name(name)
+        budget = Budget(10**9)
+        X.certify_dp3(g, use_spanning_tree=True, budget=budget)
+        assert (budget.spent, _tree_sweep_spend(g, degree_sum_order(g))) == (want, by_sum)
 
 
 def test_deep_sign_tree_exhausts_the_budget_in_bounded_memory():

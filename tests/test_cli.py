@@ -1000,13 +1000,15 @@ def _make_cover_argv(draw, tmp):
     return argv
 
 
+# the subcommands that draw their budget in the test, from the run's spend
+SPEND_BUDGETS = ("certify-cover", "certify-dp3", "check-cover", "chi-dp")
 CONTRACT_ARGV = {
     "coeff": _coeff_argv,
     "certify-cover": lambda draw, tmp: (
         ["certify-cover", _cover_file(draw, tmp)]
-        + draw(st.sampled_from(([], ["--mode=good"], ["--mode=order3"], ["--mode=x"])))
-        + draw(budgets)),
-    # chi-dp and check-cover draw their budget in the test, from the spend
+        + draw(st.sampled_from(([], ["--mode=good"], ["--mode=order3"], ["--mode=x"])))),
+    "certify-dp3": lambda draw, tmp: (
+        ["certify-dp3", _graph_arg(draw, tmp)] + draw(st.sampled_from(([], ["--spanning-tree"])))),
     "chi-dp": lambda draw, tmp: (
         ["chi-dp", _graph_arg(draw, tmp)]
         + draw(st.one_of(st.just([]), flag_values.map(lambda m: [f"--max-m={m}"])))),
@@ -1032,28 +1034,31 @@ def _ample_run(argv):
     return code, out.getvalue(), args.budget.spent
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(CONTRACT_ARGV)), st.data())
 def test_every_subcommand_keeps_the_exit_code_contract(command, data):
-    """coeff, certify-cover, chi-dp, make-cover, check-cover and
-    reproduce on family names, malformed names, edited graph and cover
-    files, malformed flag values and budgets: the exit code is 0, 1, 2
-    or 3; on 2 or 3 stderr is one error: line and stdout is empty, so
-    coeff's two routes never disagree; and on covers of graphs with
-    n <= 7, check-cover's verdict agrees with a brute-force search.
+    """coeff, certify-cover, certify-dp3 in both modes, chi-dp,
+    make-cover, check-cover and reproduce on family names, malformed
+    names, edited graph and cover files, malformed flag values and
+    budgets: the exit code is 0, 1, 2 or 3; on 2 or 3 stderr is one
+    error: line and stdout is empty, so coeff's two routes never
+    disagree; and on covers of graphs with n <= 7, check-cover's verdict
+    agrees with a brute-force search, and certify-cover certifies only
+    covers that the search colors.
 
-    check-cover and chi-dp draw no budget or one from 1 to the run's full
-    spend + 1.  A budget above the spend prints the full run's output; one
-    that does not exceed it makes check-cover exit 3, while chi-dp, whose
-    bounds catch an exhausted budget, exits 0 with a note that differs
-    from the full run's."""
+    certify-cover, certify-dp3, check-cover and chi-dp draw no budget or
+    one from 1 to the run's full spend + 1.  A budget above the spend
+    prints the full run's output; one that does not exceed it makes the
+    first three exit 3, while chi-dp, whose bounds catch an exhausted
+    budget, exits 0 with a note that differs from the full run's."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = CONTRACT_ARGV[command](data.draw, Path(tmp))
         full = limit = None
-        if command in ("check-cover", "chi-dp"):
+        if command in SPEND_BUDGETS:
             full = _ample_run(argv)
             spend = full[2] if full is not None and full[0] in (0, 1) else 0
-            limit = data.draw(st.one_of(st.none(), st.integers(1, spend + 1),
+            # spend + 1, where the contract turns, drawn on its own too
+            limit = data.draw(st.one_of(st.none(), st.just(spend + 1), st.integers(1, spend + 1),
                                         st.sampled_from(("0", "x"))), label="budget")
             argv += [] if limit is None else [f"--budget={limit}"]
         out, err = io.StringIO(), io.StringIO()
@@ -1064,14 +1069,14 @@ def test_every_subcommand_keeps_the_exit_code_contract(command, data):
         assert "Traceback" not in err, argv
         if code in (2, 3):
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-        if command == "check-cover" and code in (0, 1):
+        if command in ("check-cover", "certify-cover") and code in (0, 1):
             cov = C.read_cover(Path(argv[1]).read_text())
-            if cov.graph.n <= 7:
+            if cov.graph.n <= 7 and (code == 0 or command == "check-cover"):
                 assert code == (0 if _colorable_by_brute_force(cov) else 1), argv
         if full is not None and full[0] in (0, 1) and isinstance(limit, int):
             if limit > full[2]:
                 assert (code, out) == full[:2], argv
-            elif command == "check-cover":
+            elif command != "chi-dp":
                 assert code == 3, argv
             else:
                 assert code == 0 and out != full[1], argv
