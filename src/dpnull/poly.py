@@ -25,11 +25,20 @@ are computed by two independent routes:
 Exponent maps are keyed by packed base-16 digits (each exponent < 16),
 x_1's the most significant, so keys compare as their exponent vectors do
 in lex order.
+
+The Nullstellensatz certificate needs the lex-greatest monomial within
+caps with a nonzero coefficient.  It is read by a lex-first walk of the
+offset-free expansion: the factors go in (i, j) order, and at the end of
+each block (v, .) a map of more than SPLIT_TERMS terms is split by the
+leading exponents that no later factor changes, the greatest prefix
+expanded first, so the first map to outlive the last factor holds the
+answer (see `find_qualifying_monomial`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .budget import Budget, ensure_budget
 from .errors import MethodDisagreement, PreconditionError
@@ -39,6 +48,10 @@ from .graphs import Graph, GraphError, Orientation
 PACK_BITS = 4
 PACK_MASK = 15
 DEFAULT_MAX_TERMS = 2_000_000
+# find_qualifying_monomial splits a map only when it holds more terms than
+# this: each part of a split costs one kernel call per later factor, and on
+# a smaller map those calls cost more than the terms a split can save.
+SPLIT_TERMS = 16
 
 
 class ExpansionLimitError(RuntimeError):
@@ -197,6 +210,32 @@ def apply_factor_packed(
     return out
 
 
+def _check_caps(poly: EdgeProductPolynomial, caps) -> None:
+    if len(caps) != poly.n:
+        raise PreconditionError(f"caps must have length {poly.n}")
+    if max(caps, default=0) > PACK_MASK:
+        # a larger exponent would carry into the next variable's packed slot
+        raise PreconditionError(
+            f"cap {max(caps)} exceeds the packed exponent range 0..{PACK_MASK}"
+        )
+
+
+def _floors(factors, target, n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """For each factor (i, j), target_i and target_j less the factors after
+    it at i and at j: the least exponents a term must have at its ends for
+    the factors still to come to raise them to the target.  Also each
+    variable's degree, the number of factors at it."""
+    rest = [0] * n  # factors after the k-th at each variable
+    floors = [(0, 0)] * len(factors)
+    for k in range(len(factors) - 1, -1, -1):
+        i = factors[k].i - 1
+        j = factors[k].j - 1
+        floors[k] = target[i] - rest[i], target[j] - rest[j]
+        rest[i] += 1
+        rest[j] += 1
+    return floors, rest
+
+
 def expand_packed(
     poly: EdgeProductPolynomial,
     caps,
@@ -221,26 +260,14 @@ def expand_packed(
     applied to.  Once the map is empty, the remaining factors are charged
     one step each in a single charge and the expansion stops, so an empty
     map spends what applying those factors to it one by one would."""
-    if len(caps) != poly.n:
-        raise PreconditionError(f"caps must have length {poly.n}")
-    if max(caps, default=0) > PACK_MASK:
-        # a larger exponent would carry into the next variable's packed slot
-        raise PreconditionError(
-            f"cap {max(caps)} exceeds the packed exponent range 0..{PACK_MASK}"
-        )
+    _check_caps(poly, caps)
     budget = ensure_budget(budget, 500_000_000, "expanding an edge-product polynomial")
     factors = poly.factors
     floors = [(0, 0)] * len(factors)
     cur = {0: 1}
     if exact:
-        rest = [0] * poly.n  # factors after the k-th at each variable
-        for k in range(len(factors) - 1, -1, -1):
-            i = factors[k].i - 1
-            j = factors[k].j - 1
-            floors[k] = caps[i] - rest[i], caps[j] - rest[j]
-            rest[i] += 1
-            rest[j] += 1
-        if any(c > r for c, r in zip(caps, rest)):
+        floors, degrees = _floors(factors, caps, poly.n)
+        if any(c > d for c, d in zip(caps, degrees)):
             cur = {}
     for k, f in enumerate(factors):
         if not cur:
@@ -263,16 +290,67 @@ def find_qualifying_monomial(
     The offsets beta only feed lower degrees, so the top-degree
     coefficients of prod (x_i + s*x_j - beta) are those of the offset-free
     prod (x_i + s*x_j).  That product is homogeneous of degree deg(poly),
-    and it alone is expanded: every term it keeps qualifies.  Keys
-    compare as exponent vectors do in lex order, so the greatest key is
-    the winner, and only it is unpacked."""
-    offset_free = EdgeProductPolynomial(
-        poly.field, poly.n, tuple(Factor(f.i, f.j, f.sign) for f in poly.factors))
-    terms = expand_packed(offset_free, caps, budget)
-    if not terms:
+    and every term of it within caps qualifies; the walk finds the
+    greatest one without expanding the whole product.
+
+    The factors are multiplied in (i, j) order, one block (v, .) after
+    another.  Once block (v, .) is done, no later factor touches x_1..x_v,
+    nor any x_u with v < u < w, for w the i of the next block: those
+    exponents are final, and keys that differ in one of them never merge
+    again.  So at the end of each block a map of more than SPLIT_TERMS
+    terms is split: the keys with the greatest prefix x_1..x_{w-1} go on,
+    and the rest wait on a stack, as one map, to be split again at the
+    end of a later block.  x_1's digit is the most significant, so every
+    key a branch can still produce is greater than every key of the maps
+    still waiting, and the first branch that has terms left after the
+    last factor holds the answer: its greatest key.  A branch whose map
+    empties is dropped and the last map pushed goes on; when every map
+    empties, the answer is None.  A smaller map goes on whole: when no
+    term outlives the last factor, every branch is expanded anyway, and
+    splitting small maps would only add kernel calls.
+
+    Every term has degree deg(poly), so with slack = sum(caps) - deg(poly)
+    each final exponent is at least caps_v - slack; terms that can no
+    longer reach that are dropped, as in the exact read of
+    `expand_packed`, and a negative slack leaves no term at all.
+
+    The budget is charged one step per key of each map a factor is
+    applied to, as the walk goes.  Each such map holds part of the
+    whole-product map at that factor, in the same factor order, and no
+    key of it is in another map of the walk there, so the walk never
+    charges more than expanding the whole product in (i, j) order would."""
+    _check_caps(poly, caps)
+    budget = ensure_budget(budget, 500_000_000, "expanding an edge-product polynomial")
+    n = poly.n
+    m = poly.degree
+    slack = sum(caps) - m
+    if slack < 0:
         return None
-    key = max(terms)
-    return unpack_exponents(key, poly.n), terms[key]
+    factors = [f if not f.beta else Factor(f.i, f.j, f.sign)
+               for f in sorted(poly.factors, key=attrgetter("i", "j"))]
+    floors, _ = _floors(factors, [c - slack for c in caps], n)
+    # shifts[k]: when factor k closes a block and factor k + 1 opens block
+    # (w, .), a key shifted down this far is its prefix x_1..x_{w-1}
+    shifts = [PACK_BITS * (n + 1 - g.i) if f.i != g.i else 0
+              for f, g in zip(factors, factors[1:])] + [0]
+    stack = [(0, {0: 1})]
+    while stack:
+        k, cur = stack.pop()
+        for k in range(k, m):
+            budget.tick(len(cur))
+            cur = apply_factor_packed(cur, factors[k], caps, poly.field, *floors[k])
+            if not cur:
+                break
+            shift = shifts[k]
+            if shift and len(cur) > SPLIT_TERMS:
+                top = max(cur) >> shift << shift  # the least key of the greatest prefix
+                if min(cur) < top:
+                    stack.append((k + 1, {key: c for key, c in cur.items() if key < top}))
+                    cur = {key: c for key, c in cur.items() if key >= top}
+        else:
+            key = max(cur)
+            return unpack_exponents(key, n), cur[key]
+    return None
 
 
 # ---------------------------------------------------------------------------

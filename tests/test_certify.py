@@ -108,10 +108,10 @@ def test_order3_certifies_c6sq_pattern_cover():
     assert C.is_valid_transversal(cov, cert.witness)
 
 
-@pytest.mark.parametrize("limit", (195, 335))
+@pytest.mark.parametrize("limit", (64, 204))
 def test_order3_budget_spent_in_the_witness_walk_names_the_certifier(limit):
-    # the offset-free expansion spends 194 steps, the witness's rank + 1
-    # grid points 141 more
+    # the lex-first walk for the monomial spends 63 steps, the witness's
+    # rank + 1 grid points 141 more
     g = G.cycle_power(6, 2)
     signs = {e: (1 if e in {(1, 2), (1, 3)} else -1) for e in g.edges}
     cov = C.cover_from_pattern(g, 3, signs, {e: 0 for e in g.edges})
@@ -120,6 +120,18 @@ def test_order3_budget_spent_in_the_witness_walk_names_the_certifier(limit):
                        match=f"while certifying an order-3 cover: {limit} >= {limit} steps"):
         X.certify_order3_cover(cov, budget)
     assert budget.spent == limit
+
+
+def test_order3_long_cycle_runs_out_in_the_witness_not_the_expansion():
+    """The identity cover of C_1001: the lex-first walk reads the monomial
+    in 6,201 steps, where the whole expansion outgrew its map limit; the
+    witness, charged its rank + 1 among 3^1001 grid points, then exhausts
+    the default budget under the certifier's label."""
+    cov = C.cover_from_pattern(G.cycle(1001), 3)
+    with pytest.raises(BudgetExceeded, match=(
+            "^budget exceeded while certifying an order-3 cover: "
+            "200000000 >= 200000000 steps$")):
+        X.certify_order3_cover(cov)
 
 
 def test_order3_all_good_c6sq_cover_not_certifiable():
@@ -156,8 +168,8 @@ def _random_good_cover(rng, g, t):
 
 def test_witness_is_the_first_nonzero_point_of_the_label_grid():
     """The witness scan stops at the lex-first nonzero point and charges
-    its rank + 1 grid points, on top of the steps of the offset-free
-    expansion that found the monomial."""
+    its rank + 1 grid points, on top of the steps of the lex-first walk
+    that found the monomial."""
     rng = random.Random(2012)
     checked = 0
     for _ in range(60):
@@ -176,17 +188,16 @@ def test_witness_is_the_first_nonzero_point_of_the_label_grid():
                                if poly.evaluate(p))
             assert cert.witness == point
             assert cert.work["grid_points"] == rank + 1
-            expand = Budget(10**9)
-            offset_free = P.from_graph(g, cov.field, signs=dict(zip(g.edges, cert.pattern)))
-            P.expand_packed(offset_free, tuple(len(l) - 1 for l in cov.labels), expand)
-            assert budget.spent == expand.spent + rank + 1
+            walk = Budget(10**9)
+            P.find_qualifying_monomial(poly, tuple(len(l) - 1 for l in cov.labels), walk)
+            assert budget.spent == walk.spent + rank + 1
             checked += 1
     assert checked >= 100
 
 
 def ref_certify_cover(cov, cert, what, limit):
     """(witness, grid points, spent) or (message, spent) that a certifier
-    with Budget(limit) should give: the offset-free expansion, then one
+    with Budget(limit) should give: the lex-first walk, then one
     step per point of the label grid, in product order, up to the first
     point where the certificate's polynomial is nonzero."""
     g = cov.graph

@@ -26,6 +26,66 @@ def expand_coefficients(poly, caps, budget=None):
     return {P.unpack_exponents(k, poly.n): v for k, v in packed.items()}
 
 
+def lex_first_walk(poly, caps):
+    """(answer, steps) of the lex-first walk, written here over exponent
+    tuples with the field's own add and neg.  The offset-free factors go
+    in (i, j) order, ties in their given order; a child within caps is
+    kept unless the end of the factor it did not raise, plus the factors
+    after this one at that end, falls short of caps - slack there
+    (slack = sum(caps) - degree).  Each map a factor is applied to costs
+    one step per term.  At the end of each block (v, .) a map of more
+    than P.SPLIT_TERMS terms splits into its terms with the greatest
+    prefix x_1..x_{w-1}, for w the next block's i, which go on, and the
+    rest, which wait as one map; the first map to outlive the last factor
+    holds the answer, its greatest term."""
+    fld = poly.field
+    n = poly.n
+    factors = sorted(((f.i - 1, f.j - 1, f.sign) for f in poly.factors), key=lambda f: f[:2])
+    m = len(factors)
+    slack = sum(caps) - m
+    if slack < 0:
+        return None, 0
+    steps = 0
+    stack = [(0, {(0,) * n: 1})]
+    while stack:
+        k, cur = stack.pop()
+        while cur and k < m:
+            steps += len(cur)
+            i, j, sign = factors[k]
+            later = [0] * n
+            for a, b, _ in factors[k + 1:]:
+                later[a] += 1
+                later[b] += 1
+            nxt = {}
+            for e, c in cur.items():
+                for up, other, coef in ((i, j, c), (j, i, c if sign > 0 else fld.neg(c))):
+                    if e[up] < caps[up] and e[other] + later[other] >= caps[other] - slack:
+                        child = e[:up] + (e[up] + 1,) + e[up + 1:]
+                        nxt[child] = fld.add(nxt.get(child, 0), coef)
+            cur = {e: c for e, c in nxt.items() if c}
+            k += 1
+            if len(cur) > P.SPLIT_TERMS and k < m and factors[k][0] != factors[k - 1][0]:
+                settled = factors[k][0]  # x_1..x_{w-1}, for w the next block's i
+                top = max(e[:settled] for e in cur)
+                rest = {e: c for e, c in cur.items() if e[:settled] < top}
+                if rest:
+                    stack.append((k, rest))
+                cur = {e: c for e, c in cur.items() if e[:settled] == top}
+        if cur:
+            e = max(cur)
+            return (e, cur[e]), steps
+    return None, steps
+
+
+def random_factors(rng, field, n, m):
+    factors = []
+    for _ in range(m):
+        i = rng.randint(1, n - 1)
+        factors.append(P.Factor(i, rng.randint(i + 1, n), rng.choice((-1, 1)),
+                                rng.randrange(field.order)))
+    return factors
+
+
 def integer_expansion(factors, n):
     """Oracle: expand prod (x_i + sign*x_j - beta) over the integers."""
     cur = {(0,) * n: 1}
@@ -154,10 +214,10 @@ def test_find_qualifying_monomial_offsets_never_reach_the_top_degree():
     assert expansion[(0, 0)] == 2
     top = {e: c for e, c in expansion.items() if sum(e) == 15}
     assert top == expand_coefficients(offset_free, (15, 15))
-    budget, ref = Budget(10**9), Budget(10**9)
-    assert P.find_qualifying_monomial(poly, (15, 15), budget) == max(top.items()) == ((15, 0), 1)
-    P.expand_packed(offset_free, (15, 15), ref)
-    assert budget.spent == ref.spent
+    budget = Budget(10**9)
+    found = P.find_qualifying_monomial(poly, (15, 15), budget)
+    assert found == max(top.items()) == ((15, 0), 1)
+    assert (found, budget.spent) == lex_first_walk(poly, (15, 15))
 
 
 def test_find_qualifying_monomial_matches_its_definition():
@@ -179,28 +239,108 @@ def test_find_qualifying_monomial_matches_its_definition():
 
 
 def test_find_qualifying_monomial_narrows_to_the_max_over_unpacked_keys():
-    """The greatest packed key against max over every unpacked key of the
+    """The walk's answer against max over every unpacked key of the
     offset-free expansion, on seeded polynomials over F_3, F_5 and F_7,
-    with the expansion's spend unchanged."""
+    and its spend against the reference walk's."""
     rng = random.Random(1717)
     for t in (3, 5, 7) * 20:
         field = make_field(t)
         n = rng.randint(2, 7)
-        factors = []
-        for _ in range(rng.randint(1, 12)):
-            i = rng.randint(1, n - 1)
-            factors.append(P.Factor(i, rng.randint(i + 1, n), rng.choice((-1, 1)),
-                                    rng.randrange(t)))
+        factors = random_factors(rng, field, n, rng.randint(1, 12))
         poly = P.EdgeProductPolynomial(field, n, tuple(factors))
         caps = tuple(rng.randint(0, 4) for _ in range(n))
         offset_free = P.EdgeProductPolynomial(
             field, n, tuple(P.Factor(f.i, f.j, f.sign) for f in factors))
-        ref = Budget(10**9)
-        terms = P.expand_packed(offset_free, caps, ref)
+        terms = P.expand_packed(offset_free, caps)
         want = max(((P.unpack_exponents(k, n), c) for k, c in terms.items()), default=None)
         budget = Budget(10**9)
         assert P.find_qualifying_monomial(poly, caps, budget) == want
-        assert budget.spent == ref.spent
+        assert (want, budget.spent) == lex_first_walk(poly, caps)
+
+
+@pytest.mark.parametrize("split", (0, P.SPLIT_TERMS))
+def test_lex_first_walk_is_the_max_of_the_whole_expansion(monkeypatch, split):
+    """On seeded polynomials over F_2, F_3, F_4, F_5 and F_7 with their
+    factors shuffled, the walk's answer is the greatest term of the whole
+    offset-free expansion, or None when that is empty; its spend is the
+    reference walk's, and at most the whole expansion's in (i, j) order.
+    Split at every size as well as above SPLIT_TERMS, so that small maps
+    take the branches too."""
+    monkeypatch.setattr(P, "SPLIT_TERMS", split)
+    rng = random.Random(3838)
+    answers = {True: 0, False: 0}
+    saved = 0
+    for t in (2, 3, 4, 5, 7) * 40:
+        field = make_field(t)
+        n = rng.randint(2, 10)
+        factors = random_factors(rng, field, n, rng.randint(0, 2 * n + 2))
+        rng.shuffle(factors)
+        poly = P.EdgeProductPolynomial(field, n, tuple(factors))
+        caps = tuple(rng.randint(0, 4) for _ in range(n))
+        offset_free = P.EdgeProductPolynomial(field, n, tuple(sorted(
+            (P.Factor(f.i, f.j, f.sign) for f in factors), key=lambda f: (f.i, f.j))))
+        whole = Budget(10**9)
+        terms = P.expand_packed(offset_free, caps, whole)
+        want = max(((P.unpack_exponents(k, n), c) for k, c in terms.items()), default=None)
+        budget = Budget(10**9)
+        assert P.find_qualifying_monomial(poly, caps, budget) == want
+        assert (want, budget.spent) == lex_first_walk(poly, caps)
+        assert budget.spent <= whole.spent
+        answers[want is None] += 1
+        saved += budget.spent < whole.spent
+    assert min(answers.values()) >= 40
+    assert saved >= 40
+
+
+@pytest.mark.parametrize("split", (0, P.SPLIT_TERMS))
+def test_lex_first_walk_budget_stops_exactly_at_its_spend(monkeypatch, split):
+    """Every limit from 1 to the spend + 1: the walk raises exactly when
+    the limit is at most its spend, stopped at the limit and named as
+    the expansion, and otherwise returns its answer."""
+    monkeypatch.setattr(P, "SPLIT_TERMS", split)
+    rng = random.Random(4242)
+    g = G.cycle_power(6, 2)
+    cases = [(P.from_graph(g, F3, signs={e: (1 if e in {(1, 2), (1, 3)} else -1)
+                                         for e in g.edges}), (2,) * 6),
+             (P.from_graph(G.cone(G.cycle(4)), F3), (2,) * 5)]
+    while len(cases) < 30:
+        field = make_field(rng.choice((3, 5, 7)))
+        n = rng.randint(3, 7)
+        poly = P.EdgeProductPolynomial(field, n, tuple(random_factors(rng, field, n, 2 * n)))
+        cases.append((poly, tuple(rng.randint(1, 4) for _ in range(n))))
+    for poly, caps in cases:
+        full = Budget(10**9)
+        want = P.find_qualifying_monomial(poly, caps, full)
+        for limit in range(1, full.spent + 2):
+            budget = Budget(limit)
+            if limit <= full.spent:
+                with pytest.raises(BudgetExceeded, match=(
+                        f"^budget exceeded while expanding an edge-product polynomial: "
+                        f"{limit} >= {limit} steps$")):
+                    P.find_qualifying_monomial(poly, caps, budget)
+                assert budget.spent == limit
+            else:
+                assert P.find_qualifying_monomial(poly, caps, budget) == want
+                assert budget.spent == full.spent
+
+
+@pytest.mark.parametrize("split, spent", ((P.SPLIT_TERMS, 6201), (0, 1002)))
+def test_lex_first_walk_reads_a_long_cycle_in_linear_steps(monkeypatch, split, spent):
+    """C_1001's graph polynomial within caps 2: the walk's maps stay small,
+    so it reads x_1^2 x_2 ... x_1000 in a few steps per factor (n + 1 when
+    every map is split, as it then keeps at most four terms), where the
+    whole expansion doubles with each factor and outgrows its map limit
+    (here lowered to 10,000 terms; at the default 2,000,000 it takes
+    seconds and gigabytes of 4,004-bit keys to get there)."""
+    monkeypatch.setattr(P, "DEFAULT_MAX_TERMS", 10_000)
+    monkeypatch.setattr(P, "SPLIT_TERMS", split)
+    poly = P.from_graph(G.cycle(1001), F3)
+    budget = Budget(10**9)
+    assert P.find_qualifying_monomial(poly, (2,) * 1001, budget) == (
+        (2,) + (1,) * 999 + (0,), 1)
+    assert budget.spent == spent
+    with pytest.raises(P.ExpansionLimitError):
+        P.expand_packed(poly, (2,) * 1001)
 
 
 def test_expansion_caps_are_sound():
