@@ -132,35 +132,22 @@ def _certify_cover(cover: Cover, kind: str, budget: Budget) -> Certificate | Non
         betas[e] = sat.beta
     poly = from_graph(g, cover.field, signs=signs, offsets=betas)
     caps = tuple(len(labels) - 1 for labels in cover.labels)
-    what = budget.what
     found = find_qualifying_monomial(poly, caps, budget)
-    budget.relabel(what)  # the witness below is charged under the certifier's label
     if found is None:
         return None
     monomial, coeff = found
     # the witness is the lex-first transversal of the cover whose matchings
     # are the factors' zero sets: the first point of the label grid, in
-    # product order, where poly is nonzero.  It is charged its rank + 1 in
-    # that order, one step per grid point up to it.  The search tries at
-    # most n labels per grid point it passes, so one that outruns n * room
-    # labels has passed more than room points.
-    room = budget.limit - budget.spent
+    # product order, where poly is nonzero.  It is charged as every oracle
+    # call is, one step per label tried.
     zeros = Cover(g, cover.t, cover.labels,
                   cover_from_pattern(g, cover.t, signs, betas).matchings)
-    try:
-        witness = next(transversals(zeros, Budget(g.n * room + 1)), None)
-    except BudgetExceeded:
-        points = room  # charging it stops the budget at its limit
-    else:
-        if witness is None:
-            raise AssertionError(
-                "no nonzero point on the label grid despite a qualifying monomial"
-            )
-        rank = 0
-        for labels, a in zip(cover.labels, witness):
-            rank = rank * len(labels) + labels.index(a)
-        points = rank + 1
-    budget.tick(points)
+    spent = budget.spent
+    witness = h_coloring_search(zeros, budget)
+    if witness is None:
+        raise AssertionError(
+            "no nonzero point on the label grid despite a qualifying monomial"
+        )
     if not is_valid_transversal(cover, witness):
         raise AssertionError("extracted witness is not a valid transversal")
     edge_order = g.edges
@@ -174,7 +161,7 @@ def _certify_cover(cover: Cover, kind: str, budget: Budget) -> Certificate | Non
         offsets=tuple(betas[e] for e in edge_order),
         witness=witness,
         verified=True,
-        work={"grid_points": points},
+        work={"labels": budget.spent - spent},
     )
 
 

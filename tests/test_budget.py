@@ -62,9 +62,9 @@ def bad_c9sq_cover(tmp_path):
     (["coeff", "c6sq", "--target", "2,2,2,2,2,2", "--field", "3", "--method", "grid",
       "--budget", "500"],
      "error: budget exceeded while summing over a coefficient grid: 500 >= 500 steps\n"),
-    # the witness's rank + 1 label-grid points, after the expansion
-    (["certify-cover", "COVER", "--mode", "order3", "--budget", "200"],
-     "error: budget exceeded while certifying an order-3 cover: 200 >= 200 steps\n"),
+    # the witness's H-coloring search, one step per label after the expansion
+    (["certify-cover", "COVER", "--mode", "order3", "--budget", "66"],
+     "error: budget exceeded while searching for an H-coloring: 66 >= 66 steps\n"),
     # the exact search's mask pre-charge and batched leaves, caught by the
     # bounds, which print how far the walk got
     (["chi-dp", "k4,4", "--max-m", "3", "--budget", "500"], ""),

@@ -108,30 +108,33 @@ def test_order3_certifies_c6sq_pattern_cover():
     assert C.is_valid_transversal(cov, cert.witness)
 
 
-@pytest.mark.parametrize("limit", (64, 204))
-def test_order3_budget_spent_in_the_witness_walk_names_the_certifier(limit):
+@pytest.mark.parametrize("limit", (64, 69))
+def test_order3_budget_spent_in_the_witness_names_the_oracle(limit):
     # the lex-first walk for the monomial spends 63 steps, the witness's
-    # rank + 1 grid points 141 more
+    # H-coloring search 6 more, one per label tried
     g = G.cycle_power(6, 2)
     signs = {e: (1 if e in {(1, 2), (1, 3)} else -1) for e in g.edges}
     cov = C.cover_from_pattern(g, 3, signs, {e: 0 for e in g.edges})
     budget = Budget(limit)
     with pytest.raises(BudgetExceeded,
-                       match=f"while certifying an order-3 cover: {limit} >= {limit} steps"):
+                       match=f"while searching for an H-coloring: {limit} >= {limit} steps"):
         X.certify_order3_cover(cov, budget)
     assert budget.spent == limit
 
 
-def test_order3_long_cycle_runs_out_in_the_witness_not_the_expansion():
+@pytest.mark.parametrize("certify", (X.certify_order3_cover, X.certify_good_cover),
+                         ids=("order3", "good"))
+def test_long_cycle_cover_is_certified_in_linear_steps(certify):
     """The identity cover of C_1001: the lex-first walk reads the monomial
-    in 6,201 steps, where the whole expansion outgrew its map limit; the
-    witness, charged its rank + 1 among 3^1001 grid points, then exhausts
-    the default budget under the certifier's label."""
+    in 6,201 steps, where the whole expansion outgrew its map limit, and
+    the witness search tries one label per vertex, 1,001 more."""
     cov = C.cover_from_pattern(G.cycle(1001), 3)
-    with pytest.raises(BudgetExceeded, match=(
-            "^budget exceeded while certifying an order-3 cover: "
-            "200000000 >= 200000000 steps$")):
-        X.certify_order3_cover(cov)
+    budget = Budget(10**9)
+    cert = certify(cov, budget)
+    assert cert.coefficient == 1
+    assert C.is_valid_transversal(cov, cert.witness)
+    assert cert.work == {"labels": 1001}
+    assert budget.spent == 7202
 
 
 def test_order3_all_good_c6sq_cover_not_certifiable():
@@ -167,9 +170,10 @@ def _random_good_cover(rng, g, t):
 
 
 def test_witness_is_the_first_nonzero_point_of_the_label_grid():
-    """The witness scan stops at the lex-first nonzero point and charges
-    its rank + 1 grid points, on top of the steps of the lex-first walk
-    that found the monomial."""
+    """The witness is the lex-first nonzero point of the label grid, and
+    the certifier spends the steps of the lex-first walk that found the
+    monomial plus those of the H-coloring search on the factors'
+    zero-set cover, which are its work["labels"]."""
     rng = random.Random(2012)
     checked = 0
     for _ in range(60):
@@ -182,68 +186,51 @@ def test_witness_is_the_first_nonzero_point_of_the_label_grid():
             cert = certify(cov, budget)
             if cert is None:
                 continue
-            poly = P.from_graph(g, cov.field, signs=dict(zip(g.edges, cert.pattern)),
-                                offsets=dict(zip(g.edges, cert.offsets)))
-            rank, point = next((rank, p) for rank, p in enumerate(product(*cov.labels))
-                               if poly.evaluate(p))
-            assert cert.witness == point
-            assert cert.work["grid_points"] == rank + 1
+            signs = dict(zip(g.edges, cert.pattern))
+            offsets = dict(zip(g.edges, cert.offsets))
+            poly = P.from_graph(g, cov.field, signs=signs, offsets=offsets)
+            assert cert.witness == next(p for p in product(*cov.labels) if poly.evaluate(p))
             walk = Budget(10**9)
             P.find_qualifying_monomial(poly, tuple(len(l) - 1 for l in cov.labels), walk)
-            assert budget.spent == walk.spent + rank + 1
+            zeros = C.Cover(g, cov.t, cov.labels,
+                            C.cover_from_pattern(g, cov.t, signs, offsets).matchings)
+            search = Budget(10**9)
+            assert C.h_coloring_search(zeros, search) == cert.witness
+            assert cert.work["labels"] == search.spent
+            assert budget.spent == walk.spent + search.spent
             checked += 1
     assert checked >= 100
 
 
-def ref_certify_cover(cov, cert, what, limit):
-    """(witness, grid points, spent) or (message, spent) that a certifier
-    with Budget(limit) should give: the lex-first walk, then one
-    step per point of the label grid, in product order, up to the first
-    point where the certificate's polynomial is nonzero."""
-    g = cov.graph
-    signs = dict(zip(g.edges, cert.pattern))
-    poly = P.from_graph(g, cov.field, signs=signs, offsets=dict(zip(g.edges, cert.offsets)))
-    budget = Budget(limit)
-    try:
-        P.find_qualifying_monomial(poly, tuple(len(l) - 1 for l in cov.labels), budget)
-        budget.relabel(what)
-        for rank, p in enumerate(product(*cov.labels)):
-            budget.tick()
-            if poly.evaluate(p):
-                return p, rank + 1, budget.spent
-    except BudgetExceeded as exc:
-        return str(exc), budget.spent
-    raise AssertionError("no nonzero point on the label grid")
-
-
-def test_witness_spend_matches_a_point_by_point_walk_at_every_limit():
-    """Near the end of the spend, where the witness search runs under a
-    limit of its own, every outcome is the one a point-by-point walk of
-    the label grid gives: the same witness and grid points, or the same
-    message, and the same spend."""
+def test_witness_search_exhausts_under_the_oracle_label_at_every_limit():
+    """From the first step after the monomial walk to just past the full
+    spend, a certifier under Budget(limit) either runs out at its limit
+    in the witness's H-coloring search or returns the same certificate at
+    the same spend."""
     rng = random.Random(2025)
     checked = 0
     for _ in range(25):
         g = G.from_edges(5, sorted(rng.sample(
             [(i, j) for i in range(1, 6) for j in range(i + 1, 6)], rng.randint(4, 8))))
-        for cov, certify, what in (
-                (random_cover(rng, g, 3), X.certify_order3_cover,
-                 "certifying an order-3 cover"),
-                (_random_good_cover(rng, g, rng.choice((3, 4, 5))), X.certify_good_cover,
-                 "certifying a good cover")):
+        for cov, certify in ((random_cover(rng, g, 3), X.certify_order3_cover),
+                             (_random_good_cover(rng, g, rng.choice((3, 4, 5))),
+                              X.certify_good_cover)):
             full = Budget(10**9)
             cert = certify(cov, full)
             if cert is None:
                 continue
             checked += 1
-            for limit in range(full.spent - cert.work["grid_points"] + 1, full.spent + 3):
+            for limit in range(full.spent - cert.work["labels"] + 1, full.spent + 3):
                 budget = Budget(limit)
-                try:
+                if limit <= full.spent:
+                    with pytest.raises(BudgetExceeded, match=(
+                            f"^budget exceeded while searching for an H-coloring: "
+                            f"{limit} >= {limit} steps$")):
+                        certify(cov, budget)
+                    assert budget.spent == limit
+                else:
                     got = certify(cov, budget)
-                    outcome = got.witness, got.work["grid_points"], budget.spent
-                except BudgetExceeded as exc:
-                    outcome = str(exc), budget.spent
-                assert outcome == ref_certify_cover(cov, cert, what, limit)
+                    assert (got, got.work, budget.spent) == (cert, cert.work, full.spent)
     assert checked >= 30
 
 

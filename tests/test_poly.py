@@ -627,8 +627,7 @@ def test_zero_set_cover_yields_the_nonzero_grid_points_in_product_order():
     """The whole-cover certifiers take their witness from this: the
     transversals of the cover whose matchings are the factors' zero sets
     are the points of the grid where the polynomial is nonzero, in
-    product order, and the search reaches each after trying at most n
-    labels per grid point up to it."""
+    product order."""
     rng = random.Random(99)
     for t in (3, 4, 5):
         field = make_field(t)
